@@ -26,8 +26,7 @@ from .domains import (
     instantiate,
     store_join,
     store_join_all,
-    update_attribute,
-    update_event,
+    update_member,
     value_eq,
     value_neq,
 )
@@ -111,8 +110,7 @@ __all__ = [
     "step",
     "store_join",
     "store_join_all",
-    "update_attribute",
-    "update_event",
+    "update_member",
     "value_eq",
     "value_neq",
 ]

@@ -1,16 +1,20 @@
 """The semantic algebra: values, interfaces, entities, stores, references.
 
-Everything here is a plain immutable value; updates build new stores rather
-than mutating.  Reads are total (a miss yields ``UNDEF``), merges are
-union-shaped with equal-value overlap tolerated, and every iteration order
-is lexicographic so downstream traces are byte-deterministic.
+Everything here is a plain immutable value; updates build new entities
+rather than mutating.  Reads are total (a miss yields ``UNDEF``), and merges
+are union-shaped with equal-value overlap tolerated.  Stores are finite
+maps: their key order carries no meaning and nothing here sorts them.  Order
+is fixed only where it can be observed: :func:`instantiate` enumerates
+bindings lexicographically, :func:`store_join` reports the least conflict,
+and the serializer sorts what it prints.  Nothing here iterates a set, so no
+result depends on the string hash seed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .ast import TypeTag
 
@@ -132,12 +136,14 @@ class UnknownEntityError(Exception):
 def _merge_maps(
     entity_id: str, left: dict[str, Value], right: dict[str, Value]
 ) -> dict[str, Value]:
-    merged = dict(left)
-    for key, value in right.items():
-        if key in merged and not _same_value(merged[key], value):
-            raise ConflictError(entity_id, key, merged[key], value)
-        merged[key] = value
-    return dict(sorted(merged.items()))
+    clashes = [
+        key for key, value in right.items()
+        if key in left and not _same_value(left[key], value)
+    ]
+    if clashes:
+        key = min(clashes)
+        raise ConflictError(entity_id, key, left[key], right[key])
+    return {**left, **right}
 
 
 def combine_entities(
@@ -147,7 +153,8 @@ def combine_entities(
 
     Absent sides pass through; keys present on both sides must carry equal
     values, otherwise the partial states interfere and a
-    :class:`ConflictError` is raised.
+    :class:`ConflictError` is raised: for a differing interface first, then
+    for the least clashing attribute, then for the least clashing event.
     """
     if a is None:
         return b
@@ -163,12 +170,20 @@ def combine_entities(
 
 
 def store_join(s1: Store, s2: Store) -> Store:
-    """Pointwise :func:`combine_entities` over the union of both key sets."""
-    out: Store = {}
-    for entity_id in sorted(s1.keys() | s2.keys()):
-        combined = combine_entities(entity_id, s1.get(entity_id), s2.get(entity_id))
-        assert combined is not None
-        out[entity_id] = combined
+    """Pointwise :func:`combine_entities` over the union of both key sets.
+
+    When several entities clash, the one with the least id is reported, so
+    the error does not depend on either store's key order.
+    """
+    out = dict(s1)
+    clashes: list[ConflictError] = []
+    for entity_id, entity in s2.items():
+        try:
+            out[entity_id] = combine_entities(entity_id, s1.get(entity_id), entity)
+        except ConflictError as exc:
+            clashes.append(exc)
+    if clashes:
+        raise min(clashes, key=lambda exc: exc.entity_id)
     return out
 
 
@@ -194,51 +209,32 @@ def access_attribute(attribute: str, entity_id: str, store: Store) -> Value:
     return entity.attributes.get(attribute, UNDEF)
 
 
-def update_event(
-    event: str,
-    entity_id: str,
-    value: Value,
+def update_member(
     store: Store,
+    entity_id: str,
+    attributes: Mapping[str, Value] | None = None,
+    events: Mapping[str, Value] | None = None,
     governing: Store | None = None,
-) -> Store:
-    """Functionally set ``entity_id``'s ``event`` to ``value`` in ``store``.
+) -> Entity:
+    """``entity_id``'s entity in ``store`` with the given attributes and
+    events overwritten; the caller puts it back into the store it builds.
 
     Partial effect stores accumulate produced effects only, so an entity
     missing from ``store`` but present in the ``governing`` (current) store
-    gets a skeleton entry carrying nothing but this event.  An entity the
-    governing store also lacks is an error.
+    starts from a skeleton carrying nothing but the new members.  An entity
+    the governing store also lacks is an error.  Member maps left untouched
+    are shared with the old entity, not copied.
     """
     entity = store.get(entity_id)
     if entity is None:
-        if governing is not None and entity_id in governing:
-            entity = Entity(governing[entity_id].interface_id, {}, {})
-        else:
+        if governing is None or entity_id not in governing:
             raise UnknownEntityError(entity_id)
-    events = dict(entity.events)
-    events[event] = value
-    updated = Entity(entity.interface_id, entity.attributes, dict(sorted(events.items())))
-    return {**store, entity_id: updated}
-
-
-def update_attribute(
-    attribute: str,
-    entity_id: str,
-    value: Value,
-    store: Store,
-    governing: Store | None = None,
-) -> Store:
-    entity = store.get(entity_id)
-    if entity is None:
-        if governing is not None and entity_id in governing:
-            entity = Entity(governing[entity_id].interface_id, {}, {})
-        else:
-            raise UnknownEntityError(entity_id)
-    attributes = dict(entity.attributes)
-    attributes[attribute] = value
-    updated = Entity(
-        entity.interface_id, dict(sorted(attributes.items())), entity.events
+        entity = Entity(governing[entity_id].interface_id, {}, {})
+    return Entity(
+        entity.interface_id,
+        {**entity.attributes, **attributes} if attributes else entity.attributes,
+        {**entity.events, **events} if events else entity.events,
     )
-    return {**store, entity_id: updated}
 
 
 # ── Dual stores, references, entity environments ─────────────────

@@ -25,6 +25,7 @@ from .ast import (
     EventOr,
     Expr,
     Filter,
+    InitDecl,
     InterfaceDecl,
     NumLit,
     Path,
@@ -33,14 +34,22 @@ from .ast import (
     ValueChanged,
     ValueEq,
 )
+from .domains import UNDEF, Value
+
+
+def format_value(value: Value) -> str:
+    """Source spelling of a literal or runtime value."""
+    if value is UNDEF:
+        return "undef"
+    if type(value) is bool:
+        return "true" if value else "false"
+    return str(value)
 
 
 def format_expr(expr: Expr) -> str:
     match expr:
-        case NumLit(value):
-            return str(value)
-        case BoolLit(value):
-            return "true" if value else "false"
+        case NumLit(value) | BoolLit(value):
+            return format_value(value)
         case Path(var, member):
             return f"{var}.{member}"
     raise TypeError(f"not an expression node: {expr!r}")
@@ -103,10 +112,14 @@ def _format_interface(decl: InterfaceDecl) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_inits(inits: tuple[InitDecl, ...]) -> str:
+    """The braced initializer list of an entity declaration."""
+    body = ", ".join(f"{i.attribute} : {format_expr(i.value)}" for i in inits)
+    return f"{{ {body} }}" if body else "{}"
+
+
 def _format_entity(decl: EntityDecl) -> str:
-    inits = ", ".join(f"{i.attribute} : {format_expr(i.value)}" for i in decl.inits)
-    body = f"{{ {inits} }}" if inits else "{}"
-    return f"{decl.name}:{decl.interface} {body}\n"
+    return f"{decl.name}:{decl.interface} {format_inits(decl.inits)}\n"
 
 
 def _format_rule(rule: RuleAst) -> str:

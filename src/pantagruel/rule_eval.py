@@ -57,7 +57,7 @@ from .domains import (
     instantiate,
     store_join,
     store_join_all,
-    update_event,
+    update_member,
     value_eq,
     value_neq,
 )
@@ -229,7 +229,7 @@ def eval_action_expr(
             rho1, f1 = eval_action_expr(left, env, current, rho, effect)
             return eval_action_expr(right, env, current, rho1, f1)
         case ActionCall(action, arg, decl, filt):
-            var, rho2 = eval_action_decl(decl, rho, current)
+            var, rho2 = eval_declaration(decl, rho, current)
 
             def run(scope: EnvEntity) -> Store:
                 ref = scope.get(var)
@@ -244,14 +244,13 @@ def eval_action_expr(
                 if not eval_filter(filt, ref.name, current)(scope):
                     return base
                 value = eval_expression(arg, current, scope)
-                return update_event(action, ref.name, value, base, governing=current)
+                updated = update_member(
+                    base, ref.name, events={action: value}, governing=current
+                )
+                return {**base, ref.name: updated}
 
             return rho2, run
     raise TypeError(f"not an action node: {expr!r}")
-
-
-# actions declare variables exactly like events do
-eval_action_decl = eval_declaration
 
 
 # ── Rules (R) and rule blocks (K) ────────────────────────────────
@@ -294,7 +293,7 @@ def eval_rule(
         if partial:
             binding = {
                 var: ref.name
-                for var, ref in sorted(inst.items())
+                for var, ref in inst.items()
                 if isinstance(ref, InstanceRef)
             }
             fired.append(FiredRule(effective_label, binding, _effects_summary(partial)))

@@ -18,10 +18,10 @@ from .domains import (
     UNDEF,
     ConflictError,
     DualStore,
-    Entity,
     EnvInterface,
     Store,
     Value,
+    update_member,
     value_type_matches,
 )
 from .rule_eval import FiredRule, TriggerMode, eval_rule_block
@@ -148,95 +148,75 @@ def apply_external(
             )
             continue
         iface = env[entity.interface_id]
-        if isinstance(change, EventUpdate):
-            if change.event in iface.actions:
+        is_event = isinstance(change, EventUpdate)
+        if is_event:
+            kind, member, declared = "event", change.event, iface.events
+            if member in iface.actions:
                 diagnostics.append(
                     error(
                         "implicit-event-write",
-                        f"{change.entity}.{change.event} is an implicit event and "
+                        f"{change.entity}.{member} is an implicit event and "
                         "cannot be written externally",
                     )
                 )
                 continue
-            declared = iface.events.get(change.event)
-            if declared is None:
-                diagnostics.append(
-                    error(
-                        "unknown-member",
-                        f"interface {entity.interface_id!r} has no event {change.event!r}",
-                    )
-                )
-                continue
-            if not value_type_matches(change.value, declared):
-                diagnostics.append(
-                    error(
-                        "type-mismatch",
-                        f"event {change.entity}.{change.event} carries {declared.value}, "
-                        f"got {change.value!r}",
-                    )
-                )
-                continue
-            events = dict(entity.events)
-            events[change.event] = change.value
-            out[change.entity] = Entity(
-                entity.interface_id, entity.attributes, dict(sorted(events.items()))
-            )
         else:
-            declared = iface.attributes.get(change.attribute)
-            if declared is None:
-                diagnostics.append(
-                    error(
-                        "unknown-member",
-                        f"interface {entity.interface_id!r} has no attribute "
-                        f"{change.attribute!r}",
-                    )
+            kind, member, declared = "attribute", change.attribute, iface.attributes
+        tag = declared.get(member)
+        if tag is None:
+            diagnostics.append(
+                error(
+                    "unknown-member",
+                    f"interface {entity.interface_id!r} has no {kind} {member!r}",
                 )
-                continue
-            if not value_type_matches(change.value, declared):
-                diagnostics.append(
-                    error(
-                        "type-mismatch",
-                        f"attribute {change.entity}.{change.attribute} carries "
-                        f"{declared.value}, got {change.value!r}",
-                    )
-                )
-                continue
-            attributes = dict(entity.attributes)
-            attributes[change.attribute] = change.value
-            out[change.entity] = Entity(
-                entity.interface_id, dict(sorted(attributes.items())), entity.events
             )
+            continue
+        if not value_type_matches(change.value, tag):
+            diagnostics.append(
+                error(
+                    "type-mismatch",
+                    f"{kind} {change.entity}.{member} carries {tag.value}, "
+                    f"got {change.value!r}",
+                )
+            )
+            continue
+        written = {member: change.value}
+        out[change.entity] = update_member(
+            out,
+            change.entity,
+            attributes=None if is_event else written,
+            events=written if is_event else None,
+        )
 
     if diagnostics:
         raise ExternalChangeError(diagnostics)
-    return dict(sorted(out.items()))
+    return out
 
 
 def apply_internal(env: EnvInterface, effects: Store, sigma_prime: Store) -> Store:
     """Finish the tick: reset every implicit event that was set in
     ``sigma_prime`` back to UNDEF, then layer the rule effects on top
     (effect values win over the reset; genuine conflicts were already
-    caught while the effects were joined)."""
-    out: Store = {}
+    caught while the effects were joined).  Only entities with a set
+    implicit event or an effect are rebuilt; all others are passed on as
+    the very objects of ``sigma_prime``."""
+    out = dict(sigma_prime)
     for entity_id, entity in sigma_prime.items():
         iface = env.get(entity.interface_id)
-        implicit = iface.actions if iface is not None else {}
-        events = {
-            key: (UNDEF if key in implicit and value is not UNDEF else value)
-            for key, value in entity.events.items()
-        }
-        out[entity_id] = Entity(entity.interface_id, entity.attributes, events)
-    for entity_id, produced in effects.items():
-        base = out.get(entity_id)
-        if base is None:
-            out[entity_id] = produced
+        if iface is None or not iface.actions:
             continue
-        out[entity_id] = Entity(
-            base.interface_id,
-            dict(sorted({**base.attributes, **produced.attributes}.items())),
-            dict(sorted({**base.events, **produced.events}.items())),
+        reset = {
+            key: UNDEF
+            for key in iface.actions
+            if entity.events.get(key, UNDEF) is not UNDEF
+        }
+        if reset:
+            out[entity_id] = update_member(out, entity_id, events=reset)
+    for entity_id, produced in effects.items():
+        out[entity_id] = update_member(
+            out, entity_id, produced.attributes, produced.events, governing=effects
         )
-    return dict(sorted(out.items()))
+    return out
 
 
 def step(

@@ -1,8 +1,12 @@
 """Deterministic rendering of tick records.
 
 Two formats: ``jsonl`` (one compact JSON object per tick, all keys sorted,
-UNDEF as null) and ``text`` (an aligned human-readable block).  Identical
-records always render to identical bytes.
+UNDEF as null) and ``text`` (an aligned human-readable block).  This is the
+output boundary where the store's order is fixed: entities, their members
+and rule bindings are sorted here, since the interpreter keeps stores in
+whatever order it built them.  Changes keep their script order, and fired
+rules the order in which they fired.  Identical records always render to
+identical bytes.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .domains import UNDEF, Store, Value
-from .formatter import format_expr
+from .formatter import format_inits, format_value
 from .runtime import AttributeUpdate, EventUpdate, ExternalChange, Remove, TickRecord
 
 
@@ -18,28 +22,16 @@ def _value_json(value: Value) -> object:
     return None if value is UNDEF else value
 
 
-def _value_text(value: Value) -> str:
-    if value is UNDEF:
-        return "undef"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
 def change_text(change: ExternalChange) -> str:
     """Render a change in script-line syntax."""
     if isinstance(change, EventUpdate):
-        return f"event {change.entity}.{change.event} = {_value_text(change.value)}"
+        return f"event {change.entity}.{change.event} = {format_value(change.value)}"
     if isinstance(change, AttributeUpdate):
-        return f"attr {change.entity}.{change.attribute} = {_value_text(change.value)}"
+        return f"attr {change.entity}.{change.attribute} = {format_value(change.value)}"
     if isinstance(change, Remove):
         return f"remove {change.entity}"
     decl = change.decl
-    inits = ", ".join(f"{i.attribute} : {format_expr(i.value)}" for i in decl.inits)
-    body = f"{{ {inits} }}" if inits else "{}"
-    return f"deploy {decl.name} : {decl.interface} {body}"
+    return f"deploy {decl.name} : {decl.interface} {format_inits(decl.inits)}"
 
 
 def _change_json(change: ExternalChange) -> dict:
@@ -88,10 +80,10 @@ def store_text(store: Store, indent: str = "  ") -> str:
     for entity_id in sorted(store):
         entity = store[entity_id]
         attrs = " ".join(
-            f"{k}={_value_text(v)}" for k, v in sorted(entity.attributes.items())
+            f"{k}={format_value(v)}" for k, v in sorted(entity.attributes.items())
         )
         events = " ".join(
-            f"{k}={_value_text(v)}" for k, v in sorted(entity.events.items())
+            f"{k}={format_value(v)}" for k, v in sorted(entity.events.items())
         )
         lines.append(
             f"{indent}{entity_id:<{id_width}}  {entity.interface_id:<{iface_width}}"

@@ -155,9 +155,8 @@ def build_entity(
                 )
             )
             attributes[name] = UNDEF
-    events = {name: UNDEF for name in sorted(set(iface.events) | set(iface.actions))}
-    entity = Entity(decl.interface, dict(sorted(attributes.items())), events)
-    return entity, diagnostics
+    events = dict.fromkeys([*iface.events, *iface.actions], UNDEF)
+    return Entity(decl.interface, attributes, events), diagnostics
 
 
 def eval_specification(
@@ -194,7 +193,7 @@ def eval_specification(
         diagnostics.extend(diags)
         if entity is not None:
             store[edecl.name] = entity
-    return env, dict(sorted(store.items())), diagnostics
+    return env, store, diagnostics
 
 
 # ── Static rule checking ─────────────────────────────────────────

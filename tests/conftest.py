@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pantagruel import check_program, parse_program
+from pantagruel import check_program, parse_program, update_member
 
 BUILDING_SPEC = """\
 interface MotionDetector {
@@ -71,6 +71,28 @@ RULE_3 = """\
 def program_source(*rules: str) -> str:
     return BUILDING_SPEC + "\nrules\n" + "".join(rules) + "end\n"
 
+
+def with_event(store, entity_id: str, event: str, value):
+    """``store`` with one event of one entity overwritten."""
+    return {**store, entity_id: update_member(store, entity_id, events={event: value})}
+
+
+# two rules write opposite values to both actions of both entities; the
+# rule bodies write y before x and b before a, against the reporting order
+TWO_KEY_CONFLICT_PROGRAM = """\
+interface L { attribute r : Integer event s : Boolean action a ( Boolean ) action b ( Boolean ) }
+y:L { r : 0 }
+x:L { r : 0 }
+rules
+(1) when event s from y value = true
+    trigger action b(true) on y, action a(true) on y, action b(true) on x, action a(true) on x
+    end
+(2) when event s from y value = true
+    trigger action b(false) on y, action a(false) on y, action b(false) on x, action a(false) on x
+    end
+end
+"""
+TWO_KEY_CONFLICT_SCRIPT = "event y.s = true\ntick\n"
 
 BUILDING_FULL = program_source(RULE_1, RULE_2_AGGREGATE, RULE_3)
 BUILDING_RUNNABLE = program_source(RULE_1, RULE_2_PLAIN, RULE_3)

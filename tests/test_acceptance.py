@@ -40,13 +40,12 @@ from pantagruel import (
     serialize_tick,
     store_join,
     store_join_all,
-    update_event,
     value_eq,
 )
 from pantagruel.cli import main
 from pantagruel.rule_eval import eval_action_expr, eval_event_expr
 
-from conftest import BUILDING_RULES_13, BUILDING_SPEC, program_source
+from conftest import BUILDING_RULES_13, BUILDING_SPEC, program_source, with_event
 from test_parser import _random_ast
 
 EDGE = TriggerMode.EDGE
@@ -142,8 +141,8 @@ def test_a2_edge_once_only(building):
 
 
 def test_a3_rule_one_derivation_replay(building):
-    sigma1 = update_event("detected", "m10", False, building.initial_store)
-    sigma2 = update_event("detected", "m10", True, sigma1)
+    sigma1 = with_event(building.initial_store, "m10", "detected", False)
+    sigma2 = with_event(sigma1, "m10", "detected", True)
     dual = DualStore(sigma1, sigma2)
     rule1 = building.rules[0]
 
@@ -267,9 +266,9 @@ def test_a4_rule_order_permutation_invariance():
         curr = checked.initial_store
         for eid in checked.initial_store:
             if rng.random() < 0.7:
-                prev = update_event("s", eid, rng.choice([True, False, UNDEF]), prev)
+                prev = with_event(prev, eid, "s", rng.choice([True, False, UNDEF]))
             if rng.random() < 0.7:
-                curr = update_event("s", eid, rng.choice([True, False, UNDEF]), curr)
+                curr = with_event(curr, eid, "s", rng.choice([True, False, UNDEF]))
         dual = DualStore(prev, curr)
         effects, fired = eval_rule_block(checked.env, checked.rules, dual, EDGE)
         fired_set = {(f.label, tuple(sorted(f.binding.items()))) for f in fired}
@@ -320,8 +319,20 @@ def test_a4_parser_round_trip():
     print(f"A4 parser round-trip ({A4_CASES} cases, seed {A4_SEED_ROUNDTRIP}): PASS")
 
 
-def test_a4_total_runtime_budget():
-    assert len(_A4_ELAPSED) == 5, "all five A4 suites must have run"
+def test_a4_total_runtime_budget(building):
+    """Sums the five suites' times; a suite that has not run in this session
+    (say, under ``-k``) is run here first, so the test stands alone."""
+    suites = {
+        "join": test_a4_join_laws,
+        "instantiate": test_a4_instantiate_cardinality,
+        "permutation": test_a4_rule_order_permutation_invariance,
+        "reset": lambda: test_a4_implicit_reset_invariant(building),
+        "roundtrip": test_a4_parser_round_trip,
+    }
+    for name, suite in suites.items():
+        if name not in _A4_ELAPSED:
+            suite()
+    assert _A4_ELAPSED.keys() == suites.keys()
     total = sum(_A4_ELAPSED.values())
     assert total < 60.0, f"A4 suites took {total:.1f}s"
     print(f"A4 total runtime {total:.1f}s (< 60s): PASS")

@@ -9,7 +9,14 @@ import pytest
 
 from pantagruel.cli import main
 
-from conftest import BUILDING_FULL, BUILDING_RULES_13, BUILDING_RUNNABLE, program_source
+from conftest import (
+    BUILDING_FULL,
+    BUILDING_RULES_13,
+    BUILDING_RUNNABLE,
+    TWO_KEY_CONFLICT_PROGRAM,
+    TWO_KEY_CONFLICT_SCRIPT,
+    program_source,
+)
 
 GOLDEN_SCRIPT = """\
 event m10.detected = true
@@ -196,6 +203,25 @@ def test_run_no_strict_conflicts_continues(files, capsys):
     assert ticks[0]["fired"] == []
     assert ticks[0]["entities"]["l10"]["events"]["switch"] is None  # effects dropped
     assert ticks[1]["conflict"] is None
+
+
+def test_run_reports_the_least_of_several_conflicts(files, capsys):
+    """x and y each clash on a and b: the least entity id, then the least
+    key, is reported, in whichever order the rules wrote them."""
+    prog = files("c.ptg", TWO_KEY_CONFLICT_PROGRAM)
+    script = files("c.evs", TWO_KEY_CONFLICT_SCRIPT)
+    message = "conflicting values for x.a: True vs False"
+
+    assert main(["run", prog, "--script", script, "--no-strict-conflicts"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("conflict:")] == [
+        f"conflict: {message}"
+    ]
+
+    assert main(["run", prog, "--script", script]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"conflict at tick 1: {message}\n"
 
 
 def test_run_external_error_reports_tick(files, capsys):

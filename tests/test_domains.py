@@ -22,8 +22,7 @@ from pantagruel import (
     instantiate,
     store_join,
     store_join_all,
-    update_attribute,
-    update_event,
+    update_member,
     value_eq,
     value_neq,
 )
@@ -142,6 +141,32 @@ def test_join_disjoint_entities():
     assert set(joined) == {"l10", "l11"}
 
 
+def test_join_reports_the_least_conflict():
+    """Whatever the key order of either store: least entity id first, then
+    interface, then attributes before events, each by least key."""
+    def clash(s1, s2):
+        with pytest.raises(ConflictError) as exc:
+            store_join(s1, s2)
+        return exc.value.entity_id, exc.value.key, exc.value.left, exc.value.right
+
+    s1 = {
+        "y": _entity(attrs={"b": 1, "a": 1}, events={"d": 1, "c": 1}),
+        "x": _entity(attrs={"b": 1, "a": 1}, events={"d": 1, "c": 1}),
+    }
+    s2 = {
+        "y": _entity("Fan", attrs={"b": 2, "a": 2}, events={"d": 2, "c": 2}),
+        "x": _entity(attrs={"b": 2, "a": 2}, events={"d": 2, "c": 2}),
+    }
+    assert clash(s1, s2) == ("x", "a", 1, 2)
+    assert clash(s2, s1) == ("x", "a", 2, 1)
+    s2["x"] = _entity("Fan", attrs={"b": 2, "a": 2}, events={"d": 2, "c": 2})
+    assert clash(s1, s2) == ("x", "interface", "Light", "Fan")
+    s2["x"] = _entity(attrs={"b": 1, "a": 1}, events={"d": 2, "c": 2})
+    assert clash(s1, s2) == ("x", "c", 1, 2)
+    del s2["x"]
+    assert clash(s1, s2) == ("y", "interface", "Light", "Fan")
+
+
 def test_join_conflict():
     s1 = {"l10": _entity(events={"switch": True})}
     s2 = {"l10": _entity(events={"switch": False})}
@@ -224,20 +249,20 @@ def test_access_attribute_mirrors_event_access():
 
 def test_update_event_skeleton_in_partial_store():
     governing = {"l10": _entity("Light", attrs={"room": 101}, events={"switch": UNDEF})}
-    out = update_event("switch", "l10", True, {}, governing=governing)
-    assert out == {"l10": Entity("Light", {}, {"switch": True})}
+    out = update_member({}, "l10", events={"switch": True}, governing=governing)
+    assert out == Entity("Light", {}, {"switch": True})
 
 
 def test_update_event_unknown_everywhere_raises():
     with pytest.raises(UnknownEntityError):
-        update_event("switch", "ghost", True, {}, governing={})
+        update_member({}, "ghost", events={"switch": True}, governing={})
     with pytest.raises(UnknownEntityError):
-        update_event("switch", "ghost", True, {})
+        update_member({}, "ghost", events={"switch": True})
 
 
 def test_update_then_access_reads_back():
     store = {"l10": _entity("Light", events={"switch": UNDEF})}
-    out = update_event("switch", "l10", True, store)
+    out = {**store, "l10": update_member(store, "l10", events={"switch": True})}
     assert access_event("switch", "l10", out) is True
     # original store untouched
     assert access_event("switch", "l10", store) is UNDEF
@@ -248,15 +273,30 @@ def test_updates_to_distinct_entities_commute():
         "l10": _entity("Light", events={"switch": UNDEF}),
         "l11": _entity("Light", events={"switch": UNDEF}),
     }
-    one = update_event("switch", "l11", False, update_event("switch", "l10", True, store))
-    two = update_event("switch", "l10", True, update_event("switch", "l11", False, store))
+
+    def set_switch(store, entity_id, value):
+        return {**store, entity_id: update_member(store, entity_id, events={"switch": value})}
+
+    one = set_switch(set_switch(store, "l10", True), "l11", False)
+    two = set_switch(set_switch(store, "l11", False), "l10", True)
     assert one == two
 
 
 def test_update_attribute_read_back():
     store = {"l10": _entity("Light", attrs={"room": 101})}
-    out = update_attribute("room", "l10", 102, store)
+    out = {"l10": update_member(store, "l10", attributes={"room": 102})}
     assert access_attribute("room", "l10", out) == 102
+
+
+def test_update_member_overwrites_both_kinds_and_keeps_the_rest():
+    entity = _entity("Light", attrs={"room": 101, "floor": 1}, events={"switch": UNDEF})
+    out = update_member(
+        {"l10": entity}, "l10", attributes={"room": 102}, events={"switch": True}
+    )
+    assert out == Entity("Light", {"room": 102, "floor": 1}, {"switch": True})
+    # the old entity is untouched, and a kind left alone is shared, not copied
+    assert entity.attributes == {"room": 101, "floor": 1}
+    assert update_member({"l10": entity}, "l10", events={"switch": True}).attributes is entity.attributes
 
 
 # ── Instantiation ────────────────────────────────────────────────

@@ -27,7 +27,7 @@ from pantagruel import (
     eval_specification,
     parse_program,
     store_join,
-    update_event,
+    update_member,
     value_eq,
 )
 from pantagruel.ast import (
@@ -51,7 +51,7 @@ from pantagruel.rule_eval import (
     eval_filter,
 )
 
-from conftest import BUILDING_SPEC, program_source
+from conftest import BUILDING_SPEC, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -60,8 +60,8 @@ LEVEL = TriggerMode.LEVEL
 @pytest.fixture()
 def motion_dual(building):
     """⟨σ1, σ2⟩: the full initial store with m10.detected false, then true."""
-    sigma1 = update_event("detected", "m10", False, building.initial_store)
-    sigma2 = update_event("detected", "m10", True, sigma1)
+    sigma1 = with_event(building.initial_store, "m10", "detected", False)
+    sigma2 = with_event(sigma1, "m10", "detected", True)
     return DualStore(sigma1, sigma2)
 
 
@@ -296,8 +296,8 @@ def test_sequential_effect_threads_partial_store():
     rho_e = {"y": InterfaceRef("I")}
     _, effect = eval_action_expr(rule.body, checked.env, store, rho_e, lambda r: {})
     got = effect({"x": InstanceRef("x"), "y": InstanceRef("x")})
-    by_hand = update_event("a1", "x", 1, {}, governing=store)
-    by_hand = update_event("a2", "x", 2, by_hand, governing=store)
+    by_hand = {"x": update_member({}, "x", events={"a1": 1}, governing=store)}
+    by_hand = {"x": update_member(by_hand, "x", events={"a2": 2}, governing=store)}
     assert got == by_hand
     assert got["x"].events == {"a1": 1, "a2": 2}
 
@@ -445,8 +445,8 @@ def test_rule_order_permutation_invariance_small():
     )
     checked = check_program(parse_program(src))
     sigma1 = checked.initial_store
-    sigma2 = update_event(
-        "temperature", "thermo", 21, update_event("detected", "m10", True, sigma1)
+    sigma2 = with_event(
+        with_event(sigma1, "m10", "detected", True), "thermo", "temperature", 21
     )
     dual = DualStore(sigma1, sigma2)
     rules = list(enumerate(checked.rules, start=1))

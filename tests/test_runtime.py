@@ -22,11 +22,10 @@ from pantagruel import (
     parse_program,
     run_trace,
     step,
-    update_event,
 )
 from pantagruel.parser import parse_entity_decl
 
-from conftest import program_source
+from conftest import program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -114,7 +113,7 @@ def test_duplicate_deploy_rejected(building):
 
 
 def test_effects_layer_onto_store(building):
-    sigma = update_event("detected", "m10", True, building.initial_store)
+    sigma = with_event(building.initial_store, "m10", "detected", True)
     effects = {
         "l10": building.initial_store["l10"].__class__("Light", {}, {"switch": True}),
         "l11": building.initial_store["l11"].__class__("Light", {}, {"switch": True}),
@@ -142,8 +141,23 @@ def test_no_set_implicits_no_effects_is_identity(building):
     assert apply_internal(building.env, {}, building.initial_store) == building.initial_store
 
 
+def test_apply_internal_rebuilds_only_reset_or_affected_entities(building):
+    from pantagruel import Entity
+
+    sigma = with_event(building.initial_store, "m10", "detected", True)
+    sigma = {**sigma, "l11": Entity("Light", sigma["l11"].attributes, {"switch": True})}
+    effects = {"l10": Entity("Light", {}, {"switch": True})}
+    out = apply_internal(building.env, effects, sigma)
+    assert out["l10"].events["switch"] is True
+    assert out["l11"].events["switch"] is UNDEF
+    # no set implicit event and no effect (m10's set event is a sensor
+    # reading, not an implicit one): the very objects of sigma'
+    for entity_id in ("m10", "m20", "l20", "fan10", "fan20", "thermo"):
+        assert out[entity_id] is sigma[entity_id]
+
+
 def test_sensor_events_survive_the_reset(building):
-    sigma = update_event("detected", "m10", True, building.initial_store)
+    sigma = with_event(building.initial_store, "m10", "detected", True)
     out = apply_internal(building.env, {}, sigma)
     assert out["m10"].events["detected"] is True
 
