@@ -195,6 +195,20 @@ class ActionSeq:
 ActionExpr = ActionCall | ActionPar | ActionSeq
 
 
+def operands(node: EventAnd | EventOr | ActionPar | ActionSeq) -> list:
+    """The operands of ``node``'s chain, left to right: its left spine of
+    the same connective (the shape the parser builds), unrolled with a loop
+    so that no chain length costs recursion.  Right operands stay whole."""
+    kind = type(node)
+    out = []
+    while type(node) is kind:
+        out.append(node.right)
+        node = node.left
+    out.append(node)
+    out.reverse()
+    return out
+
+
 @dataclass(frozen=True)
 class RuleAst:
     """``(label)? when condition trigger body end``; unlabeled rules are

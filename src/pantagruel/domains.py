@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .ast import TypeTag
 
@@ -267,9 +267,6 @@ Reference = Union[InterfaceRef, InstanceRef]
 
 # Entity environment: rule-scoped variable name → reference.
 EnvEntity = dict[str, Reference]
-
-# A deferred predicate awaiting a fully instantiated environment.
-BoolFn = Callable[[EnvEntity], bool]
 
 
 def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:

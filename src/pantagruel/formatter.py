@@ -33,6 +33,7 @@ from .ast import (
     RuleAst,
     ValueChanged,
     ValueEq,
+    operands,
 )
 from .domains import UNDEF, Value
 
@@ -72,10 +73,10 @@ def _format_filter(filt: Filter | None) -> str:
 
 def _format_event(expr: EventExpr) -> str:
     match expr:
-        case EventOr(left, right):
-            return f"{_format_event(left)} or {_format_event(right)}"
-        case EventAnd(left, right):
-            return f"{_format_event(left)} and {_format_event(right)}"
+        case EventOr():
+            return " or ".join(_format_event(operand) for operand in operands(expr))
+        case EventAnd():
+            return " and ".join(_format_event(operand) for operand in operands(expr))
         case Aggregate(inner, group_key):
             suffix = f" groupby {group_key}" if group_key else ""
             return f"all {_format_event(inner)}{suffix}"
@@ -91,10 +92,10 @@ def _format_event(expr: EventExpr) -> str:
 
 def _format_action(expr: ActionExpr) -> str:
     match expr:
-        case ActionPar(left, right):
-            return f"{_format_action(left)} || {_format_action(right)}"
-        case ActionSeq(left, right):
-            return f"{_format_action(left)}, {_format_action(right)}"
+        case ActionPar():
+            return " || ".join(_format_action(operand) for operand in operands(expr))
+        case ActionSeq():
+            return ", ".join(_format_action(operand) for operand in operands(expr))
         case ActionCall(action, arg, decl, filt):
             return f"action {action}({format_expr(arg)}) on {_format_decl(decl)}{_format_filter(filt)}"
     raise TypeError(f"not an action node: {expr!r}")

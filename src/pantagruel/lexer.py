@@ -125,9 +125,9 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
                 pos += 1
                 col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             word = text[start:pos]
             if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):

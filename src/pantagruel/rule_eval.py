@@ -1,14 +1,10 @@
 """Rule evaluation against a dual store.
 
-Each rule is evaluated in three stages, mirroring how conditions and
-actions defer their work until entity variables are bound:
-
-1. the condition yields an entity environment plus a deferred predicate;
-2. the body extends that environment and yields a deferred effect
-   (environment → partial store), threading the current store;
-3. the environment is instantiated over all matching entities, the
-   predicate selects instantiations, and the surviving partial stores are
-   joined into the rule's effect store.
+A rule's entity environment is built once (:func:`rule_environment`) and
+instantiated over all matching entities.  For each binding, :func:`holds`
+tests the condition and, if it holds, :func:`action_effects` builds the
+binding's partial store; the partial stores are joined into the rule's
+effect store.
 
 Conditions read event filters against the *previous* store while action
 filters read the *current* one — an asymmetry kept deliberately, as are
@@ -19,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from .ast import (
     ActionCall,
@@ -28,7 +23,6 @@ from .ast import (
     ActionSeq,
     Aggregate,
     BoolLit,
-    BoolTest,
     Decl,
     DeclTyped,
     EventAnd,
@@ -40,11 +34,11 @@ from .ast import (
     NumLit,
     RuleAst,
     ValueChanged,
+    operands,
 )
 from .diagnostics import SourceSpan
 from .domains import (
     UNDEF,
-    BoolFn,
     DualStore,
     EnvEntity,
     EnvInterface,
@@ -61,9 +55,6 @@ from .domains import (
     value_eq,
     value_neq,
 )
-
-# A deferred effect awaiting a fully instantiated environment.
-PendingAction = Callable[[EnvEntity], Store]
 
 
 class TriggerMode(enum.Enum):
@@ -108,6 +99,24 @@ def eval_declaration(decl: Decl, rho: EnvEntity, current: Store) -> tuple[str, E
     return decl.name, rho
 
 
+def rule_environment(rule: RuleAst, current: Store) -> EnvEntity:
+    """The rule's entity environment: the declarations of the condition's
+    atoms, then of the body's calls, run left to right.  An aggregate
+    raises :class:`UnsupportedConstructError` before anything is bound."""
+    rho: EnvEntity = {}
+    pending: list[EventExpr | ActionExpr] = [rule.body, rule.condition]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (EventAtom, ActionCall)):
+            _, rho = eval_declaration(node.decl, rho, current)
+        elif isinstance(node, Aggregate):
+            raise UnsupportedConstructError(node.span)
+        else:
+            pending.append(node.right)
+            pending.append(node.left)
+    return rho
+
+
 def eval_expression(expr: Expr, store: Store, rho: EnvEntity) -> Value:
     """Total expression read: literals are themselves; a path reads the
     member as an event when the entity carries that event key, as an
@@ -127,129 +136,102 @@ def eval_expression(expr: Expr, store: Store, rho: EnvEntity) -> Value:
     return entity.attributes.get(expr.member, UNDEF)
 
 
-def eval_filter(filt: Filter | None, entity_id: str, store: Store) -> BoolFn:
-    """An absent filter is constantly true; a present one compares the
-    entity's attribute with the right-hand side, both read from ``store``."""
-    if filt is None:
-        return lambda rho: True
-    return lambda rho: value_eq(
+def _bound_entity(decl: Decl, scope: EnvEntity) -> str | None:
+    """The entity the declared name is bound to, if any."""
+    ref = scope.get(decl.var if isinstance(decl, DeclTyped) else decl.name)
+    return ref.name if isinstance(ref, InstanceRef) else None
+
+
+def _filter_holds(filt: Filter | None, entity_id: str, store: Store, scope: EnvEntity) -> bool:
+    """An absent filter holds; a present one compares the entity's
+    attribute with the right-hand side, both read from ``store``."""
+    return filt is None or value_eq(
         access_attribute(filt.attribute, entity_id, store),
-        eval_expression(filt.rhs, store, rho),
+        eval_expression(filt.rhs, store, scope),
     )
-
-
-def eval_bool_test(
-    test: BoolTest,
-    reader: Callable[[Store], Value],
-    dual: DualStore,
-    mode: TriggerMode,
-) -> BoolFn:
-    """Build the deferred test over an event accessor ``reader``."""
-    if isinstance(test, ValueChanged):
-        return lambda rho: value_neq(reader(dual.previous), reader(dual.current))
-
-    def eq_at(store: Store, rho: EnvEntity) -> bool:
-        return value_eq(reader(store), eval_expression(test.expr, store, rho))
-
-    if mode is TriggerMode.LEVEL:
-        return lambda rho: eq_at(dual.current, rho)
-    return lambda rho: not eq_at(dual.previous, rho) and eq_at(dual.current, rho)
 
 
 # ── Conditions (W) ───────────────────────────────────────────────
 
 
-def eval_event_expr(
-    expr: EventExpr,
-    dual: DualStore,
-    rho: EnvEntity,
-    b: BoolFn,
-    mode: TriggerMode,
-) -> tuple[EnvEntity, BoolFn]:
-    """Evaluate a condition to (environment, deferred predicate).
-
-    ``and`` threads both environment and predicate left to right; ``or``
-    threads the environment through both sides but seeds each side's
-    predicate with the incoming one and disjoins the results.  An atom whose
-    variable is not instance-bound when the predicate runs yields false: no
-    entity was found, so no event is caught.
-    """
-    match expr:
-        case EventAnd(left, right):
-            rho1, b1 = eval_event_expr(left, dual, rho, b, mode)
-            return eval_event_expr(right, dual, rho1, b1, mode)
-        case EventOr(left, right):
-            rho1, b1 = eval_event_expr(left, dual, rho, b, mode)
-            rho2, b2 = eval_event_expr(right, dual, rho1, b, mode)
-            return rho2, lambda scope: b1(scope) or b2(scope)
-        case Aggregate():
-            raise UnsupportedConstructError(expr.span)
-        case EventAtom(event, decl, filt, test):
-            var, rho2 = eval_declaration(decl, rho, dual.current)
-
-            def predicate(scope: EnvEntity) -> bool:
-                ref = scope.get(var)
-                if not isinstance(ref, InstanceRef):
-                    return False
-                # event filters read the previous store, by definition
-                holds = eval_filter(filt, ref.name, dual.previous)(scope)
-                test_fn = eval_bool_test(
-                    test, lambda store: access_event(event, ref.name, store), dual, mode
-                )
-                return holds and test_fn(scope) and b(scope)
-
-            return rho2, predicate
+def holds(expr: EventExpr, dual: DualStore, scope: EnvEntity, mode: TriggerMode) -> bool:
+    """Whether the condition holds for the binding ``scope``.  An atom
+    whose name is not bound to an instance is false: no entity was found,
+    so no event is caught."""
+    if isinstance(expr, EventAtom):
+        entity_id = _bound_entity(expr.decl, scope)
+        if entity_id is None:
+            return False
+        previous, current = dual.previous, dual.current
+        # event filters read the previous store, by definition
+        if not _filter_holds(expr.filter, entity_id, previous, scope):
+            return False
+        now = access_event(expr.event, entity_id, current)
+        test = expr.test
+        if isinstance(test, ValueChanged):
+            return value_neq(access_event(expr.event, entity_id, previous), now)
+        if not value_eq(now, eval_expression(test.expr, current, scope)):
+            return False
+        return mode is TriggerMode.LEVEL or not value_eq(
+            access_event(expr.event, entity_id, previous),
+            eval_expression(test.expr, previous, scope),
+        )
+    if isinstance(expr, EventAnd):
+        for operand in operands(expr):
+            if not holds(operand, dual, scope, mode):
+                return False
+        return True
+    if isinstance(expr, EventOr):
+        for operand in operands(expr):
+            if holds(operand, dual, scope, mode):
+                return True
+        return False
     raise TypeError(f"not an event node: {expr!r}")
 
 
 # ── Actions (C) ──────────────────────────────────────────────────
 
 
-def eval_action_expr(
+def action_effects(
     expr: ActionExpr,
     env: EnvInterface,
     current: Store,
-    rho: EnvEntity,
-    effect: PendingAction,
-) -> tuple[EnvEntity, PendingAction]:
-    """Evaluate an action body to (environment, deferred effect).
-
-    ``||`` evaluates both sides from the same seed effect and joins their
-    partial stores; ``,`` threads the first side's effect into the second,
-    so a later call observes an earlier one's partial store.  A call whose
-    variable is not instance-bound, or whose target's interface does not
-    declare the action, contributes nothing beyond its seed.
-    """
-    match expr:
-        case ActionPar(left, right):
-            rho1, f1 = eval_action_expr(left, env, current, rho, effect)
-            rho2, f2 = eval_action_expr(right, env, current, rho1, effect)
-            return rho2, lambda scope: store_join(f2(scope), f1(scope))
-        case ActionSeq(left, right):
-            rho1, f1 = eval_action_expr(left, env, current, rho, effect)
-            return eval_action_expr(right, env, current, rho1, f1)
-        case ActionCall(action, arg, decl, filt):
-            var, rho2 = eval_declaration(decl, rho, current)
-
-            def run(scope: EnvEntity) -> Store:
-                ref = scope.get(var)
-                base = effect(scope)
-                if not isinstance(ref, InstanceRef):
-                    return base
-                target = current.get(ref.name)
-                iface = env.get(target.interface_id) if target else None
-                if iface is None or action not in iface.actions:
-                    return base
-                # action filters read the current store, by definition
-                if not eval_filter(filt, ref.name, current)(scope):
-                    return base
-                value = eval_expression(arg, current, scope)
-                updated = update_member(
-                    base, ref.name, events={action: value}, governing=current
-                )
-                return {**base, ref.name: updated}
-
-            return rho2, run
+    scope: EnvEntity,
+    seed: Store,
+) -> Store:
+    """The partial store the body builds on ``seed`` for the binding
+    ``scope``.  ``,`` seeds each call with the previous call's output;
+    ``||`` builds its operands from the same seed, last to first, and joins
+    them first to last.  A call on an unbound name, or whose target's
+    interface lacks the action, or whose filter fails, returns its seed."""
+    if isinstance(expr, ActionCall):
+        entity_id = _bound_entity(expr.decl, scope)
+        if entity_id is None:
+            return seed
+        target = current.get(entity_id)
+        iface = env.get(target.interface_id) if target is not None else None
+        if iface is None or expr.action not in iface.actions:
+            return seed
+        # action filters read the current store, by definition
+        if not _filter_holds(expr.filter, entity_id, current, scope):
+            return seed
+        value = eval_expression(expr.arg, current, scope)
+        updated = update_member(
+            seed, entity_id, events={expr.action: value}, governing=current
+        )
+        return {**seed, entity_id: updated}
+    if isinstance(expr, ActionSeq):
+        for operand in operands(expr):
+            seed = action_effects(operand, env, current, scope, seed)
+        return seed
+    if isinstance(expr, ActionPar):
+        parts: list[Store] = []
+        for operand in reversed(operands(expr)):
+            parts.append(action_effects(operand, env, current, scope, seed))
+        joined = parts.pop()
+        while parts:
+            joined = store_join(parts.pop(), joined)
+        return joined
     raise TypeError(f"not an action node: {expr!r}")
 
 
@@ -276,27 +258,23 @@ def eval_rule(
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects."""
-    effective_label = label if label is not None else (rule.label or 1)
-    rho_e, predicate = eval_event_expr(
-        rule.condition, dual, {}, lambda scope: True, mode
-    )
-    rho_a, pending = eval_action_expr(
-        rule.body, env, dual.current, rho_e, lambda scope: {}
-    )
+    if label is None:
+        label = rule.label if rule.label is not None else 1
+    current = dual.current
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for inst in instantiate(dual.current, rho_a):
-        if not predicate(inst):
+    for scope in instantiate(current, rule_environment(rule, current)):
+        if not holds(rule.condition, dual, scope, mode):
             continue
-        partial = pending(inst)
+        partial = action_effects(rule.body, env, current, scope, {})
         partials.append(partial)
         if partial:
             binding = {
                 var: ref.name
-                for var, ref in inst.items()
+                for var, ref in scope.items()
                 if isinstance(ref, InstanceRef)
             }
-            fired.append(FiredRule(effective_label, binding, _effects_summary(partial)))
+            fired.append(FiredRule(label, binding, _effects_summary(partial)))
     return store_join_all(partials), fired
 
 

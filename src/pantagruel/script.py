@@ -38,7 +38,7 @@ def parse_value(text: str) -> Value:
         return False
     if text == "undef":
         return UNDEF
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return int(text)
     raise ScriptError(f"invalid value {text!r} (expected an integer, true, false, or undef)")
 

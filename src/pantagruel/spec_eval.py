@@ -32,6 +32,7 @@ from .ast import (
     SpecAst,
     TypeTag,
     ValueEq,
+    operands,
 )
 from .diagnostics import Diagnostic, error, has_errors, warning
 from .domains import UNDEF, Entity, EnvInterface, Interface, Store, Value
@@ -325,8 +326,8 @@ class _RuleChecker:
 
     def _check_event(self, expr: EventExpr, scope: _Scope) -> None:
         if isinstance(expr, (EventAnd, EventOr)):
-            self._check_event(expr.left, scope)
-            self._check_event(expr.right, scope)
+            for operand in operands(expr):
+                self._check_event(operand, scope)
             return
         if isinstance(expr, Aggregate):
             self.diagnostics.append(
@@ -373,8 +374,8 @@ class _RuleChecker:
 
     def _check_action(self, expr: ActionExpr, scope: _Scope) -> None:
         if isinstance(expr, (ActionPar, ActionSeq)):
-            self._check_action(expr.left, scope)
-            self._check_action(expr.right, scope)
+            for operand in operands(expr):
+                self._check_action(operand, scope)
             return
         iface_name = self._resolve_decl(expr.decl, scope)
         param_type: TypeTag | None = None

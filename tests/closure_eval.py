@@ -1,0 +1,232 @@
+"""Reference rule evaluator for differential tests.
+
+This is the closure-building evaluator the interpreter used before
+``rule_eval`` evaluated rules directly.  It renders the denotational
+semantics literally: a condition yields an entity environment plus a
+deferred predicate, an action body an environment plus a deferred effect,
+and ``eval_rule`` instantiates the environment and applies both.  The
+shared pure helpers (declarations, expressions, instantiation, the join
+and the member update) come from the package.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from pantagruel.ast import (
+    ActionCall,
+    ActionExpr,
+    ActionPar,
+    ActionSeq,
+    Aggregate,
+    BoolTest,
+    EventAnd,
+    EventAtom,
+    EventExpr,
+    EventOr,
+    Filter,
+    RuleAst,
+    ValueChanged,
+)
+from pantagruel.domains import (
+    DualStore,
+    EnvEntity,
+    EnvInterface,
+    InstanceRef,
+    Store,
+    Value,
+    access_attribute,
+    access_event,
+    instantiate,
+    store_join,
+    store_join_all,
+    update_member,
+    value_eq,
+    value_neq,
+)
+from pantagruel.rule_eval import (
+    FiredRule,
+    TriggerMode,
+    UnsupportedConstructError,
+    eval_declaration,
+    eval_expression,
+)
+
+# A deferred predicate awaiting a fully instantiated environment.
+BoolFn = Callable[[EnvEntity], bool]
+
+# A deferred effect awaiting a fully instantiated environment.
+PendingAction = Callable[[EnvEntity], Store]
+
+
+def eval_filter(filt: Filter | None, entity_id: str, store: Store) -> BoolFn:
+    """An absent filter is constantly true; a present one compares the
+    entity's attribute with the right-hand side, both read from ``store``."""
+    if filt is None:
+        return lambda rho: True
+    return lambda rho: value_eq(
+        access_attribute(filt.attribute, entity_id, store),
+        eval_expression(filt.rhs, store, rho),
+    )
+
+
+def eval_bool_test(
+    test: BoolTest,
+    reader: Callable[[Store], Value],
+    dual: DualStore,
+    mode: TriggerMode,
+) -> BoolFn:
+    """Build the deferred test over an event accessor ``reader``."""
+    if isinstance(test, ValueChanged):
+        return lambda rho: value_neq(reader(dual.previous), reader(dual.current))
+
+    def eq_at(store: Store, rho: EnvEntity) -> bool:
+        return value_eq(reader(store), eval_expression(test.expr, store, rho))
+
+    if mode is TriggerMode.LEVEL:
+        return lambda rho: eq_at(dual.current, rho)
+    return lambda rho: not eq_at(dual.previous, rho) and eq_at(dual.current, rho)
+
+
+# ── Conditions (W) ───────────────────────────────────────────────
+
+
+def eval_event_expr(
+    expr: EventExpr,
+    dual: DualStore,
+    rho: EnvEntity,
+    b: BoolFn,
+    mode: TriggerMode,
+) -> tuple[EnvEntity, BoolFn]:
+    """Evaluate a condition to (environment, deferred predicate).
+
+    ``and`` threads both environment and predicate left to right; ``or``
+    threads the environment through both sides but seeds each side's
+    predicate with the incoming one and disjoins the results.  An atom whose
+    variable is not instance-bound when the predicate runs yields false: no
+    entity was found, so no event is caught.
+    """
+    match expr:
+        case EventAnd(left, right):
+            rho1, b1 = eval_event_expr(left, dual, rho, b, mode)
+            return eval_event_expr(right, dual, rho1, b1, mode)
+        case EventOr(left, right):
+            rho1, b1 = eval_event_expr(left, dual, rho, b, mode)
+            rho2, b2 = eval_event_expr(right, dual, rho1, b, mode)
+            return rho2, lambda scope: b1(scope) or b2(scope)
+        case Aggregate():
+            raise UnsupportedConstructError(expr.span)
+        case EventAtom(event, decl, filt, test):
+            var, rho2 = eval_declaration(decl, rho, dual.current)
+
+            def predicate(scope: EnvEntity) -> bool:
+                ref = scope.get(var)
+                if not isinstance(ref, InstanceRef):
+                    return False
+                # event filters read the previous store, by definition
+                holds = eval_filter(filt, ref.name, dual.previous)(scope)
+                test_fn = eval_bool_test(
+                    test, lambda store: access_event(event, ref.name, store), dual, mode
+                )
+                return holds and test_fn(scope) and b(scope)
+
+            return rho2, predicate
+    raise TypeError(f"not an event node: {expr!r}")
+
+
+# ── Actions (C) ──────────────────────────────────────────────────
+
+
+def eval_action_expr(
+    expr: ActionExpr,
+    env: EnvInterface,
+    current: Store,
+    rho: EnvEntity,
+    effect: PendingAction,
+) -> tuple[EnvEntity, PendingAction]:
+    """Evaluate an action body to (environment, deferred effect).
+
+    ``||`` evaluates both sides from the same seed effect and joins their
+    partial stores; ``,`` threads the first side's effect into the second,
+    so a later call observes an earlier one's partial store.  A call whose
+    variable is not instance-bound, or whose target's interface does not
+    declare the action, contributes nothing beyond its seed.
+    """
+    match expr:
+        case ActionPar(left, right):
+            rho1, f1 = eval_action_expr(left, env, current, rho, effect)
+            rho2, f2 = eval_action_expr(right, env, current, rho1, effect)
+            return rho2, lambda scope: store_join(f2(scope), f1(scope))
+        case ActionSeq(left, right):
+            rho1, f1 = eval_action_expr(left, env, current, rho, effect)
+            return eval_action_expr(right, env, current, rho1, f1)
+        case ActionCall(action, arg, decl, filt):
+            var, rho2 = eval_declaration(decl, rho, current)
+
+            def run(scope: EnvEntity) -> Store:
+                ref = scope.get(var)
+                base = effect(scope)
+                if not isinstance(ref, InstanceRef):
+                    return base
+                target = current.get(ref.name)
+                iface = env.get(target.interface_id) if target else None
+                if iface is None or action not in iface.actions:
+                    return base
+                # action filters read the current store, by definition
+                if not eval_filter(filt, ref.name, current)(scope):
+                    return base
+                value = eval_expression(arg, current, scope)
+                updated = update_member(
+                    base, ref.name, events={action: value}, governing=current
+                )
+                return {**base, ref.name: updated}
+
+            return rho2, run
+    raise TypeError(f"not an action node: {expr!r}")
+
+
+# ── Rules (R) ────────────────────────────────────────────────────
+
+
+def _effects_summary(store: Store) -> tuple[tuple[str, str, Value], ...]:
+    out: list[tuple[str, str, Value]] = []
+    for entity_id in sorted(store):
+        entity = store[entity_id]
+        for key in sorted(entity.attributes):
+            out.append((entity_id, key, entity.attributes[key]))
+        for key in sorted(entity.events):
+            out.append((entity_id, key, entity.events[key]))
+    return tuple(out)
+
+
+def eval_rule(
+    env: EnvInterface,
+    rule: RuleAst,
+    dual: DualStore,
+    mode: TriggerMode,
+    label: int | None = None,
+) -> tuple[Store, list[FiredRule]]:
+    """Evaluate one rule: returns its joined partial effect store and one
+    :class:`FiredRule` per instantiation that held and produced effects."""
+    effective_label = label if label is not None else (rule.label or 1)
+    rho_e, predicate = eval_event_expr(
+        rule.condition, dual, {}, lambda scope: True, mode
+    )
+    rho_a, pending = eval_action_expr(
+        rule.body, env, dual.current, rho_e, lambda scope: {}
+    )
+    partials: list[Store] = []
+    fired: list[FiredRule] = []
+    for inst in instantiate(dual.current, rho_a):
+        if not predicate(inst):
+            continue
+        partial = pending(inst)
+        partials.append(partial)
+        if partial:
+            binding = {
+                var: ref.name
+                for var, ref in inst.items()
+                if isinstance(ref, InstanceRef)
+            }
+            fired.append(FiredRule(effective_label, binding, _effects_summary(partial)))
+    return store_join_all(partials), fired

@@ -43,7 +43,7 @@ from pantagruel import (
     value_eq,
 )
 from pantagruel.cli import main
-from pantagruel.rule_eval import eval_action_expr, eval_event_expr
+from pantagruel.rule_eval import rule_environment
 
 from conftest import BUILDING_RULES_13, BUILDING_SPEC, program_source, with_event
 from test_parser import _random_ast
@@ -157,8 +157,7 @@ def test_a3_rule_one_derivation_replay(building):
     ]
 
     # the instantiation set: {m10,m20} × {l10,l11,l20}, six environments
-    rho_e, _ = eval_event_expr(rule1.condition, dual, {}, lambda r: True, EDGE)
-    rho_a, _ = eval_action_expr(rule1.body, building.env, sigma2, rho_e, lambda r: {})
+    rho_a = rule_environment(rule1, sigma2)
     assert rho_a == {"m": InterfaceRef("MotionDetector"), "l": InterfaceRef("Light")}
     envs = instantiate(sigma2, rho_a)
     assert len(envs) == 6

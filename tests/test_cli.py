@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from pantagruel import format_program, parse_program
 from pantagruel.cli import main
 
 from conftest import (
@@ -76,6 +77,14 @@ def test_check_parse_errors_reported(files, capsys):
     path = files("broken.ptg", "interface { }\nrules end")
     assert main(["check", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("numeral", ["²", "٣"])
+def test_check_rejects_non_ascii_numerals(files, capsys, numeral):
+    src = f"interface I {{ attribute r : Integer }}\nx:I {{ r : {numeral} }}\nrules end\n"
+    path = files("numeral.ptg", src)
+    assert main(["check", path]) == 1
+    assert f"{path}:2:11: error: invalid character {numeral!r}" in capsys.readouterr().err
 
 
 def test_check_missing_file_is_io_error(capsys):
@@ -170,6 +179,16 @@ def test_run_script_syntax_error(files, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("numeral", ["²", "٣"])
+def test_run_rejects_non_ascii_numerals(files, capsys, numeral):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("bad.evs", f"event thermo.temperature = {numeral}\ntick\n")
+    assert main(["run", program, "--script", script]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 1: invalid value {numeral!r}" in captured.err
+
+
 def test_run_missing_script_is_io_error(files, capsys):
     program = files("b.ptg", BUILDING_RUNNABLE)
     assert main(["run", program, "--script", "/nonexistent.evs"]) == 2
@@ -222,6 +241,42 @@ def test_run_reports_the_least_of_several_conflicts(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"conflict at tick 1: {message}\n"
+
+
+LONG_CHAIN_SPEC = "interface I { event e : Boolean action a ( Integer ) }\nx:I {}\n"
+
+
+def _long_chain_program(connective: str, length: int = 1200) -> str:
+    """One rule whose condition or body chains ``length`` operands with
+    ``connective``; each chain fires on ``x.e`` turning true."""
+    atom = "event e from x value = {}"
+    call = "action a({}) on x"
+    condition, body = atom.format("true"), call.format(1)
+    if connective == "and":
+        condition = " and ".join([atom.format("true")] * length)
+    elif connective == "or":  # only the last operand holds
+        condition = " or ".join([atom.format("false")] * (length - 1) + [condition])
+    elif connective == ",":  # each call overwrites the last
+        body = ", ".join(call.format(k) for k in range(length))
+    else:
+        body = " || ".join([call.format(1)] * length)
+    return f"{LONG_CHAIN_SPEC}rules when {condition} trigger {body} end end\n"
+
+
+@pytest.mark.parametrize("connective, written", [("and", 1), ("or", 1), (",", 1199), ("||", 1)])
+def test_long_chains_check_run_and_format(files, capsys, connective, written):
+    source = _long_chain_program(connective)
+    program = files("long.ptg", source)
+    script = files("one.evs", "event x.e = true\ntick\n")
+    assert main(["check", program]) == 0
+    assert main(["run", program, "--script", script]) == 0
+    out = capsys.readouterr().out
+    assert "fired:\n  rule 1  {x=x}\n" in out
+    assert f"x  I  - | a={written} e=true\n" in out
+    # compare text, not trees: dataclass equality recurses down the chain
+    text = format_program(parse_program(source))
+    assert format_program(parse_program(text)) == text
+    assert text.count(f"{connective} ") == 1199
 
 
 def test_run_external_error_reports_tick(files, capsys):
@@ -279,6 +334,21 @@ def test_repl_malformed_line_continues(files, capsys, monkeypatch):
     assert code == 0
     assert "error:" in err
     assert json.loads(out)["entities"]["l10"]["events"]["switch"] is True
+
+
+def test_repl_non_ascii_numeral_is_an_error_and_continues(files, capsys, monkeypatch):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    code, out, err = _repl(
+        monkeypatch,
+        capsys,
+        ["repl", program, "--format", "jsonl"],
+        "event thermo.temperature = ²\nevent m10.detected = true\ntick\nquit\n",
+    )
+    assert code == 0
+    assert "error: invalid value '²'" in err
+    record = json.loads(out)
+    assert record["entities"]["thermo"]["events"]["temperature"] is None
+    assert record["entities"]["l10"]["events"]["switch"] is True
 
 
 def test_repl_emit_initial(files, capsys, monkeypatch):

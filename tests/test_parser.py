@@ -33,6 +33,7 @@ from pantagruel.ast import (
     TypeTag,
     ValueChanged,
     ValueEq,
+    operands,
 )
 from pantagruel.parser import parse_entity_decl
 
@@ -326,6 +327,13 @@ def test_round_trip_generated_asts():
         ast = _random_ast(rng)
         text = format_program(ast)
         assert parse_program(text) == ast, text
+
+
+def test_operands_unrolls_the_left_spine_only():
+    a, b, c = (EventAtom(f"e{i}", DeclBare("x"), None, ValueChanged()) for i in range(3))
+    assert operands(EventAnd(EventAnd(a, b), c)) == [a, b, c]
+    assert operands(EventAnd(a, EventAnd(b, c))) == [a, EventAnd(b, c)]
+    assert operands(EventOr(EventAnd(a, b), c)) == [EventAnd(a, b), c]
 
 
 def test_identifier_lexing_rules():

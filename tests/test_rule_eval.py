@@ -18,6 +18,7 @@ from pantagruel import (
     DualStore,
     Entity,
     InstanceRef,
+    Interface,
     InterfaceRef,
     TriggerMode,
     UnsupportedConstructError,
@@ -32,26 +33,26 @@ from pantagruel import (
 )
 from pantagruel.ast import (
     ActionCall,
-    ActionPar,
-    ActionSeq,
+    BoolLit,
     DeclBare,
     DeclTyped,
     EventAtom,
     NumLit,
     Path,
+    RuleAst,
+    TypeTag,
     ValueChanged,
     ValueEq,
 )
 from pantagruel.rule_eval import (
-    eval_action_expr,
-    eval_bool_test,
+    action_effects,
     eval_declaration,
-    eval_event_expr,
     eval_expression,
-    eval_filter,
+    holds,
+    rule_environment,
 )
 
-from conftest import BUILDING_SPEC, program_source, with_event
+from conftest import BUILDING_SPEC, RULE_1, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -111,26 +112,27 @@ def test_expression_path_interface_ref_is_undef(motion_dual):
 
 
 def test_filter_room_match(building, motion_dual):
-    rule = building.rules[0]
-    filt = rule.body.filter  # room = m.room
-    rho = {"m": InstanceRef("m10")}
-    assert eval_filter(filt, "l10", motion_dual.current)(rho) is True
-    assert eval_filter(filt, "l20", motion_dual.current)(rho) is False
+    call = building.rules[0].body  # switch(true) on l:Light with room = m.room
+    args = (building.env, motion_dual.current)
+    hit = action_effects(call, *args, {"m": InstanceRef("m10"), "l": InstanceRef("l10")}, {})
+    miss = action_effects(call, *args, {"m": InstanceRef("m10"), "l": InstanceRef("l20")}, {})
+    assert hit == {"l10": Entity("Light", {}, {"switch": True})}
+    assert miss == {}
 
 
 def test_omitted_filter_constantly_true():
-    fn = eval_filter(None, "anything", {})
-    assert fn({}) is True
-    assert fn({"x": InstanceRef("y")}) is True
+    store = {"y": Entity("I", {}, {"e": True})}
+    interfaces = {"I": Interface({}, {}, {"f": TypeTag.BOOL})}
+    atom = EventAtom("e", DeclBare("x"), None, ValueEq(BoolLit(True)))
+    call = ActionCall("f", BoolLit(True), DeclBare("x"), None)
+    for scope in ({"x": InstanceRef("y")}, {"x": InstanceRef("y"), "z": InstanceRef("y")}):
+        assert holds(atom, DualStore({}, store), scope, EDGE) is True
+        assert action_effects(call, interfaces, store, scope, {}) == {
+            "y": Entity("I", {}, {"f": True})
+        }
 
 
 # ── Boolean tests (B) ────────────────────────────────────────────
-
-
-def _reader(event, entity):
-    from pantagruel import access_event
-
-    return lambda store: access_event(event, entity, store)
 
 
 def _dual(prev_value, curr_value):
@@ -139,40 +141,41 @@ def _dual(prev_value, curr_value):
     return DualStore(prev, curr)
 
 
-def test_value_eq_fires_on_false_to_true_edge():
-    test = ValueEq(NumLit(0))  # placeholder, rebuilt below
-    from pantagruel.ast import BoolLit
+def _test_holds(test, dual, mode, scope=None):
+    """``test`` on event ``e`` of entity ``x``, through a one-atom condition."""
+    atom = EventAtom("e", DeclBare("x"), None, test)
+    return holds(atom, dual, {"x": InstanceRef("x"), **(scope or {})}, mode)
 
+
+def test_value_eq_fires_on_false_to_true_edge():
     test = ValueEq(BoolLit(True))
     dual = _dual(False, True)
-    assert eval_bool_test(test, _reader("e", "x"), dual, EDGE)({}) is True
+    assert _test_holds(test, dual, EDGE) is True
 
 
 def test_value_eq_edge_quiet_while_held():
-    from pantagruel.ast import BoolLit
-
     test = ValueEq(BoolLit(True))
     dual = _dual(True, True)
-    assert eval_bool_test(test, _reader("e", "x"), dual, EDGE)({}) is False
+    assert _test_holds(test, dual, EDGE) is False
 
 
 def test_value_eq_30_edge_vs_level():
     # held at 30 on both sides: edge reads no transition, level reads truth now
     test = ValueEq(NumLit(30))
     dual = _dual(30, 30)
-    assert eval_bool_test(test, _reader("e", "x"), dual, EDGE)({}) is False
-    assert eval_bool_test(test, _reader("e", "x"), dual, LEVEL)({}) is True
+    assert _test_holds(test, dual, EDGE) is False
+    assert _test_holds(test, dual, LEVEL) is True
 
 
 def test_value_changed_undef_to_undef_is_quiet():
     dual = _dual(UNDEF, UNDEF)
-    assert eval_bool_test(ValueChanged(), _reader("e", "x"), dual, EDGE)({}) is False
+    assert _test_holds(ValueChanged(), dual, EDGE) is False
 
 
 def test_value_changed_fires_on_first_definition():
     dual = _dual(UNDEF, True)
-    assert eval_bool_test(ValueChanged(), _reader("e", "x"), dual, EDGE)({}) is True
-    assert eval_bool_test(ValueChanged(), _reader("e", "x"), dual, LEVEL)({}) is True
+    assert _test_holds(ValueChanged(), dual, EDGE) is True
+    assert _test_holds(ValueChanged(), dual, LEVEL) is True
 
 
 def test_value_eq_path_reads_each_store():
@@ -182,31 +185,38 @@ def test_value_eq_path_reads_each_store():
     test = ValueEq(Path("v", "a"))
     rho = {"v": InstanceRef("x")}
     # at t-1: e(5) == a(5); at t: e(5) != a(6) → no edge into equality
-    fn = eval_bool_test(test, _reader("e", "x"), DualStore(prev, curr), EDGE)
-    assert fn(rho) is False
-    fn = eval_bool_test(test, _reader("e", "x"), DualStore(curr, prev), EDGE)
-    assert fn(rho) is True
+    assert _test_holds(test, DualStore(prev, curr), EDGE, rho) is False
+    assert _test_holds(test, DualStore(curr, prev), EDGE, rho) is True
 
 
 # ── Conditions (W) ───────────────────────────────────────────────
 
 
+def _condition_environment(condition, current):
+    """The environment the condition alone declares: the rule's body acts
+    on a bare name absent from every store, which declares nothing."""
+    body = ActionCall("f", NumLit(0), DeclBare("nobody"), None)
+    return rule_environment(RuleAst(None, condition, body), current)
+
+
 def test_rule1_condition_environment_and_predicate(building, motion_dual):
     rule1 = building.rules[0]
-    rho_e, b = eval_event_expr(rule1.condition, motion_dual, {}, lambda r: True, EDGE)
+    rho_e = _condition_environment(rule1.condition, motion_dual.current)
     assert rho_e == {"m": InterfaceRef("MotionDetector")}
-    assert b({"m": InstanceRef("m10")}) is True
-    assert b({"m": InstanceRef("m20")}) is False
-    assert b({"m": InterfaceRef("MotionDetector")}) is False  # uninstantiated
-    assert b({}) is False
+    for scope, expected in (
+        ({"m": InstanceRef("m10")}, True),
+        ({"m": InstanceRef("m20")}, False),
+        ({"m": InterfaceRef("MotionDetector")}, False),  # uninstantiated
+        ({}, False),
+    ):
+        assert holds(rule1.condition, motion_dual, scope, EDGE) is expected
 
 
 def test_atom_over_absent_bare_name_is_constantly_false(building, motion_dual):
     atom = EventAtom("temperature", DeclBare("ghost"), None, ValueChanged())
-    rho, b = eval_event_expr(atom, motion_dual, {}, lambda r: True, EDGE)
-    assert rho == {}
+    assert _condition_environment(atom, motion_dual.current) == {}
     for env in ({}, {"ghost": InterfaceRef("X")}):
-        assert b(env) is False
+        assert holds(atom, motion_dual, env, EDGE) is False
 
 
 def test_or_threads_environment_and_disjoins_predicates(motion_dual):
@@ -216,12 +226,12 @@ def test_or_threads_environment_and_disjoins_predicates(motion_dual):
         "trigger action switch(true) on l:Light end\n"
     )
     rule = check_program(parse_program(src)).rules[0]
-    rho, b = eval_event_expr(rule.condition, motion_dual, {}, lambda r: True, EDGE)
+    rho = _condition_environment(rule.condition, motion_dual.current)
     assert set(rho) == {"m", "t"}  # both sides' variables are visible
     env = {"m": InstanceRef("m10"), "t": InstanceRef("thermo")}
-    assert b(env) is True  # left disjunct carries it
+    assert holds(rule.condition, motion_dual, env, EDGE) is True  # left disjunct
     env = {"m": InstanceRef("m20"), "t": InstanceRef("thermo")}
-    assert b(env) is False  # neither side holds
+    assert holds(rule.condition, motion_dual, env, EDGE) is False  # neither side
 
 
 def test_or_truth_table_against_enumeration():
@@ -237,11 +247,9 @@ def test_or_truth_table_against_enumeration():
             "trigger action f(true) on x end end"
         )
         rule = check_program(parse_program(src)).rules[0]
-        _, b = eval_event_expr(
-            rule.condition, DualStore(prev, curr), {}, lambda r: True, EDGE
-        )
+        got = holds(rule.condition, DualStore(prev, curr), {"x": InstanceRef("x")}, EDGE)
         expected = (not e1_prev and e1_curr) or (not e2_prev and e2_curr)
-        assert b({"x": InstanceRef("x")}) == expected
+        assert got == expected
 
 
 def test_aggregate_raises_at_evaluation():
@@ -253,6 +261,8 @@ def test_aggregate_raises_at_evaluation():
     env, store, _ = eval_specification(parse_program(src).spec)
     with pytest.raises(UnsupportedConstructError):
         eval_rule(env, rule, DualStore(store, store), EDGE)
+    with pytest.raises(UnsupportedConstructError):
+        rule_environment(rule, store)
 
 
 # ── Actions (C) ──────────────────────────────────────────────────
@@ -260,14 +270,15 @@ def test_aggregate_raises_at_evaluation():
 
 def test_rule1_action_environment_and_effect(building, motion_dual):
     rule1 = building.rules[0]
-    rho_e, _ = eval_event_expr(rule1.condition, motion_dual, {}, lambda r: True, EDGE)
-    rho_a, effect = eval_action_expr(
-        rule1.body, building.env, motion_dual.current, rho_e, lambda r: {}
-    )
+    rho_a = rule_environment(rule1, motion_dual.current)
     assert rho_a == {
         "m": InterfaceRef("MotionDetector"),
         "l": InterfaceRef("Light"),
     }
+
+    def effect(scope):
+        return action_effects(rule1.body, building.env, motion_dual.current, scope, {})
+
     # filter room = m.room decides whether the switch event is produced
     hit = effect({"m": InstanceRef("m10"), "l": InstanceRef("l10")})
     assert hit == {"l10": Entity("Light", {}, {"switch": True})}
@@ -293,13 +304,20 @@ def test_sequential_effect_threads_partial_store():
     checked = _two_action_program()
     store = checked.initial_store
     rule = checked.rules[0]
-    rho_e = {"y": InterfaceRef("I")}
-    _, effect = eval_action_expr(rule.body, checked.env, store, rho_e, lambda r: {})
-    got = effect({"x": InstanceRef("x"), "y": InstanceRef("x")})
+    scope = {"x": InstanceRef("x"), "y": InstanceRef("x")}
+    got = action_effects(rule.body, checked.env, store, scope, {})
     by_hand = {"x": update_member({}, "x", events={"a1": 1}, governing=store)}
     by_hand = {"x": update_member(by_hand, "x", events={"a2": 2}, governing=store)}
     assert got == by_hand
     assert got["x"].events == {"a1": 1, "a2": 2}
+
+
+def _body_effects(checked):
+    """The first rule's body effects under the environment the rule
+    declares, uninstantiated: only calls on bare entity names act."""
+    rule = checked.rules[0]
+    rho = rule_environment(rule, checked.initial_store)
+    return action_effects(rule.body, checked.env, checked.initial_store, rho, {})
 
 
 def test_par_and_seq_agree_for_idempotent_and_disjoint_calls():
@@ -313,17 +331,11 @@ def test_par_and_seq_agree_for_idempotent_and_disjoint_calls():
         "action a(1) on x, action a(1) on x",
     ):
         checked = check_program(parse_program(src_tpl.replace("BODY", body)))
-        rho, effect = eval_action_expr(
-            checked.rules[0].body, checked.env, checked.initial_store, {}, lambda r: {}
-        )
-        assert effect(rho) == {"x": Entity("I", {}, {"a": 1})}
+        assert _body_effects(checked) == {"x": Entity("I", {}, {"a": 1})}
     par = check_program(parse_program(src_tpl.replace("BODY", "action a(1) on x || action a(2) on y")))
     seq = check_program(parse_program(src_tpl.replace("BODY", "action a(1) on x, action a(2) on y")))
     for checked in (par, seq):
-        rho, effect = eval_action_expr(
-            checked.rules[0].body, checked.env, checked.initial_store, {}, lambda r: {}
-        )
-        assert effect(rho) == {
+        assert _body_effects(checked) == {
             "x": Entity("I", {}, {"a": 1}),
             "y": Entity("I", {}, {"a": 2}),
         }
@@ -336,11 +348,8 @@ def test_parallel_conflicting_calls_raise():
         "trigger action a(1) on x || action a(2) on x end end"
     )
     checked = check_program(parse_program(src))
-    rho, effect = eval_action_expr(
-        checked.rules[0].body, checked.env, checked.initial_store, {}, lambda r: {}
-    )
     with pytest.raises(ConflictError):
-        effect(rho)
+        _body_effects(checked)
 
 
 # ── Whole rules (R) and blocks (K) ───────────────────────────────
@@ -426,6 +435,17 @@ def test_unlabeled_rules_numbered_by_position(motion_dual):
     checked = check_program(parse_program(src))
     _, fired = eval_rule_block(checked.env, checked.rules, motion_dual, EDGE)
     assert {f.label for f in fired} == {1}
+
+
+def test_eval_rule_default_label_is_the_written_one(motion_dual):
+    labelled = program_source(RULE_1.replace("(1)", "(0)"))
+    unlabelled = program_source(RULE_1.replace("(1) ", ""))
+    for src, expected in ((labelled, 0), (unlabelled, 1)):
+        checked = check_program(parse_program(src))
+        _, alone = eval_rule(checked.env, checked.rules[0], motion_dual, EDGE)
+        _, in_block = eval_rule_block(checked.env, checked.rules, motion_dual, EDGE)
+        assert alone and {f.label for f in alone} == {expected}
+        assert alone == in_block
 
 
 def test_rule_evaluation_is_pure(building, motion_dual):
