@@ -5,7 +5,9 @@ rather than mutating.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
 is fixed only where it can be observed: :func:`instantiate` enumerates
-bindings lexicographically, :func:`store_join` reports the least conflict,
+bindings lexicographically (a pool test given by the rule evaluator drops
+candidates before the product is built, and the survivors keep that
+order), :func:`store_join` reports the least conflict,
 and the serializer sorts what it prints.  Nothing here iterates a set, so no
 result depends on the string hash seed.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .ast import TypeTag
 
@@ -269,30 +271,43 @@ Reference = Union[InterfaceRef, InstanceRef]
 EnvEntity = dict[str, Reference]
 
 
-def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:
+def instantiate(
+    store: Store,
+    rho: EnvEntity,
+    admits: Mapping[str, Callable[[str], bool]] | None = None,
+) -> list[EnvEntity]:
     """Expand interface-bound variables over every matching entity.
 
     Each variable bound to ``InterfaceRef(f)`` is independently replaced by
     ``InstanceRef(j)`` for every entity ``j`` in ``store`` whose interface
     is ``f``; instance bindings pass through.  The result enumerates the
-    full cross product (lexicographic in variable name, then entity id) and
-    is empty as soon as one variable matches no entity.
+    cross product (lexicographic in variable name, then entity id) and is
+    empty as soon as one variable matches no entity.
+
+    ``admits`` optionally maps a variable to a test on entity ids: that
+    variable's pool then keeps only the entities the test admits, before
+    the product is built.  Filtering a pool drops whole bindings and keeps
+    the survivors in the order above, so the result is a subsequence of
+    the unfiltered one.
     """
     open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
-    pools: list[list[str]] = []
+    members: dict[str, list[str]] = {rho[var].name: [] for var in open_vars}
+    for entity_id, entity in store.items():
+        pool = members.get(entity.interface_id)
+        if pool is not None:
+            pool.append(entity_id)
+    pools: list[list[InstanceRef]] = []
     for var in open_vars:
-        ref = rho[var]
-        assert isinstance(ref, InterfaceRef)
-        matches = sorted(
-            eid for eid, entity in store.items() if entity.interface_id == ref.name
-        )
+        matches = sorted(members[rho[var].name])
+        test = admits.get(var) if admits else None
+        if test is not None:
+            matches = [entity_id for entity_id in matches if test(entity_id)]
         if not matches:
             return []
-        pools.append(matches)
+        pools.append([InstanceRef(entity_id) for entity_id in matches])
     results: list[EnvEntity] = []
     for combo in itertools.product(*pools):
         env = dict(rho)
-        for var, entity_id in zip(open_vars, combo):
-            env[var] = InstanceRef(entity_id)
+        env.update(zip(open_vars, combo))
         results.append(env)
     return results

@@ -8,6 +8,7 @@ ordinary whitespace; declarations are keyword-delimited.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, SourceSpan, error
@@ -82,6 +83,11 @@ class Token:
     span: SourceSpan
 
 
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+# the longest run of identifier characters at a position (ASCII only)
+_WORD = re.compile(r"[A-Za-z0-9_]*")
+_DIGITS = re.compile(r"[0-9]*")
+
 _PUNCT = {
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
@@ -126,32 +132,28 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
                 col += 1
             continue
         if "0" <= ch <= "9":
-            start = pos
-            while pos < len(text) and "0" <= text[pos] <= "9":
-                pos += 1
-            word = text[start:pos]
-            if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
-                bad_end = pos
-                while bad_end < len(text) and (text[bad_end].isalnum() or text[bad_end] == "_"):
-                    bad_end += 1
-                bad = text[start:bad_end]
+            end = _DIGITS.match(text, pos).end()
+            bad_end = _WORD.match(text, end).end()
+            if bad_end > end:
+                bad = text[pos:bad_end]
                 diagnostics.append(
                     error("parse-error", f"malformed numeral {bad!r}", span(len(bad)))
                 )
-                col += bad_end - start
+                col += len(bad)
                 pos = bad_end
                 continue
+            word = text[pos:end]
             tokens.append(Token(TokenKind.INT, word, span(len(word))))
             col += len(word)
+            pos = end
             continue
-        if ch.isalpha():
-            start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos]
+        if ch in _IDENT_START:
+            end = _WORD.match(text, pos).end()
+            word = text[pos:end]
             kind = KEYWORDS.get(word, TokenKind.IDENT)
             tokens.append(Token(kind, word, span(len(word))))
             col += len(word)
+            pos = end
             continue
         if ch == "|" and text[pos : pos + 2] == "||":
             tokens.append(Token(TokenKind.PARPAR, "||", span(2)))

@@ -105,6 +105,16 @@ class _Parser:
         got = tok.text or str(tok.kind.value)
         self._fail(f"expected {what}, got {got!r}")
 
+    def _nat(self, what: str) -> int:
+        """Consume an integer token and return its value; a numeral longer
+        than the interpreter converts to ``int`` is reported, not raised."""
+        tok = self._expect(TokenKind.INT, what)
+        try:
+            return int(tok.text)
+        except ValueError:
+            self._error(f"numeral too long ({len(tok.text)} digits)", tok)
+            raise _Bail() from None
+
     def _sync(self, kinds: tuple[TokenKind, ...]) -> None:
         while not self._at(*kinds):
             self._advance()
@@ -190,8 +200,7 @@ class _Parser:
     def _literal(self) -> Literal:
         tok = self._current()
         if tok.kind is TokenKind.INT:
-            self._advance()
-            return NumLit(int(tok.text), tok.span)
+            return NumLit(self._nat("an integer"), tok.span)
         if tok.kind in (TokenKind.TRUE, TokenKind.FALSE):
             self._advance()
             return BoolLit(tok.kind is TokenKind.TRUE, tok.span)
@@ -224,8 +233,7 @@ class _Parser:
         start = self._current()
         if self._at(TokenKind.LPAREN):
             self._advance()
-            num = self._expect(TokenKind.INT, "rule label")
-            label = int(num.text)
+            label = self._nat("rule label")
             self._expect(TokenKind.RPAREN, "')'")
         self._expect(TokenKind.WHEN, "'when'")
         condition = self._event_or()
@@ -321,8 +329,7 @@ class _Parser:
     def _expr(self) -> Expr:
         tok = self._current()
         if tok.kind is TokenKind.INT:
-            self._advance()
-            return NumLit(int(tok.text), tok.span)
+            return NumLit(self._nat("an integer"), tok.span)
         if tok.kind in (TokenKind.TRUE, TokenKind.FALSE):
             self._advance()
             return BoolLit(tok.kind is TokenKind.TRUE, tok.span)

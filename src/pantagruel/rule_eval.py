@@ -6,6 +6,19 @@ tests the condition and, if it holds, :func:`action_effects` builds the
 binding's partial store; the partial stores are joined into the rule's
 effect store.
 
+Before the bindings are built, :func:`eval_rule` pushes condition atoms
+down: each atom of the condition's top-level ``and`` chain (or the lone
+atom a condition is) that reads at most one still-open variable, through
+its declared name, its filter or its ``value = e``, is tested on its own.
+One reading no open variable is tested once, and if false the rule has
+no binding; one reading variable ``v`` keeps in ``v``'s pool only the
+entities it holds for.  ``or`` conditions and atoms reading two open
+variables are left to :func:`holds` on whole bindings.  This is exact: a
+binding dropped from a pool fails a conjunct, so it would have produced
+no partial store and no :class:`FiredRule`, and the survivors keep their
+enumeration order, so the fired list, the fold of partial stores and any
+reported conflict are unchanged.
+
 Conditions read event filters against the *previous* store while action
 filters read the *current* one — an asymmetry kept deliberately, as are
 all other evaluation orders here.
@@ -14,6 +27,7 @@ all other evaluation orders here.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .ast import (
@@ -32,8 +46,10 @@ from .ast import (
     Expr,
     Filter,
     NumLit,
+    Path,
     RuleAst,
     ValueChanged,
+    ValueEq,
     operands,
 )
 from .diagnostics import SourceSpan
@@ -249,6 +265,53 @@ def _effects_summary(store: Store) -> tuple[tuple[str, str, Value], ...]:
     return tuple(out)
 
 
+def _open_reads(atom: EventAtom, rho: EnvEntity) -> list[str]:
+    """The still-open variables an atom reads: through its declared name,
+    its filter's right-hand side, and its ``value = e`` expression."""
+    decl = atom.decl
+    names = [decl.var if isinstance(decl, DeclTyped) else decl.name]
+    if atom.filter is not None and isinstance(atom.filter.rhs, Path):
+        names.append(atom.filter.rhs.var)
+    if isinstance(atom.test, ValueEq) and isinstance(atom.test.expr, Path):
+        names.append(atom.test.expr.var)
+    return list(dict.fromkeys(n for n in names if isinstance(rho.get(n), InterfaceRef)))
+
+
+def _pushdown(
+    condition: EventExpr, rho: EnvEntity
+) -> tuple[list[EventAtom], dict[str, list[EventAtom]]]:
+    """The atoms among the condition's top-level conjuncts that read no
+    open variable, and, per open variable, those that read it alone.
+    Other conjuncts (``or``, or atoms reading two open variables) are
+    left to :func:`holds` on whole bindings."""
+    conjuncts = operands(condition) if isinstance(condition, EventAnd) else [condition]
+    closed: list[EventAtom] = []
+    by_var: dict[str, list[EventAtom]] = {}
+    for atom in conjuncts:
+        if not isinstance(atom, EventAtom):
+            continue
+        reads = _open_reads(atom, rho)
+        if not reads:
+            closed.append(atom)
+        elif len(reads) == 1:
+            by_var.setdefault(reads[0], []).append(atom)
+    return closed, by_var
+
+
+def _all_hold(
+    atoms: list[EventAtom],
+    var: str,
+    dual: DualStore,
+    rho: EnvEntity,
+    mode: TriggerMode,
+    entity_id: str,
+) -> bool:
+    """Whether every atom, each reading no open variable but ``var``,
+    holds with ``var`` bound to ``entity_id``."""
+    scope = {**rho, var: InstanceRef(entity_id)}
+    return all(holds(atom, dual, scope, mode) for atom in atoms)
+
+
 def eval_rule(
     env: EnvInterface,
     rule: RuleAst,
@@ -257,13 +320,23 @@ def eval_rule(
     label: int | None = None,
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
-    :class:`FiredRule` per instantiation that held and produced effects."""
+    :class:`FiredRule` per instantiation that held and produced effects.
+    Condition atoms are pushed into the candidate pools first, as the
+    module docstring describes; the result is that of the full product."""
     if label is None:
         label = rule.label if rule.label is not None else 1
     current = dual.current
+    rho = rule_environment(rule, current)
+    closed, by_var = _pushdown(rule.condition, rho)
+    if not all(holds(atom, dual, rho, mode) for atom in closed):
+        return {}, []
+    admits = {
+        var: functools.partial(_all_hold, atoms, var, dual, rho, mode)
+        for var, atoms in by_var.items()
+    }
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(current, rule_environment(rule, current)):
+    for scope in instantiate(current, rho, admits):
         if not holds(rule.condition, dual, scope, mode):
             continue
         partial = action_effects(rule.body, env, current, scope, {})

@@ -39,7 +39,10 @@ def parse_value(text: str) -> Value:
     if text == "undef":
         return UNDEF
     if text.isascii() and text.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise ScriptError(f"numeral too long ({len(text)} digits)") from None
     raise ScriptError(f"invalid value {text!r} (expected an integer, true, false, or undef)")
 
 

@@ -87,6 +87,35 @@ def test_check_rejects_non_ascii_numerals(files, capsys, numeral):
     assert f"{path}:2:11: error: invalid character {numeral!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["x²", "é", "xé"])
+def test_check_rejects_non_ascii_identifiers(files, capsys, name):
+    src = f"interface I {{ attribute r : Integer }}\n{name}:I {{ r : 1 }}\nrules end\n"
+    path = files("ident.ptg", src)
+    assert main(["check", path]) == 1
+    assert "error: invalid character" in capsys.readouterr().err
+
+
+LONG_NUMERAL = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "src, where",
+    [
+        (f"x:I {{ r : {LONG_NUMERAL} }}\nrules end\n", "2:11"),
+        (f"x:I {{ r : 1 }}\nrules ({LONG_NUMERAL}) when event e from x value = 1 "
+         "trigger action a(1) on x end end\n", "3:8"),
+        ("x:I { r : 1 }\nrules when event e from x value = 1 "
+         f"trigger action a({LONG_NUMERAL}) on x end end\n", "3:54"),
+    ],
+    ids=["initializer", "label", "argument"],
+)
+def test_check_reports_numerals_too_long_to_read(files, capsys, src, where):
+    header = "interface I { attribute r : Integer event e : Integer action a ( Integer ) }\n"
+    path = files("long.ptg", header + src)
+    assert main(["check", path]) == 1
+    assert f"{path}:{where}: error: numeral too long (5000 digits)" in capsys.readouterr().err
+
+
 def test_check_missing_file_is_io_error(capsys):
     assert main(["check", "/nonexistent/program.ptg"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -187,6 +216,32 @@ def test_run_rejects_non_ascii_numerals(files, capsys, numeral):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line 1: invalid value {numeral!r}" in captured.err
+
+
+def test_run_refuses_non_ascii_identifiers(files, capsys):
+    program = files("ident.ptg", "interface I { event e : Boolean }\nx²:I { }\nrules end\n")
+    script = files("x.evs", "tick\n")
+    assert main(["run", program, "--script", script]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: invalid character '²'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"event thermo.temperature = {LONG_NUMERAL}",
+        f"deploy m30:MotionDetector {{ room : {LONG_NUMERAL} }}",
+    ],
+    ids=["event", "deploy"],
+)
+def test_run_reports_numerals_too_long_to_read(files, capsys, line):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("long.evs", f"{line}\ntick\n")
+    assert main(["run", program, "--script", script]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: " in captured.err and "numeral too long (5000 digits)" in captured.err
 
 
 def test_run_missing_script_is_io_error(files, capsys):
@@ -346,6 +401,21 @@ def test_repl_non_ascii_numeral_is_an_error_and_continues(files, capsys, monkeyp
     )
     assert code == 0
     assert "error: invalid value '²'" in err
+    record = json.loads(out)
+    assert record["entities"]["thermo"]["events"]["temperature"] is None
+    assert record["entities"]["l10"]["events"]["switch"] is True
+
+
+def test_repl_numeral_too_long_is_an_error_and_continues(files, capsys, monkeypatch):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    code, out, err = _repl(
+        monkeypatch,
+        capsys,
+        ["repl", program, "--format", "jsonl"],
+        f"event thermo.temperature = {LONG_NUMERAL}\nevent m10.detected = true\ntick\nquit\n",
+    )
+    assert code == 0
+    assert "error: numeral too long (5000 digits)" in err
     record = json.loads(out)
     assert record["entities"]["thermo"]["events"]["temperature"] is None
     assert record["entities"]["l10"]["events"]["switch"] is True

@@ -374,3 +374,33 @@ def test_instantiate_matches_exhaustive_oracle():
         for c in counts:
             expected_size *= c
         assert len(got) == expected_size
+
+
+def test_instantiate_orders_by_variable_then_id_whatever_the_store_order():
+    rng = random.Random(12)
+    for _ in range(200):
+        ids = [f"e{i}" for i in range(rng.randint(0, 5))]
+        rng.shuffle(ids)
+        store = {entity_id: _entity(rng.choice("AB")) for entity_id in ids}
+        rho = {f"v{v}": InterfaceRef(rng.choice("AB")) for v in rng.sample(range(4), 2)}
+        assert instantiate(store, rho) == _instantiate_oracle(store, rho)
+
+
+def test_instantiate_admits_filters_pools_and_keeps_order():
+    """A pool test drops exactly the bindings it rejects, keeps the rest in
+    order, and is asked only about candidates of its own variable."""
+    rng = random.Random(13)
+    for _ in range(200):
+        store = {f"e{i}": _entity(rng.choice("AB")) for i in range(rng.randint(0, 6))}
+        rho = {"v": InterfaceRef(rng.choice("AB")), "w": InterfaceRef(rng.choice("AB"))}
+        kept = {entity_id for entity_id in store if rng.random() < 0.5}
+        asked = []
+
+        def admit_v(entity_id):
+            asked.append(entity_id)
+            return entity_id in kept
+
+        got = instantiate(store, rho, {"v": admit_v})
+        want = [env for env in _instantiate_oracle(store, rho) if env["v"].name in kept]
+        assert got == want
+        assert all(store[entity_id].interface_id == rho["v"].name for entity_id in asked)

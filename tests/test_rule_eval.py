@@ -17,6 +17,7 @@ from pantagruel import (
     ConflictError,
     DualStore,
     Entity,
+    EventUpdate,
     InstanceRef,
     Interface,
     InterfaceRef,
@@ -26,7 +27,9 @@ from pantagruel import (
     eval_rule,
     eval_rule_block,
     eval_specification,
+    initial_state,
     parse_program,
+    step,
     store_join,
     update_member,
     value_eq,
@@ -44,6 +47,7 @@ from pantagruel.ast import (
     ValueChanged,
     ValueEq,
 )
+from pantagruel import rule_eval
 from pantagruel.rule_eval import (
     action_effects,
     eval_declaration,
@@ -483,3 +487,47 @@ def test_rule_order_permutation_invariance_small():
         if baseline is None:
             baseline = (effects, key)
         assert (effects, key) == baseline
+
+
+def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch):
+    """A generated building of 200 rooms, each with one detector and two
+    lights, and one tick with exactly one ``detected`` edge.  The
+    condition reads ``m`` alone, so rule 1 tests and acts on one binding
+    per light (400), not on rooms × lights (80 000)."""
+    rooms = 200
+    lines = [
+        "interface MotionDetector { attribute room : Integer event detected : Boolean }",
+        "interface Light { attribute room : Integer action switch ( Boolean ) }",
+    ]
+    for room in range(rooms):
+        lines.append(f"m{room}:MotionDetector {{ room : {room} }}")
+        lines.append(f"la{room}:Light {{ room : {room} }}")
+        lines.append(f"lb{room}:Light {{ room : {room} }}")
+    checked = check_program(parse_program("\n".join(lines) + "\nrules\n" + RULE_1 + "end\n"))
+    assert checked.ok
+    calls = {"tested": 0, "acted": 0}
+    real_holds, real_action_effects = rule_eval.holds, rule_eval.action_effects
+
+    def counting_holds(expr, dual, scope, mode):
+        if isinstance(scope.get("m"), InstanceRef) and isinstance(scope.get("l"), InstanceRef):
+            calls["tested"] += 1
+        return real_holds(expr, dual, scope, mode)
+
+    def counting_action_effects(*args):
+        calls["acted"] += 1
+        return real_action_effects(*args)
+
+    monkeypatch.setattr(rule_eval, "holds", counting_holds)
+    monkeypatch.setattr(rule_eval, "action_effects", counting_action_effects)
+    _, record = step(
+        initial_state(checked.initial_store),
+        [EventUpdate("m7", "detected", True)],
+        checked.rules,
+        checked.env,
+        EDGE,
+    )
+    assert calls == {"tested": 2 * rooms, "acted": 2 * rooms}
+    assert [f.binding for f in record.fired] == [
+        {"l": "la7", "m": "m7"},
+        {"l": "lb7", "m": "m7"},
+    ]
