@@ -5,18 +5,17 @@ rather than mutating.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
 is fixed only where it can be observed: :func:`instantiate` enumerates
-bindings lexicographically (a pool test given by the rule evaluator drops
-candidates before the product is built, and the survivors keep that
-order), :func:`store_join` reports the least conflict,
-and the serializer sorts what it prints.  Nothing here iterates a set, so no
-result depends on the string hash seed.
+bindings lexicographically (pool tests and hash lookups on equalities
+between two variables, given by the rule evaluator, keep bindings from
+being built, and the survivors keep that order), :func:`store_join`
+reports the least conflict, and the serializer sorts what it prints.
+Nothing here iterates a set, so no result depends on the string hash seed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .ast import TypeTag
 
@@ -271,10 +270,26 @@ Reference = Union[InterfaceRef, InstanceRef]
 EnvEntity = dict[str, Reference]
 
 
+# One side of an equality between two variables: the value it reads from
+# the entity a variable is bound to.
+Reader = Callable[[str], Value]
+# ``(x, read_x, y, read_y)``: a binding survives only if ``read_x`` of its
+# ``x`` and ``read_y`` of its ``y`` are equal by :func:`value_eq`.
+Join = tuple[str, Reader, str, Reader]
+
+
+def _join_key(value: Value) -> tuple[type, Value] | None:
+    """The hash key of a value on one side of an equality, or None for
+    UNDEF, which equals nothing.  The type is part of the key because
+    ``1 == True`` in Python while :func:`value_eq` keeps them apart."""
+    return None if value is UNDEF else (type(value), value)
+
+
 def instantiate(
     store: Store,
     rho: EnvEntity,
     admits: Mapping[str, Callable[[str], bool]] | None = None,
+    joins: Sequence[Join] = (),
 ) -> list[EnvEntity]:
     """Expand interface-bound variables over every matching entity.
 
@@ -286,9 +301,14 @@ def instantiate(
 
     ``admits`` optionally maps a variable to a test on entity ids: that
     variable's pool then keeps only the entities the test admits, before
-    the product is built.  Filtering a pool drops whole bindings and keeps
-    the survivors in the order above, so the result is a subsequence of
-    the unfiltered one.
+    the product is built.  ``joins`` optionally lists equalities between
+    two open variables (:data:`Join`): variables are bound in name order,
+    and the later variable of a join takes its candidates from a bucket of
+    its pool keyed by the value its partner reads, so the bindings whose
+    two sides differ (or read UNDEF) are never built.  A variable later
+    in several joins is looked up through the first; the others drop
+    nothing.  Filtering drops whole bindings and keeps the survivors in
+    the order above, so the result is a subsequence of the unfiltered one.
     """
     open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
     members: dict[str, list[str]] = {rho[var].name: [] for var in open_vars}
@@ -296,7 +316,7 @@ def instantiate(
         pool = members.get(entity.interface_id)
         if pool is not None:
             pool.append(entity_id)
-    pools: list[list[InstanceRef]] = []
+    pools: dict[str, list[InstanceRef]] = {}
     for var in open_vars:
         matches = sorted(members[rho[var].name])
         test = admits.get(var) if admits else None
@@ -304,10 +324,40 @@ def instantiate(
             matches = [entity_id for entity_id in matches if test(entity_id)]
         if not matches:
             return []
-        pools.append([InstanceRef(entity_id) for entity_id in matches])
+        pools[var] = [InstanceRef(entity_id) for entity_id in matches]
+    position = {var: i for i, var in enumerate(open_vars)}
+    # per looked-up variable: its partner's position, the partner's keys
+    # by entity id, and its own pool bucketed by key
+    lookups: dict[str, tuple[int, dict[str, object], dict[object, list[InstanceRef]]]] = {}
+    for x, read_x, y, read_y in joins:
+        if position[x] < position[y]:
+            x, read_x, y, read_y = y, read_y, x, read_x
+        if x in lookups:
+            continue
+        buckets: dict[object, list[InstanceRef]] = {}
+        for ref in pools[x]:
+            key = _join_key(read_x(ref.name))
+            if key is not None:
+                buckets.setdefault(key, []).append(ref)
+        partner_keys = {ref.name: _join_key(read_y(ref.name)) for ref in pools[y]}
+        lookups[x] = (position[y], partner_keys, buckets)
+    rows: list[tuple[InstanceRef, ...]] = [()]
+    for var in open_vars:
+        if var in lookups:
+            at, partner_keys, buckets = lookups[var]
+            rows = [
+                row + (ref,)
+                for row in rows
+                for ref in buckets.get(partner_keys[row[at].name], ())
+            ]
+        else:
+            pool = pools[var]
+            rows = [row + (ref,) for row in rows for ref in pool]
+        if not rows:
+            return []
     results: list[EnvEntity] = []
-    for combo in itertools.product(*pools):
+    for row in rows:
         env = dict(rho)
-        env.update(zip(open_vars, combo))
+        env.update(zip(open_vars, row))
         results.append(env)
     return results

@@ -2,22 +2,42 @@
 
 A rule's entity environment is built once (:func:`rule_environment`) and
 instantiated over all matching entities.  For each binding, :func:`holds`
-tests the condition and, if it holds, :func:`action_effects` builds the
-binding's partial store; the partial stores are joined into the rule's
-effect store.
+tests the condition (what the plan below leaves of it) and, if it holds,
+:func:`action_effects` builds the binding's partial store; the partial
+stores are joined into the rule's effect store.
 
-Before the bindings are built, :func:`eval_rule` pushes condition atoms
-down: each atom of the condition's top-level ``and`` chain (or the lone
-atom a condition is) that reads at most one still-open variable, through
-its declared name, its filter or its ``value = e``, is tested on its own.
-One reading no open variable is tested once, and if false the rule has
-no binding; one reading variable ``v`` keeps in ``v``'s pool only the
-entities it holds for.  ``or`` conditions and atoms reading two open
-variables are left to :func:`holds` on whole bindings.  This is exact: a
-binding dropped from a pool fails a conjunct, so it would have produced
-no partial store and no :class:`FiredRule`, and the survivors keep their
-enumeration order, so the fired list, the fold of partial stores and any
-reported conflict are unchanged.
+Before the bindings are built, :func:`eval_rule` makes a plan of the
+rule against the environment (rebuilt on every evaluation; nothing is kept
+between ticks):
+
+* Each atom of the condition's top-level ``and`` chain (or the lone atom
+  a condition is) that reads at most one still-open variable, through its
+  declared name, its filter or its ``value = e``, is tested on its own.
+  One reading no open variable is tested once, and if false the rule has
+  no binding; one reading variable ``v`` keeps in ``v``'s pool only the
+  entities it holds for.
+* A conjunct atom whose filter ``with a = y.b`` links its declared
+  variable ``x`` to another open variable ``y`` is an equality between
+  them, read from the previous store: ``x``'s attribute ``a`` against
+  ``y.b`` read as a path (event first, then attribute).
+* When every call of the body has a filter linking the same two open
+  variables through the same member of each (bare names count, as in
+  ``action ack(true) on m with room = l.room``), that is an equality too,
+  read from the current store.  A side read as an attribute by one call
+  and as a path by another is used only if no entity of its interface
+  carries an event of that name, so that both reads agree.
+
+:func:`~pantagruel.domains.instantiate` turns each equality into a hash
+lookup keyed by ``(type, value)``, UNDEF joining nothing, exactly as
+:func:`value_eq` compares.  Only the conjuncts not tested on pools (``or``
+terms and atoms reading two open variables) are left to :func:`holds` on
+whole bindings, and none if there are none; :func:`action_effects` runs on
+every binding built.  This is exact: a binding never built fails a pushed
+conjunct, or a linked condition atom's filter, or every call's filter (so
+each call returns its seed), and would have produced no partial store and
+no :class:`FiredRule`; the survivors keep their enumeration order, so the
+fired list, the fold of partial stores and any reported conflict are those
+of the full product.
 
 Conditions read event filters against the *previous* store while action
 filters read the *current* one — an asymmetry kept deliberately, as are
@@ -60,6 +80,8 @@ from .domains import (
     EnvInterface,
     InstanceRef,
     InterfaceRef,
+    Join,
+    Reader,
     Store,
     Value,
     access_attribute,
@@ -144,17 +166,27 @@ def eval_expression(expr: Expr, store: Store, rho: EnvEntity) -> Value:
     ref = rho.get(expr.var)
     if not isinstance(ref, InstanceRef):
         return UNDEF
-    entity = store.get(ref.name)
+    return _path_value(ref.name, expr.member, store)
+
+
+def _path_value(entity_id: str, member: str, store: Store) -> Value:
+    """``entity_id.member`` as a path reads it: the event when the entity
+    carries that event key, the attribute otherwise, UNDEF if absent."""
+    entity = store.get(entity_id)
     if entity is None:
         return UNDEF
-    if expr.member in entity.events:
-        return entity.events[expr.member]
-    return entity.attributes.get(expr.member, UNDEF)
+    if member in entity.events:
+        return entity.events[member]
+    return entity.attributes.get(member, UNDEF)
+
+
+def _decl_name(decl: Decl) -> str:
+    return decl.var if isinstance(decl, DeclTyped) else decl.name
 
 
 def _bound_entity(decl: Decl, scope: EnvEntity) -> str | None:
     """The entity the declared name is bound to, if any."""
-    ref = scope.get(decl.var if isinstance(decl, DeclTyped) else decl.name)
+    ref = scope.get(_decl_name(decl))
     return ref.name if isinstance(ref, InstanceRef) else None
 
 
@@ -268,8 +300,7 @@ def _effects_summary(store: Store) -> tuple[tuple[str, str, Value], ...]:
 def _open_reads(atom: EventAtom, rho: EnvEntity) -> list[str]:
     """The still-open variables an atom reads: through its declared name,
     its filter's right-hand side, and its ``value = e`` expression."""
-    decl = atom.decl
-    names = [decl.var if isinstance(decl, DeclTyped) else decl.name]
+    names = [_decl_name(atom.decl)]
     if atom.filter is not None and isinstance(atom.filter.rhs, Path):
         names.append(atom.filter.rhs.var)
     if isinstance(atom.test, ValueEq) and isinstance(atom.test.expr, Path):
@@ -277,25 +308,107 @@ def _open_reads(atom: EventAtom, rho: EnvEntity) -> list[str]:
     return list(dict.fromkeys(n for n in names if isinstance(rho.get(n), InterfaceRef)))
 
 
-def _pushdown(
-    condition: EventExpr, rho: EnvEntity
-) -> tuple[list[EventAtom], dict[str, list[EventAtom]]]:
-    """The atoms among the condition's top-level conjuncts that read no
-    open variable, and, per open variable, those that read it alone.
-    Other conjuncts (``or``, or atoms reading two open variables) are
-    left to :func:`holds` on whole bindings."""
+def _link(decl: Decl, filt: Filter | None, rho: EnvEntity) -> tuple[str, str, str, str] | None:
+    """``(x, a, y, b)`` when the filter ``with a = y.b`` on the declared
+    name ``x`` links two distinct open variables, None otherwise."""
+    if filt is None or not isinstance(filt.rhs, Path):
+        return None
+    x, y = _decl_name(decl), filt.rhs.var
+    if x == y or not all(isinstance(rho.get(v), InterfaceRef) for v in (x, y)):
+        return None
+    return x, filt.attribute, y, filt.rhs.member
+
+
+def _side_reader(
+    reads: dict[tuple[str, bool], None], interface: str, current: Store
+) -> Reader | None:
+    """The one read the body's calls make of one side of their equality.
+    ``reads`` holds each ``(member, read as a path)`` the calls make of
+    it.  The side is read as an attribute, or as a path; where calls read
+    it both ways, as an attribute, provided no entity of the side's
+    interface carries an event of that name, so that both reads agree.
+    None if the calls read different members or the reads may disagree."""
+    members = dict.fromkeys(member for member, _ in reads)
+    if len(members) != 1:
+        return None
+    (member,) = members
+    if (member, False) not in reads:
+        return functools.partial(_path_value, member=member, store=current)
+    if (member, True) in reads and any(
+        member in entity.events
+        for entity in current.values()
+        if entity.interface_id == interface
+    ):
+        return None
+    return functools.partial(access_attribute, member, store=current)
+
+
+def _body_join(body: ActionExpr, rho: EnvEntity, current: Store) -> Join | None:
+    """The equality every call of the body tests, if each call's filter
+    links the same two open variables through the same member of each:
+    where it fails, every call returns its seed, so the binding produces
+    no effect.  Bare names count (``on m with room = l.room``)."""
+    reads: dict[str, dict[tuple[str, bool], None]] = {}
+    pending = [body]
+    while pending:
+        node = pending.pop()
+        if not isinstance(node, ActionCall):
+            pending += (node.left, node.right)
+            continue
+        link = _link(node.decl, node.filter, rho)
+        if link is None:
+            return None
+        x, attribute, y, member = link
+        reads.setdefault(x, {})[(attribute, False)] = None
+        reads.setdefault(y, {})[(member, True)] = None
+        if len(reads) > 2:
+            return None
+    (x, x_reads), (y, y_reads) = reads.items()
+    read_x = _side_reader(x_reads, rho[x].name, current)
+    read_y = _side_reader(y_reads, rho[y].name, current)
+    if read_x is None or read_y is None:
+        return None
+    return x, read_x, y, read_y
+
+
+@dataclass
+class _Plan:
+    """How :func:`eval_rule` narrows a rule's bindings before testing
+    them (see the module docstring)."""
+
+    closed: list[EventAtom]  # conjuncts reading no open variable: tested once
+    by_var: dict[str, list[EventAtom]]  # conjuncts reading one: pool tests
+    rest: list[EventExpr]  # the other conjuncts: tested on whole bindings
+    joins: list[Join]  # equalities between two open variables
+
+
+def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore) -> _Plan:
+    condition = rule.condition
     conjuncts = operands(condition) if isinstance(condition, EventAnd) else [condition]
-    closed: list[EventAtom] = []
-    by_var: dict[str, list[EventAtom]] = {}
+    plan = _Plan([], {}, [], [])
     for atom in conjuncts:
         if not isinstance(atom, EventAtom):
+            plan.rest.append(atom)
             continue
         reads = _open_reads(atom, rho)
         if not reads:
-            closed.append(atom)
+            plan.closed.append(atom)
         elif len(reads) == 1:
-            by_var.setdefault(reads[0], []).append(atom)
-    return closed, by_var
+            plan.by_var.setdefault(reads[0], []).append(atom)
+        else:
+            plan.rest.append(atom)
+            link = _link(atom.decl, atom.filter, rho)
+            if link is not None:
+                x, attribute, y, member = link
+                # event filters read the previous store
+                plan.joins.append((
+                    x, functools.partial(access_attribute, attribute, store=dual.previous),
+                    y, functools.partial(_path_value, member=member, store=dual.previous),
+                ))
+    body_join = _body_join(rule.body, rho, dual.current)
+    if body_join is not None:
+        plan.joins.append(body_join)
+    return plan
 
 
 def _all_hold(
@@ -321,23 +434,23 @@ def eval_rule(
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects.
-    Condition atoms are pushed into the candidate pools first, as the
-    module docstring describes; the result is that of the full product."""
+    The rule's plan narrows the bindings first, as the module docstring
+    describes; the result is that of the full product."""
     if label is None:
         label = rule.label if rule.label is not None else 1
     current = dual.current
     rho = rule_environment(rule, current)
-    closed, by_var = _pushdown(rule.condition, rho)
-    if not all(holds(atom, dual, rho, mode) for atom in closed):
+    plan = _plan(rule, rho, dual)
+    if not all(holds(atom, dual, rho, mode) for atom in plan.closed):
         return {}, []
     admits = {
         var: functools.partial(_all_hold, atoms, var, dual, rho, mode)
-        for var, atoms in by_var.items()
+        for var, atoms in plan.by_var.items()
     }
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(current, rho, admits):
-        if not holds(rule.condition, dual, scope, mode):
+    for scope in instantiate(current, rho, admits, plan.joins):
+        if not all(holds(conjunct, dual, scope, mode) for conjunct in plan.rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})
         partials.append(partial)

@@ -112,10 +112,46 @@ def _literals(node):
             yield from _literals(item)
 
 
+def _typed_vars(node):
+    if isinstance(node, DeclTyped):
+        yield node.var
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            yield from _typed_vars(getattr(node, field.name))
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _typed_vars(item)
+
+
+def _linked(rng, rule):
+    """``rule`` with every call of its body on one of two of its typed
+    variables and filtered by the other, so that the body's equality
+    index applies; now and then a call reads another member, so that it
+    does not."""
+    names = sorted(set(_typed_vars(rule)))
+    if len(names) < 2:
+        return rule
+    pair = rng.sample(names, 2)
+    member = {var: f"mem{rng.randint(0, 5)}" for var in pair}
+
+    def relink(node):
+        if not isinstance(node, ActionCall):
+            return type(node)(relink(node.left), relink(node.right))
+        target, other = rng.sample(pair, 2)
+        decl = node.decl
+        if not (isinstance(decl, DeclTyped) and decl.var == target):
+            decl = DeclBare(target)
+        read = member[other] if rng.random() < 0.9 else f"mem{rng.randint(0, 5)}"
+        return dataclasses.replace(node, decl=decl, filter=Filter(member[target], Path(other, read)))
+
+    return dataclasses.replace(rule, body=relink(rule.body))
+
+
 def test_direct_evaluator_matches_closure_oracle_on_random_programs():
     """Programs from ``_random_ast``, whether or not they check clean: the
     generator's rules almost never do (undeclared variables, members the
-    interface lacks), and both evaluators are total on unchecked rules."""
+    interface lacks), and both evaluators are total on unchecked rules.
+    Half the rules have their bodies relinked (:func:`_linked`)."""
     rng = random.Random(SEED_RANDOM_PROGRAMS)
     tally = {"fired": 0, "conflict": 0}
     cases = 0
@@ -125,31 +161,37 @@ def test_direct_evaluator_matches_closure_oracle_on_random_programs():
             continue
         cases += 1
         env, store, _ = eval_specification(program.spec)
-        # every entity carries every member name the generator uses, so
-        # that atoms and filters find values whatever they name; a bare name
-        # the specification does not declare is deployed now and then
+        rules = tuple(_linked(rng, rule) if rng.random() < 0.5 else rule for rule in program.rules)
+        # every entity carries every member name the generator uses as an
+        # attribute, so that atoms and filters find values whatever they
+        # name, and most as events too, so that a path reads the event on
+        # some entities and the attribute on others; a bare name the
+        # specification does not declare is deployed now and then
         members = dict.fromkeys(f"mem{k}" for k in range(6))
-        universe = {
-            entity_id: Entity(entity.interface_id, members, members)
-            for entity_id, entity in store.items()
-        }
+
+        def skeleton(interface_id):
+            return Entity(interface_id, members, {k: None for k in members if rng.random() < 0.7})
+
+        universe = {entity_id: skeleton(entity.interface_id) for entity_id, entity in store.items()}
         for name in ("e0", "e1", "e2", "e3"):
             if name not in universe and env and rng.random() < 0.3:
-                universe[name] = Entity(rng.choice(sorted(env)), members, members)
-        pool = [UNDEF, True, False, *sorted(set(_literals(program)))]
-        _compare(env, program.rules, _random_dual(rng, universe, pool), tally)
+                universe[name] = skeleton(rng.choice(sorted(env)))
+        # 0 and 1 equal False and True in Python, not in the language
+        pool = [UNDEF, True, False, *sorted(set(_literals(program)) | {0, 1})]
+        _compare(env, rules, _random_dual(rng, universe, pool), tally)
     assert tally["fired"] > 0 and tally["conflict"] > 0, tally
     print(f"closure oracle, random programs ({CASES} cases, seed {SEED_RANDOM_PROGRAMS}): {tally}")
 
 
 SHAPES_SPEC = """\
-interface S { attribute room : Integer event e : Boolean event n : Integer
+interface S { attribute room : Integer attribute floor : Integer
+              event e : Boolean event n : Integer
               action a ( Integer ) action b ( Boolean ) }
-interface T { attribute room : Integer action a ( Integer ) }
-s1:S { room : 1 }
-s2:S { room : 2 }
-t1:T { room : 1 }
-t2:T { room : 2 }
+interface T { attribute room : Integer attribute floor : Integer action a ( Integer ) }
+s1:S { room : 1, floor : 1 }
+s2:S { room : 2, floor : 1 }
+t1:T { room : 1, floor : 2 }
+t2:T { room : 2, floor : 1 }
 rules end
 """
 
@@ -162,11 +204,19 @@ class _ShapeGenerator:
     def __init__(self, rng):
         self.rng = rng
         self.declared = []
+        self.link = None
 
     def rule(self):
+        rng = self.rng
         self.declared = []
-        condition = self.tree(self.atom, EventAnd, EventOr, self.rng.randint(0, 4))
-        body = self.tree(self.call, ActionSeq, ActionPar, self.rng.randint(0, 4))
+        condition = self.tree(self.atom, EventAnd, EventOr, rng.randint(0, 4))
+        # half the bodies link one condition variable to one other variable
+        # in every call, so that the body's equality index applies
+        self.link = None
+        if self.declared and rng.random() < 0.5:
+            first = rng.choice(self.declared)
+            self.link = (first, rng.choice([v for v in ("v0", "v1", "w0", "w1") if v != first]))
+        body = self.tree(self.call, ActionSeq, ActionPar, rng.randint(0, 4))
         return RuleAst(None, condition, body)
 
     def tree(self, leaf, first, second, depth):
@@ -196,6 +246,10 @@ class _ShapeGenerator:
         rng = self.rng
         decl = self.decl("v", ["s1", "s2", "ghost"])
         filt = self.filt()
+        # often link the atom's variable to another one by their rooms
+        others = [v for v in self.declared if v != getattr(decl, "var", None)]
+        if others and rng.random() < 0.4:
+            filt = Filter("room", Path(rng.choice(others), "room"))
         if rng.random() < 0.3:
             return EventAtom(rng.choice(["e", "n"]), decl, filt, ValueChanged())
         if rng.random() < 0.5:
@@ -204,18 +258,42 @@ class _ShapeGenerator:
 
     def call(self):
         rng = self.rng
+        if self.link is not None:
+            return self.linked_call()
         if rng.random() < 0.3:
             decl = self.decl("v", ["s1", "s2", "ghost"])
             return ActionCall("b", BoolLit(rng.random() < 0.5), decl, self.filt())
         decl = self.decl(rng.choice("vw"), ["s1", "t1", "t2", "ghost"])
         return ActionCall("a", self.room(), decl, self.filt())
 
+    def linked_call(self):
+        """A call on one linked variable filtered by the other's room; the
+        second variable is declared by the first call that names it, and
+        a call now and then reads a floor or filters by a literal, so
+        that no index applies."""
+        rng = self.rng
+        first, second = self.link
+        target, other = (second, first) if second not in self.declared else rng.sample(self.link, 2)
+        if target in self.declared and rng.random() < 0.5:
+            decl = DeclBare(target)
+        else:
+            decl = DeclTyped(target, "S" if target[0] == "v" else "T")
+            self.declared.append(target)
+        roll = rng.random()
+        if roll < 0.1:
+            filt = Filter("room", NumLit(1))
+        else:
+            filt = Filter("floor" if roll < 0.2 else "room", Path(other, "floor" if roll > 0.9 else "room"))
+        if target[0] == "v" and rng.random() < 0.3:
+            return ActionCall("b", BoolLit(rng.random() < 0.5), decl, filt)
+        return ActionCall("a", self.room(), decl, filt)
+
 
 def test_direct_evaluator_matches_closure_oracle_on_any_shape():
     spec_ast = parse_program(SHAPES_SPEC)
     checked = check_program(spec_ast)
     env = checked.env
-    universe = {**checked.initial_store, "ghost": checked.initial_store["s1"]}
+    skeletons = {**checked.initial_store, "ghost": checked.initial_store["s1"]}
     pool = [UNDEF, True, False, 1, 2]
     rng = random.Random(SEED_SHAPES)
     generator = _ShapeGenerator(rng)
@@ -223,6 +301,13 @@ def test_direct_evaluator_matches_closure_oracle_on_any_shape():
     for _ in range(CASES):
         rules = tuple(generator.rule() for _ in range(rng.randint(1, 3)))
         assert check_program(dataclasses.replace(spec_ast, rules=rules)).ok, rules
+        # now and then an entity also carries an event named ``room``
+        # (which no checked program declares), so a path reads it there
+        universe = {
+            entity_id: dataclasses.replace(entity, events={**entity.events, "room": None})
+            if rng.random() < 0.2 else entity
+            for entity_id, entity in skeletons.items()
+        }
         _compare(env, rules, _random_dual(rng, universe, pool), tally)
     assert tally["fired"] > 0 and tally["conflict"] > 0, tally
     print(f"closure oracle, any shape ({CASES} cases, seed {SEED_SHAPES}): {tally}")

@@ -404,3 +404,52 @@ def test_instantiate_admits_filters_pools_and_keeps_order():
         want = [env for env in _instantiate_oracle(store, rho) if env["v"].name in kept]
         assert got == want
         assert all(store[entity_id].interface_id == rho["v"].name for entity_id in asked)
+
+
+def _room(store):
+    """A join reader: the ``room`` attribute of an entity in ``store``."""
+    return lambda entity_id: access_attribute("room", entity_id, store)
+
+
+def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
+    """``1`` and ``true`` are equal and hash alike in Python but differ by
+    ``value_eq``; UNDEF and a missing attribute equal nothing."""
+    rooms = {"1": 1, "t": True, "u": UNDEF, "2": 2}
+    store = {}
+    for side in "ab":
+        for name, room in rooms.items():
+            store[f"{side}{name}"] = _entity(side.upper(), {"room": room})
+        store[f"{side}none"] = _entity(side.upper())
+    rho = {"x": InterfaceRef("A"), "y": InterfaceRef("B")}
+    got = instantiate(store, rho, joins=[("x", _room(store), "y", _room(store))])
+    assert [(env["x"].name, env["y"].name) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
+
+
+def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
+    """Joins between two of three variables, given with either variable
+    first, drop exactly the bindings whose two reads differ by
+    ``value_eq`` and keep the rest in product order, whether the variable
+    looked up sorts before or after the other and with pool tests too."""
+    rng = random.Random(14)
+    values = [UNDEF, True, False, 0, 1, 2]
+    for _ in range(300):
+        ids = [f"e{i}" for i in range(rng.randint(0, 7))]
+        rng.shuffle(ids)
+        store = {
+            entity_id: _entity(rng.choice("AB"), {"room": rng.choice(values)})
+            for entity_id in ids
+            if rng.random() < 0.9
+        }
+        rho = {v: InterfaceRef(rng.choice("AB")) for v in ("a", "b", "c")}
+        read = _room(store)
+        x, y = rng.sample(sorted(rho), 2)
+        joins = [(x, read, y, read)]
+        kept = {entity_id for entity_id in store if rng.random() < 0.7}
+        admits = {"b": kept.__contains__} if rng.random() < 0.5 else None
+        want = [
+            env
+            for env in _instantiate_oracle(store, rho)
+            if value_eq(read(env[x].name), read(env[y].name))
+            and (admits is None or env["b"].name in kept)
+        ]
+        assert instantiate(store, rho, admits, joins) == want

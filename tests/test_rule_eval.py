@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import closure_eval
 from pantagruel import (
     UNDEF,
     ConflictError,
@@ -489,12 +490,9 @@ def test_rule_order_permutation_invariance_small():
         assert (effects, key) == baseline
 
 
-def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch):
-    """A generated building of 200 rooms, each with one detector and two
-    lights, and one tick with exactly one ``detected`` edge.  The
-    condition reads ``m`` alone, so rule 1 tests and acts on one binding
-    per light (400), not on rooms × lights (80 000)."""
-    rooms = 200
+def _rooms_program(rooms, rule):
+    """``rooms`` rooms, each with one detector ``m<r>`` and two lights
+    ``la<r>``/``lb<r>``, and the one rule given."""
     lines = [
         "interface MotionDetector { attribute room : Integer event detected : Boolean }",
         "interface Light { attribute room : Integer action switch ( Boolean ) }",
@@ -503,10 +501,23 @@ def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch)
         lines.append(f"m{room}:MotionDetector {{ room : {room} }}")
         lines.append(f"la{room}:Light {{ room : {room} }}")
         lines.append(f"lb{room}:Light {{ room : {room} }}")
-    checked = check_program(parse_program("\n".join(lines) + "\nrules\n" + RULE_1 + "end\n"))
+    checked = check_program(parse_program("\n".join(lines) + "\nrules\n" + rule + "end\n"))
     assert checked.ok
-    calls = {"tested": 0, "acted": 0}
+    return checked
+
+
+def _count_bindings(monkeypatch):
+    """Counters of what ``eval_rule`` does: the bindings it builds, the
+    condition tests on bindings with both ``m`` and ``l`` bound, and the
+    bodies it runs."""
+    calls = {"built": 0, "tested": 0, "acted": 0}
+    real_instantiate = rule_eval.instantiate
     real_holds, real_action_effects = rule_eval.holds, rule_eval.action_effects
+
+    def counting_instantiate(*args):
+        bindings = real_instantiate(*args)
+        calls["built"] += len(bindings)
+        return bindings
 
     def counting_holds(expr, dual, scope, mode):
         if isinstance(scope.get("m"), InstanceRef) and isinstance(scope.get("l"), InstanceRef):
@@ -517,8 +528,22 @@ def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch)
         calls["acted"] += 1
         return real_action_effects(*args)
 
+    monkeypatch.setattr(rule_eval, "instantiate", counting_instantiate)
     monkeypatch.setattr(rule_eval, "holds", counting_holds)
     monkeypatch.setattr(rule_eval, "action_effects", counting_action_effects)
+    return calls
+
+
+def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch):
+    """A generated building of 200 rooms, each with one detector and two
+    lights, and one tick with exactly one ``detected`` edge.  The
+    condition reads ``m`` alone and the body's filter joins ``l`` to
+    ``m`` by room, so rule 1 builds and acts on the two bindings of
+    ``m7``'s lights, not on rooms × lights (80 000), and tests no
+    condition on a whole binding."""
+    rooms = 200
+    checked = _rooms_program(rooms, RULE_1)
+    calls = _count_bindings(monkeypatch)
     _, record = step(
         initial_state(checked.initial_store),
         [EventUpdate("m7", "detected", True)],
@@ -526,8 +551,143 @@ def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch)
         checked.env,
         EDGE,
     )
-    assert calls == {"tested": 2 * rooms, "acted": 2 * rooms}
+    assert calls == {"built": 2, "tested": 0, "acted": 2}
     assert [f.binding for f in record.fired] == [
         {"l": "la7", "m": "m7"},
         {"l": "lb7", "m": "m7"},
+    ]
+
+
+def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
+    """Every detector reads ``true``: rule 1 holds for every detector, and
+    the join still builds only each detector's two lights (400, not
+    rooms × lights = 80 000), in product order."""
+    rooms = 200
+    checked = _rooms_program(rooms, RULE_1)
+    calls = _count_bindings(monkeypatch)
+    _, record = step(
+        initial_state(checked.initial_store),
+        [EventUpdate(f"m{room}", "detected", True) for room in range(rooms)],
+        checked.rules,
+        checked.env,
+        LEVEL,
+    )
+    assert calls == {"built": 2 * rooms, "tested": 0, "acted": 2 * rooms}
+    lights = sorted(f"l{side}{room}" for side in "ab" for room in range(rooms))
+    assert [f.binding for f in record.fired] == [
+        {"l": light, "m": f"m{light[2:]}"} for light in lights
+    ]
+
+
+def test_condition_filter_between_two_variables_is_a_lookup(monkeypatch):
+    """``event detected from m:MotionDetector with room = l.room`` joins
+    ``m`` to ``l`` through the previous store: with two lights switching
+    on, the rule builds and tests the two bindings with ``m7``, not
+    lights × detectors (400)."""
+    rule = (
+        "(5) when event switch from l:Light value = true\n"
+        "      and event detected from m:MotionDetector with room = l.room value = true\n"
+        "    trigger action switch(false) on l end\n"
+    )
+    checked = _rooms_program(200, rule)
+    previous = checked.initial_store
+    current = previous
+    for entity_id, event in (("la7", "switch"), ("lb7", "switch"), ("m7", "detected")):
+        current = with_event(current, entity_id, event, True)
+    calls = _count_bindings(monkeypatch)
+    _, fired = eval_rule(checked.env, checked.rules[0], DualStore(previous, current), EDGE)
+    assert calls == {"built": 2, "tested": 2, "acted": 2}
+    assert [f.binding for f in fired] == [{"l": "la7", "m": "m7"}, {"l": "lb7", "m": "m7"}]
+
+
+JOIN_SPEC = """\
+interface MotionDetector { attribute room : Integer event detected : Boolean action ack ( Boolean ) }
+interface Light { attribute room : Integer action switch ( Boolean ) }
+interface Fan { attribute room : Integer action setSpeed ( Integer ) }
+m1:MotionDetector { room : 1 }
+m2:MotionDetector { room : 2 }
+l1:Light { room : 1 }
+l2:Light { room : 2 }
+f1:Fan { room : 1 }
+f2:Fan { room : 2 }
+"""
+
+
+def _join_rule(rule):
+    checked = check_program(parse_program(JOIN_SPEC + "rules\n" + rule + "\nend\n"))
+    assert checked.ok
+    return checked
+
+
+def _both_evaluators(checked, dual, mode=EDGE):
+    """The rule's result from ``eval_rule`` and from the closure oracle,
+    which tests the full product."""
+    rule = checked.rules[0]
+    got = eval_rule(checked.env, rule, dual, mode)
+    assert got == closure_eval.eval_rule(checked.env, rule, dual, mode)
+    return got
+
+
+def test_condition_filter_skips_entities_deployed_this_tick():
+    """A condition filter reads the previous store, where an entity
+    deployed this tick is absent, so its room reads UNDEF and joins
+    nothing, on either side of the join; ``l1`` moved to room 2 this
+    tick, but the filter still sees it in room 1."""
+    checked = _join_rule(
+        "when event detected from m:MotionDetector value = true "
+        "and event switch from l:Light with room = m.room value = true "
+        "trigger action ack(true) on m end"
+    )
+    previous = checked.initial_store
+    current = {
+        **previous,
+        "l1new": Entity("Light", {"room": 1}, {"switch": True}),
+        "m1new": Entity("MotionDetector", {"room": 1}, {"detected": True}),
+    }
+    for entity_id, event in (("l1", "switch"), ("m1", "detected")):
+        current = with_event(current, entity_id, event, True)
+    current["l1"] = update_member(current, "l1", attributes={"room": 2})
+    _, fired = _both_evaluators(checked, DualStore(previous, current))
+    assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
+
+
+def test_event_named_like_the_joined_member_gives_the_product_firings():
+    """Rule 1 of level-dense reads ``l.room`` as an attribute in one call
+    and as a path in the other.  A light that carries an event ``room``
+    (an unchecked store) makes the two reads differ, so the body's join
+    must fall back to the product: ``(l1, m2)`` fires through the second
+    call alone."""
+    checked = _join_rule(
+        "when event detected from m:MotionDetector value = true "
+        "trigger action switch(true) on l:Light with room = m.room "
+        "|| action ack(true) on m with room = l.room end"
+    )
+    previous = checked.initial_store
+    current = {**previous, "l1": Entity("Light", {"room": 1}, {"room": 2, "switch": UNDEF})}
+    for entity_id in ("m1", "m2"):
+        current = with_event(current, entity_id, "detected", True)
+    for mode in TriggerMode:
+        _, fired = _both_evaluators(checked, DualStore(previous, current), mode)
+        assert [f.binding for f in fired] == [
+            {"l": "l1", "m": "m1"},
+            {"l": "l1", "m": "m2"},
+            {"l": "l2", "m": "m2"},
+        ]
+
+
+def test_parallel_calls_linking_different_pairs_fall_back_to_the_product():
+    """``l`` is linked to ``m`` and ``f`` to ``m``: no one equality holds
+    for every call, so every binding where either call fires is kept."""
+    checked = _join_rule(
+        "when event detected from m:MotionDetector value = true "
+        "trigger action switch(true) on l:Light with room = m.room "
+        "|| action setSpeed(1) on f:Fan with room = m.room end"
+    )
+    previous = checked.initial_store
+    current = with_event(previous, "m1", "detected", True)
+    _, fired = _both_evaluators(checked, DualStore(previous, current))
+    assert [f.binding for f in fired] == [
+        {"f": "f1", "l": "l1", "m": "m1"},
+        {"f": "f1", "l": "l2", "m": "m1"},
+        {"f": "f2", "l": "l1", "m": "m1"},
     ]

@@ -11,7 +11,8 @@ candidate pools and their order are under test too.  Conflicts are recorded rath
 whose rules interfere is compared by its printed ``conflict`` line.
 
 The rules cover bare-name atoms, ``or`` conditions, conditions and
-filters that read a second variable, ``value changed``, and conditions
+filters that read a second variable, bodies whose every call links the
+same two variables (``||`` and ``,``), ``value changed``, and conditions
 on implicit events, which the reset clears one tick after they are set.
 """
 
@@ -78,6 +79,12 @@ RULES = {
     "trigger action ack(true) on m , action switch(false) on l:Light with room = m.room end",
     "ack": "when event ack from m:Motion value = true "
     "trigger action switch({b}) on l:Light with room = m.room end",
+    "linked-par": "when event detected from m:Motion value = {b} "
+    "trigger action switch({b}) on l:Light with room = m.room "
+    "|| action ack({b}) on m with room = l.room end",
+    "linked-seq": "when event level from m:Motion value changed "
+    "trigger action switch(true) on l:Light with room = m.room , "
+    "action ack(true) on m with room = l.room end",
 }
 
 
