@@ -5,7 +5,7 @@ rather than mutating.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
 is fixed only where it can be observed: :func:`instantiate` enumerates
-bindings lexicographically (pool tests and hash lookups on equalities
+bindings lexicographically (pool tests and a hash lookup on an equality
 between two variables, given by the rule evaluator, keep bindings from
 being built, and the survivors keep that order), :func:`store_join`
 reports the least conflict, and the serializer sorts what it prints.
@@ -15,7 +15,7 @@ Nothing here iterates a set, so no result depends on the string hash seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .ast import TypeTag
 
@@ -289,7 +289,7 @@ def instantiate(
     store: Store,
     rho: EnvEntity,
     admits: Mapping[str, Callable[[str], bool]] | None = None,
-    joins: Sequence[Join] = (),
+    join: Join | None = None,
 ) -> list[EnvEntity]:
     """Expand interface-bound variables over every matching entity.
 
@@ -301,16 +301,18 @@ def instantiate(
 
     ``admits`` optionally maps a variable to a test on entity ids: that
     variable's pool then keeps only the entities the test admits, before
-    the product is built.  ``joins`` optionally lists equalities between
-    two open variables (:data:`Join`): variables are bound in name order,
-    and the later variable of a join takes its candidates from a bucket of
-    its pool keyed by the value its partner reads, so the bindings whose
-    two sides differ (or read UNDEF) are never built.  A variable later
-    in several joins is looked up through the first; the others drop
-    nothing.  Filtering drops whole bindings and keeps the survivors in
-    the order above, so the result is a subsequence of the unfiltered one.
+    the product is built.  ``join`` is an optional equality between two
+    distinct open variables (:data:`Join`; anything else is a
+    ``ValueError``): variables are bound in name order, and the later of
+    the two takes its candidates from a bucket of its pool keyed by the
+    value its partner reads, so the bindings whose two sides differ (or
+    read UNDEF) are never built.  Filtering drops whole bindings and keeps
+    the survivors in the order above, so the result is a subsequence of
+    the unfiltered one.
     """
     open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
+    if join is not None and (join[0] == join[2] or not {join[0], join[2]} <= set(open_vars)):
+        raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
     members: dict[str, list[str]] = {rho[var].name: [] for var in open_vars}
     for entity_id, entity in store.items():
         pool = members.get(entity.interface_id)
@@ -325,26 +327,22 @@ def instantiate(
         if not matches:
             return []
         pools[var] = [InstanceRef(entity_id) for entity_id in matches]
-    position = {var: i for i, var in enumerate(open_vars)}
-    # per looked-up variable: its partner's position, the partner's keys
-    # by entity id, and its own pool bucketed by key
-    lookups: dict[str, tuple[int, dict[str, object], dict[object, list[InstanceRef]]]] = {}
-    for x, read_x, y, read_y in joins:
-        if position[x] < position[y]:
+    looked_up = None
+    if join is not None:
+        # the later variable ``x`` is looked up by the value its partner reads
+        x, read_x, y, read_y = join
+        if x < y:
             x, read_x, y, read_y = y, read_y, x, read_x
-        if x in lookups:
-            continue
+        looked_up, at = x, open_vars.index(y)
         buckets: dict[object, list[InstanceRef]] = {}
         for ref in pools[x]:
             key = _join_key(read_x(ref.name))
             if key is not None:
                 buckets.setdefault(key, []).append(ref)
         partner_keys = {ref.name: _join_key(read_y(ref.name)) for ref in pools[y]}
-        lookups[x] = (position[y], partner_keys, buckets)
     rows: list[tuple[InstanceRef, ...]] = [()]
     for var in open_vars:
-        if var in lookups:
-            at, partner_keys, buckets = lookups[var]
+        if var == looked_up:
             rows = [
                 row + (ref,)
                 for row in rows

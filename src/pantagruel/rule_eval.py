@@ -16,24 +16,21 @@ between ticks):
   One reading no open variable is tested once, and if false the rule has
   no binding; one reading variable ``v`` keeps in ``v``'s pool only the
   entities it holds for.
-* A conjunct atom whose filter ``with a = y.b`` links its declared
-  variable ``x`` to another open variable ``y`` is an equality between
-  them, read from the previous store: ``x``'s attribute ``a`` against
-  ``y.b`` read as a path (event first, then attribute).
 * When every call of the body has a filter linking the same two open
   variables through the same member of each (bare names count, as in
-  ``action ack(true) on m with room = l.room``), that is an equality too,
-  read from the current store.  A side read as an attribute by one call
-  and as a path by another is used only if no entity of its interface
-  carries an event of that name, so that both reads agree.
+  ``action ack(true) on m with room = l.room``), that is an equality
+  between them, read from the current store.  A side read as an attribute
+  by one call and as a path (event first, then attribute) by another is
+  used only if no entity of its interface carries an event of that name,
+  so that both reads agree.
 
-:func:`~pantagruel.domains.instantiate` turns each equality into a hash
+:func:`~pantagruel.domains.instantiate` turns the equality into a hash
 lookup keyed by ``(type, value)``, UNDEF joining nothing, exactly as
 :func:`value_eq` compares.  Only the conjuncts not tested on pools (``or``
-terms and atoms reading two open variables) are left to :func:`holds` on
-whole bindings, and none if there are none; :func:`action_effects` runs on
-every binding built.  This is exact: a binding never built fails a pushed
-conjunct, or a linked condition atom's filter, or every call's filter (so
+terms and atoms reading two open variables, whatever their filters) are
+left to :func:`holds` on whole bindings, and none if there are none;
+:func:`action_effects` runs on every binding built.  This is exact: a
+binding never built fails a pushed conjunct, or every call's filter (so
 each call returns its seed), and would have produced no partial store and
 no :class:`FiredRule`; the survivors keep their enumeration order, so the
 fired list, the fold of partial stores and any reported conflict are those
@@ -379,13 +376,13 @@ class _Plan:
     closed: list[EventAtom]  # conjuncts reading no open variable: tested once
     by_var: dict[str, list[EventAtom]]  # conjuncts reading one: pool tests
     rest: list[EventExpr]  # the other conjuncts: tested on whole bindings
-    joins: list[Join]  # equalities between two open variables
+    join: Join | None  # the body's equality between two open variables
 
 
 def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore) -> _Plan:
     condition = rule.condition
     conjuncts = operands(condition) if isinstance(condition, EventAnd) else [condition]
-    plan = _Plan([], {}, [], [])
+    plan = _Plan([], {}, [], _body_join(rule.body, rho, dual.current))
     for atom in conjuncts:
         if not isinstance(atom, EventAtom):
             plan.rest.append(atom)
@@ -397,17 +394,6 @@ def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore) -> _Plan:
             plan.by_var.setdefault(reads[0], []).append(atom)
         else:
             plan.rest.append(atom)
-            link = _link(atom.decl, atom.filter, rho)
-            if link is not None:
-                x, attribute, y, member = link
-                # event filters read the previous store
-                plan.joins.append((
-                    x, functools.partial(access_attribute, attribute, store=dual.previous),
-                    y, functools.partial(_path_value, member=member, store=dual.previous),
-                ))
-    body_join = _body_join(rule.body, rho, dual.current)
-    if body_join is not None:
-        plan.joins.append(body_join)
     return plan
 
 
@@ -449,7 +435,7 @@ def eval_rule(
     }
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(current, rho, admits, plan.joins):
+    for scope in instantiate(current, rho, admits, plan.join):
         if not all(holds(conjunct, dual, scope, mode) for conjunct in plan.rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})

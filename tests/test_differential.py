@@ -14,6 +14,15 @@ operator trees take any shape: ``or`` under ``and``, right-nested chains,
 ``||`` over ``,`` and the reverse.  The stores cover the sharp corners:
 bare names missing from either store, entities present on one side only,
 and filters that read the previous store.
+
+Each generator also runs linked, with a seed of its own and 1000 more
+cases, where bodies whose every call links the same two variables (the
+body index of ``eval_rule``) are common.  Linked random programs also
+mix ``0`` and ``1`` with ``false`` and ``true`` and carry each member
+as an event on some entities only; linked shapes also link condition
+atoms to a second variable and give some entities an event named like
+the joined attribute.  Either way a path reads the event on some
+candidates and the attribute on others.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from pantagruel.ast import (
     ActionCall,
     ActionPar,
     ActionSeq,
+    Aggregate,
     BoolLit,
     DeclBare,
     DeclTyped,
@@ -56,6 +66,8 @@ from test_parser import _random_ast
 
 SEED_RANDOM_PROGRAMS = 20_106
 SEED_SHAPES = 20_107
+SEED_LINKED_PROGRAMS = 20_109
+SEED_LINKED_SHAPES = 20_110
 CASES = 1000
 
 
@@ -112,26 +124,31 @@ def _literals(node):
             yield from _literals(item)
 
 
-def _typed_vars(node):
+def _typed_decls(node):
     if isinstance(node, DeclTyped):
-        yield node.var
+        yield node
     elif dataclasses.is_dataclass(node):
         for field in dataclasses.fields(node):
-            yield from _typed_vars(getattr(node, field.name))
+            yield from _typed_decls(getattr(node, field.name))
     elif isinstance(node, tuple):
         for item in node:
-            yield from _typed_vars(item)
+            yield from _typed_decls(item)
 
 
-def _linked(rng, rule):
+def _linked(rng, rule, env):
     """``rule`` with every call of its body on one of two of its typed
     variables and filtered by the other, so that the body's equality
     index applies; now and then a call reads another member, so that it
-    does not."""
-    names = sorted(set(_typed_vars(rule)))
-    if len(names) < 2:
+    does not.  A call names an action of its variable's interface where
+    there is one, so that it can fire, and the condition's aggregates are
+    unwrapped, since a rule with one is refused before any binding is
+    built."""
+    interfaces = {}
+    for decl in _typed_decls(rule):
+        interfaces.setdefault(decl.var, decl.interface)
+    if len(interfaces) < 2:
         return rule
-    pair = rng.sample(names, 2)
+    pair = rng.sample(sorted(interfaces), 2)
     member = {var: f"mem{rng.randint(0, 5)}" for var in pair}
 
     def relink(node):
@@ -141,49 +158,88 @@ def _linked(rng, rule):
         decl = node.decl
         if not (isinstance(decl, DeclTyped) and decl.var == target):
             decl = DeclBare(target)
+        actions = sorted(env[interfaces[target]].actions) if interfaces[target] in env else []
+        action = rng.choice(actions) if actions else node.action
         read = member[other] if rng.random() < 0.9 else f"mem{rng.randint(0, 5)}"
-        return dataclasses.replace(node, decl=decl, filter=Filter(member[target], Path(other, read)))
+        return dataclasses.replace(
+            node, action=action, decl=decl, filter=Filter(member[target], Path(other, read))
+        )
 
-    return dataclasses.replace(rule, body=relink(rule.body))
+    def unwrap(node):
+        if isinstance(node, Aggregate):
+            return node.inner
+        if isinstance(node, (EventAnd, EventOr)):
+            return type(node)(unwrap(node.left), unwrap(node.right))
+        return node
+
+    return dataclasses.replace(rule, condition=unwrap(rule.condition), body=relink(rule.body))
 
 
-def test_direct_evaluator_matches_closure_oracle_on_random_programs():
-    """Programs from ``_random_ast``, whether or not they check clean: the
-    generator's rules almost never do (undeclared variables, members the
-    interface lacks), and both evaluators are total on unchecked rules.
-    Half the rules have their bodies relinked (:func:`_linked`)."""
-    rng = random.Random(SEED_RANDOM_PROGRAMS)
+def _random_program_suite(seed, linked):
+    """The tally of 1000 cases of programs from ``_random_ast``.  Linked,
+    every rule is relinked (:func:`_linked`), each entity carries each
+    member as an event with probability 0.7 rather than always, bare names
+    are deployed more often, and the values include ``0`` and ``1``."""
+    rng = random.Random(seed)
     tally = {"fired": 0, "conflict": 0}
     cases = 0
+    # every entity carries every member name the generator uses, so that
+    # atoms and filters find values whatever they name; a bare name the
+    # specification does not declare is deployed now and then
+    members = dict.fromkeys(f"mem{k}" for k in range(6))
+
+    def skeleton(interface_id):
+        if not linked:
+            return Entity(interface_id, members, members)
+        return Entity(interface_id, members, {k: None for k in members if rng.random() < 0.7})
+
     while cases < CASES:
         program = _random_ast(rng)
         if not program.rules:
             continue
         cases += 1
         env, store, _ = eval_specification(program.spec)
-        rules = tuple(_linked(rng, rule) if rng.random() < 0.5 else rule for rule in program.rules)
-        # every entity carries every member name the generator uses as an
-        # attribute, so that atoms and filters find values whatever they
-        # name, and most as events too, so that a path reads the event on
-        # some entities and the attribute on others; a bare name the
-        # specification does not declare is deployed now and then
-        members = dict.fromkeys(f"mem{k}" for k in range(6))
-
-        def skeleton(interface_id):
-            return Entity(interface_id, members, {k: None for k in members if rng.random() < 0.7})
-
+        rules = tuple(_linked(rng, rule, env) for rule in program.rules) if linked else program.rules
         universe = {entity_id: skeleton(entity.interface_id) for entity_id, entity in store.items()}
         for name in ("e0", "e1", "e2", "e3"):
-            if name not in universe and env and rng.random() < 0.3:
+            if name not in universe and env and rng.random() < (0.9 if linked else 0.3):
                 universe[name] = skeleton(rng.choice(sorted(env)))
         # 0 and 1 equal False and True in Python, not in the language
-        pool = [UNDEF, True, False, *sorted(set(_literals(program)) | {0, 1})]
+        literals = set(_literals(program)) | ({0, 1} if linked else set())
+        pool = [UNDEF, True, False, *sorted(literals)]
         _compare(env, rules, _random_dual(rng, universe, pool), tally)
+    return tally
+
+
+def test_direct_evaluator_matches_closure_oracle_on_random_programs():
+    """Programs from ``_random_ast``, whether or not they check clean: the
+    generator's rules almost never do (undeclared variables, members the
+    interface lacks), and both evaluators are total on unchecked rules."""
+    tally = _random_program_suite(SEED_RANDOM_PROGRAMS, linked=False)
     assert tally["fired"] > 0 and tally["conflict"] > 0, tally
     print(f"closure oracle, random programs ({CASES} cases, seed {SEED_RANDOM_PROGRAMS}): {tally}")
 
 
+def test_direct_evaluator_matches_closure_oracle_on_linked_random_programs():
+    tally = _random_program_suite(SEED_LINKED_PROGRAMS, linked=True)
+    assert tally["fired"] > 0 and tally["conflict"] > 0, tally
+    print(f"closure oracle, linked random programs ({CASES} cases, seed {SEED_LINKED_PROGRAMS}): {tally}")
+
+
 SHAPES_SPEC = """\
+interface S { attribute room : Integer event e : Boolean event n : Integer
+              action a ( Integer ) action b ( Boolean ) }
+interface T { attribute room : Integer action a ( Integer ) }
+s1:S { room : 1 }
+s2:S { room : 2 }
+t1:T { room : 1 }
+t2:T { room : 2 }
+rules end
+"""
+
+# ``SHAPES_SPEC`` with a second attribute, so that a linked call can read
+# a member other than the one the rest of the body joins on
+LINKED_SHAPES_SPEC = """\
 interface S { attribute room : Integer attribute floor : Integer
               event e : Boolean event n : Integer
               action a ( Integer ) action b ( Boolean ) }
@@ -199,10 +255,16 @@ rules end
 class _ShapeGenerator:
     """Well-typed rules over ``SHAPES_SPEC`` with operator trees of any
     shape.  Variables ``v*`` range over S and ``w*`` over T; a path reads
-    only variables declared to its left, so every rule checks clean."""
+    only variables declared to its left, so every rule checks clean.
 
-    def __init__(self, rng):
+    Linked (over ``LINKED_SHAPES_SPEC``), an atom's filter is often a link
+    from its variable to another declared one by their rooms, and half the
+    bodies link one condition variable to one other variable in every
+    call (:meth:`linked_call`)."""
+
+    def __init__(self, rng, linked=False):
         self.rng = rng
+        self.linked = linked
         self.declared = []
         self.link = None
 
@@ -210,10 +272,8 @@ class _ShapeGenerator:
         rng = self.rng
         self.declared = []
         condition = self.tree(self.atom, EventAnd, EventOr, rng.randint(0, 4))
-        # half the bodies link one condition variable to one other variable
-        # in every call, so that the body's equality index applies
         self.link = None
-        if self.declared and rng.random() < 0.5:
+        if self.linked and self.declared and rng.random() < 0.5:
             first = rng.choice(self.declared)
             self.link = (first, rng.choice([v for v in ("v0", "v1", "w0", "w1") if v != first]))
         body = self.tree(self.call, ActionSeq, ActionPar, rng.randint(0, 4))
@@ -242,14 +302,18 @@ class _ShapeGenerator:
     def filt(self):
         return Filter("room", self.room()) if self.rng.random() < 0.5 else None
 
+    def atom_filter(self, decl):
+        """:meth:`filt`, or, linked, as often a link from the atom's
+        variable to another declared variable by their rooms."""
+        others = [v for v in self.declared if v != getattr(decl, "var", None)]
+        if self.linked and others and self.rng.random() < 0.4:
+            return Filter("room", Path(self.rng.choice(others), "room"))
+        return self.filt()
+
     def atom(self):
         rng = self.rng
         decl = self.decl("v", ["s1", "s2", "ghost"])
-        filt = self.filt()
-        # often link the atom's variable to another one by their rooms
-        others = [v for v in self.declared if v != getattr(decl, "var", None)]
-        if others and rng.random() < 0.4:
-            filt = Filter("room", Path(rng.choice(others), "room"))
+        filt = self.atom_filter(decl)
         if rng.random() < 0.3:
             return EventAtom(rng.choice(["e", "n"]), decl, filt, ValueChanged())
         if rng.random() < 0.5:
@@ -289,25 +353,40 @@ class _ShapeGenerator:
         return ActionCall("a", self.room(), decl, filt)
 
 
-def test_direct_evaluator_matches_closure_oracle_on_any_shape():
-    spec_ast = parse_program(SHAPES_SPEC)
+def _shape_suite(spec, seed, linked):
+    """The tally of 1000 cases of :class:`_ShapeGenerator` rules.  Linked,
+    each entity of a case also carries an event named ``room`` (which no
+    checked program declares) with probability 0.2, so a path reads it
+    there."""
+    spec_ast = parse_program(spec)
     checked = check_program(spec_ast)
     env = checked.env
     skeletons = {**checked.initial_store, "ghost": checked.initial_store["s1"]}
     pool = [UNDEF, True, False, 1, 2]
-    rng = random.Random(SEED_SHAPES)
-    generator = _ShapeGenerator(rng)
+    rng = random.Random(seed)
+    generator = _ShapeGenerator(rng, linked)
     tally = {"fired": 0, "conflict": 0}
     for _ in range(CASES):
         rules = tuple(generator.rule() for _ in range(rng.randint(1, 3)))
         assert check_program(dataclasses.replace(spec_ast, rules=rules)).ok, rules
-        # now and then an entity also carries an event named ``room``
-        # (which no checked program declares), so a path reads it there
-        universe = {
-            entity_id: dataclasses.replace(entity, events={**entity.events, "room": None})
-            if rng.random() < 0.2 else entity
-            for entity_id, entity in skeletons.items()
-        }
+        universe = skeletons
+        if linked:
+            universe = {
+                entity_id: dataclasses.replace(entity, events={**entity.events, "room": None})
+                if rng.random() < 0.2 else entity
+                for entity_id, entity in skeletons.items()
+            }
         _compare(env, rules, _random_dual(rng, universe, pool), tally)
+    return tally
+
+
+def test_direct_evaluator_matches_closure_oracle_on_any_shape():
+    tally = _shape_suite(SHAPES_SPEC, SEED_SHAPES, linked=False)
     assert tally["fired"] > 0 and tally["conflict"] > 0, tally
     print(f"closure oracle, any shape ({CASES} cases, seed {SEED_SHAPES}): {tally}")
+
+
+def test_direct_evaluator_matches_closure_oracle_on_linked_shapes():
+    tally = _shape_suite(LINKED_SHAPES_SPEC, SEED_LINKED_SHAPES, linked=True)
+    assert tally["fired"] > 0 and tally["conflict"] > 0, tally
+    print(f"closure oracle, linked shapes ({CASES} cases, seed {SEED_LINKED_SHAPES}): {tally}")

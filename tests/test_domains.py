@@ -421,14 +421,14 @@ def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
             store[f"{side}{name}"] = _entity(side.upper(), {"room": room})
         store[f"{side}none"] = _entity(side.upper())
     rho = {"x": InterfaceRef("A"), "y": InterfaceRef("B")}
-    got = instantiate(store, rho, joins=[("x", _room(store), "y", _room(store))])
+    got = instantiate(store, rho, join=("x", _room(store), "y", _room(store)))
     assert [(env["x"].name, env["y"].name) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
 
 
 def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
-    """Joins between two of three variables, given with either variable
-    first, drop exactly the bindings whose two reads differ by
-    ``value_eq`` and keep the rest in product order, whether the variable
+    """A join between two of three variables, given with either variable
+    first, drops exactly the bindings whose two reads differ by
+    ``value_eq`` and keeps the rest in product order, whether the variable
     looked up sorts before or after the other and with pool tests too."""
     rng = random.Random(14)
     values = [UNDEF, True, False, 0, 1, 2]
@@ -443,7 +443,7 @@ def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
         rho = {v: InterfaceRef(rng.choice("AB")) for v in ("a", "b", "c")}
         read = _room(store)
         x, y = rng.sample(sorted(rho), 2)
-        joins = [(x, read, y, read)]
+        join = (x, read, y, read)
         kept = {entity_id for entity_id in store if rng.random() < 0.7}
         admits = {"b": kept.__contains__} if rng.random() < 0.5 else None
         want = [
@@ -452,4 +452,13 @@ def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
             if value_eq(read(env[x].name), read(env[y].name))
             and (admits is None or env["b"].name in kept)
         ]
-        assert instantiate(store, rho, admits, joins) == want
+        assert instantiate(store, rho, admits, join) == want
+
+
+def test_instantiate_join_must_link_two_distinct_open_variables():
+    store = {"a1": _entity("A", {"room": 1})}
+    rho = {"x": InterfaceRef("A"), "y": InterfaceRef("A"), "z": InstanceRef("a1")}
+    read = _room(store)
+    for x, y in (("x", "x"), ("x", "z"), ("x", "w")):
+        with pytest.raises(ValueError):
+            instantiate(store, rho, join=(x, read, y, read))

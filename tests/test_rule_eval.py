@@ -579,27 +579,6 @@ def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
     ]
 
 
-def test_condition_filter_between_two_variables_is_a_lookup(monkeypatch):
-    """``event detected from m:MotionDetector with room = l.room`` joins
-    ``m`` to ``l`` through the previous store: with two lights switching
-    on, the rule builds and tests the two bindings with ``m7``, not
-    lights × detectors (400)."""
-    rule = (
-        "(5) when event switch from l:Light value = true\n"
-        "      and event detected from m:MotionDetector with room = l.room value = true\n"
-        "    trigger action switch(false) on l end\n"
-    )
-    checked = _rooms_program(200, rule)
-    previous = checked.initial_store
-    current = previous
-    for entity_id, event in (("la7", "switch"), ("lb7", "switch"), ("m7", "detected")):
-        current = with_event(current, entity_id, event, True)
-    calls = _count_bindings(monkeypatch)
-    _, fired = eval_rule(checked.env, checked.rules[0], DualStore(previous, current), EDGE)
-    assert calls == {"built": 2, "tested": 2, "acted": 2}
-    assert [f.binding for f in fired] == [{"l": "la7", "m": "m7"}, {"l": "lb7", "m": "m7"}]
-
-
 JOIN_SPEC = """\
 interface MotionDetector { attribute room : Integer event detected : Boolean action ack ( Boolean ) }
 interface Light { attribute room : Integer action switch ( Boolean ) }
@@ -626,29 +605,6 @@ def _both_evaluators(checked, dual, mode=EDGE):
     got = eval_rule(checked.env, rule, dual, mode)
     assert got == closure_eval.eval_rule(checked.env, rule, dual, mode)
     return got
-
-
-def test_condition_filter_skips_entities_deployed_this_tick():
-    """A condition filter reads the previous store, where an entity
-    deployed this tick is absent, so its room reads UNDEF and joins
-    nothing, on either side of the join; ``l1`` moved to room 2 this
-    tick, but the filter still sees it in room 1."""
-    checked = _join_rule(
-        "when event detected from m:MotionDetector value = true "
-        "and event switch from l:Light with room = m.room value = true "
-        "trigger action ack(true) on m end"
-    )
-    previous = checked.initial_store
-    current = {
-        **previous,
-        "l1new": Entity("Light", {"room": 1}, {"switch": True}),
-        "m1new": Entity("MotionDetector", {"room": 1}, {"detected": True}),
-    }
-    for entity_id, event in (("l1", "switch"), ("m1", "detected")):
-        current = with_event(current, entity_id, event, True)
-    current["l1"] = update_member(current, "l1", attributes={"room": 2})
-    _, fired = _both_evaluators(checked, DualStore(previous, current))
-    assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
 
 
 def test_event_named_like_the_joined_member_gives_the_product_firings():
