@@ -164,7 +164,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
     interactive = sys.stdin.isatty()
     if args.emit_initial:
         sys.stdout.write(serialize_tick(TickRecord(0, (), (), state.current), args.format))
-    while True:
+    while args.max_ticks is None or state.tick < args.max_ticks:
         if interactive:
             print("> ", end="", file=sys.stderr, flush=True)
         try:
@@ -209,12 +209,18 @@ def cmd_repl(args: argparse.Namespace) -> int:
             return EXIT_CONFLICT
         pending = []
         sys.stdout.write(serialize_tick(record, args.format))
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.command == "check":
         return cmd_check(args)
+    if args.max_ticks is not None and args.max_ticks < 0:
+        print(
+            f"error: --max-ticks must be 0 or more, got {args.max_ticks}", file=sys.stderr
+        )
+        return EXIT_ERRORS
     if args.command == "run":
         return cmd_run(args)
     return cmd_repl(args)

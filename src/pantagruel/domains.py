@@ -93,7 +93,12 @@ EnvInterface = dict[str, Interface]
 @dataclass(frozen=True)
 class Entity:
     """A named runtime object: its interface, attribute values, and event
-    values.  Action-named keys in ``events`` are the implicit events."""
+    values.  Action-named keys in ``events`` are the implicit events.
+
+    Never changed in place, member maps included: an update builds a new
+    entity, and a store passes every entity it does not touch on as the
+    same object.  The serializer relies on this to reuse the rendering of
+    an entity object it has rendered before."""
 
     interface_id: str
     attributes: dict[str, Value]
@@ -101,10 +106,6 @@ class Entity:
 
 
 Store = dict[str, Entity]
-
-
-def new_store() -> Store:
-    return {}
 
 
 # ── Errors ───────────────────────────────────────────────────────

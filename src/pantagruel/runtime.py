@@ -265,6 +265,8 @@ def run_trace(
     """
     if not program.ok:
         raise ValueError("program has check errors; refusing to run")
+    if max_ticks is not None and max_ticks < 0:
+        raise ValueError(f"max_ticks must be 0 or more, got {max_ticks}")
     ticks = script if max_ticks is None else script[:max_ticks]
     state = initial_state(program.initial_store)
     records: list[TickRecord] = []

@@ -194,6 +194,20 @@ def test_run_max_ticks(files, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_negative_max_ticks_is_an_error(files, capsys, monkeypatch, command):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("b.evs", GOLDEN_SCRIPT)
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_SCRIPT))
+    argv = [command, program, "--max-ticks", "-1"]
+    if command == "run":
+        argv += ["--script", script]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-ticks must be 0 or more, got -1\n"
+
+
 def test_run_comments_only_script_is_empty_trace(files, capsys):
     program = files("b.ptg", BUILDING_RUNNABLE)
     script = files("empty.evs", "# nothing here\n")
@@ -428,6 +442,21 @@ def test_repl_emit_initial(files, capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["tick"] == 0
+
+
+@pytest.mark.parametrize("max_ticks", [0, 1, 3])
+def test_repl_stops_after_max_ticks(files, capsys, monkeypatch, max_ticks):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("b.evs", GOLDEN_SCRIPT)
+    argv = ["--format", "jsonl", "--max-ticks", str(max_ticks)]
+    assert main(["run", program, "--script", script, *argv]) == 0
+    scripted = capsys.readouterr().out
+    code, out, _ = _repl(monkeypatch, capsys, ["repl", program, *argv], GOLDEN_SCRIPT)
+    assert code == 0
+    assert [json.loads(line)["tick"] for line in out.splitlines()] == list(
+        range(1, max_ticks + 1)
+    )
+    assert out == scripted
 
 
 def test_repl_conflict_strict_exits_3(files, capsys, monkeypatch):

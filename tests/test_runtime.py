@@ -156,6 +156,27 @@ def test_apply_internal_rebuilds_only_reset_or_affected_entities(building):
         assert out[entity_id] is sigma[entity_id]
 
 
+def test_apply_external_passes_untouched_entities_on_as_the_same_objects(building):
+    store = building.initial_store
+    changes = [
+        EventUpdate("m10", "detected", True),
+        AttributeUpdate("fan20", "room", 202),
+        Deploy(parse_entity_decl("l30 : Light { room : 301 }")),
+        Remove("l20"),
+    ]
+    out = apply_external(changes, store, building.env)
+    assert out["m10"].events["detected"] is True
+    assert out["fan20"].attributes["room"] == 202
+    assert out["l30"].attributes["room"] == 301
+    assert "l20" not in out
+    touched = {"m10", "fan20", "l30", "l20"}
+    untouched = [k for k in store if k not in touched]
+    assert untouched == ["m20", "l10", "l11", "fan10", "thermo"]
+    for entity_id in untouched:
+        assert out[entity_id] is store[entity_id]
+    assert out["m10"] is not store["m10"] and out["fan20"] is not store["fan20"]
+
+
 def test_sensor_events_survive_the_reset(building):
     sigma = with_event(building.initial_store, "m10", "detected", True)
     out = apply_internal(building.env, {}, sigma)
@@ -313,6 +334,13 @@ def test_conflict_relaxed_records_and_drops_effects():
     assert record.conflict is not None and "l10.switch" in record.conflict
     assert record.fired == ()
     assert all(v is UNDEF for e in record.snapshot.values() for v in [e.events.get("switch")] if "switch" in e.events)
+
+
+def test_run_trace_refuses_a_negative_max_ticks(building):
+    script = [[EventUpdate("m10", "detected", True)], []]
+    assert len(run_trace(building, script, max_ticks=0)) == 0
+    with pytest.raises(ValueError, match="max_ticks"):
+        run_trace(building, script, max_ticks=-1)
 
 
 def test_run_refuses_unchecked_program():

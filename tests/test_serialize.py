@@ -5,15 +5,24 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
+
 from pantagruel import (
     UNDEF,
+    AttributeUpdate,
+    Deploy,
     Entity,
     EventUpdate,
+    FiredRule,
+    Remove,
     TickRecord,
     TriggerMode,
     run_trace,
     serialize_tick,
 )
+from pantagruel import serialize
+from pantagruel.ast import BoolLit, EntityDecl, InitDecl, NumLit
+from pantagruel.formatter import format_value
 from pantagruel.serialize import store_text
 
 
@@ -113,3 +122,198 @@ def test_serialization_separates_distinct_snapshots():
             if rendered in seen:
                 assert seen[rendered] == snap
             seen[rendered] = snap
+
+
+# ── Fragment memo ────────────────────────────────────────────────
+
+
+def _json_value(value):
+    return None if value is UNDEF else value
+
+
+def _payload(record):
+    """The jsonl payload as one dict, the way the trace was first defined."""
+    changes = []
+    for c in record.changes:
+        if isinstance(c, EventUpdate):
+            changes.append({"kind": "event", "entity": c.entity, "member": c.event,
+                            "value": _json_value(c.value)})
+        elif isinstance(c, AttributeUpdate):
+            changes.append({"kind": "attr", "entity": c.entity, "member": c.attribute,
+                            "value": _json_value(c.value)})
+        elif isinstance(c, Remove):
+            changes.append({"kind": "remove", "entity": c.entity})
+        else:
+            changes.append({"kind": "deploy", "entity": c.decl.name,
+                            "interface": c.decl.interface,
+                            "inits": {i.attribute: i.value.value for i in c.decl.inits}})
+    return {
+        "tick": record.tick,
+        "changes": changes,
+        "fired": [{"rule": f.label, "binding": f.binding} for f in record.fired],
+        "conflict": record.conflict,
+        "entities": {
+            entity_id: {
+                "interface": e.interface_id,
+                "attributes": {k: _json_value(v) for k, v in e.attributes.items()},
+                "events": {k: _json_value(v) for k, v in e.events.items()},
+            }
+            for entity_id, e in record.snapshot.items()
+        },
+    }
+
+
+NAMES = ["a", "b", "zz", "m10", "l_2", 'q"x', "é", "a\\b", "\u2603"]
+VALUES = [0, 1, 7, 4_000_000_000, True, False, UNDEF]
+CONFLICTS = [
+    None,
+    None,
+    "conflicting values for l10.switch: True vs False",
+    'conflicting values for "q".k: 1 vs 2',
+    "conflit sur é.☃: 1 vs undef",
+    "",
+]
+
+
+def _random_members(rng):
+    return {rng.choice(NAMES): rng.choice(VALUES) for _ in range(rng.randint(0, 3))}
+
+
+def _random_record(rng, previous):
+    """A random record whose snapshot keeps some of ``previous``'s entity
+    objects, rebuilds others under the same id, drops and adds ids."""
+    snapshot = {}
+    for entity_id, entity in previous.items():
+        roll = rng.random()
+        if roll < 0.5:
+            snapshot[entity_id] = entity
+        elif roll < 0.8:
+            snapshot[entity_id] = Entity(
+                entity.interface_id, _random_members(rng), _random_members(rng)
+            )
+    for _ in range(rng.randint(0, 3)):
+        snapshot[rng.choice(NAMES)] = Entity(
+            rng.choice(["I", "Light", "Iface"]), _random_members(rng), _random_members(rng)
+        )
+    if rng.random() < 0.1:
+        snapshot = {}
+    changes = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(4)
+        entity_id = rng.choice(NAMES)
+        if kind == 0:
+            changes.append(EventUpdate(entity_id, rng.choice(NAMES), rng.choice(VALUES)))
+        elif kind == 1:
+            changes.append(AttributeUpdate(entity_id, rng.choice(NAMES), rng.choice(VALUES)))
+        elif kind == 2:
+            changes.append(Remove(entity_id))
+        else:
+            inits = tuple(
+                InitDecl(rng.choice(NAMES), rng.choice([NumLit(3), BoolLit(False)]))
+                for _ in range(rng.randint(0, 2))
+            )
+            changes.append(Deploy(EntityDecl(entity_id, rng.choice(NAMES), inits)))
+    fired = [
+        FiredRule(rng.randint(0, 12), {rng.choice(NAMES): rng.choice(NAMES)
+                                       for _ in range(rng.randint(0, 3))}, ())
+        for _ in range(rng.choice([0, 0, 1, 3]))
+    ]
+    return _record(
+        snapshot, rng.randint(0, 10**6), changes, fired, rng.choice(CONFLICTS)
+    )
+
+
+def test_jsonl_line_equals_the_sorted_compact_dump_of_the_payload():
+    rng = random.Random(20111)
+    snapshot = {}
+    for _ in range(300):
+        record = _random_record(rng, snapshot)
+        snapshot = record.snapshot
+        expected = json.dumps(_payload(record), sort_keys=True, separators=(",", ":"))
+        assert serialize_tick(record, "jsonl") == expected + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_an_entity_rebuilt_under_the_same_id_renders_fresh(fmt):
+    ids = [f"e{i:02}" for i in range(40)]
+    for value in range(100):
+        record = _record({i: Entity("I", {"k": value}, {"e": value % 2 == 0}) for i in ids})
+        lines = serialize_tick(record, fmt)
+        del record  # only the memo may still hold the entities
+        expected = f'"k":{value}' if fmt == "jsonl" else f"k={value} | "
+        assert lines.count(expected) == len(ids)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_a_removed_then_redeployed_id_renders_fresh_and_the_memo_follows_the_store(fmt):
+    b = Entity("I", {"k": 0}, {})
+    stores = [
+        {"a": Entity("I", {"k": 1}, {}), "b": b},
+        {"b": b},
+        {"a": Entity("I", {"k": 2}, {}), "b": b},
+        {},
+        {"a": Entity("I", {"k": 3}, {})},
+    ]
+    for store in stores:
+        line = serialize_tick(_record(store), fmt)
+        assert line == serialize_tick(_record(dict(store)), fmt)
+        assert set(serialize._memos[fmt]) == set(store)
+        if "a" in store:
+            k = store["a"].attributes["k"]
+            assert (f'"a":{{"attributes":{{"k":{k}}}' if fmt == "jsonl" else f"k={k} | ") in line
+
+
+def test_one_entity_object_under_two_ids_renders_each_id():
+    shared = Entity("I", {"k": 1}, {})
+    for fmt in ("jsonl", "text"):
+        serialize_tick(_record({"a": shared}), fmt)
+    line = serialize_tick(_record({"a": shared, "b": shared}), "jsonl")
+    assert line.count('{"attributes":{"k":1}') == 2
+    assert list(json.loads(line)["entities"]) == ["a", "b"]
+    text = serialize_tick(_record({"a": shared, "b": shared}), "text")
+    assert [row.split()[0] for row in text.splitlines()[-2:]] == ["a", "b"]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_interleaved_runs_render_as_each_does_alone(building, fmt):
+    first = [
+        [EventUpdate("m10", "detected", True)],
+        [EventUpdate("thermo", "temperature", 30)],
+        [EventUpdate("m10", "detected", False)],
+        [],
+    ]
+    second = [
+        [EventUpdate("m20", "detected", True), EventUpdate("thermo", "temperature", 31)],
+        [],
+        [EventUpdate("m10", "detected", True)],
+        [EventUpdate("thermo", "temperature", 29)],
+    ]
+    runs = [run_trace(building, script) for script in (first, second)]
+    alone = [[serialize_tick(r, fmt) for r in records] for records in runs]
+    together = [[], []]
+    for pair in zip(*runs):
+        for index, record in enumerate(pair):
+            together[index].append(serialize_tick(record, fmt))
+    assert together == alone
+    assert alone[0] != alone[1]
+    # and each tick shows its own store, as rendered without a memo
+    for records, rendered in zip(runs, alone):
+        for record, line in zip(records, rendered):
+            if fmt == "jsonl":
+                assert json.loads(line) == json.loads(json.dumps(_payload(record)))
+            else:
+                assert line.endswith(_state_rows(record.snapshot))
+
+
+def _state_rows(store):
+    """The text state block, rendered entity by entity without a memo."""
+    id_width = max(len(entity_id) for entity_id in store)
+    iface_width = max(len(e.interface_id) for e in store.values())
+    rows = []
+    for entity_id in sorted(store):
+        e = store[entity_id]
+        attrs = " ".join(f"{k}={format_value(v)}" for k, v in sorted(e.attributes.items()))
+        events = " ".join(f"{k}={format_value(v)}" for k, v in sorted(e.events.items()))
+        rows.append(f"  {entity_id:<{id_width}}  {e.interface_id:<{iface_width}}"
+                    f"  {attrs or '-'} | {events or '-'}\n")
+    return "".join(rows)
