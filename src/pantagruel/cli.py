@@ -1,26 +1,20 @@
 """Command-line front end: check programs, run scripted traces, or drive
 the interpreter interactively.
 
-Exit codes: 0 success, 1 parse/static/script errors, 2 I/O errors,
-3 effect conflict under strict mode.
+Exit codes: 0 success, 1 parse/static/script errors, 2 I/O errors (a
+closed stdout among them), 3 effect conflict under strict mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .domains import ConflictError
+from .domains import ConflictError, Store
 from .parser import ParseError, parse_program
 from .rule_eval import TriggerMode
-from .runtime import (
-    ExternalChange,
-    ExternalChangeError,
-    TickRecord,
-    initial_state,
-    run_trace,
-    step,
-)
+from .runtime import ExternalChange, ExternalChangeError, TickRecord, initial_state, run_trace, step
 from .script import ScriptError, TickMarker, parse_line, parse_script
 from .serialize import serialize_tick, store_text
 from .spec_eval import CheckedProgram, check_program
@@ -111,6 +105,21 @@ def _load_checked(path: str) -> CheckedProgram | int:
     return checked
 
 
+def _tick_failed(exc: ExternalChangeError | ConflictError) -> int:
+    """Report a tick that raised on stderr; return the exit code it calls for."""
+    if isinstance(exc, ConflictError):
+        print(f"conflict at tick {exc.tick}: {exc}", file=sys.stderr)
+        return EXIT_CONFLICT
+    for diag in exc.diagnostics:
+        print(f"tick {exc.tick}: {diag.message}", file=sys.stderr)
+    return EXIT_ERRORS
+
+
+def _emit_initial(args: argparse.Namespace, store: Store) -> None:
+    if args.emit_initial:
+        sys.stdout.write(serialize_tick(TickRecord(0, (), (), store), args.format))
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     result = _load_checked(args.program)
     if isinstance(result, int):
@@ -139,16 +148,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_ticks=args.max_ticks,
             strict_conflicts=not args.no_strict_conflicts,
         )
-    except ExternalChangeError as exc:
-        for diag in exc.diagnostics:
-            print(f"tick {exc.tick}: {diag.message}", file=sys.stderr)
-        return EXIT_ERRORS
-    except ConflictError as exc:
-        print(f"conflict at tick {exc.tick}: {exc}", file=sys.stderr)
-        return EXIT_CONFLICT
-    if args.emit_initial:
-        initial = TickRecord(0, (), (), checked.initial_store)
-        sys.stdout.write(serialize_tick(initial, args.format))
+    except (ExternalChangeError, ConflictError) as exc:
+        return _tick_failed(exc)
+    _emit_initial(args, checked.initial_store)
     for record in records:
         sys.stdout.write(serialize_tick(record, args.format))
     return EXIT_OK
@@ -162,8 +164,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
     state = initial_state(checked.initial_store)
     pending: list[ExternalChange] = []
     interactive = sys.stdin.isatty()
-    if args.emit_initial:
-        sys.stdout.write(serialize_tick(TickRecord(0, (), (), state.current), args.format))
+    _emit_initial(args, state.current)
     while args.max_ticks is None or state.tick < args.max_ticks:
         if interactive:
             print("> ", end="", file=sys.stderr, flush=True)
@@ -200,13 +201,11 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 strict_conflicts=not args.no_strict_conflicts,
             )
         except ExternalChangeError as exc:
-            for diag in exc.diagnostics:
-                print(f"tick {exc.tick}: {diag.message}", file=sys.stderr)
+            _tick_failed(exc)
             pending = []
             continue
         except ConflictError as exc:
-            print(f"conflict at tick {exc.tick}: {exc}", file=sys.stderr)
-            return EXIT_CONFLICT
+            return _tick_failed(exc)
         pending = []
         sys.stdout.write(serialize_tick(record, args.format))
     return EXIT_OK
@@ -221,9 +220,15 @@ def main(argv: list[str] | None = None) -> int:
             f"error: --max-ticks must be 0 or more, got {args.max_ticks}", file=sys.stderr
         )
         return EXIT_ERRORS
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_repl(args)
+    try:
+        code = cmd_run(args) if args.command == "run" else cmd_repl(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`pantagruel run ... | head`).  Point
+        # stdout at devnull so the flush at shutdown does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ class Diagnostic:
     message: str
     span: SourceSpan | None = None
 
-    def render(self, path: str = "<input>") -> str:
+    def render(self, path: str) -> str:
         span = self.span or SourceSpan(0, 0)
         return f"{path}:{span.line}:{span.column}: {self.severity.value}: {self.message}"
 

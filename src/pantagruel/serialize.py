@@ -95,6 +95,7 @@ def _text_fragment(entity_id: str, entity: Entity) -> str:
 
 
 _RENDER = {"jsonl": _jsonl_fragment, "text": _text_fragment}
+_INDENT = "  "
 
 # Per format: entity id -> (the Entity, the fragment rendered from it), for
 # the entities of the last store rendered in that format.
@@ -118,15 +119,15 @@ def _fragments(store: Store, fmt: str) -> dict[str, tuple[Entity, str]]:
     return fresh
 
 
-def store_text(store: Store, indent: str = "  ") -> str:
+def store_text(store: Store) -> str:
     """Aligned per-entity lines: id, interface, attributes | events."""
     fragments = _fragments(store, "text")
     if not fragments:
-        return f"{indent}(empty store)\n"
+        return f"{_INDENT}(empty store)\n"
     id_width = max(len(entity_id) for entity_id in store)
     iface_width = max(len(entity.interface_id) for entity in store.values())
     lines = [
-        f"{indent}{entity_id:<{id_width}}  {entity.interface_id:<{iface_width}}  {fragment}"
+        f"{_INDENT}{entity_id:<{id_width}}  {entity.interface_id:<{iface_width}}  {fragment}"
         for entity_id, (entity, fragment) in fragments.items()
     ]
     return "\n".join(lines) + "\n"

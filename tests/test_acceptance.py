@@ -25,23 +25,19 @@ from pantagruel import (
     UNDEF,
     ConflictError,
     DualStore,
-    Entity,
     EventUpdate,
-    InstanceRef,
-    InterfaceRef,
     TriggerMode,
     check_program,
     eval_rule,
     eval_rule_block,
     format_program,
-    instantiate,
     parse_program,
     run_trace,
     serialize_tick,
     store_join,
     store_join_all,
-    value_eq,
 )
+from pantagruel.domains import Entity, InstanceRef, InterfaceRef, instantiate, value_eq
 from pantagruel.cli import main
 from pantagruel.rule_eval import rule_environment
 

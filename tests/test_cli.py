@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pantagruel
 from pantagruel import format_program, parse_program
 from pantagruel.cli import main
 
@@ -466,3 +471,44 @@ def test_repl_conflict_strict_exits_3(files, capsys, monkeypatch):
     )
     assert code == 3
     assert "conflict at tick 1" in err
+
+
+# ── a reader that closes stdout early ────────────────────────────
+
+# 600 ticks of motion on and off: far more trace than a pipe buffers, so the
+# interpreter is still writing when the reader goes away.
+LONG_SCRIPT = "".join(
+    f"event m10.detected = {'true' if i % 2 == 0 else 'false'}\ntick\n" for i in range(600)
+)
+
+
+@pytest.mark.parametrize("command", ["run", "run-jsonl", "repl"])
+def test_closed_stdout_is_an_io_error_without_traceback(files, command):
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("long.evs", LONG_SCRIPT)
+    src = pathlib.Path(pantagruel.__file__).resolve().parent.parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+    }
+    argv = {
+        "run": ["run", program, "--script", script],
+        "run-jsonl": ["run", program, "--script", script, "--format", "jsonl"],
+        "repl": ["repl", program],
+    }[command]
+    with open(script, encoding="utf-8") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pantagruel", *argv],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+    assert first
+    assert code == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err

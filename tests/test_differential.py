@@ -35,12 +35,9 @@ from pantagruel import (
     UNDEF,
     ConflictError,
     DualStore,
-    Entity,
     TriggerMode,
-    UnsupportedConstructError,
     check_program,
     eval_rule,
-    eval_specification,
     parse_program,
 )
 from pantagruel.ast import (
@@ -61,6 +58,9 @@ from pantagruel.ast import (
     ValueChanged,
     ValueEq,
 )
+from pantagruel.domains import Entity
+from pantagruel.rule_eval import UnsupportedConstructError
+from pantagruel.spec_eval import eval_specification
 
 from test_parser import _random_ast
 

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pantagruel import (
-    UNDEF,
-    ConflictError,
+from pantagruel import UNDEF, ConflictError, store_join, store_join_all, update_member
+from pantagruel.domains import (
     Entity,
     InstanceRef,
     InterfaceRef,
@@ -20,9 +19,6 @@ from pantagruel import (
     access_event,
     combine_entities,
     instantiate,
-    store_join,
-    store_join_all,
-    update_member,
     value_eq,
     value_neq,
 )

@@ -17,23 +17,16 @@ from pantagruel import (
     UNDEF,
     ConflictError,
     DualStore,
-    Entity,
     EventUpdate,
-    InstanceRef,
-    Interface,
-    InterfaceRef,
     TriggerMode,
-    UnsupportedConstructError,
     check_program,
     eval_rule,
     eval_rule_block,
-    eval_specification,
     initial_state,
     parse_program,
     step,
     store_join,
     update_member,
-    value_eq,
 )
 from pantagruel.ast import (
     ActionCall,
@@ -49,13 +42,16 @@ from pantagruel.ast import (
     ValueEq,
 )
 from pantagruel import rule_eval
+from pantagruel.domains import Entity, InstanceRef, Interface, InterfaceRef, value_eq
 from pantagruel.rule_eval import (
+    UnsupportedConstructError,
     action_effects,
     eval_declaration,
     eval_expression,
     holds,
     rule_environment,
 )
+from pantagruel.spec_eval import eval_specification
 
 from conftest import BUILDING_SPEC, RULE_1, program_source, with_event
 

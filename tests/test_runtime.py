@@ -125,7 +125,7 @@ def test_effects_layer_onto_store(building):
 
 
 def test_set_implicit_events_reset_then_effects_win(building):
-    from pantagruel import Entity
+    from pantagruel.domains import Entity
 
     sigma = building.initial_store
     sigma = {**sigma, "l10": Entity("Light", sigma["l10"].attributes, {"switch": True})}
@@ -142,7 +142,7 @@ def test_no_set_implicits_no_effects_is_identity(building):
 
 
 def test_apply_internal_rebuilds_only_reset_or_affected_entities(building):
-    from pantagruel import Entity
+    from pantagruel.domains import Entity
 
     sigma = with_event(building.initial_store, "m10", "detected", True)
     sigma = {**sigma, "l11": Entity("Light", sigma["l11"].attributes, {"switch": True})}

@@ -11,16 +11,16 @@ from pantagruel import (
     UNDEF,
     AttributeUpdate,
     Deploy,
-    Entity,
     EventUpdate,
-    FiredRule,
     Remove,
-    TickRecord,
     TriggerMode,
     run_trace,
     serialize_tick,
 )
 from pantagruel import serialize
+from pantagruel.domains import Entity
+from pantagruel.rule_eval import FiredRule
+from pantagruel.runtime import TickRecord
 from pantagruel.ast import BoolLit, EntityDecl, InitDecl, NumLit
 from pantagruel.formatter import format_value
 from pantagruel.serialize import store_text

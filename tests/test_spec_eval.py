@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from pantagruel import UNDEF, Severity, check_program, parse_program
+from pantagruel import UNDEF, check_program, parse_program
+from pantagruel.diagnostics import Severity
 from pantagruel.ast import BoolLit, NumLit, TypeTag
 from pantagruel.spec_eval import (
     CheckedAttributes,
@@ -257,7 +258,8 @@ def test_checked_programs_never_compare_across_types(building, monkeypatch):
     value_eq to compare a defined Nat with a defined Tr."""
     import pantagruel.rule_eval as rule_eval
     from pantagruel import UNDEF as undef
-    from pantagruel import EventUpdate, TriggerMode, run_trace, value_eq
+    from pantagruel import EventUpdate, TriggerMode, run_trace
+    from pantagruel.domains import value_eq
 
     crossings = []
 

@@ -25,10 +25,6 @@ from pantagruel import (
     UNDEF,
     ConflictError,
     DualStore,
-    InstanceRef,
-    InterfaceRef,
-    RunState,
-    TickRecord,
     TriggerMode,
     apply_external,
     apply_internal,
@@ -40,6 +36,8 @@ from pantagruel import (
     step,
     store_join,
 )
+from pantagruel.domains import InstanceRef, InterfaceRef
+from pantagruel.runtime import RunState, TickRecord
 
 SEED = 20_108
 CASES = 100
