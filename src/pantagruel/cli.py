@@ -1,8 +1,9 @@
 """Command-line front end: check programs, run scripted traces, or drive
 the interpreter interactively.
 
-Exit codes: 0 success, 1 parse/static/script errors, 2 I/O errors (a
-closed stdout among them), 3 effect conflict under strict mode.
+Exit codes: 0 success, 1 parse/static/script errors, 2 I/O errors (any
+failed write to stdout among them: a closed pipe, a full disk), 3 effect
+conflict under strict mode.
 """
 
 from __future__ import annotations
@@ -223,9 +224,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = cmd_run(args) if args.command == "run" else cmd_repl(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (`pantagruel run ... | head`).  Point
-        # stdout at devnull so the flush at shutdown does not fail again.
+    except OSError as exc:
+        # Writing stdout failed: its reader closed it early (`pantagruel run
+        # ... | head`) or its device is full; input files report their own
+        # errors.  Point stdout at devnull so the flush at shutdown does not
+        # fail again.
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     return code

@@ -10,12 +10,18 @@ between two variables, given by the rule evaluator, keep bindings from
 being built, and the survivors keep that order), :func:`store_join`
 reports the least conflict, and the serializer sorts what it prints.
 Nothing here iterates a set, so no result depends on the string hash seed.
+
+A store is grouped by interface in one place, :class:`InterfaceIndex`.
+The rule evaluator builds one per tick over the dual store and hands each
+rule's candidate ids to :func:`instantiate`; called without them,
+:func:`instantiate` builds its own over the store it is given.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .ast import TypeTag
 
@@ -286,11 +292,54 @@ def _join_key(value: Value) -> tuple[type, Value] | None:
     return None if value is UNDEF else (type(value), value)
 
 
+class InterfaceIndex:
+    """The ids of each interface in ``current``, grouped in one pass.
+
+    :meth:`ids` sorts an interface's ids when it is first asked for, and
+    :meth:`changed` picks out those whose entity is not the very object
+    ``previous`` holds under that id: changed or deployed since
+    ``previous``.  Stores pass
+    every untouched entity on as the same object (:class:`Entity`), so
+    the changed ids are a superset of the entities whose members differ.
+    The lists returned are shared; callers do not change them.
+    """
+
+    def __init__(self, current: Store, previous: Store) -> None:
+        self._groups: defaultdict[str, list[str]] = defaultdict(list)
+        for entity_id, entity in current.items():
+            self._groups[entity.interface_id].append(entity_id)
+        self._current = current
+        self._previous = previous
+        self._sorted: dict[str, list[str]] = {}
+        self._changed: dict[str, list[str]] = {}
+
+    def ids(self, interface: str) -> list[str]:
+        """The sorted ids of ``interface``'s entities."""
+        ids = self._sorted.get(interface)
+        if ids is None:
+            ids = self._sorted[interface] = sorted(self._groups.get(interface, ()))
+        return ids
+
+    def changed(self, interface: str) -> list[str]:
+        """The sorted ids of ``interface``'s entities that are not the
+        previous store's object under the same id."""
+        changed = self._changed.get(interface)
+        if changed is None:
+            current, previous = self._current, self._previous
+            changed = self._changed[interface] = [
+                entity_id
+                for entity_id in self.ids(interface)
+                if previous.get(entity_id) is not current[entity_id]
+            ]
+        return changed
+
+
 def instantiate(
     store: Store,
     rho: EnvEntity,
     admits: Mapping[str, Callable[[str], bool]] | None = None,
     join: Join | None = None,
+    candidates: Mapping[str, Sequence[str]] | None = None,
 ) -> list[EnvEntity]:
     """Expand interface-bound variables over every matching entity.
 
@@ -299,6 +348,12 @@ def instantiate(
     is ``f``; instance bindings pass through.  The result enumerates the
     cross product (lexicographic in variable name, then entity id) and is
     empty as soon as one variable matches no entity.
+
+    ``candidates`` optionally maps every open variable to the sorted ids
+    it ranges over, in place of all of its interface's entities, which an
+    :class:`InterfaceIndex` of ``store`` gives when it is absent.  The rule
+    evaluator passes its per-tick index's lists, or a sorted subset of
+    them where it knows no other entity can satisfy a pool test.
 
     ``admits`` optionally maps a variable to a test on entity ids: that
     variable's pool then keeps only the entities the test admits, before
@@ -314,14 +369,12 @@ def instantiate(
     open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
     if join is not None and (join[0] == join[2] or not {join[0], join[2]} <= set(open_vars)):
         raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
-    members: dict[str, list[str]] = {rho[var].name: [] for var in open_vars}
-    for entity_id, entity in store.items():
-        pool = members.get(entity.interface_id)
-        if pool is not None:
-            pool.append(entity_id)
+    if candidates is None:
+        index = InterfaceIndex(store, {})
+        candidates = {var: index.ids(rho[var].name) for var in open_vars}
     pools: dict[str, list[InstanceRef]] = {}
     for var in open_vars:
-        matches = sorted(members[rho[var].name])
+        matches = candidates[var]
         test = admits.get(var) if admits else None
         if test is not None:
             matches = [entity_id for entity_id in matches if test(entity_id)]

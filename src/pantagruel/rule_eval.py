@@ -6,9 +6,11 @@ tests the condition (what the plan below leaves of it) and, if it holds,
 :func:`action_effects` builds the binding's partial store; the partial
 stores are joined into the rule's effect store.
 
-Before the bindings are built, :func:`eval_rule` makes a plan of the
-rule against the environment (rebuilt on every evaluation; nothing is kept
-between ticks):
+:func:`eval_rule_block` groups the current store by interface once per
+tick (:class:`~pantagruel.domains.InterfaceIndex`) and hands that index to
+every rule; :func:`eval_rule` called alone builds its own.  Before the
+bindings are built, :func:`eval_rule` makes a plan of the rule against the
+environment (rebuilt on every evaluation; nothing is kept between ticks):
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -16,6 +18,13 @@ between ticks):
   One reading no open variable is tested once, and if false the rule has
   no binding; one reading variable ``v`` keeps in ``v``'s pool only the
   entities it holds for.
+* When such an atom on ``v`` itself is ``value changed``, or in EDGE mode
+  ``value = <literal>``, ``v``'s pool starts from the entities of its
+  interface that changed this tick: those that are not the previous
+  store's very object under their id (deployed ones included).  A same
+  object reads the same value on both sides, so the edge and the change
+  tests are false on it.  LEVEL mode and ``value = path`` (the path's
+  entity may change alone) keep the full pool.
 * When every call of the body has a filter linking the same two open
   variables through the same member of each (bare names count, as in
   ``action ack(true) on m with room = l.room``), that is an equality
@@ -76,6 +85,7 @@ from .domains import (
     EnvEntity,
     EnvInterface,
     InstanceRef,
+    InterfaceIndex,
     InterfaceRef,
     Join,
     Reader,
@@ -317,7 +327,10 @@ def _link(decl: Decl, filt: Filter | None, rho: EnvEntity) -> tuple[str, str, st
 
 
 def _side_reader(
-    reads: dict[tuple[str, bool], None], interface: str, current: Store
+    reads: dict[tuple[str, bool], None],
+    interface: str,
+    current: Store,
+    index: InterfaceIndex,
 ) -> Reader | None:
     """The one read the body's calls make of one side of their equality.
     ``reads`` holds each ``(member, read as a path)`` the calls make of
@@ -332,15 +345,15 @@ def _side_reader(
     if (member, False) not in reads:
         return functools.partial(_path_value, member=member, store=current)
     if (member, True) in reads and any(
-        member in entity.events
-        for entity in current.values()
-        if entity.interface_id == interface
+        member in current[entity_id].events for entity_id in index.ids(interface)
     ):
         return None
     return functools.partial(access_attribute, member, store=current)
 
 
-def _body_join(body: ActionExpr, rho: EnvEntity, current: Store) -> Join | None:
+def _body_join(
+    body: ActionExpr, rho: EnvEntity, current: Store, index: InterfaceIndex
+) -> Join | None:
     """The equality every call of the body tests, if each call's filter
     links the same two open variables through the same member of each:
     where it fails, every call returns its seed, so the binding produces
@@ -361,8 +374,8 @@ def _body_join(body: ActionExpr, rho: EnvEntity, current: Store) -> Join | None:
         if len(reads) > 2:
             return None
     (x, x_reads), (y, y_reads) = reads.items()
-    read_x = _side_reader(x_reads, rho[x].name, current)
-    read_y = _side_reader(y_reads, rho[y].name, current)
+    read_x = _side_reader(x_reads, rho[x].name, current, index)
+    read_y = _side_reader(y_reads, rho[y].name, current, index)
     if read_x is None or read_y is None:
         return None
     return x, read_x, y, read_y
@@ -379,10 +392,10 @@ class _Plan:
     join: Join | None  # the body's equality between two open variables
 
 
-def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore) -> _Plan:
+def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore, index: InterfaceIndex) -> _Plan:
     condition = rule.condition
     conjuncts = operands(condition) if isinstance(condition, EventAnd) else [condition]
-    plan = _Plan([], {}, [], _body_join(rule.body, rho, dual.current))
+    plan = _Plan([], {}, [], _body_join(rule.body, rho, dual.current, index))
     for atom in conjuncts:
         if not isinstance(atom, EventAtom):
             plan.rest.append(atom)
@@ -395,6 +408,18 @@ def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore) -> _Plan:
         else:
             plan.rest.append(atom)
     return plan
+
+
+def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
+    """Whether ``atom``, a pool test of ``var``, can hold only on an entity
+    that changed this tick: ``value changed``, or in EDGE mode ``value =
+    <literal>``, on ``var`` itself."""
+    if _decl_name(atom.decl) != var:
+        return False
+    test = atom.test
+    return isinstance(test, ValueChanged) or (
+        mode is TriggerMode.EDGE and isinstance(test.expr, (NumLit, BoolLit))
+    )
 
 
 def _all_hold(
@@ -417,25 +442,36 @@ def eval_rule(
     dual: DualStore,
     mode: TriggerMode,
     label: int | None = None,
+    index: InterfaceIndex | None = None,
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects.
     The rule's plan narrows the bindings first, as the module docstring
-    describes; the result is that of the full product."""
+    describes; the result is that of the full product.  ``index`` is
+    ``dual``'s interface index, built here when not given."""
     if label is None:
         label = rule.label if rule.label is not None else 1
     current = dual.current
+    if index is None:
+        index = InterfaceIndex(current, dual.previous)
     rho = rule_environment(rule, current)
-    plan = _plan(rule, rho, dual)
+    plan = _plan(rule, rho, dual, index)
     if not all(holds(atom, dual, rho, mode) for atom in plan.closed):
         return {}, []
     admits = {
         var: functools.partial(_all_hold, atoms, var, dual, rho, mode)
         for var, atoms in plan.by_var.items()
     }
+    candidates = {
+        var: index.changed(ref.name)
+        if any(_needs_change(atom, var, mode) for atom in plan.by_var.get(var, ()))
+        else index.ids(ref.name)
+        for var, ref in rho.items()
+        if isinstance(ref, InterfaceRef)
+    }
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(current, rho, admits, plan.join):
+    for scope in instantiate(current, rho, admits, plan.join, candidates):
         if not all(holds(conjunct, dual, scope, mode) for conjunct in plan.rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})
@@ -457,12 +493,14 @@ def eval_rule_block(
     mode: TriggerMode,
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule against the same dual store and join the partial
-    effect stores; interfering rules surface as a ConflictError."""
+    effect stores; interfering rules surface as a ConflictError.  The store
+    is grouped by interface once, for all rules."""
+    index = InterfaceIndex(dual.current, dual.previous)
     effects: Store = {}
     fired: list[FiredRule] = []
     for position, rule in enumerate(rules, start=1):
         label = rule.label if rule.label is not None else position
-        partial, rule_fired = eval_rule(env, rule, dual, mode, label=label)
+        partial, rule_fired = eval_rule(env, rule, dual, mode, label=label, index=index)
         effects = store_join(effects, partial)
         fired.extend(rule_fired)
     return effects, fired

@@ -3,14 +3,16 @@
 One tick applies the pending external changes to the current store, runs
 the whole rule block against the ⟨previous, current'⟩ dual store, then
 layers the joined effects onto the store while resetting every implicit
-event that was set in the previous step.  The store handed to the next
-tick as "previous" is the post-external, pre-internal one, which is what
-edge detection must compare against.
+event that was set in the previous step.  Only the previous step's effects
+set implicit events, so the reset visits only the entities they wrote.
+The store handed to the next tick as "previous" is the post-external,
+pre-internal one, which is what edge detection must compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .ast import EntityDecl, RuleAst
 from .diagnostics import Diagnostic, Severity, error
@@ -75,9 +77,21 @@ class ExternalChangeError(Exception):
 
 @dataclass(frozen=True)
 class RunState:
+    """What one tick hands to the next: its post-external store (the next
+    tick's "previous"), its snapshot, and its number.
+
+    ``effect_ids`` names the entities the tick's effects wrote.  Only
+    effects set implicit events (external writes to them are refused, and a
+    deployed entity starts them at UNDEF), so no other entity of
+    ``current`` carries a set one, and the next tick's reset visits only
+    these.  None, as :func:`initial_state` and a state built without the
+    field have it, means they are not known: the reset then scans every
+    entity."""
+
     previous: Store
     current: Store
     tick: int
+    effect_ids: tuple[str, ...] | None = None
 
 
 def initial_state(store: Store) -> RunState:
@@ -193,15 +207,28 @@ def apply_external(
     return out
 
 
-def apply_internal(env: EnvInterface, effects: Store, sigma_prime: Store) -> Store:
+def apply_internal(
+    env: EnvInterface,
+    effects: Store,
+    sigma_prime: Store,
+    set_ids: Iterable[str] | None = None,
+) -> Store:
     """Finish the tick: reset every implicit event that was set in
     ``sigma_prime`` back to UNDEF, then layer the rule effects on top
     (effect values win over the reset; genuine conflicts were already
     caught while the effects were joined).  Only entities with a set
     implicit event or an effect are rebuilt; all others are passed on as
-    the very objects of ``sigma_prime``."""
+    the very objects of ``sigma_prime``.
+
+    ``set_ids``, when given, are the only ids whose entities may carry a
+    set implicit event (:attr:`RunState.effect_ids` of the tick before):
+    the reset visits them alone, skipping any no longer in
+    ``sigma_prime``.  When None, it visits every entity."""
     out = dict(sigma_prime)
-    for entity_id, entity in sigma_prime.items():
+    for entity_id in sigma_prime if set_ids is None else set_ids:
+        entity = sigma_prime.get(entity_id)
+        if entity is None:
+            continue
         iface = env.get(entity.interface_id)
         if iface is None or not iface.actions:
             continue
@@ -245,9 +272,9 @@ def step(
             raise
         conflict = str(exc)
         effects, fired = {}, []
-    snapshot = apply_internal(env, effects, sigma_prime)
+    snapshot = apply_internal(env, effects, sigma_prime, state.effect_ids)
     record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
-    return RunState(sigma_prime, snapshot, tick), record
+    return RunState(sigma_prime, snapshot, tick, tuple(effects)), record
 
 
 def run_trace(

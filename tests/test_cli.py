@@ -482,8 +482,10 @@ LONG_SCRIPT = "".join(
 )
 
 
-@pytest.mark.parametrize("command", ["run", "run-jsonl", "repl"])
-def test_closed_stdout_is_an_io_error_without_traceback(files, command):
+def _long_run(files, command):
+    """The interpreter's command line for a 600-tick run of ``command``,
+    the script file it reads (``repl`` reads it on stdin), and the
+    environment that imports this checkout's package."""
     program = files("b.ptg", BUILDING_RUNNABLE)
     script = files("long.evs", LONG_SCRIPT)
     src = pathlib.Path(pantagruel.__file__).resolve().parent.parent
@@ -496,9 +498,15 @@ def test_closed_stdout_is_an_io_error_without_traceback(files, command):
         "run-jsonl": ["run", program, "--script", script, "--format", "jsonl"],
         "repl": ["repl", program],
     }[command]
+    return [sys.executable, "-m", "pantagruel", *argv], script, env
+
+
+@pytest.mark.parametrize("command", ["run", "run-jsonl", "repl"])
+def test_closed_stdout_is_an_io_error_without_traceback(files, command):
+    argv, script, env = _long_run(files, command)
     with open(script, encoding="utf-8") as stdin:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "pantagruel", *argv],
+            argv,
             stdin=stdin,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -512,3 +520,18 @@ def test_closed_stdout_is_an_io_error_without_traceback(files, command):
     assert first
     assert code == 2, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["run", "run-jsonl", "repl"])
+def test_full_stdout_is_an_io_error_without_traceback(files, command):
+    """A write to stdout that fails with anything but a closed pipe (here
+    ENOSPC from ``/dev/full``) is exit 2 with one ``error:`` line."""
+    argv, script, env = _long_run(files, command)
+    with open(script, encoding="utf-8") as stdin, open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            argv, stdin=stdin, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.splitlines() == ["error: cannot write to stdout: No space left on device"]

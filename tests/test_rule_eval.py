@@ -643,3 +643,51 @@ def test_parallel_calls_linking_different_pairs_fall_back_to_the_product():
         {"f": "f1", "l": "l2", "m": "m1"},
         {"f": "f2", "l": "l1", "m": "m1"},
     ]
+
+
+VALUE_CHANGED_RULE = """\
+when event detected from m:MotionDetector value changed
+trigger action switch(true) on l:Light with room = m.room
+end
+"""
+
+
+def _count_pool_tests(monkeypatch):
+    """Counter of the condition tests ``eval_rule`` makes with ``m`` bound:
+    on rule 1 and the ``value changed`` rule, the pool tests of the
+    detectors."""
+    calls = {"tested": 0}
+    real_holds = rule_eval.holds
+
+    def counting_holds(expr, dual, scope, mode):
+        if isinstance(scope.get("m"), InstanceRef):
+            calls["tested"] += 1
+        return real_holds(expr, dual, scope, mode)
+
+    monkeypatch.setattr(rule_eval, "holds", counting_holds)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("rule", "mode", "tested"),
+    [(RULE_1, EDGE, 1), (VALUE_CHANGED_RULE, EDGE, 1), (RULE_1, LEVEL, 2500)],
+    ids=["edge", "value-changed", "level"],
+)
+def test_pool_tests_visit_only_the_detectors_that_changed(monkeypatch, rule, mode, tested):
+    """A building of 2 500 rooms, a quiet first tick, then one tick with a
+    single ``detected`` edge.  An edge atom and ``value changed`` can hold
+    only on an entity that changed, so the second tick tests the one
+    changed detector; in LEVEL mode ``value = true`` may hold on a detector
+    left as it was, so every detector is tested."""
+    rooms = 2500
+    checked = _rooms_program(rooms, rule)
+    state, _ = step(initial_state(checked.initial_store), [], checked.rules, checked.env, mode)
+    calls = _count_pool_tests(monkeypatch)
+    _, record = step(
+        state, [EventUpdate("m7", "detected", True)], checked.rules, checked.env, mode
+    )
+    assert calls == {"tested": tested}
+    assert [f.binding for f in record.fired] == [
+        {"l": "la7", "m": "m7"},
+        {"l": "lb7", "m": "m7"},
+    ]

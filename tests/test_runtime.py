@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -22,10 +23,12 @@ from pantagruel import (
     parse_program,
     run_trace,
     step,
+    update_member,
 )
+from pantagruel.domains import Entity
 from pantagruel.parser import parse_entity_decl
 
-from conftest import program_source, with_event
+from conftest import RULE_1, RULE_3, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -395,3 +398,113 @@ def test_env_not_copied_by_the_loop(building):
     env_before = building.env
     run_trace(building, [[EventUpdate("m10", "detected", True)]], mode=EDGE)
     assert building.env is env_before
+
+
+# ── resetting only what the last tick's effects set ──────────────
+
+
+def test_reset_of_the_effect_ids_equals_the_full_scan(building):
+    """Random post-external stores whose set implicit events all lie on
+    the given ids (with ids that carry none, and ids removed from the
+    store, among them) and random effect stores: resetting those ids alone
+    gives the store of the full scan, rebuilding the same entities."""
+    rng = random.Random(20_113)
+    env = building.env
+    ids = sorted(building.initial_store)
+    acting = [e for e in ids if env[building.initial_store[e].interface_id].actions]
+    values = [True, False, 0, 10, UNDEF]
+    for _ in range(300):
+        sigma = dict(building.initial_store)
+        set_ids = rng.sample(ids, rng.randint(0, len(ids)))
+        for entity_id in set_ids:
+            actions = env[sigma[entity_id].interface_id].actions
+            if actions and rng.random() < 0.7:
+                events = {key: rng.choice(values) for key in actions}
+                sigma[entity_id] = update_member(sigma, entity_id, events=events)
+        for entity_id in rng.sample(ids, rng.randint(0, 2)):
+            del sigma[entity_id]
+        effects = {}
+        for entity_id in rng.sample([e for e in acting if e in sigma], rng.randint(0, 3)):
+            interface = sigma[entity_id].interface_id
+            action = rng.choice(sorted(env[interface].actions))
+            effects[entity_id] = Entity(interface, {}, {action: rng.choice(values[:4])})
+        full = apply_internal(env, effects, sigma)
+        fast = apply_internal(env, effects, sigma, set_ids)
+        assert fast == full
+        assert [e for e in fast if fast[e] is sigma[e]] == [e for e in full if full[e] is sigma[e]]
+
+
+RESET_PROGRAM = program_source(
+    RULE_1,
+    RULE_3,
+    "(4) when event temperature from thermo value = 30 "
+    "trigger action switch(false) on l:Light end\n",
+)
+
+
+def _stepped_as_repl(checked, ticks, mode, forget):
+    """Step ``ticks`` with effect conflicts recorded, as ``repl`` does: a
+    tick whose changes are refused leaves the state as it was.  With
+    ``forget``, each state's ``effect_ids`` is dropped, so every reset scans
+    the whole store."""
+    state = initial_state(checked.initial_store)
+    records = []
+    for changes in ticks:
+        try:
+            state, record = step(
+                state, changes, checked.rules, checked.env, mode, strict_conflicts=False
+            )
+        except ExternalChangeError:
+            records.append("refused")
+            continue
+        written = {entity for fired in record.fired for entity, _, _ in fired.effects}
+        assert set(state.effect_ids) == written
+        if forget:
+            state = dataclasses.replace(state, effect_ids=None)
+        records.append(record)
+    return records
+
+
+def test_steps_threading_the_effect_ids_match_steps_scanning_every_entity():
+    """The same ticks stepped twice, once handing each tick's effect ids to
+    the next and once with them dropped, give identical records.  The
+    ticks open with a relaxed-mode conflict (rule 1 switches ``l10`` on
+    while rule 4 switches it off: the effects are dropped), a refused
+    write to an implicit event, a remove and redeploy of ``l10`` in one
+    tick while its ``switch`` is set, then random ticks."""
+    checked = check_program(parse_program(RESET_PROGRAM))
+    assert checked.ok
+    redeploy = Deploy(parse_entity_decl("l10 : Light { room : 101 }"))
+    opening = [
+        [EventUpdate("m10", "detected", True), EventUpdate("thermo", "temperature", 30)],
+        [EventUpdate("l11", "switch", True)],
+        [EventUpdate("m10", "detected", False)],
+        [EventUpdate("m10", "detected", True)],
+        [Remove("l10"), redeploy, EventUpdate("thermo", "temperature", 29)],
+        [EventUpdate("thermo", "temperature", 30)],
+    ]
+    rng = random.Random(20_114)
+    for case in range(40):
+        ticks = list(opening) if case == 0 else []
+        for _ in range(rng.randint(1, 8)):
+            changes = []
+            if rng.random() < 0.6:
+                detector = rng.choice(["m10", "m20"])
+                changes.append(EventUpdate(detector, "detected", rng.random() < 0.5))
+            if rng.random() < 0.4:
+                changes.append(EventUpdate("thermo", "temperature", rng.choice([29, 30])))
+            if rng.random() < 0.2:
+                changes += [Remove("l10"), redeploy]
+            if rng.random() < 0.1:
+                changes.append(EventUpdate("l20", "switch", True))
+            ticks.append(changes)
+        for mode in (EDGE, LEVEL):
+            threaded = _stepped_as_repl(checked, ticks, mode, forget=False)
+            assert threaded == _stepped_as_repl(checked, ticks, mode, forget=True)
+            if case == 0 and mode is EDGE:
+                conflict, refused, _, set_l10, redeployed, _ = threaded[: len(opening)]
+                assert conflict.conflict is not None and conflict.fired == ()
+                assert refused == "refused"
+                assert set_l10.snapshot["l10"].events["switch"] is True
+                assert redeployed.changes[:2] == (Remove("l10"), redeploy)
+                assert redeployed.snapshot["l10"].events["switch"] is UNDEF

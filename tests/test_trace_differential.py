@@ -14,6 +14,9 @@ The rules cover bare-name atoms, ``or`` conditions, conditions and
 filters that read a second variable, bodies whose every call links the
 same two variables (``||`` and ``,``), ``value changed``, and conditions
 on implicit events, which the reset clears one tick after they are set.
+A second suite adds edge atoms compared with a bare entity's member
+(``value = thermo.temperature``), which can become true on a tick that
+leaves the atom's own entity untouched.
 """
 
 from __future__ import annotations
@@ -85,9 +88,23 @@ RULES = {
     "action ack(true) on m with room = l.room end",
 }
 
+# The second suite's templates and seed, and the temperatures its scripts
+# write: levels (0–3) among them, so ``level`` can equal them.
+PATH_RULES = {
+    **{name: RULES[name] for name in ("bare", "motion", "changed", "ack", "linked-par")},
+    "edge-path": "when event temperature from thermo value changed "
+    "and event level from m:Motion value = thermo.temperature "
+    "trigger action ack(true) on m end",
+    "edge-path-linked": "when event temperature from thermo value changed "
+    "and event level from m:Motion value = thermo.temperature "
+    "trigger action switch({b}) on l:Light with room = m.room end",
+}
+PATH_SEED = 20_115
+PATH_TEMPERATURES = ("0", "1", "2", "3", "29", "30", "undef")
 
-def _rule(rng: random.Random, name: str) -> str:
-    return RULES[name].format(
+
+def _rule(rng: random.Random, name: str, rules: dict[str, str]) -> str:
+    return rules[name].format(
         b=rng.choice(["true", "false"]), n=rng.randint(0, 3), t=rng.choice([29, 30])
     )
 
@@ -100,25 +117,27 @@ def _entity(rng: random.Random, name: str, interface: str) -> str:
 _PREFIX = {"Motion": "m", "Light": "l", "Fan": "f"}
 
 
-def _building(rng: random.Random) -> tuple[str, list[str], dict[str, str]]:
-    """Program text with 2–5 random rules, the rules' template names in
-    order, and the entities by name."""
+def _building(
+    rng: random.Random, rules: dict[str, str]
+) -> tuple[str, list[str], dict[str, str]]:
+    """Program text with 2–5 random rules of ``rules``, the rules'
+    template names in order, and the entities by name."""
     entities = {"thermo": "Thermo"}
     for interface, prefix in _PREFIX.items():
         for k in range(rng.randint(1, 4)):
             entities[f"{prefix}{k}"] = interface
-    names = rng.sample(sorted(RULES), rng.randint(2, 5))
+    names = rng.sample(sorted(rules), rng.randint(2, 5))
     # declared out of order, so that no store is built in id order
     declared = [_entity(rng, name, interface) for name, interface in entities.items()]
     rng.shuffle(declared)
     lines = [SPEC, *declared]
     lines.append("rules")
-    lines += [_rule(rng, name) for name in names]
+    lines += [_rule(rng, name, rules) for name in names]
     lines.append("end")
     return "\n".join(lines) + "\n", names, entities
 
 
-def _script(rng: random.Random, live: dict[str, str]) -> str:
+def _script(rng: random.Random, live: dict[str, str], temperatures: tuple[str, ...]) -> str:
     """``TICKS`` ticks of valid changes: removes, then deploys, then writes
     to entities alive after both, as ``apply_external`` orders them."""
     live = dict(live)
@@ -146,7 +165,7 @@ def _script(rng: random.Random, live: dict[str, str]) -> str:
             name = rng.choice(sorted(live))
             interface = live[name]
             if interface == "Thermo":
-                lines.append(f"event {name}.temperature = {rng.choice(['29', '30', 'undef'])}")
+                lines.append(f"event {name}.temperature = {rng.choice(temperatures)}")
             elif interface == "Motion" and rng.random() < 0.7:
                 if rng.random() < 0.6:
                     value = rng.choice(["true", "false", "undef"])
@@ -206,7 +225,14 @@ def _oracle(checked, names, ticks, mode, fmt, tally) -> str:
             effects, fired = {}, []
             tally["conflicts"] += 1
         for fired_rule in fired:
-            tally[names[fired_rule.label - 1]] += 1
+            name = names[fired_rule.label - 1]
+            tally[name] += 1
+            # counted only where the suite asks for it: firings whose
+            # ``m`` is the very object of the previous store
+            untouched = f"{name}, m untouched"
+            if untouched in tally:
+                m = fired_rule.binding["m"]
+                tally[untouched] += dual.previous.get(m) is dual.current[m]
         tally["resets"] += sum(
             entity.events.get(key, UNDEF) is not UNDEF
             for entity in sigma_prime.values()
@@ -219,19 +245,42 @@ def _oracle(checked, names, ticks, mode, fmt, tally) -> str:
     return "".join(out)
 
 
-def test_stepped_traces_match_the_closure_oracle(monkeypatch):
-    monkeypatch.setattr(closure_eval, "instantiate", _bindings)
-    rng = random.Random(SEED)
-    tally = dict.fromkeys([*RULES, "conflicts", "resets"], 0)
+def _compare(rng, rules, temperatures, tally) -> None:
+    """``CASES`` random buildings with rules of ``rules``, their scripts
+    writing ``temperatures``: ``step`` against the oracle in both modes
+    and both formats."""
     for _ in range(CASES):
-        source, names, entities = _building(rng)
+        source, names, entities = _building(rng, rules)
         checked = check_program(parse_program(source))
         assert checked.ok, source
-        script = _script(rng, entities)
+        script = _script(rng, entities, temperatures)
         ticks = parse_script(script)
         for mode in TriggerMode:
             for fmt in FORMATS:
                 want = _oracle(checked, names, ticks, mode, fmt, tally)
                 assert _stepped(checked, ticks, mode, fmt) == want, (source, script, mode, fmt)
+
+
+def test_stepped_traces_match_the_closure_oracle(monkeypatch):
+    monkeypatch.setattr(closure_eval, "instantiate", _bindings)
+    rng = random.Random(SEED)
+    tally = dict.fromkeys([*RULES, "conflicts", "resets"], 0)
+    _compare(rng, RULES, ("29", "30", "undef"), tally)
     assert all(tally.values()), tally
     print(f"trace differential ({CASES} cases, seed {SEED}): {tally}")
+
+
+def test_edge_paths_to_a_bare_entity_match_the_closure_oracle(monkeypatch):
+    """``value = thermo.temperature`` in EDGE mode turns true on a tick
+    where only the thermometer changed, so its atom's pool must keep the
+    detectors that did not change.  Each edge-path template must fire
+    with its ``m`` untouched."""
+    monkeypatch.setattr(closure_eval, "instantiate", _bindings)
+    rng = random.Random(PATH_SEED)
+    tally = dict.fromkeys([*PATH_RULES, "conflicts", "resets"], 0)
+    for name in PATH_RULES:
+        if name not in RULES:
+            tally[f"{name}, m untouched"] = 0
+    _compare(rng, PATH_RULES, PATH_TEMPERATURES, tally)
+    assert all(tally.values()), tally
+    print(f"trace differential, edge paths ({CASES} cases, seed {PATH_SEED}): {tally}")
