@@ -220,6 +220,24 @@ class RuleAst:
     span: SourceSpan = field(default=NO_SPAN, compare=False, repr=False)
 
 
+def rule_leaves(rule: RuleAst) -> list[EventAtom | ActionCall | Aggregate]:
+    """The condition's atoms, then the body's calls, left to right, each
+    aggregate just before the atoms inside it: the order in which a rule
+    declares its names.  Walked with a stack, so that no nesting depth
+    costs recursion."""
+    leaves: list[EventAtom | ActionCall | Aggregate] = []
+    pending: list[EventExpr | ActionExpr] = [rule.body, rule.condition]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (EventAtom, ActionCall, Aggregate)):
+            leaves.append(node)
+            if isinstance(node, Aggregate):
+                pending.append(node.inner)
+        else:
+            pending += (node.right, node.left)
+    return leaves
+
+
 @dataclass(frozen=True)
 class ProgramAst:
     spec: SpecAst

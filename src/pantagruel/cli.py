@@ -1,9 +1,9 @@
 """Command-line front end: check programs, run scripted traces, or drive
 the interpreter interactively.
 
-Exit codes: 0 success, 1 parse/static/script errors, 2 I/O errors (any
-failed write to stdout among them: a closed pipe, a full disk), 3 effect
-conflict under strict mode.
+Exit codes: 0 success, 1 parse/static/script errors and malformed command
+lines, 2 I/O errors (any failed write to stdout among them: a closed pipe,
+a full disk), 3 effect conflict under strict mode.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from .domains import ConflictError, Store
 from .parser import ParseError, parse_program
@@ -26,8 +27,17 @@ EXIT_IO = 2
 EXIT_CONFLICT = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a malformed command line, as on any other input error;
+    argparse alone would exit 2, the code of I/O errors."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERRORS, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pantagruel",
         description="Check, run, or interactively drive orchestration programs.",
     )

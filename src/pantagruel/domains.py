@@ -4,17 +4,11 @@ Everything here is a plain immutable value; updates build new entities
 rather than mutating.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
-is fixed only where it can be observed: :func:`instantiate` enumerates
-bindings lexicographically (pool tests and a hash lookup on an equality
-between two variables, given by the rule evaluator, keep bindings from
-being built, and the survivors keep that order), :func:`store_join`
-reports the least conflict, and the serializer sorts what it prints.
-Nothing here iterates a set, so no result depends on the string hash seed.
-
-A store is grouped by interface in one place, :class:`InterfaceIndex`.
-The rule evaluator builds one per tick over the dual store and hands each
-rule's candidate ids to :func:`instantiate`; called without them,
-:func:`instantiate` builds its own over the store it is given.
+is fixed only where it can be observed: :class:`InterfaceIndex` lists an
+interface's ids sorted, :func:`instantiate` enumerates bindings of sorted
+pools lexicographically, :func:`store_join` reports the least conflict,
+and the serializer sorts what it prints.  Nothing here iterates a set, so
+no result depends on the string hash seed.
 """
 
 from __future__ import annotations
@@ -293,15 +287,17 @@ def _join_key(value: Value) -> tuple[type, Value] | None:
 
 
 class InterfaceIndex:
-    """The ids of each interface in ``current``, grouped in one pass.
+    """The ids of each interface in ``current``, grouped in one pass: the
+    one place a store is grouped by interface.
 
     :meth:`ids` sorts an interface's ids when it is first asked for, and
     :meth:`changed` picks out those whose entity is not the very object
     ``previous`` holds under that id: changed or deployed since
-    ``previous``.  Stores pass
-    every untouched entity on as the same object (:class:`Entity`), so
-    the changed ids are a superset of the entities whose members differ.
-    The lists returned are shared; callers do not change them.
+    ``previous``.  Stores pass every untouched entity on as the same
+    object (:class:`Entity`), so the changed ids are a superset of the
+    entities whose members differ.  Either list is where a pool of
+    :func:`instantiate` starts.  The lists returned are shared; callers
+    do not change them.
     """
 
     def __init__(self, current: Store, previous: Store) -> None:
@@ -335,52 +331,26 @@ class InterfaceIndex:
 
 
 def instantiate(
-    store: Store,
-    rho: EnvEntity,
-    admits: Mapping[str, Callable[[str], bool]] | None = None,
-    join: Join | None = None,
-    candidates: Mapping[str, Sequence[str]] | None = None,
+    rho: EnvEntity, pools: Mapping[str, Sequence[str]], join: Join | None = None
 ) -> list[EnvEntity]:
-    """Expand interface-bound variables over every matching entity.
+    """Expand interface-bound variables over their pools of entity ids.
 
-    Each variable bound to ``InterfaceRef(f)`` is independently replaced by
-    ``InstanceRef(j)`` for every entity ``j`` in ``store`` whose interface
-    is ``f``; instance bindings pass through.  The result enumerates the
-    cross product (lexicographic in variable name, then entity id) and is
-    empty as soon as one variable matches no entity.
+    ``pools`` maps every variable bound to an ``InterfaceRef`` to the
+    sorted ids it ranges over; each binding replaces them with an
+    ``InstanceRef`` and passes instance bindings through.  The result
+    enumerates the cross product of the pools (lexicographic in variable
+    name, then entity id) and is empty as soon as one pool is.
 
-    ``candidates`` optionally maps every open variable to the sorted ids
-    it ranges over, in place of all of its interface's entities, which an
-    :class:`InterfaceIndex` of ``store`` gives when it is absent.  The rule
-    evaluator passes its per-tick index's lists, or a sorted subset of
-    them where it knows no other entity can satisfy a pool test.
-
-    ``admits`` optionally maps a variable to a test on entity ids: that
-    variable's pool then keeps only the entities the test admits, before
-    the product is built.  ``join`` is an optional equality between two
-    distinct open variables (:data:`Join`; anything else is a
-    ``ValueError``): variables are bound in name order, and the later of
-    the two takes its candidates from a bucket of its pool keyed by the
-    value its partner reads, so the bindings whose two sides differ (or
-    read UNDEF) are never built.  Filtering drops whole bindings and keeps
-    the survivors in the order above, so the result is a subsequence of
-    the unfiltered one.
+    ``join`` is an optional equality between two distinct open variables
+    (:data:`Join`; anything else is a ``ValueError``): variables are bound
+    in name order, and the later of the two takes its ids from a bucket of
+    its pool keyed by the value its partner reads, so the bindings whose
+    two sides differ (or read UNDEF) are never built.  The survivors keep
+    the order above, so the result is a subsequence of the product.
     """
     open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
     if join is not None and (join[0] == join[2] or not {join[0], join[2]} <= set(open_vars)):
         raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
-    if candidates is None:
-        index = InterfaceIndex(store, {})
-        candidates = {var: index.ids(rho[var].name) for var in open_vars}
-    pools: dict[str, list[InstanceRef]] = {}
-    for var in open_vars:
-        matches = candidates[var]
-        test = admits.get(var) if admits else None
-        if test is not None:
-            matches = [entity_id for entity_id in matches if test(entity_id)]
-        if not matches:
-            return []
-        pools[var] = [InstanceRef(entity_id) for entity_id in matches]
     looked_up = None
     if join is not None:
         # the later variable ``x`` is looked up by the value its partner reads
@@ -388,28 +358,28 @@ def instantiate(
         if x < y:
             x, read_x, y, read_y = y, read_y, x, read_x
         looked_up, at = x, open_vars.index(y)
-        buckets: dict[object, list[InstanceRef]] = {}
-        for ref in pools[x]:
-            key = _join_key(read_x(ref.name))
+        buckets: dict[object, list[str]] = {}
+        for entity_id in pools[x]:
+            key = _join_key(read_x(entity_id))
             if key is not None:
-                buckets.setdefault(key, []).append(ref)
-        partner_keys = {ref.name: _join_key(read_y(ref.name)) for ref in pools[y]}
-    rows: list[tuple[InstanceRef, ...]] = [()]
+                buckets.setdefault(key, []).append(entity_id)
+        partner_keys = {entity_id: _join_key(read_y(entity_id)) for entity_id in pools[y]}
+    rows: list[tuple[str, ...]] = [()]
     for var in open_vars:
         if var == looked_up:
             rows = [
-                row + (ref,)
+                row + (entity_id,)
                 for row in rows
-                for ref in buckets.get(partner_keys[row[at].name], ())
+                for entity_id in buckets.get(partner_keys[row[at]], ())
             ]
         else:
             pool = pools[var]
-            rows = [row + (ref,) for row in rows for ref in pool]
+            rows = [row + (entity_id,) for row in rows for entity_id in pool]
         if not rows:
             return []
     results: list[EnvEntity] = []
     for row in rows:
         env = dict(rho)
-        env.update(zip(open_vars, row))
+        env.update(zip(open_vars, map(InstanceRef, row)))
         results.append(env)
     return results

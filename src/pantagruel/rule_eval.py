@@ -1,16 +1,18 @@
 """Rule evaluation against a dual store.
 
 A rule's entity environment is built once (:func:`rule_environment`) and
-instantiated over all matching entities.  For each binding, :func:`holds`
+instantiated over the matching entities.  For each binding, :func:`holds`
 tests the condition (what the plan below leaves of it) and, if it holds,
 :func:`action_effects` builds the binding's partial store; the partial
 stores are joined into the rule's effect store.
 
 :func:`eval_rule_block` groups the current store by interface once per
 tick (:class:`~pantagruel.domains.InterfaceIndex`) and hands that index to
-every rule; :func:`eval_rule` called alone builds its own.  Before the
-bindings are built, :func:`eval_rule` makes a plan of the rule against the
-environment (rebuilt on every evaluation; nothing is kept between ticks):
+every rule; :func:`eval_rule` called alone builds its own.  Which bindings
+are built is decided here, and only here: :func:`eval_rule` makes a plan
+of the rule against the environment (rebuilt on every evaluation; nothing
+is kept between ticks) and gives each open variable its finished pool of
+sorted ids, which :func:`~pantagruel.domains.instantiate` only enumerates:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -24,26 +26,25 @@ environment (rebuilt on every evaluation; nothing is kept between ticks):
   store's very object under their id (deployed ones included).  A same
   object reads the same value on both sides, so the edge and the change
   tests are false on it.  LEVEL mode and ``value = path`` (the path's
-  entity may change alone) keep the full pool.
+  entity may change alone) start from all of the interface's entities.
 * When every call of the body has a filter linking the same two open
   variables through the same member of each (bare names count, as in
   ``action ack(true) on m with room = l.room``), that is an equality
   between them, read from the current store.  A side read as an attribute
   by one call and as a path (event first, then attribute) by another is
   used only if no entity of its interface carries an event of that name,
-  so that both reads agree.
+  so that both reads agree.  :func:`~pantagruel.domains.instantiate`
+  turns it into a hash lookup keyed by ``(type, value)``, UNDEF joining
+  nothing, exactly as :func:`value_eq` compares.
 
-:func:`~pantagruel.domains.instantiate` turns the equality into a hash
-lookup keyed by ``(type, value)``, UNDEF joining nothing, exactly as
-:func:`value_eq` compares.  Only the conjuncts not tested on pools (``or``
-terms and atoms reading two open variables, whatever their filters) are
-left to :func:`holds` on whole bindings, and none if there are none;
-:func:`action_effects` runs on every binding built.  This is exact: a
-binding never built fails a pushed conjunct, or every call's filter (so
-each call returns its seed), and would have produced no partial store and
-no :class:`FiredRule`; the survivors keep their enumeration order, so the
-fired list, the fold of partial stores and any reported conflict are those
-of the full product.
+Only the conjuncts not tested on pools (``or`` terms and atoms reading two
+open variables, whatever their filters) are left to :func:`holds` on whole
+bindings, and none if there are none; :func:`action_effects` runs on every
+binding built.  This is exact: a binding never built fails a pushed
+conjunct, or every call's filter (so each call returns its seed), and
+would have produced no partial store and no :class:`FiredRule`; the
+survivors keep their enumeration order, so the fired list, the fold of
+partial stores and any reported conflict are those of the full product.
 
 Conditions read event filters against the *previous* store while action
 filters read the *current* one — an asymmetry kept deliberately, as are
@@ -77,6 +78,7 @@ from .ast import (
     ValueChanged,
     ValueEq,
     operands,
+    rule_leaves,
 )
 from .diagnostics import SourceSpan
 from .domains import (
@@ -147,18 +149,12 @@ def eval_declaration(decl: Decl, rho: EnvEntity, current: Store) -> tuple[str, E
 def rule_environment(rule: RuleAst, current: Store) -> EnvEntity:
     """The rule's entity environment: the declarations of the condition's
     atoms, then of the body's calls, run left to right.  An aggregate
-    raises :class:`UnsupportedConstructError` before anything is bound."""
+    raises :class:`UnsupportedConstructError`."""
     rho: EnvEntity = {}
-    pending: list[EventExpr | ActionExpr] = [rule.body, rule.condition]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (EventAtom, ActionCall)):
-            _, rho = eval_declaration(node.decl, rho, current)
-        elif isinstance(node, Aggregate):
-            raise UnsupportedConstructError(node.span)
-        else:
-            pending.append(node.right)
-            pending.append(node.left)
+    for leaf in rule_leaves(rule):
+        if isinstance(leaf, Aggregate):
+            raise UnsupportedConstructError(leaf.span)
+        _, rho = eval_declaration(leaf.decl, rho, current)
     return rho
 
 
@@ -422,20 +418,6 @@ def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
     )
 
 
-def _all_hold(
-    atoms: list[EventAtom],
-    var: str,
-    dual: DualStore,
-    rho: EnvEntity,
-    mode: TriggerMode,
-    entity_id: str,
-) -> bool:
-    """Whether every atom, each reading no open variable but ``var``,
-    holds with ``var`` bound to ``entity_id``."""
-    scope = {**rho, var: InstanceRef(entity_id)}
-    return all(holds(atom, dual, scope, mode) for atom in atoms)
-
-
 def eval_rule(
     env: EnvInterface,
     rule: RuleAst,
@@ -458,20 +440,29 @@ def eval_rule(
     plan = _plan(rule, rho, dual, index)
     if not all(holds(atom, dual, rho, mode) for atom in plan.closed):
         return {}, []
-    admits = {
-        var: functools.partial(_all_hold, atoms, var, dual, rho, mode)
-        for var, atoms in plan.by_var.items()
-    }
-    candidates = {
-        var: index.changed(ref.name)
-        if any(_needs_change(atom, var, mode) for atom in plan.by_var.get(var, ()))
-        else index.ids(ref.name)
-        for var, ref in rho.items()
-        if isinstance(ref, InterfaceRef)
-    }
+    pools: dict[str, list[str]] = {}
+    for var, ref in rho.items():
+        if not isinstance(ref, InterfaceRef):
+            continue
+        atoms = plan.by_var.get(var, ())
+        if any(_needs_change(atom, var, mode) for atom in atoms):
+            pool = index.changed(ref.name)
+        else:
+            pool = index.ids(ref.name)
+        if atoms:
+            scope = dict(rho)
+            kept = []
+            for entity_id in pool:
+                scope[var] = InstanceRef(entity_id)
+                if all(holds(atom, dual, scope, mode) for atom in atoms):
+                    kept.append(entity_id)
+            pool = kept
+        if not pool:
+            return {}, []
+        pools[var] = pool
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(current, rho, admits, plan.join, candidates):
+    for scope in instantiate(rho, pools, plan.join):
         if not all(holds(conjunct, dual, scope, mode) for conjunct in plan.rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})

@@ -11,17 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
-    ActionExpr,
-    ActionPar,
-    ActionSeq,
+    ActionCall,
     Aggregate,
     BoolLit,
     Decl,
     DeclTyped,
     EntityDecl,
-    EventAnd,
-    EventExpr,
-    EventOr,
+    EventAtom,
     Expr,
     Filter,
     InterfaceDecl,
@@ -32,7 +28,7 @@ from .ast import (
     SpecAst,
     TypeTag,
     ValueEq,
-    operands,
+    rule_leaves,
 )
 from .diagnostics import Diagnostic, error, has_errors, warning
 from .domains import UNDEF, Entity, EnvInterface, Interface, Store, Value
@@ -220,9 +216,28 @@ class _RuleChecker:
         self.diagnostics: list[Diagnostic] = []
 
     def check_rule(self, rule: RuleAst) -> None:
+        """Resolve every name the rule declares, condition atoms then body
+        calls, before typing any expression: the evaluator binds them all
+        first too (``rule_eval.rule_environment``), so a path may name a
+        variable declared by a later atom or call."""
         scope: _Scope = {}
-        self._check_event(rule.condition, scope)
-        self._check_action(rule.body, scope)
+        resolved: list[tuple[EventAtom | ActionCall, str | None]] = []
+        for leaf in rule_leaves(rule):
+            if isinstance(leaf, Aggregate):
+                self.diagnostics.append(
+                    error(
+                        "unsupported-construct",
+                        "aggregation ('all ... groupby') is not supported",
+                        leaf.span,
+                    )
+                )
+            else:
+                resolved.append((leaf, self._resolve_decl(leaf.decl, scope)))
+        for leaf, iface_name in resolved:
+            if isinstance(leaf, EventAtom):
+                self._check_atom(leaf, iface_name, scope)
+            else:
+                self._check_call(leaf, iface_name, scope)
 
     # declaration resolution shared by event atoms and action calls
 
@@ -324,22 +339,7 @@ class _RuleChecker:
                 )
             )
 
-    def _check_event(self, expr: EventExpr, scope: _Scope) -> None:
-        if isinstance(expr, (EventAnd, EventOr)):
-            for operand in operands(expr):
-                self._check_event(operand, scope)
-            return
-        if isinstance(expr, Aggregate):
-            self.diagnostics.append(
-                error(
-                    "unsupported-construct",
-                    "aggregation ('all ... groupby') is not supported",
-                    expr.span,
-                )
-            )
-            self._check_event(expr.inner, scope)
-            return
-        iface_name = self._resolve_decl(expr.decl, scope)
+    def _check_atom(self, expr: EventAtom, iface_name: str | None, scope: _Scope) -> None:
         event_type: TypeTag | None = None
         if iface_name is not None and iface_name in self.env:
             iface = self.env[iface_name]
@@ -372,12 +372,7 @@ class _RuleChecker:
                     )
                 )
 
-    def _check_action(self, expr: ActionExpr, scope: _Scope) -> None:
-        if isinstance(expr, (ActionPar, ActionSeq)):
-            for operand in operands(expr):
-                self._check_action(operand, scope)
-            return
-        iface_name = self._resolve_decl(expr.decl, scope)
+    def _check_call(self, expr: ActionCall, iface_name: str | None, scope: _Scope) -> None:
         param_type: TypeTag | None = None
         if iface_name is not None and iface_name in self.env:
             param_type = self.env[iface_name].actions.get(expr.action)

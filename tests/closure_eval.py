@@ -4,8 +4,12 @@ This is the closure-building evaluator the interpreter used before
 ``rule_eval`` evaluated rules directly.  It renders the denotational
 semantics literally: a condition yields an entity environment plus a
 deferred predicate, an action body an environment plus a deferred effect,
-and ``eval_rule`` instantiates the environment and applies both.  The
-shared pure helpers (declarations, expressions, instantiation, the join
+and ``eval_rule`` instantiates the environment and applies both.
+
+:func:`instantiate` is the oracle's own: an exhaustive loop over the whole
+store, sorted here, that shares no pool, index or join with the
+package's, so the interpreter's candidate pools and their order are under
+test.  The other pure helpers (declarations, expressions, the store join
 and the member update) come from the package.
 """
 
@@ -33,11 +37,11 @@ from pantagruel.domains import (
     EnvEntity,
     EnvInterface,
     InstanceRef,
+    InterfaceRef,
     Store,
     Value,
     access_attribute,
     access_event,
-    instantiate,
     store_join,
     store_join_all,
     update_member,
@@ -186,6 +190,20 @@ def eval_action_expr(
 
 
 # ── Rules (R) ────────────────────────────────────────────────────
+
+
+def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:
+    """Every binding of the open variables over the whole store, in order
+    of variable name, then entity id."""
+    envs = [dict(rho)]
+    for var in sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef)):
+        envs = [
+            {**env, var: InstanceRef(entity_id)}
+            for env in envs
+            for entity_id in sorted(store)
+            if store[entity_id].interface_id == rho[var].name
+        ]
+    return envs
 
 
 def _effects_summary(store: Store) -> tuple[tuple[str, str, Value], ...]:

@@ -41,7 +41,7 @@ from pantagruel.domains import Entity, InstanceRef, InterfaceRef, instantiate, v
 from pantagruel.cli import main
 from pantagruel.rule_eval import rule_environment
 
-from conftest import BUILDING_RULES_13, BUILDING_SPEC, program_source, with_event
+from conftest import BUILDING_RULES_13, BUILDING_SPEC, index_pools, program_source, with_event
 from test_parser import _random_ast
 
 EDGE = TriggerMode.EDGE
@@ -155,7 +155,7 @@ def test_a3_rule_one_derivation_replay(building):
     # the instantiation set: {m10,m20} × {l10,l11,l20}, six environments
     rho_a = rule_environment(rule1, sigma2)
     assert rho_a == {"m": InterfaceRef("MotionDetector"), "l": InterfaceRef("Light")}
-    envs = instantiate(sigma2, rho_a)
+    envs = instantiate(rho_a, index_pools(sigma2, rho_a))
     assert len(envs) == 6
     assert {(e["m"].name, e["l"].name) for e in envs} == {
         (m, l) for m in ("m10", "m20") for l in ("l10", "l11", "l20")
@@ -208,7 +208,7 @@ def test_a4_instantiate_cardinality():
                 rho[f"v{v}"] = InterfaceRef(rng.choice(ifaces))
             else:
                 rho[f"v{v}"] = InstanceRef(f"e{rng.randint(0, 3)}")
-        got = instantiate(store, rho)
+        got = instantiate(rho, index_pools(store, rho))
 
         # exhaustive oracle over every total assignment of the open variables
         open_vars = sorted(v for v, r in rho.items() if isinstance(r, InterfaceRef))

