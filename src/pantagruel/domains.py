@@ -1,10 +1,12 @@
 """The semantic algebra: values, interfaces, entities, stores, references.
 
 Everything here is a plain immutable value; updates build new entities
-rather than mutating.  Reads are total (a miss yields ``UNDEF``), and merges
+rather than mutating.  The one cache is a dual store's grouping of its
+current store by interface, made once and shared by every rule that reads
+the pair.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
-is fixed only where it can be observed: :class:`InterfaceIndex` lists an
+is fixed only where it can be observed: :meth:`DualStore.ids` lists an
 interface's ids sorted, :func:`instantiate` enumerates bindings of sorted
 pools lexicographically, :func:`store_join` reports the least conflict,
 and the serializer sorts what it prints.  Nothing here iterates a set, so
@@ -13,8 +15,9 @@ no result depends on the string hash seed.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .ast import TypeTag
@@ -68,10 +71,6 @@ def value_neq(a: Value, b: Value) -> bool:
     if a is UNDEF or b is UNDEF:
         return not (a is UNDEF and b is UNDEF)
     return type(a) is not type(b) or a != b
-
-
-def _same_value(a: Value, b: Value) -> bool:
-    return not value_neq(a, b)
 
 
 # ── Interfaces and entities ──────────────────────────────────────
@@ -140,7 +139,7 @@ def _merge_maps(
 ) -> dict[str, Value]:
     clashes = [
         key for key, value in right.items()
-        if key in left and not _same_value(left[key], value)
+        if key in left and value_neq(left[key], value)
     ]
     if clashes:
         key = min(clashes)
@@ -244,11 +243,55 @@ def update_member(
 
 @dataclass(frozen=True)
 class DualStore:
-    """The ⟨previous, current⟩ store pair rules are evaluated against;
-    read-only during rule evaluation."""
+    """The ⟨previous, current⟩ store pair rules are evaluated against.
+
+    The pair also groups ``current`` by interface, in one pass the first
+    time :meth:`ids` or :meth:`changed` is asked, and keeps the grouping
+    and the lists it hands out for every rule that reads the pair: the one
+    place a store is grouped by interface.  Neither store is changed once
+    the pair has been read (nothing here or in the evaluator does), and
+    callers do not change the lists returned.  The cache takes no part in
+    construction, equality or repr: those are the two stores'.
+    """
 
     previous: Store
     current: Store
+    _sorted: dict[str, list[str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _changed: dict[str, list[str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    @functools.cached_property
+    def _groups(self) -> defaultdict[str, list[str]]:
+        groups: defaultdict[str, list[str]] = defaultdict(list)
+        for entity_id, entity in self.current.items():
+            groups[entity.interface_id].append(entity_id)
+        return groups
+
+    def ids(self, interface: str) -> list[str]:
+        """The sorted ids of ``interface``'s entities in ``current``."""
+        ids = self._sorted.get(interface)
+        if ids is None:
+            ids = self._sorted[interface] = sorted(self._groups.get(interface, ()))
+        return ids
+
+    def changed(self, interface: str) -> list[str]:
+        """Those of :meth:`ids` whose entity is not the very object
+        ``previous`` holds under the same id: changed or deployed since
+        ``previous``.  Stores pass every untouched entity on as the same
+        object (:class:`Entity`), so this is a superset of the entities
+        whose members differ."""
+        changed = self._changed.get(interface)
+        if changed is None:
+            current, previous = self.current, self.previous
+            changed = self._changed[interface] = [
+                entity_id
+                for entity_id in self.ids(interface)
+                if previous.get(entity_id) is not current[entity_id]
+            ]
+        return changed
 
 
 @dataclass(frozen=True)
@@ -284,50 +327,6 @@ def _join_key(value: Value) -> tuple[type, Value] | None:
     UNDEF, which equals nothing.  The type is part of the key because
     ``1 == True`` in Python while :func:`value_eq` keeps them apart."""
     return None if value is UNDEF else (type(value), value)
-
-
-class InterfaceIndex:
-    """The ids of each interface in ``current``, grouped in one pass: the
-    one place a store is grouped by interface.
-
-    :meth:`ids` sorts an interface's ids when it is first asked for, and
-    :meth:`changed` picks out those whose entity is not the very object
-    ``previous`` holds under that id: changed or deployed since
-    ``previous``.  Stores pass every untouched entity on as the same
-    object (:class:`Entity`), so the changed ids are a superset of the
-    entities whose members differ.  Either list is where a pool of
-    :func:`instantiate` starts.  The lists returned are shared; callers
-    do not change them.
-    """
-
-    def __init__(self, current: Store, previous: Store) -> None:
-        self._groups: defaultdict[str, list[str]] = defaultdict(list)
-        for entity_id, entity in current.items():
-            self._groups[entity.interface_id].append(entity_id)
-        self._current = current
-        self._previous = previous
-        self._sorted: dict[str, list[str]] = {}
-        self._changed: dict[str, list[str]] = {}
-
-    def ids(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities."""
-        ids = self._sorted.get(interface)
-        if ids is None:
-            ids = self._sorted[interface] = sorted(self._groups.get(interface, ()))
-        return ids
-
-    def changed(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities that are not the
-        previous store's object under the same id."""
-        changed = self._changed.get(interface)
-        if changed is None:
-            current, previous = self._current, self._previous
-            changed = self._changed[interface] = [
-                entity_id
-                for entity_id in self.ids(interface)
-                if previous.get(entity_id) is not current[entity_id]
-            ]
-        return changed
 
 
 def instantiate(

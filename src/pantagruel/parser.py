@@ -328,11 +328,8 @@ class _Parser:
 
     def _expr(self) -> Expr:
         tok = self._current()
-        if tok.kind is TokenKind.INT:
-            return NumLit(self._nat("an integer"), tok.span)
-        if tok.kind in (TokenKind.TRUE, TokenKind.FALSE):
-            self._advance()
-            return BoolLit(tok.kind is TokenKind.TRUE, tok.span)
+        if tok.kind in (TokenKind.INT, TokenKind.TRUE, TokenKind.FALSE):
+            return self._literal()
         if tok.kind is TokenKind.IDENT:
             self._advance()
             self._expect(TokenKind.DOT, "'.' (member access)")

@@ -2,17 +2,18 @@
 
 A rule's entity environment is built once (:func:`rule_environment`) and
 instantiated over the matching entities.  For each binding, :func:`holds`
-tests the condition (what the plan below leaves of it) and, if it holds,
-:func:`action_effects` builds the binding's partial store; the partial
-stores are joined into the rule's effect store.
+tests the condition (what the pool tests below leave of it) and, if it
+holds, :func:`action_effects` builds the binding's partial store; the
+partial stores are joined into the rule's effect store.
 
-:func:`eval_rule_block` groups the current store by interface once per
-tick (:class:`~pantagruel.domains.InterfaceIndex`) and hands that index to
-every rule; :func:`eval_rule` called alone builds its own.  Which bindings
-are built is decided here, and only here: :func:`eval_rule` makes a plan
-of the rule against the environment (rebuilt on every evaluation; nothing
-is kept between ticks) and gives each open variable its finished pool of
-sorted ids, which :func:`~pantagruel.domains.instantiate` only enumerates:
+Which bindings are built is decided here, and only here: :func:`eval_rule`
+sorts the condition's conjuncts against the environment in one pass (on
+every evaluation; nothing is kept between ticks) and gives each open
+variable its finished pool of sorted ids, which
+:func:`~pantagruel.domains.instantiate` only enumerates.  A pool starts
+from the dual store's own grouping of the current store by interface
+(:meth:`~pantagruel.domains.DualStore.ids` and ``changed``), made the
+first time a rule asks and shared by every rule that reads the pair:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -22,10 +23,10 @@ sorted ids, which :func:`~pantagruel.domains.instantiate` only enumerates:
   entities it holds for.
 * When such an atom on ``v`` itself is ``value changed``, or in EDGE mode
   ``value = <literal>``, ``v``'s pool starts from the entities of its
-  interface that changed this tick: those that are not the previous
-  store's very object under their id (deployed ones included).  A same
-  object reads the same value on both sides, so the edge and the change
-  tests are false on it.  LEVEL mode and ``value = path`` (the path's
+  interface that changed this tick (``changed``): those that are not the
+  previous store's very object under their id (deployed ones included).
+  A same object reads the same value on both sides, so the edge and the
+  change tests are false on it.  LEVEL mode and ``value = path`` (the path's
   entity may change alone) start from all of the interface's entities.
 * When every call of the body has a filter linking the same two open
   variables through the same member of each (bare names count, as in
@@ -87,7 +88,6 @@ from .domains import (
     EnvEntity,
     EnvInterface,
     InstanceRef,
-    InterfaceIndex,
     InterfaceRef,
     Join,
     Reader,
@@ -136,12 +136,14 @@ class UnsupportedConstructError(Exception):
 
 def eval_declaration(decl: Decl, rho: EnvEntity, current: Store) -> tuple[str, EnvEntity]:
     """Bind the declared name: typed declarations open an interface-bound
-    variable; a bare name binds to itself if it is a current entity and
-    otherwise leaves the environment unchanged (the atom then resolves
-    through whatever binding the name already has, or stays inert)."""
+    variable.  A bare name the environment already binds keeps that
+    binding, so a variable of the rule is never taken over by an entity
+    of the same name, as the checker resolves it.  Otherwise a bare name
+    binds to itself if it is a current entity and leaves the environment
+    unchanged if not (the atom stays inert)."""
     if isinstance(decl, DeclTyped):
         return decl.var, {**rho, decl.var: InterfaceRef(decl.interface)}
-    if decl.name in current:
+    if decl.name in current and decl.name not in rho:
         return decl.name, {**rho, decl.name: InstanceRef(decl.name)}
     return decl.name, rho
 
@@ -323,10 +325,7 @@ def _link(decl: Decl, filt: Filter | None, rho: EnvEntity) -> tuple[str, str, st
 
 
 def _side_reader(
-    reads: dict[tuple[str, bool], None],
-    interface: str,
-    current: Store,
-    index: InterfaceIndex,
+    reads: dict[tuple[str, bool], None], interface: str, dual: DualStore
 ) -> Reader | None:
     """The one read the body's calls make of one side of their equality.
     ``reads`` holds each ``(member, read as a path)`` the calls make of
@@ -338,18 +337,17 @@ def _side_reader(
     if len(members) != 1:
         return None
     (member,) = members
+    current = dual.current
     if (member, False) not in reads:
         return functools.partial(_path_value, member=member, store=current)
     if (member, True) in reads and any(
-        member in current[entity_id].events for entity_id in index.ids(interface)
+        member in current[entity_id].events for entity_id in dual.ids(interface)
     ):
         return None
     return functools.partial(access_attribute, member, store=current)
 
 
-def _body_join(
-    body: ActionExpr, rho: EnvEntity, current: Store, index: InterfaceIndex
-) -> Join | None:
+def _body_join(body: ActionExpr, rho: EnvEntity, dual: DualStore) -> Join | None:
     """The equality every call of the body tests, if each call's filter
     links the same two open variables through the same member of each:
     where it fails, every call returns its seed, so the binding produces
@@ -370,40 +368,11 @@ def _body_join(
         if len(reads) > 2:
             return None
     (x, x_reads), (y, y_reads) = reads.items()
-    read_x = _side_reader(x_reads, rho[x].name, current, index)
-    read_y = _side_reader(y_reads, rho[y].name, current, index)
+    read_x = _side_reader(x_reads, rho[x].name, dual)
+    read_y = _side_reader(y_reads, rho[y].name, dual)
     if read_x is None or read_y is None:
         return None
     return x, read_x, y, read_y
-
-
-@dataclass
-class _Plan:
-    """How :func:`eval_rule` narrows a rule's bindings before testing
-    them (see the module docstring)."""
-
-    closed: list[EventAtom]  # conjuncts reading no open variable: tested once
-    by_var: dict[str, list[EventAtom]]  # conjuncts reading one: pool tests
-    rest: list[EventExpr]  # the other conjuncts: tested on whole bindings
-    join: Join | None  # the body's equality between two open variables
-
-
-def _plan(rule: RuleAst, rho: EnvEntity, dual: DualStore, index: InterfaceIndex) -> _Plan:
-    condition = rule.condition
-    conjuncts = operands(condition) if isinstance(condition, EventAnd) else [condition]
-    plan = _Plan([], {}, [], _body_join(rule.body, rho, dual.current, index))
-    for atom in conjuncts:
-        if not isinstance(atom, EventAtom):
-            plan.rest.append(atom)
-            continue
-        reads = _open_reads(atom, rho)
-        if not reads:
-            plan.closed.append(atom)
-        elif len(reads) == 1:
-            plan.by_var.setdefault(reads[0], []).append(atom)
-        else:
-            plan.rest.append(atom)
-    return plan
 
 
 def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
@@ -424,31 +393,35 @@ def eval_rule(
     dual: DualStore,
     mode: TriggerMode,
     label: int | None = None,
-    index: InterfaceIndex | None = None,
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects.
-    The rule's plan narrows the bindings first, as the module docstring
-    describes; the result is that of the full product.  ``index`` is
-    ``dual``'s interface index, built here when not given."""
+    The conjuncts narrow the bindings first, as the module docstring
+    describes; the result is that of the full product."""
     if label is None:
         label = rule.label if rule.label is not None else 1
     current = dual.current
-    if index is None:
-        index = InterfaceIndex(current, dual.previous)
     rho = rule_environment(rule, current)
-    plan = _plan(rule, rho, dual, index)
-    if not all(holds(atom, dual, rho, mode) for atom in plan.closed):
-        return {}, []
+    condition = rule.condition
+    by_var: dict[str, list[EventAtom]] = {}  # pool tests, per open variable
+    rest: list[EventExpr] = []  # tested on whole bindings
+    for conjunct in operands(condition) if isinstance(condition, EventAnd) else [condition]:
+        reads = _open_reads(conjunct, rho) if isinstance(conjunct, EventAtom) else None
+        if reads is None or len(reads) > 1:
+            rest.append(conjunct)
+        elif reads:
+            by_var.setdefault(reads[0], []).append(conjunct)
+        elif not holds(conjunct, dual, rho, mode):
+            return {}, []
     pools: dict[str, list[str]] = {}
     for var, ref in rho.items():
         if not isinstance(ref, InterfaceRef):
             continue
-        atoms = plan.by_var.get(var, ())
+        atoms = by_var.get(var, ())
         if any(_needs_change(atom, var, mode) for atom in atoms):
-            pool = index.changed(ref.name)
+            pool = dual.changed(ref.name)
         else:
-            pool = index.ids(ref.name)
+            pool = dual.ids(ref.name)
         if atoms:
             scope = dict(rho)
             kept = []
@@ -462,8 +435,8 @@ def eval_rule(
         pools[var] = pool
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(rho, pools, plan.join):
-        if not all(holds(conjunct, dual, scope, mode) for conjunct in plan.rest):
+    for scope in instantiate(rho, pools, _body_join(rule.body, rho, dual)):
+        if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})
         partials.append(partial)
@@ -484,14 +457,13 @@ def eval_rule_block(
     mode: TriggerMode,
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule against the same dual store and join the partial
-    effect stores; interfering rules surface as a ConflictError.  The store
-    is grouped by interface once, for all rules."""
-    index = InterfaceIndex(dual.current, dual.previous)
+    effect stores; interfering rules surface as a ConflictError.  All
+    rules share ``dual``'s one grouping of the store by interface."""
     effects: Store = {}
     fired: list[FiredRule] = []
     for position, rule in enumerate(rules, start=1):
         label = rule.label if rule.label is not None else position
-        partial, rule_fired = eval_rule(env, rule, dual, mode, label=label, index=index)
+        partial, rule_fired = eval_rule(env, rule, dual, mode, label=label)
         effects = store_join(effects, partial)
         fired.extend(rule_fired)
     return effects, fired

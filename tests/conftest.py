@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from pantagruel import check_program, parse_program, update_member
-from pantagruel.domains import InterfaceIndex, InterfaceRef
+from pantagruel.domains import DualStore, InterfaceRef
 
 BUILDING_SPEC = """\
 interface MotionDetector {
@@ -81,8 +81,8 @@ def with_event(store, entity_id: str, event: str, value):
 def index_pools(store, rho):
     """Each open variable of ``rho`` mapped to every id of its interface
     in ``store``, sorted: the full pools ``instantiate`` enumerates."""
-    index = InterfaceIndex(store, {})
-    return {var: index.ids(ref.name) for var, ref in rho.items() if isinstance(ref, InterfaceRef)}
+    dual = DualStore({}, store)
+    return {var: dual.ids(ref.name) for var, ref in rho.items() if isinstance(ref, InterfaceRef)}
 
 
 # two rules write opposite values to both actions of both entities; the

@@ -691,3 +691,62 @@ def test_pool_tests_visit_only_the_detectors_that_changed(monkeypatch, rule, mod
         {"l": "la7", "m": "m7"},
         {"l": "lb7", "m": "m7"},
     ]
+
+
+NAMESAKE_PROGRAM = """\
+interface MotionDetector { event detected : Boolean action ack ( Boolean ) }
+m:MotionDetector {}
+m2:MotionDetector {}
+rules
+(1) when event detected from m:MotionDetector value = true trigger action ack(true) on m end
+(2) when event detected from d:MotionDetector value = true trigger action ack(true) on d end
+end
+"""
+
+
+@pytest.mark.parametrize("moved", ["m", "m2"])
+def test_a_rule_variable_named_like_an_entity_ranges_like_its_renamed_twin(moved):
+    """Rules 1 and 2 differ only in their variable's name, and rule 1's is
+    also an entity's.  The checker reads the bare ``m`` of rule 1's body
+    as the variable, so the evaluator must too: both rules fire for the
+    detector that moved, whichever it is."""
+    checked = check_program(parse_program(NAMESAKE_PROGRAM))
+    assert checked.ok
+    _, record = step(
+        initial_state(checked.initial_store),
+        [EventUpdate(moved, "detected", True)],
+        checked.rules,
+        checked.env,
+        EDGE,
+    )
+    assert [(f.label, f.binding) for f in record.fired] == [(1, {"m": moved}), (2, {"d": moved})]
+
+
+class _CountingStore(dict):
+    """A store that counts the passes over its items: grouping it by
+    interface is one pass."""
+
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("evaluate", ["two-rules-alone", "block"])
+def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
+    building, motion_dual, evaluate
+):
+    current = _CountingStore(motion_dual.current)
+    dual = DualStore(motion_dual.previous, current)
+    if evaluate == "block":
+        got = eval_rule_block(building.env, building.rules, dual, EDGE)
+        assert got == eval_rule_block(building.env, building.rules, motion_dual, EDGE)
+    else:
+        for rule in building.rules[:2]:
+            got = eval_rule(building.env, rule, dual, EDGE)
+            assert got == eval_rule(building.env, rule, motion_dual, EDGE)
+    assert current.passes == 1
+    # the grouping is no part of the pair's value
+    assert dual == DualStore(motion_dual.previous, motion_dual.current)
+    assert repr(dual) == repr(DualStore(motion_dual.previous, dict(current)))
