@@ -257,7 +257,7 @@ def test_a_removed_then_redeployed_id_renders_fresh_and_the_memo_follows_the_sto
     for store in stores:
         line = serialize_tick(_record(store), fmt)
         assert line == serialize_tick(_record(dict(store)), fmt)
-        assert set(serialize._memos[fmt]) == set(store)
+        assert serialize._memos[fmt].ids == sorted(store)
         if "a" in store:
             k = store["a"].attributes["k"]
             assert (f'"a":{{"attributes":{{"k":{k}}}' if fmt == "jsonl" else f"k={k} | ") in line
@@ -317,3 +317,105 @@ def _state_rows(store):
         rows.append(f"  {entity_id:<{id_width}}  {e.interface_id:<{iface_width}}"
                     f"  {attrs or '-'} | {events or '-'}\n")
     return "".join(rows)
+
+
+# ── The memo's delta ─────────────────────────────────────────────
+
+
+def test_text_state_block_equals_the_memo_free_rows_as_widths_move():
+    rng = random.Random(40213)
+    snapshot = {}
+    for step in range(300):
+        record = _random_record(rng, snapshot)
+        snapshot = dict(record.snapshot)
+        if step % 25 == 5:  # an id longer than any other
+            snapshot["a_long_entity_id"] = Entity("I", {"k": step}, {})
+        elif step % 25 == 6 and snapshot:  # remove the entity with the longest id
+            del snapshot[max(sorted(snapshot), key=len)]
+        elif step % 25 == 7:  # an interface name longer than any other
+            snapshot["zz"] = Entity("ALongInterfaceName", {}, {"e": True})
+        record = _record(snapshot, record.tick, record.changes, record.fired, record.conflict)
+        expected = _state_rows(snapshot) if snapshot else "  (empty store)\n"
+        assert serialize_tick(record, "text").endswith("\nstate:\n" + expected)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_a_tick_renders_only_the_entities_it_changed(monkeypatch, fmt):
+    name = {"jsonl": "_jsonl_fragment", "text": "_text_fragment"}[fmt]
+    render = getattr(serialize, name)
+    calls = []
+
+    def counted(entity_id, entity):
+        calls.append(entity_id)
+        return render(entity_id, entity)
+
+    monkeypatch.setattr(serialize, name, counted)
+    store = {f"e{i:04}": Entity("Meter", {"zone": i % 4}, {"reading": UNDEF}) for i in range(2_500)}
+    serialize_tick(_record(store), fmt)
+
+    rebuilt = [f"e{i:04}" for i in range(3, 2_500, 97)]
+    changed = dict(store)
+    for entity_id in rebuilt:
+        changed[entity_id] = Entity("Meter", {"zone": 9}, {"reading": 5})
+    del changed["e0007"]
+    changed["e1234a"] = Entity("Meter", {"zone": 1}, {"reading": True})
+
+    for record, renders in ((_record(changed), len(rebuilt) + 1), (_record(dict(changed)), 0)):
+        calls.clear()
+        line = serialize_tick(record, fmt)
+        assert len(calls) == renders
+        if fmt == "jsonl":
+            assert line == json.dumps(_payload(record), sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            assert line.endswith("\nstate:\n" + _state_rows(record.snapshot))
+
+
+def test_hand_written_jsonl_escapes_strings_and_keeps_bool_apart_from_int():
+    odd = ["a\nb", "n\x00l", "d\x7fl", 'q"t', "l\u2028s", "plain"]
+    stores = [
+        {odd[i]: Entity(odd[-1 - i], {odd[i]: True, "n": 1}, {odd[-1 - i]: False, "z": 0})
+         for i in range(len(odd))},
+        {odd[i]: Entity(odd[-1 - i], {odd[i]: 1, "n": True}, {odd[-1 - i]: 0, "z": False})
+         for i in range(len(odd))},
+        {odd[i]: Entity(odd[i], {odd[i]: UNDEF}, {"e": UNDEF}) for i in range(len(odd))},
+    ]
+    changes = [
+        EventUpdate(odd[0], odd[1], True),
+        EventUpdate(odd[2], odd[3], 1),
+        AttributeUpdate(odd[4], odd[0], False),
+        AttributeUpdate(odd[3], odd[2], 0),
+        EventUpdate(odd[1], "e", UNDEF),
+        Remove(odd[3]),
+        Deploy(EntityDecl(odd[4], odd[2], (
+            InitDecl(odd[0], NumLit(1)), InitDecl("k", BoolLit(True)), InitDecl(odd[0], NumLit(2)),
+        ))),
+    ]
+    fired = [FiredRule(3, {odd[0]: odd[1], "m": odd[4]}, ()), FiredRule(1, {}, ())]
+    for tick, store in enumerate(stores):
+        record = _record(store, tick, changes, fired, odd[tick])
+        expected = json.dumps(_payload(record), sort_keys=True, separators=(",", ":"))
+        assert serialize_tick(record, "jsonl") == expected + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_a_render_that_raises_leaves_no_stale_piece(monkeypatch, fmt):
+    name = {"jsonl": "_jsonl_fragment", "text": "_text_fragment"}[fmt]
+    render = getattr(serialize, name)
+    old = {f"e{i}": Entity("I", {"k": 0}, {}) for i in range(5)}
+    serialize_tick(_record(old), fmt)
+    new = {**{f"e{i}": Entity("I", {"k": 1}, {}) for i in range(5)}, "a_longer_id": Entity("I", {}, {})}
+
+    def failing(entity_id, entity):
+        if entity_id == "e3":
+            raise KeyboardInterrupt
+        return render(entity_id, entity)
+
+    monkeypatch.setattr(serialize, name, failing)
+    with pytest.raises(KeyboardInterrupt):
+        serialize_tick(_record(new), fmt)
+    monkeypatch.setattr(serialize, name, render)
+    line = serialize_tick(_record(new), fmt)
+    if fmt == "jsonl":
+        assert line == json.dumps(_payload(_record(new)), sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        assert line.endswith("\nstate:\n" + _state_rows(new))
