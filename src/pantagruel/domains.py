@@ -1,9 +1,12 @@
 """The semantic algebra: values, interfaces, entities, stores, references.
 
 Everything here is a plain immutable value; updates build new entities
-rather than mutating.  The one cache is a dual store's grouping of its
-current store by interface, made once and shared by every rule that reads
-the pair.  Reads are total (a miss yields ``UNDEF``), and merges
+rather than mutating.  The one cache is the :class:`StoreIndex` of a dual
+store: its current store's ids by interface and, for the attributes body
+joins read, by value.  ``step`` carries it from tick to tick and moves it
+by the ids each tick changed, copying only the lists it changes; a bare
+:class:`DualStore` builds it the same way, moving every entity in.
+Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
 is fixed only where it can be observed: :meth:`DualStore.ids` lists an
@@ -16,9 +19,10 @@ no result depends on the string hash seed.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .ast import TypeTag
 
@@ -238,58 +242,259 @@ def update_member(
     )
 
 
-# ── Dual stores, references, entity environments ─────────────────
+# ── The store index and dual stores ──────────────────────────────
+
+
+# A value's hash key on one side of an equality (see :func:`_join_key`).
+JoinKey = tuple[type, Value]
+# Where an entity sits in a store index: ``(interface, None, None)`` for its
+# interface's ids, ``(interface, attribute, key)`` for its bucket of an
+# attribute the index keeps.
+_Place = tuple[str, Union[str, None], Union[JoinKey, None]]
+
+# Past this many ids entering one list in one update, the list is sorted
+# once rather than inserted into id by id (building an index from nothing).
+_SORT_AT = 16
+
+
+def _join_key(value: Value) -> JoinKey | None:
+    """The hash key of a value on one side of an equality, or None for
+    UNDEF, which equals nothing.  The type is part of the key because
+    ``1 == True`` in Python while :func:`value_eq` keeps them apart."""
+    return None if value is UNDEF else (type(value), value)
+
+
+def _buckets_of(entity: Entity | None, kept: Mapping[str, list[str]]) -> list[_Place]:
+    """The attribute buckets of an index that hold ``entity``'s id: one
+    for each attribute ``kept`` names for its interface that it holds a
+    value other than UNDEF in."""
+    if entity is None:
+        return []
+    interface = entity.interface_id
+    places: list[_Place] = []
+    for attribute in kept.get(interface, ()):
+        key = _join_key(entity.attributes.get(attribute, UNDEF))
+        if key is not None:
+            places.append((interface, attribute, key))
+    return places
+
+
+def _resorted(ids: Sequence[str], leaving: Sequence[str], entering: Sequence[str]) -> list[str]:
+    """A sorted copy of ``ids`` without ``leaving`` and with ``entering``."""
+    out = list(ids)
+    for entity_id in leaving:
+        del out[bisect_left(out, entity_id)]
+    if len(entering) > _SORT_AT:
+        out += entering
+        out.sort()
+    else:
+        for entity_id in entering:
+            insort(out, entity_id)
+    return out
+
+
+class StoreIndex:
+    """What rules look up in the current store of a ⟨previous, current⟩
+    pair: per interface, its ids, sorted; per ``(interface, attribute)``
+    that a body join has asked for, those ids by the attribute's
+    :func:`_join_key`, sorted in each bucket (UNDEF in no bucket).  Both
+    are one map: an interface's ids are its one bucket under attribute and
+    key None.
+
+    An index records the pair it describes, by identity, and ``touched``:
+    ids outside of which ``previous`` and ``current`` hold the very same
+    entity objects, or None if those are not known.  :meth:`moved` makes
+    the index of a successor pair from the entities that changed; it
+    copies only the lists and bucket maps it changes, so an index is never
+    changed once made, but for an attribute's buckets being added the
+    first time they are asked for."""
+
+    __slots__ = ("previous", "current", "touched", "_lists")
+
+    def __init__(
+        self,
+        previous: Store,
+        current: Store,
+        touched: tuple[str, ...] | None,
+        lists: dict[tuple[str, str | None], dict[JoinKey | None, list[str]]],
+    ) -> None:
+        self.previous = previous
+        self.current = current
+        self.touched = touched
+        self._lists = lists
+
+    @classmethod
+    def build(cls, previous: Store, current: Store) -> StoreIndex:
+        """The index of a pair from nothing: every entity of ``current``
+        moved in from None."""
+        return cls({}, {}, None, {}).moved(previous, current, None, current.items(), {})
+
+    def describes(self, previous: Store, current: Store) -> bool:
+        return self.previous is previous and self.current is current
+
+    def describing(
+        self, previous: Store, current: Store, touched: tuple[str, ...] | None
+    ) -> StoreIndex:
+        """This index for another pair whose current store has the same
+        ids, interfaces and attributes; it shares this one's lists."""
+        return StoreIndex(previous, current, touched, self._lists)
+
+    def moved(
+        self,
+        previous: Store,
+        current: Store,
+        touched: tuple[str, ...] | None,
+        moves: Iterable[tuple[str, Entity | None]],
+        before: Store,
+    ) -> StoreIndex:
+        """The index of ``(previous, current)``.  Its current store is
+        ``before``, the store this index describes, with each ``(id,
+        new)`` of ``moves`` moved from its entity in ``before`` to entity
+        ``new`` (None where the id is absent), each id once.  An id whose
+        lists are the same stays put."""
+        lists = dict(self._lists)
+        kept: dict[str, list[str]] = {}
+        for interface, attribute in lists:
+            if attribute is not None:
+                kept.setdefault(interface, []).append(attribute)
+        leaving: defaultdict[_Place, list[str]] = defaultdict(list)
+        entering: defaultdict[_Place, list[str]] = defaultdict(list)
+        # interface ids, gathered by interface name alone: the loop runs
+        # once per entity when an index is built from nothing
+        quitting: defaultdict[str, list[str]] = defaultdict(list)
+        joining: defaultdict[str, list[str]] = defaultdict(list)
+        for entity_id, new in moves:
+            old = before.get(entity_id)
+            if old is new:
+                continue
+            if old is None or new is None or old.interface_id != new.interface_id:
+                if old is not None:
+                    quitting[old.interface_id].append(entity_id)
+                if new is not None:
+                    joining[new.interface_id].append(entity_id)
+            if kept:
+                out, into = _buckets_of(old, kept), _buckets_of(new, kept)
+                if out != into:
+                    for place in out:
+                        if place not in into:
+                            leaving[place].append(entity_id)
+                    for place in into:
+                        if place not in out:
+                            entering[place].append(entity_id)
+        for gathered, by_place in ((quitting, leaving), (joining, entering)):
+            for interface, ids in gathered.items():
+                by_place[(interface, None, None)] = ids
+        copied: set[tuple[str, str | None]] = set()
+        for place in dict.fromkeys([*leaving, *entering]):
+            interface, attribute, key = place
+            name = (interface, attribute)
+            if name not in copied:
+                copied.add(name)
+                lists[name] = dict(lists.get(name, {}))
+            buckets = lists[name]
+            ids = _resorted(buckets.get(key, ()), leaving.get(place, ()), entering.get(place, ()))
+            if ids:
+                buckets[key] = ids
+            else:
+                del buckets[key]
+        return StoreIndex(previous, current, touched, lists)
+
+    def ids(self, interface: str) -> list[str]:
+        """The sorted ids of ``interface``'s entities in ``current``."""
+        return self._lists.get((interface, None), {}).get(None, [])
+
+    def buckets(self, interface: str, attribute: str) -> dict[JoinKey, list[str]]:
+        """``interface``'s ids by the key of ``attribute``, built from
+        :meth:`ids` the first time it is asked for and kept from then on."""
+        name = (interface, attribute)
+        buckets = self._lists.get(name)
+        if buckets is None:
+            buckets = {}
+            current = self.current
+            for entity_id in self.ids(interface):
+                key = _join_key(current[entity_id].attributes.get(attribute, UNDEF))
+                if key is not None:
+                    buckets.setdefault(key, []).append(entity_id)
+            self._lists[name] = buckets
+        return buckets
+
+
+class Keyed(NamedTuple):
+    """One joined variable's interface as a store index keeps it: all its
+    ids, sorted, and those ids by the key of the attribute the join reads."""
+
+    ids: Sequence[str]
+    by_key: Mapping[JoinKey, Sequence[str]]
 
 
 @dataclass(frozen=True)
 class DualStore:
     """The ⟨previous, current⟩ store pair rules are evaluated against.
 
-    The pair also groups ``current`` by interface, in one pass the first
-    time :meth:`ids` or :meth:`changed` is asked, and keeps the grouping
-    and the lists it hands out for every rule that reads the pair: the one
-    place a store is grouped by interface.  Neither store is changed once
-    the pair has been read (nothing here or in the evaluator does), and
-    callers do not change the lists returned.  The cache takes no part in
-    construction, equality or repr: those are the two stores'.
+    Its :class:`StoreIndex` is the one :meth:`indexed` gives it, as
+    :func:`~pantagruel.runtime.step` does, or else one built from the two
+    stores the first time it is asked; every rule that reads the pair
+    shares it.  Neither store is changed once the pair has been read
+    (nothing here or in the evaluator does), and callers do not change
+    the lists returned.  The index takes no part in construction,
+    equality or repr: those are the two stores'.
     """
 
     previous: Store
     current: Store
-    _sorted: dict[str, list[str]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _changed: dict[str, list[str]] = field(
+    _changed: dict[tuple[str, str], list[str]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
+    @classmethod
+    def indexed(cls, index: StoreIndex) -> DualStore:
+        """The pair ``index`` describes, with that index."""
+        dual = cls(index.previous, index.current)
+        dual.__dict__["index"] = index  # the cached property's value
+        return dual
+
     @functools.cached_property
-    def _groups(self) -> defaultdict[str, list[str]]:
-        groups: defaultdict[str, list[str]] = defaultdict(list)
-        for entity_id, entity in self.current.items():
-            groups[entity.interface_id].append(entity_id)
-        return groups
+    def index(self) -> StoreIndex:
+        return StoreIndex.build(self.previous, self.current)
 
     def ids(self, interface: str) -> list[str]:
         """The sorted ids of ``interface``'s entities in ``current``."""
-        ids = self._sorted.get(interface)
-        if ids is None:
-            ids = self._sorted[interface] = sorted(self._groups.get(interface, ()))
-        return ids
+        return self.index.ids(interface)
 
-    def changed(self, interface: str) -> list[str]:
-        """Those of :meth:`ids` whose entity is not the very object
-        ``previous`` holds under the same id: changed or deployed since
-        ``previous``.  Stores pass every untouched entity on as the same
-        object (:class:`Entity`), so this is a superset of the entities
-        whose members differ."""
-        changed = self._changed.get(interface)
+    def keyed(self, interface: str, attribute: str) -> Keyed:
+        """``interface``'s ids, all of them and by ``attribute``'s key."""
+        index = self.index
+        return Keyed(index.ids(interface), index.buckets(interface, attribute))
+
+    def changed(self, interface: str, event: str) -> list[str]:
+        """Those of :meth:`ids` whose ``event`` reads differently in
+        ``previous`` and ``current`` (:func:`value_neq`, UNDEF where it is
+        absent): deployed, or changed since ``previous``.  Stores pass
+        every untouched entity on as the same object (:class:`Entity`), so
+        only the entities that are not ``previous``'s very object are
+        read: the index's ``touched`` ids, or every id of the interface
+        when those are not known."""
+        changed = self._changed.get((interface, event))
         if changed is None:
             current, previous = self.current, self.previous
-            changed = self._changed[interface] = [
+            touched = self.index.touched
+            if touched is None:
+                candidates = self.ids(interface)
+            else:
+                candidates = sorted(
+                    entity_id
+                    for entity_id in touched
+                    if (entity := current.get(entity_id)) is not None
+                    and entity.interface_id == interface
+                )
+            changed = self._changed[(interface, event)] = [
                 entity_id
-                for entity_id in self.ids(interface)
+                for entity_id in candidates
                 if previous.get(entity_id) is not current[entity_id]
+                and value_neq(
+                    access_event(event, entity_id, previous),
+                    access_event(event, entity_id, current),
+                )
             ]
         return changed
 
@@ -322,15 +527,56 @@ Reader = Callable[[str], Value]
 Join = tuple[str, Reader, str, Reader]
 
 
-def _join_key(value: Value) -> tuple[type, Value] | None:
-    """The hash key of a value on one side of an equality, or None for
-    UNDEF, which equals nothing.  The type is part of the key because
-    ``1 == True`` in Python while :func:`value_eq` keeps them apart."""
-    return None if value is UNDEF else (type(value), value)
+def in_sorted(ids: Sequence[str], entity_id: str) -> bool:
+    """Whether the sorted ``ids`` hold ``entity_id``."""
+    at = bisect_left(ids, entity_id)
+    return at < len(ids) and ids[at] == entity_id
+
+
+def _partners(
+    pools: Mapping[str, Sequence[str]], join: Join, keyed: Mapping[str, Keyed]
+) -> dict[str, Sequence[str]]:
+    """For a join whose variable ``y`` sorts before ``x``: each id of
+    ``y``'s pool that meets some of ``x``'s pool, with those ids, sorted.
+
+    A side in ``keyed`` is looked up in its buckets by the key each entity
+    of the other side's pool reads, and only the ids of its own pool are
+    kept; where both sides are, the one with the larger pool is looked up.
+    Where neither is, ``x``'s pool is put in buckets of its own first."""
+    x, read_x, y, read_y = join
+    looked = [var for var in (x, y) if var in keyed]
+    if not looked:
+        buckets: dict[JoinKey, list[str]] = {}
+        for entity_id in pools[x]:
+            key = _join_key(read_x(entity_id))
+            if key is not None:
+                buckets.setdefault(key, []).append(entity_id)
+        keyed, looked = {x: Keyed(pools[x], buckets)}, [x]
+    partners: dict[str, Sequence[str]] = {}
+    side = max(looked, key=lambda var: len(pools[var]))
+    every, by_key = keyed[side]
+    pool = pools[side]
+    filtered = len(pool) < len(every)
+    read = read_y if side == x else read_x
+    for entity_id in pools[y if side == x else x]:
+        ids = by_key.get(_join_key(read(entity_id)), ())
+        if filtered:
+            ids = [found for found in ids if in_sorted(pool, found)]
+        if not ids:
+            continue
+        if side == x:
+            partners[entity_id] = ids
+        else:
+            for found in ids:
+                partners.setdefault(found, []).append(entity_id)
+    return partners
 
 
 def instantiate(
-    rho: EnvEntity, pools: Mapping[str, Sequence[str]], join: Join | None = None
+    rho: EnvEntity,
+    pools: Mapping[str, Sequence[str]],
+    join: Join | None = None,
+    keyed: Mapping[str, Keyed] | None = None,
 ) -> list[EnvEntity]:
     """Expand interface-bound variables over their pools of entity ids.
 
@@ -341,36 +587,30 @@ def instantiate(
     name, then entity id) and is empty as soon as one pool is.
 
     ``join`` is an optional equality between two distinct open variables
-    (:data:`Join`; anything else is a ``ValueError``): variables are bound
-    in name order, and the later of the two takes its ids from a bucket of
-    its pool keyed by the value its partner reads, so the bindings whose
-    two sides differ (or read UNDEF) are never built.  The survivors keep
-    the order above, so the result is a subsequence of the product.
+    (:data:`Join`; anything else is a ``ValueError``), and ``keyed`` gives,
+    for a joined variable read as an attribute, its interface's ids by
+    that attribute's key (a superset of its pool, read as ``join`` reads
+    it).  Variables are bound in name order: the earlier of the two takes
+    only the ids that meet some id of the later one's pool, and the later
+    one only the ids its partner meets, found by a hash lookup
+    (:func:`_partners`), so the bindings whose two sides differ (or read
+    UNDEF) are never built.  The survivors keep the order above, so the
+    result is a subsequence of the product.
     """
     open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
     if join is not None and (join[0] == join[2] or not {join[0], join[2]} <= set(open_vars)):
         raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
     looked_up = None
     if join is not None:
-        # the later variable ``x`` is looked up by the value its partner reads
-        x, read_x, y, read_y = join
-        if x < y:
-            x, read_x, y, read_y = y, read_y, x, read_x
-        looked_up, at = x, open_vars.index(y)
-        buckets: dict[object, list[str]] = {}
-        for entity_id in pools[x]:
-            key = _join_key(read_x(entity_id))
-            if key is not None:
-                buckets.setdefault(key, []).append(entity_id)
-        partner_keys = {entity_id: _join_key(read_y(entity_id)) for entity_id in pools[y]}
+        if join[0] < join[2]:
+            join = (join[2], join[3], join[0], join[1])
+        partners = _partners(pools, join, keyed or {})
+        looked_up, at = join[0], open_vars.index(join[2])
+        pools = {**pools, join[2]: sorted(partners)}
     rows: list[tuple[str, ...]] = [()]
     for var in open_vars:
         if var == looked_up:
-            rows = [
-                row + (entity_id,)
-                for row in rows
-                for entity_id in buckets.get(partner_keys[row[at]], ())
-            ]
+            rows = [row + (entity_id,) for row in rows for entity_id in partners[row[at]]]
         else:
             pool = pools[var]
             rows = [row + (entity_id,) for row in rows for entity_id in pool]

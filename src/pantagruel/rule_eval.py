@@ -8,12 +8,12 @@ partial stores are joined into the rule's effect store.
 
 Which bindings are built is decided here, and only here: :func:`eval_rule`
 sorts the condition's conjuncts against the environment in one pass (on
-every evaluation; nothing is kept between ticks) and gives each open
+every evaluation; the plan is not kept between ticks) and gives each open
 variable its finished pool of sorted ids, which
 :func:`~pantagruel.domains.instantiate` only enumerates.  A pool starts
-from the dual store's own grouping of the current store by interface
-(:meth:`~pantagruel.domains.DualStore.ids` and ``changed``), made the
-first time a rule asks and shared by every rule that reads the pair:
+from the dual store's index (:meth:`~pantagruel.domains.DualStore.ids`
+and ``changed``), which ``step`` keeps from tick to tick, moving it by the
+ids each tick changed, and shares with every rule of the tick:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -23,11 +23,13 @@ first time a rule asks and shared by every rule that reads the pair:
   entities it holds for.
 * When such an atom on ``v`` itself is ``value changed``, or in EDGE mode
   ``value = <literal>``, ``v``'s pool starts from the entities of its
-  interface that changed this tick (``changed``): those that are not the
-  previous store's very object under their id (deployed ones included).
-  A same object reads the same value on both sides, so the edge and the
-  change tests are false on it.  LEVEL mode and ``value = path`` (the path's
-  entity may change alone) start from all of the interface's entities.
+  interface whose event of the atom reads differently in the two stores
+  (``changed``), deployed ones included: on any other, the edge and the
+  change tests are false.  Only the entities that are not the previous
+  store's very object under their id are read, since a same object reads
+  the same value on both sides.  LEVEL mode and ``value = path`` (the
+  path's entity may change alone) start from all of the interface's
+  entities.
 * When every call of the body has a filter linking the same two open
   variables through the same member of each (bare names count, as in
   ``action ack(true) on m with room = l.room``), that is an equality
@@ -36,7 +38,10 @@ first time a rule asks and shared by every rule that reads the pair:
   used only if no entity of its interface carries an event of that name,
   so that both reads agree.  :func:`~pantagruel.domains.instantiate`
   turns it into a hash lookup keyed by ``(type, value)``, UNDEF joining
-  nothing, exactly as :func:`value_eq` compares.
+  nothing, exactly as :func:`value_eq` compares.  A side read as an
+  attribute is looked up in the index's buckets of that attribute, built
+  the first time a rule asks and kept from then on, by each entity of
+  the other side's pool, so its own entities are not read at all.
 
 Only the conjuncts not tested on pools (``or`` terms and atoms reading two
 open variables, whatever their filters) are left to :func:`holds` on whole
@@ -90,6 +95,7 @@ from .domains import (
     InstanceRef,
     InterfaceRef,
     Join,
+    Keyed,
     Reader,
     Store,
     Value,
@@ -326,32 +332,36 @@ def _link(decl: Decl, filt: Filter | None, rho: EnvEntity) -> tuple[str, str, st
 
 def _side_reader(
     reads: dict[tuple[str, bool], None], interface: str, dual: DualStore
-) -> Reader | None:
-    """The one read the body's calls make of one side of their equality.
-    ``reads`` holds each ``(member, read as a path)`` the calls make of
-    it.  The side is read as an attribute, or as a path; where calls read
-    it both ways, as an attribute, provided no entity of the side's
-    interface carries an event of that name, so that both reads agree.
-    None if the calls read different members or the reads may disagree."""
+) -> tuple[Reader, str | None] | None:
+    """The one read the body's calls make of one side of their equality,
+    and the attribute it reads, if it reads one.  ``reads`` holds each
+    ``(member, read as a path)`` the calls make of it.  The side is read
+    as an attribute, or as a path; where calls read it both ways, as an
+    attribute, provided no entity of the side's interface carries an
+    event of that name, so that both reads agree.  None if the calls read
+    different members or the reads may disagree."""
     members = dict.fromkeys(member for member, _ in reads)
     if len(members) != 1:
         return None
     (member,) = members
     current = dual.current
     if (member, False) not in reads:
-        return functools.partial(_path_value, member=member, store=current)
+        return functools.partial(_path_value, member=member, store=current), None
     if (member, True) in reads and any(
         member in current[entity_id].events for entity_id in dual.ids(interface)
     ):
         return None
-    return functools.partial(access_attribute, member, store=current)
+    return functools.partial(access_attribute, member, store=current), member
 
 
-def _body_join(body: ActionExpr, rho: EnvEntity, dual: DualStore) -> Join | None:
+def _body_join(
+    body: ActionExpr, rho: EnvEntity, dual: DualStore
+) -> tuple[Join | None, dict[str, Keyed]]:
     """The equality every call of the body tests, if each call's filter
     links the same two open variables through the same member of each:
     where it fails, every call returns its seed, so the binding produces
-    no effect.  Bare names count (``on m with room = l.room``)."""
+    no effect.  Bare names count (``on m with room = l.room``).  With it,
+    each side read as an attribute, keyed by it (:meth:`DualStore.keyed`)."""
     reads: dict[str, dict[tuple[str, bool], None]] = {}
     pending = [body]
     while pending:
@@ -361,24 +371,29 @@ def _body_join(body: ActionExpr, rho: EnvEntity, dual: DualStore) -> Join | None
             continue
         link = _link(node.decl, node.filter, rho)
         if link is None:
-            return None
+            return None, {}
         x, attribute, y, member = link
         reads.setdefault(x, {})[(attribute, False)] = None
         reads.setdefault(y, {})[(member, True)] = None
         if len(reads) > 2:
-            return None
+            return None, {}
     (x, x_reads), (y, y_reads) = reads.items()
-    read_x = _side_reader(x_reads, rho[x].name, dual)
-    read_y = _side_reader(y_reads, rho[y].name, dual)
-    if read_x is None or read_y is None:
-        return None
-    return x, read_x, y, read_y
+    side_x = _side_reader(x_reads, rho[x].name, dual)
+    side_y = _side_reader(y_reads, rho[y].name, dual)
+    if side_x is None or side_y is None:
+        return None, {}
+    keyed = {
+        var: dual.keyed(rho[var].name, attribute)
+        for var, (_, attribute) in ((x, side_x), (y, side_y))
+        if attribute is not None
+    }
+    return (x, side_x[0], y, side_y[0]), keyed
 
 
 def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
     """Whether ``atom``, a pool test of ``var``, can hold only on an entity
-    that changed this tick: ``value changed``, or in EDGE mode ``value =
-    <literal>``, on ``var`` itself."""
+    whose event changed value this tick: ``value changed``, or in EDGE
+    mode ``value = <literal>``, on ``var`` itself."""
     if _decl_name(atom.decl) != var:
         return False
     test = atom.test
@@ -418,10 +433,8 @@ def eval_rule(
         if not isinstance(ref, InterfaceRef):
             continue
         atoms = by_var.get(var, ())
-        if any(_needs_change(atom, var, mode) for atom in atoms):
-            pool = dual.changed(ref.name)
-        else:
-            pool = dual.ids(ref.name)
+        edge = next((atom for atom in atoms if _needs_change(atom, var, mode)), None)
+        pool = dual.ids(ref.name) if edge is None else dual.changed(ref.name, edge.event)
         if atoms:
             scope = dict(rho)
             kept = []
@@ -435,7 +448,7 @@ def eval_rule(
         pools[var] = pool
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(rho, pools, _body_join(rule.body, rho, dual)):
+    for scope in instantiate(rho, pools, *_body_join(rule.body, rho, dual)):
         if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})

@@ -11,7 +11,7 @@ pre-internal one, which is what edge detection must compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .ast import EntityDecl, RuleAst
@@ -22,6 +22,7 @@ from .domains import (
     DualStore,
     EnvInterface,
     Store,
+    StoreIndex,
     Value,
     update_member,
     value_type_matches,
@@ -86,12 +87,19 @@ class RunState:
     ``current`` carries a set one, and the next tick's reset visits only
     these.  None, as :func:`initial_state` and a state built without the
     field have it, means they are not known: the reset then scans every
-    entity."""
+    entity.
+
+    ``index`` is the :class:`~pantagruel.domains.StoreIndex` of the pair
+    ``(previous, current)``, which :func:`step` moves on by the ids the
+    next tick's changes name.  It is used only while it records this very
+    pair, so a state built by hand, or with ``dataclasses.replace``, gets
+    an index built afresh.  It takes no part in equality or repr."""
 
     previous: Store
     current: Store
     tick: int
     effect_ids: tuple[str, ...] | None = None
+    index: StoreIndex | None = field(default=None, compare=False, repr=False)
 
 
 def initial_state(store: Store) -> RunState:
@@ -246,6 +254,10 @@ def apply_internal(
     return out
 
 
+def _named(change: ExternalChange) -> str:
+    return change.decl.name if isinstance(change, Deploy) else change.entity
+
+
 def step(
     state: RunState,
     changes: list[ExternalChange] | tuple[ExternalChange, ...],
@@ -254,18 +266,34 @@ def step(
     mode: TriggerMode,
     strict_conflicts: bool = True,
 ) -> tuple[RunState, TickRecord]:
-    """Run one orchestration step and return the new state plus its record."""
+    """Run one orchestration step and return the new state plus its record.
+
+    The rules read the state's index moved by the ids the changes name:
+    only those differ between ``state.current`` and the post-external
+    store.  Its ``touched`` ids are those, the ids the last tick's effects
+    wrote and the ids its reset visited.  The new state's index is the same
+    lists, since the effects write only events."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
     except ExternalChangeError as exc:
         exc.tick = tick
         raise
+    index, current = state.index, state.current
+    if index is None or not index.describes(state.previous, current):
+        index = StoreIndex.build(state.previous, current)
+    named = tuple(dict.fromkeys(map(_named, changes)))
+    touched = None if index.touched is None else tuple(dict.fromkeys(index.touched + named))
+    index = index.moved(
+        state.previous,
+        sigma_prime,
+        touched,
+        [(entity_id, sigma_prime.get(entity_id)) for entity_id in named],
+        current,
+    )
     conflict: str | None = None
     try:
-        effects, fired = eval_rule_block(
-            env, rules, DualStore(state.previous, sigma_prime), mode
-        )
+        effects, fired = eval_rule_block(env, rules, DualStore.indexed(index), mode)
     except ConflictError as exc:
         if strict_conflicts:
             exc.tick = tick
@@ -274,7 +302,10 @@ def step(
         effects, fired = {}, []
     snapshot = apply_internal(env, effects, sigma_prime, state.effect_ids)
     record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
-    return RunState(sigma_prime, snapshot, tick, tuple(effects)), record
+    effect_ids = tuple(effects)
+    rebuilt = None if state.effect_ids is None else tuple(dict.fromkeys(effect_ids + state.effect_ids))
+    index = index.describing(sigma_prime, snapshot, rebuilt)
+    return RunState(sigma_prime, snapshot, tick, effect_ids, index), record
 
 
 def run_trace(

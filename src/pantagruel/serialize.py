@@ -15,9 +15,10 @@ its ``"id":{...}`` member of ``entities``, in ``text`` its whole padded
 row.  Stores never change an entity in place and pass untouched entities
 on as the same objects, so a store's delta against the memo is found by
 object identity: every memo id is looked up in the new store and the
-objects are compared with ``is``.  A removed id looks up as ``None``; new
-ids are the store's keys less the memo's, taken only when the counts say
-there are some.  Ids go in and out with ``bisect``, and only the changed
+objects are compared with ``is``.  A removed id looks up as ``None``.  New
+ids are looked for only when the counts say there are some: first among
+the store's last keys, where deploying appends them, and only if one of
+those is in the memo, as the store's keys less the memo's.  Ids go in and out with ``bisect``, and only the changed
 positions are rendered again.  ``text`` keeps the lengths of each column
 as counts and re-pads every row only when a column's width moves.  So the
 only per-tick work over the whole store is that identity pass, at C speed,
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import is_not
 from typing import Any, Callable
 
-from .domains import UNDEF, Entity, Store, Value
+from .domains import UNDEF, Entity, Store, Value, in_sorted
 from .formatter import format_inits, format_value
 from .runtime import AttributeUpdate, EventUpdate, ExternalChange, Remove, TickRecord
 
@@ -137,14 +138,28 @@ class _Memo:
         that change, the store's entity at each position (``None`` when
         removed) and the ids that come in."""
 
+    def _added(self, store: Store, count: int) -> list[str]:
+        """The ``count`` keys of ``store`` the memo lacks, sorted.
+        ``apply_external`` appends deployed entities to the store it
+        copies, so they are most often its last keys; those are checked
+        first, and the whole key set is differenced only when one of them
+        is in the memo.  (The gone ids are not keys of the store, so they
+        need not leave first.)"""
+        if count <= 0:
+            return []
+        ids = self.ids
+        last = list(islice(reversed(store), count))
+        if any(in_sorted(ids, entity_id) for entity_id in last):
+            return sorted(store.keys() - ids)
+        return sorted(last)
+
     def render(self, store: Store) -> list[str]:
         """Bring the memo to ``store``; return the pieces in id order."""
         ids, entities, pieces = self.ids, self.entities, self.pieces
         now = list(map(store.get, ids))  # None where an id was removed
         changed = list(compress(range(len(ids)), map(is_not, now, entities)))
         gone = [i for i in changed if now[i] is None]
-        # The gone ids are not keys of the store, so they need not leave first.
-        added = sorted(store.keys() - ids) if len(store) > len(ids) - len(gone) else []
+        added = self._added(store, len(store) - len(ids) + len(gone))
         self.resize(changed, now, added, store)
         for i in changed:
             entity = now[i]

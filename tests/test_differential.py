@@ -68,6 +68,7 @@ SEED_RANDOM_PROGRAMS = 20_106
 SEED_SHAPES = 20_107
 SEED_LINKED_PROGRAMS = 20_109
 SEED_LINKED_SHAPES = 20_110
+SEED_JOINED_PROGRAMS = 20_113
 CASES = 1000
 
 
@@ -224,6 +225,113 @@ def test_direct_evaluator_matches_closure_oracle_on_linked_random_programs():
     tally = _random_program_suite(SEED_LINKED_PROGRAMS, linked=True)
     assert tally["fired"] > 0 and tally["conflict"] > 0, tally
     print(f"closure oracle, linked random programs ({CASES} cases, seed {SEED_LINKED_PROGRAMS}): {tally}")
+
+
+JOINED_SPEC = """\
+interface S { attribute room : Integer event e : Boolean event n : Integer
+              action a ( Integer ) action b ( Boolean ) }
+interface T { attribute room : Integer event e : Boolean action a ( Integer ) }
+rules end
+"""
+JOINED_INTERFACES = {"S": ("a", "b"), "T": ("a",)}
+
+
+class _JoinedGenerator:
+    """Checked rules over ``JOINED_SPEC`` whose every body call joins the
+    same two variables by room, with no aggregate, and whose calls name
+    actions their target declares.  The later declared variable is
+    read as an attribute and often has a pool test of its own, so that
+    its pool is filtered; half the bodies also read the first variable
+    as an attribute (``on x with room = y.room``), so that both sides
+    are.  Variables ``v*`` range over S, ``w*`` over T."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.declared: list[str] = []
+
+    def decl(self, var):
+        if var in self.declared:
+            return DeclBare(var)
+        self.declared.append(var)
+        return DeclTyped(var, "S" if var[0] == "v" else "T")
+
+    def atom(self, var):
+        rng = self.rng
+        decl = self.decl(var)
+        filt = Filter("room", NumLit(1)) if rng.random() < 0.1 else None
+        if var[0] == "v" and rng.random() < 0.2:
+            return EventAtom("n", decl, filt, ValueEq(NumLit(rng.randint(0, 2))))
+        if rng.random() < 0.3:
+            return EventAtom("e", decl, filt, ValueChanged())
+        return EventAtom("e", decl, filt, ValueEq(BoolLit(rng.random() < 0.8)))
+
+    def call(self, target, other):
+        rng = self.rng
+        action = rng.choice(JOINED_INTERFACES["S" if target[0] == "v" else "T"])
+        arg = BoolLit(rng.random() < 0.5) if action == "b" else NumLit(rng.randint(0, 2))
+        return ActionCall(action, arg, self.decl(target), Filter("room", Path(other, "room")))
+
+    def rule(self):
+        rng = self.rng
+        self.declared = []
+        first, second = rng.choice([("v0", "w0"), ("w0", "v0"), ("v0", "v1"), ("w0", "w1")])
+        condition = self.atom(first)
+        if rng.random() < 0.5:
+            condition = EventAnd(condition, self.atom(second))
+        if rng.random() < 0.15:
+            condition = EventAnd(condition, EventOr(self.atom(first), self.atom(first)))
+        body = self.call(second, first)
+        if rng.random() < 0.5:
+            back = self.call(first, second)
+            body = rng.choice([ActionPar, ActionSeq])(*rng.sample([body, back], 2))
+        return RuleAst(None, condition, body)
+
+
+def _joined_store(rng, previous):
+    """A random store over two to six S and T entities each: rooms from
+    UNDEF, ``true`` and the integers, so that ``true`` meets ``1``; now
+    and then an entity carries an event named ``room``, which a path
+    reads first.  Given ``previous``, an entity keeps its very object
+    there now and then, so that it did not change, and most often its
+    room otherwise."""
+    store = {}
+    for interface, prefix in (("S", "s"), ("T", "t")):
+        for k in range(rng.randint(2, 6)):
+            entity_id = f"{prefix}{k}"
+            if entity_id in previous and rng.random() < 0.3:
+                store[entity_id] = previous[entity_id]
+                continue
+            events = {"e": rng.choice([UNDEF, True, True, False, False])}
+            if interface == "S":
+                events["n"] = rng.choice([UNDEF, 0, 1, 2])
+            if rng.random() < 0.05:
+                events["room"] = rng.choice([0, 1, True])
+            events.update(dict.fromkeys(JOINED_INTERFACES[interface], UNDEF))
+            room = rng.choice([UNDEF, True, 1, 1, 1, 2])
+            if entity_id in previous and rng.random() < 0.8:
+                room = previous[entity_id].attributes["room"]
+            store[entity_id] = Entity(interface, {"room": room}, events)
+    return store
+
+
+def test_direct_evaluator_matches_closure_oracle_on_joined_programs():
+    """Unlike the random programs above, these rules fire: in most cases
+    (one rule in both modes) some binding fires in at least one mode, or
+    two that fire conflict."""
+    spec = parse_program(JOINED_SPEC)
+    env = check_program(spec).env
+    rng = random.Random(SEED_JOINED_PROGRAMS)
+    generator = _JoinedGenerator(rng)
+    tally = {"fired": 0, "conflict": 0, "cases fired": 0}
+    for _ in range(CASES):
+        rule = generator.rule()
+        assert check_program(dataclasses.replace(spec, rules=(rule,))).ok, rule
+        previous = _joined_store(rng, {})
+        before = tally["fired"] + tally["conflict"]
+        _compare(env, (rule,), DualStore(previous, _joined_store(rng, previous)), tally)
+        tally["cases fired"] += tally["fired"] + tally["conflict"] > before
+    print(f"closure oracle, joined programs ({CASES} cases, seed {SEED_JOINED_PROGRAMS}): {tally}")
+    assert tally["cases fired"] > CASES // 2 and tally["conflict"] > 0, tally
 
 
 SHAPES_SPEC = """\

@@ -575,6 +575,37 @@ def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
     ]
 
 
+def test_rule_one_reads_the_room_of_only_the_lights_it_switches(monkeypatch):
+    """On 2 500 rooms, rule 1 finds a detector's lights in the room index
+    that ``step`` carries, so after the first tick it reads ``room`` on
+    no light but those its filter then tests, the lights of the rooms
+    whose detector turned on, rather than on all 5 000 lights."""
+    rooms = 2_500
+    checked = _rooms_program(rooms, RULE_1)
+    reads = []
+    real = rule_eval.access_attribute
+
+    def counting(attribute, entity_id, store):
+        if attribute == "room" and entity_id.startswith("l"):
+            reads.append(entity_id)
+        return real(attribute, entity_id, store)
+
+    monkeypatch.setattr(rule_eval, "access_attribute", counting)
+    state = initial_state(checked.initial_store)
+    ticks = [["m7"], ["m9", "m1200"], [], ["m7"], ["m2499", "m0"]]
+    on: set[str] = set()
+    for tick, turned_on in enumerate(ticks):
+        changes = [EventUpdate(m, "detected", True) for m in turned_on]
+        changes += [EventUpdate(m, "detected", False) for m in sorted(on - set(turned_on))]
+        on = set(turned_on)
+        reads.clear()
+        state, record = step(state, changes, checked.rules, checked.env, EDGE)
+        lights = sorted(f"l{side}{m[1:]}" for m in turned_on for side in "ab")
+        assert sorted(f.binding["l"] for f in record.fired) == lights
+        if tick:
+            assert sorted(reads) == lights
+
+
 JOIN_SPEC = """\
 interface MotionDetector { attribute room : Integer event detected : Boolean action ack ( Boolean ) }
 interface Light { attribute room : Integer action switch ( Boolean ) }

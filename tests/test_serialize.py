@@ -419,3 +419,31 @@ def test_a_render_that_raises_leaves_no_stale_piece(monkeypatch, fmt):
         assert line == json.dumps(_payload(_record(new)), sort_keys=True, separators=(",", ":")) + "\n"
     else:
         assert line.endswith("\nstate:\n" + _state_rows(new))
+
+
+def _memo_free(record, fmt):
+    if fmt == "jsonl":
+        return json.dumps(_payload(record), sort_keys=True, separators=(",", ":")) + "\n"
+    return "\nstate:\n" + (_state_rows(record.snapshot) if record.snapshot else "  (empty store)\n")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_new_ids_render_wherever_the_store_holds_them(fmt):
+    """Deploying appends an entity, so new ids are most often the store's
+    last keys; in a store built by hand they can come first, or between
+    kept ids, with the last key one the memo already holds."""
+    kept = {name: Entity("I", {"k": k}, {}) for k, name in enumerate(["b", "d", "f"])}
+    stores = [
+        kept,
+        {**kept, "g": Entity("I", {"k": 7}, {}), "a": Entity("Light", {}, {"e": 1})},
+        {"a0": Entity("I", {}, {}), **kept},
+        {"b": kept["b"], "c": Entity("I", {"k": True}, {}), "f": kept["f"]},
+        {"e": Entity("I", {}, {}), "b": kept["b"], "cc": Entity("I", {"k": UNDEF}, {}), "f": kept["f"]},
+        {**kept, "zzz": Entity("I", {}, {})},
+        {},
+    ]
+    for tick, store in enumerate(stores * 2):
+        record = _record(store, tick)
+        # the jsonl expectation is the whole line, the text one the state block
+        assert serialize_tick(record, fmt).endswith(_memo_free(record, fmt))
+        assert serialize._memos[fmt].ids == sorted(store)
