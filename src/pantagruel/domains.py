@@ -1,12 +1,13 @@
 """The semantic algebra: values, interfaces, entities, stores, references.
 
 Everything here is a plain immutable value; updates build new entities
-rather than mutating.  The one cache is the :class:`StoreIndex` of a dual
-store: its current store's ids by interface and, for the attributes body
-joins read, by value.  ``step`` carries it from tick to tick and moves it
-by the ids each tick changed, copying only the lists it changes; a bare
-:class:`DualStore` builds it the same way, moving every entity in.
-Reads are total (a miss yields ``UNDEF``), and merges
+rather than mutating.  The one cache lives in the :class:`DualStore`, the
+one object for a ⟨previous, current⟩ pair: the lists of its current
+store's ids that rules ask for, by interface and, for the attributes body
+joins read, by value.  Each list is built on first ask and kept; ``step``
+carries the pair's lists from tick to tick and moves them by the ids each
+tick changed, copying only the lists it changes, so an interface no rule
+reads is never listed.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
 is fixed only where it can be observed: :meth:`DualStore.ids` lists an
@@ -18,8 +19,7 @@ no result depends on the string hash seed.
 
 from __future__ import annotations
 
-import functools
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -242,19 +242,17 @@ def update_member(
     )
 
 
-# ── The store index and dual stores ──────────────────────────────
+# ── Dual stores ──────────────────────────────────────────────────
 
 
 # A value's hash key on one side of an equality (see :func:`_join_key`).
 JoinKey = tuple[type, Value]
-# Where an entity sits in a store index: ``(interface, None, None)`` for its
-# interface's ids, ``(interface, attribute, key)`` for its bucket of an
-# attribute the index keeps.
+# The lists a dual store keeps: per ``(interface, attribute)``, ids by the
+# attribute's key; an interface's ids are its one list under attribute and
+# key None.
+_Lists = dict[tuple[str, Union[str, None]], dict[Union[JoinKey, None], list[str]]]
+# Where an id sits in those lists: ``(interface, attribute, key)``.
 _Place = tuple[str, Union[str, None], Union[JoinKey, None]]
-
-# Past this many ids entering one list in one update, the list is sorted
-# once rather than inserted into id by id (building an index from nothing).
-_SORT_AT = 16
 
 
 def _join_key(value: Value) -> JoinKey | None:
@@ -264,17 +262,19 @@ def _join_key(value: Value) -> JoinKey | None:
     return None if value is UNDEF else (type(value), value)
 
 
-def _buckets_of(entity: Entity | None, kept: Mapping[str, list[str]]) -> list[_Place]:
-    """The attribute buckets of an index that hold ``entity``'s id: one
-    for each attribute ``kept`` names for its interface that it holds a
-    value other than UNDEF in."""
+def _places_of(entity: Entity | None, kept: Mapping[str, list[str | None]]) -> list[_Place]:
+    """The places in a dual store's lists that hold ``entity``'s id: for
+    each list ``kept`` names for its interface, the interface's ids
+    (attribute None) or the bucket of the key it holds in an attribute
+    (none for UNDEF)."""
     if entity is None:
         return []
     interface = entity.interface_id
     places: list[_Place] = []
     for attribute in kept.get(interface, ()):
-        key = _join_key(entity.attributes.get(attribute, UNDEF))
-        if key is not None:
+        if attribute is None:
+            places.append((interface, None, None))
+        elif (key := _join_key(entity.attributes.get(attribute, UNDEF))) is not None:
             places.append((interface, attribute, key))
     return places
 
@@ -284,143 +284,13 @@ def _resorted(ids: Sequence[str], leaving: Sequence[str], entering: Sequence[str
     out = list(ids)
     for entity_id in leaving:
         del out[bisect_left(out, entity_id)]
-    if len(entering) > _SORT_AT:
-        out += entering
-        out.sort()
-    else:
-        for entity_id in entering:
-            insort(out, entity_id)
+    out += entering
+    out.sort()
     return out
 
 
-class StoreIndex:
-    """What rules look up in the current store of a ⟨previous, current⟩
-    pair: per interface, its ids, sorted; per ``(interface, attribute)``
-    that a body join has asked for, those ids by the attribute's
-    :func:`_join_key`, sorted in each bucket (UNDEF in no bucket).  Both
-    are one map: an interface's ids are its one bucket under attribute and
-    key None.
-
-    An index records the pair it describes, by identity, and ``touched``:
-    ids outside of which ``previous`` and ``current`` hold the very same
-    entity objects, or None if those are not known.  :meth:`moved` makes
-    the index of a successor pair from the entities that changed; it
-    copies only the lists and bucket maps it changes, so an index is never
-    changed once made, but for an attribute's buckets being added the
-    first time they are asked for."""
-
-    __slots__ = ("previous", "current", "touched", "_lists")
-
-    def __init__(
-        self,
-        previous: Store,
-        current: Store,
-        touched: tuple[str, ...] | None,
-        lists: dict[tuple[str, str | None], dict[JoinKey | None, list[str]]],
-    ) -> None:
-        self.previous = previous
-        self.current = current
-        self.touched = touched
-        self._lists = lists
-
-    @classmethod
-    def build(cls, previous: Store, current: Store) -> StoreIndex:
-        """The index of a pair from nothing: every entity of ``current``
-        moved in from None."""
-        return cls({}, {}, None, {}).moved(previous, current, None, current.items(), {})
-
-    def describes(self, previous: Store, current: Store) -> bool:
-        return self.previous is previous and self.current is current
-
-    def describing(
-        self, previous: Store, current: Store, touched: tuple[str, ...] | None
-    ) -> StoreIndex:
-        """This index for another pair whose current store has the same
-        ids, interfaces and attributes; it shares this one's lists."""
-        return StoreIndex(previous, current, touched, self._lists)
-
-    def moved(
-        self,
-        previous: Store,
-        current: Store,
-        touched: tuple[str, ...] | None,
-        moves: Iterable[tuple[str, Entity | None]],
-        before: Store,
-    ) -> StoreIndex:
-        """The index of ``(previous, current)``.  Its current store is
-        ``before``, the store this index describes, with each ``(id,
-        new)`` of ``moves`` moved from its entity in ``before`` to entity
-        ``new`` (None where the id is absent), each id once.  An id whose
-        lists are the same stays put."""
-        lists = dict(self._lists)
-        kept: dict[str, list[str]] = {}
-        for interface, attribute in lists:
-            if attribute is not None:
-                kept.setdefault(interface, []).append(attribute)
-        leaving: defaultdict[_Place, list[str]] = defaultdict(list)
-        entering: defaultdict[_Place, list[str]] = defaultdict(list)
-        # interface ids, gathered by interface name alone: the loop runs
-        # once per entity when an index is built from nothing
-        quitting: defaultdict[str, list[str]] = defaultdict(list)
-        joining: defaultdict[str, list[str]] = defaultdict(list)
-        for entity_id, new in moves:
-            old = before.get(entity_id)
-            if old is new:
-                continue
-            if old is None or new is None or old.interface_id != new.interface_id:
-                if old is not None:
-                    quitting[old.interface_id].append(entity_id)
-                if new is not None:
-                    joining[new.interface_id].append(entity_id)
-            if kept:
-                out, into = _buckets_of(old, kept), _buckets_of(new, kept)
-                if out != into:
-                    for place in out:
-                        if place not in into:
-                            leaving[place].append(entity_id)
-                    for place in into:
-                        if place not in out:
-                            entering[place].append(entity_id)
-        for gathered, by_place in ((quitting, leaving), (joining, entering)):
-            for interface, ids in gathered.items():
-                by_place[(interface, None, None)] = ids
-        copied: set[tuple[str, str | None]] = set()
-        for place in dict.fromkeys([*leaving, *entering]):
-            interface, attribute, key = place
-            name = (interface, attribute)
-            if name not in copied:
-                copied.add(name)
-                lists[name] = dict(lists.get(name, {}))
-            buckets = lists[name]
-            ids = _resorted(buckets.get(key, ()), leaving.get(place, ()), entering.get(place, ()))
-            if ids:
-                buckets[key] = ids
-            else:
-                del buckets[key]
-        return StoreIndex(previous, current, touched, lists)
-
-    def ids(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities in ``current``."""
-        return self._lists.get((interface, None), {}).get(None, [])
-
-    def buckets(self, interface: str, attribute: str) -> dict[JoinKey, list[str]]:
-        """``interface``'s ids by the key of ``attribute``, built from
-        :meth:`ids` the first time it is asked for and kept from then on."""
-        name = (interface, attribute)
-        buckets = self._lists.get(name)
-        if buckets is None:
-            buckets = {}
-            current = self.current
-            for entity_id in self.ids(interface):
-                key = _join_key(current[entity_id].attributes.get(attribute, UNDEF))
-                if key is not None:
-                    buckets.setdefault(key, []).append(entity_id)
-            self._lists[name] = buckets
-        return buckets
-
-
 class Keyed(NamedTuple):
-    """One joined variable's interface as a store index keeps it: all its
+    """One joined variable's interface as a dual store lists it: all its
     ids, sorted, and those ids by the key of the attribute the join reads."""
 
     ids: Sequence[str]
@@ -429,42 +299,124 @@ class Keyed(NamedTuple):
 
 @dataclass(frozen=True)
 class DualStore:
-    """The ⟨previous, current⟩ store pair rules are evaluated against.
+    """The ⟨previous, current⟩ store pair rules are evaluated against,
+    with the lists of ``current``'s ids that rules look up.
 
-    Its :class:`StoreIndex` is the one :meth:`indexed` gives it, as
-    :func:`~pantagruel.runtime.step` does, or else one built from the two
-    stores the first time it is asked; every rule that reads the pair
-    shares it.  Neither store is changed once the pair has been read
-    (nothing here or in the evaluator does), and callers do not change
-    the lists returned.  The index takes no part in construction,
-    equality or repr: those are the two stores'.
+    A list is an interface's ids, sorted, or, for an attribute a body join
+    reads, those ids by the attribute's :func:`_join_key`, sorted in each
+    bucket (UNDEF in none).  Each is built the first time a rule asks for
+    it, from one grouping of ``current`` by interface that every ask on
+    the pair shares, and kept from then on, so an interface no rule reads
+    is never listed.  :meth:`moved` hands the kept lists on to a successor
+    pair, copying only those it changes.  Neither store is changed once
+    the pair has been read (nothing here or in the evaluator does), and
+    callers do not change the lists returned, so a list once handed out
+    never changes.
+
+    ``touched`` names, when known, the ids outside of which ``previous``
+    and ``current`` hold the very same entity objects.  It, the lists,
+    the grouping and the memo of :meth:`changed` take no part in
+    construction, equality or repr: those are the two stores'.
     """
 
     previous: Store
     current: Store
+    touched: tuple[str, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _lists: _Lists = field(default_factory=dict, init=False, compare=False, repr=False)
+    _grouped: dict[str, list[str]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
     _changed: dict[tuple[str, str], list[str]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
-    @classmethod
-    def indexed(cls, index: StoreIndex) -> DualStore:
-        """The pair ``index`` describes, with that index."""
-        dual = cls(index.previous, index.current)
-        dual.__dict__["index"] = index  # the cached property's value
-        return dual
+    def describes(self, previous: Store, current: Store) -> bool:
+        """Whether this is the pair of these very two stores."""
+        return self.previous is previous and self.current is current
 
-    @functools.cached_property
-    def index(self) -> StoreIndex:
-        return StoreIndex.build(self.previous, self.current)
+    def describing(
+        self, previous: Store, current: Store, touched: tuple[str, ...] | None
+    ) -> DualStore:
+        """The pair ``(previous, current)``, whose current store has the
+        same ids, interfaces and attributes as this one's; it shares this
+        pair's lists."""
+        return _carrying(previous, current, touched, self._lists)
+
+    def moved(
+        self,
+        previous: Store,
+        current: Store,
+        touched: tuple[str, ...] | None,
+        ids: Iterable[str],
+    ) -> DualStore:
+        """The pair ``(previous, current)``, whose current store differs
+        from this one's at most at ``ids``, each named once.  Its lists are
+        this pair's with each of those ids moved from its entity here to
+        its entity in ``current`` (None where it is absent); a list no id
+        moves in is shared, any other copied."""
+        lists = dict(self._lists)
+        kept: dict[str, list[str | None]] = {}
+        for interface, attribute in lists:
+            kept.setdefault(interface, []).append(attribute)
+        leaving: defaultdict[_Place, list[str]] = defaultdict(list)
+        entering: defaultdict[_Place, list[str]] = defaultdict(list)
+        before = self.current
+        for entity_id in ids:
+            old, new = before.get(entity_id), current.get(entity_id)
+            if old is new:
+                continue
+            out, into = _places_of(old, kept), _places_of(new, kept)
+            for place in out:
+                if place not in into:
+                    leaving[place].append(entity_id)
+            for place in into:
+                if place not in out:
+                    entering[place].append(entity_id)
+        copied: set[tuple[str, str | None]] = set()
+        for place in dict.fromkeys([*leaving, *entering]):
+            interface, attribute, key = place
+            name = (interface, attribute)
+            if name not in copied:
+                copied.add(name)
+                lists[name] = dict(lists[name])
+            buckets = lists[name]
+            found = _resorted(buckets.get(key, ()), leaving.get(place, ()), entering.get(place, ()))
+            if found:
+                buckets[key] = found
+            else:
+                del buckets[key]
+        return _carrying(previous, current, touched, lists)
 
     def ids(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities in ``current``."""
-        return self.index.ids(interface)
+        """The sorted ids of ``interface``'s entities in ``current``,
+        listed from the pair's grouping on first ask."""
+        found = self._lists.get((interface, None))
+        if found is None:
+            grouped = self._grouped
+            if grouped is None:
+                grouped = {}
+                for entity_id, entity in self.current.items():
+                    grouped.setdefault(entity.interface_id, []).append(entity_id)
+                object.__setattr__(self, "_grouped", grouped)
+            ids = sorted(grouped.get(interface, ()))
+            found = self._lists[(interface, None)] = {None: ids} if ids else {}
+        return found.get(None, [])
 
     def keyed(self, interface: str, attribute: str) -> Keyed:
-        """``interface``'s ids, all of them and by ``attribute``'s key."""
-        index = self.index
-        return Keyed(index.ids(interface), index.buckets(interface, attribute))
+        """``interface``'s ids, all of them and by ``attribute``'s key,
+        those listed from :meth:`ids` on first ask."""
+        ids = self.ids(interface)
+        buckets = self._lists.get((interface, attribute))
+        if buckets is None:
+            buckets = self._lists[(interface, attribute)] = {}
+            current = self.current
+            for entity_id in ids:
+                key = _join_key(current[entity_id].attributes.get(attribute, UNDEF))
+                if key is not None:
+                    buckets.setdefault(key, []).append(entity_id)
+        return Keyed(ids, buckets)
 
     def changed(self, interface: str, event: str) -> list[str]:
         """Those of :meth:`ids` whose ``event`` reads differently in
@@ -472,12 +424,11 @@ class DualStore:
         absent): deployed, or changed since ``previous``.  Stores pass
         every untouched entity on as the same object (:class:`Entity`), so
         only the entities that are not ``previous``'s very object are
-        read: the index's ``touched`` ids, or every id of the interface
-        when those are not known."""
+        read: the ``touched`` ids, or every id of the interface when those
+        are not known."""
         changed = self._changed.get((interface, event))
         if changed is None:
-            current, previous = self.current, self.previous
-            touched = self.index.touched
+            current, previous, touched = self.current, self.previous, self.touched
             if touched is None:
                 candidates = self.ids(interface)
             else:
@@ -497,6 +448,16 @@ class DualStore:
                 )
             ]
         return changed
+
+
+def _carrying(
+    previous: Store, current: Store, touched: tuple[str, ...] | None, lists: _Lists
+) -> DualStore:
+    """The pair ``(previous, current)`` with these ``touched`` ids and lists."""
+    dual = DualStore(previous, current)
+    object.__setattr__(dual, "touched", touched)
+    object.__setattr__(dual, "_lists", lists)
+    return dual
 
 
 @dataclass(frozen=True)
@@ -542,16 +503,11 @@ def _partners(
     A side in ``keyed`` is looked up in its buckets by the key each entity
     of the other side's pool reads, and only the ids of its own pool are
     kept; where both sides are, the one with the larger pool is looked up.
-    Where neither is, ``x``'s pool is put in buckets of its own first."""
+    A join with neither side keyed is a ``ValueError``."""
     x, read_x, y, read_y = join
     looked = [var for var in (x, y) if var in keyed]
     if not looked:
-        buckets: dict[JoinKey, list[str]] = {}
-        for entity_id in pools[x]:
-            key = _join_key(read_x(entity_id))
-            if key is not None:
-                buckets.setdefault(key, []).append(entity_id)
-        keyed, looked = {x: Keyed(pools[x], buckets)}, [x]
+        raise ValueError(f"a join looks up a keyed side, and neither {x!r} nor {y!r} is")
     partners: dict[str, Sequence[str]] = {}
     side = max(looked, key=lambda var: len(pools[var]))
     every, by_key = keyed[side]
@@ -588,9 +544,9 @@ def instantiate(
 
     ``join`` is an optional equality between two distinct open variables
     (:data:`Join`; anything else is a ``ValueError``), and ``keyed`` gives,
-    for a joined variable read as an attribute, its interface's ids by
-    that attribute's key (a superset of its pool, read as ``join`` reads
-    it).  Variables are bound in name order: the earlier of the two takes
+    for one or both joined variables, its interface's ids by the key of
+    the attribute ``join`` reads (a superset of its pool; a join with no
+    keyed side is a ``ValueError`` too).  Variables are bound in name order: the earlier of the two takes
     only the ids that meet some id of the later one's pool, and the later
     one only the ids its partner meets, found by a hash lookup
     (:func:`_partners`), so the bindings whose two sides differ (or read

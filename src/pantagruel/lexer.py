@@ -27,7 +27,8 @@ class TokenKind(enum.Enum):
     COMMA = ","
     PARPAR = "||"
     EOF = "end of input"
-    # keywords
+    # keywords: valued as their own name in lower case, which is what
+    # KEYWORDS picks them out by
     INTERFACE = "interface"
     ENTITY = "entity"
     ATTRIBUTE = "attribute"
@@ -50,30 +51,7 @@ class TokenKind(enum.Enum):
     FALSE = "false"
 
 
-_KEYWORD_KINDS = (
-    TokenKind.INTERFACE,
-    TokenKind.ENTITY,
-    TokenKind.ATTRIBUTE,
-    TokenKind.EVENT,
-    TokenKind.ACTION,
-    TokenKind.RULES,
-    TokenKind.WHEN,
-    TokenKind.TRIGGER,
-    TokenKind.END,
-    TokenKind.FROM,
-    TokenKind.WITH,
-    TokenKind.VALUE,
-    TokenKind.CHANGED,
-    TokenKind.ON,
-    TokenKind.AND,
-    TokenKind.OR,
-    TokenKind.ALL,
-    TokenKind.GROUPBY,
-    TokenKind.TRUE,
-    TokenKind.FALSE,
-)
-
-KEYWORDS = {kind.value: kind for kind in _KEYWORD_KINDS}
+KEYWORDS = {kind.value: kind for kind in TokenKind if kind.value == kind.name.lower()}
 
 
 @dataclass(frozen=True)

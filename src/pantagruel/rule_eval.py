@@ -11,9 +11,10 @@ sorts the condition's conjuncts against the environment in one pass (on
 every evaluation; the plan is not kept between ticks) and gives each open
 variable its finished pool of sorted ids, which
 :func:`~pantagruel.domains.instantiate` only enumerates.  A pool starts
-from the dual store's index (:meth:`~pantagruel.domains.DualStore.ids`
-and ``changed``), which ``step`` keeps from tick to tick, moving it by the
-ids each tick changed, and shares with every rule of the tick:
+from a list the dual store keeps (:meth:`~pantagruel.domains.DualStore.ids`
+and ``changed``): built the first time a rule asks for it, shared with
+every rule of the tick, and carried by ``step`` from tick to tick, moved
+by the ids each tick changed:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -39,9 +40,10 @@ ids each tick changed, and shares with every rule of the tick:
   so that both reads agree.  :func:`~pantagruel.domains.instantiate`
   turns it into a hash lookup keyed by ``(type, value)``, UNDEF joining
   nothing, exactly as :func:`value_eq` compares.  A side read as an
-  attribute is looked up in the index's buckets of that attribute, built
-  the first time a rule asks and kept from then on, by each entity of
-  the other side's pool, so its own entities are not read at all.
+  attribute is looked up in the dual store's buckets of that attribute
+  (:meth:`~pantagruel.domains.DualStore.keyed`), by each entity of the
+  other side's pool, so its own entities are not read at all; every join
+  found here has such a side.
 
 Only the conjuncts not tested on pools (``or`` terms and atoms reading two
 open variables, whatever their filters) are left to :func:`holds` on whole
@@ -471,7 +473,7 @@ def eval_rule_block(
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule against the same dual store and join the partial
     effect stores; interfering rules surface as a ConflictError.  All
-    rules share ``dual``'s one grouping of the store by interface."""
+    rules share the lists ``dual`` keeps."""
     effects: Store = {}
     fired: list[FiredRule] = []
     for position, rule in enumerate(rules, start=1):

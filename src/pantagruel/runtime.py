@@ -7,6 +7,9 @@ event that was set in the previous step.  Only the previous step's effects
 set implicit events, so the reset visits only the entities they wrote.
 The store handed to the next tick as "previous" is the post-external,
 pre-internal one, which is what edge detection must compare against.
+The state carries that pair as one :class:`~pantagruel.domains.DualStore`,
+with the lists of ids the rules have asked for; the next tick moves them
+by the ids its changes name.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .domains import (
     DualStore,
     EnvInterface,
     Store,
-    StoreIndex,
     Value,
     update_member,
     value_type_matches,
@@ -89,17 +91,18 @@ class RunState:
     field have it, means they are not known: the reset then scans every
     entity.
 
-    ``index`` is the :class:`~pantagruel.domains.StoreIndex` of the pair
-    ``(previous, current)``, which :func:`step` moves on by the ids the
-    next tick's changes name.  It is used only while it records this very
-    pair, so a state built by hand, or with ``dataclasses.replace``, gets
-    an index built afresh.  It takes no part in equality or repr."""
+    ``dual`` is the :class:`~pantagruel.domains.DualStore` of the pair
+    ``(previous, current)``, with the lists the rules have asked for so
+    far, which :func:`step` moves on by the ids the next tick's changes
+    name.  It is used only while it is this very pair, so a state built by
+    hand, or with ``dataclasses.replace``, starts from a bare pair.  It
+    takes no part in equality or repr."""
 
     previous: Store
     current: Store
     tick: int
     effect_ids: tuple[str, ...] | None = None
-    index: StoreIndex | None = field(default=None, compare=False, repr=False)
+    dual: DualStore | None = field(default=None, compare=False, repr=False)
 
 
 def initial_state(store: Store) -> RunState:
@@ -268,32 +271,26 @@ def step(
 ) -> tuple[RunState, TickRecord]:
     """Run one orchestration step and return the new state plus its record.
 
-    The rules read the state's index moved by the ids the changes name:
-    only those differ between ``state.current`` and the post-external
-    store.  Its ``touched`` ids are those, the ids the last tick's effects
-    wrote and the ids its reset visited.  The new state's index is the same
-    lists, since the effects write only events."""
+    The rules read the state's dual store moved by the ids the changes
+    name: only those differ between ``state.current`` and the
+    post-external store.  Its ``touched`` ids are those, the ids the last
+    tick's effects wrote and the ids its reset visited.  The new state's
+    pair shares its lists, since the effects write only events."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
     except ExternalChangeError as exc:
         exc.tick = tick
         raise
-    index, current = state.index, state.current
-    if index is None or not index.describes(state.previous, current):
-        index = StoreIndex.build(state.previous, current)
+    dual = state.dual
+    if dual is None or not dual.describes(state.previous, state.current):
+        dual = DualStore(state.previous, state.current)
     named = tuple(dict.fromkeys(map(_named, changes)))
-    touched = None if index.touched is None else tuple(dict.fromkeys(index.touched + named))
-    index = index.moved(
-        state.previous,
-        sigma_prime,
-        touched,
-        [(entity_id, sigma_prime.get(entity_id)) for entity_id in named],
-        current,
-    )
+    touched = None if dual.touched is None else tuple(dict.fromkeys(dual.touched + named))
+    dual = dual.moved(state.previous, sigma_prime, touched, named)
     conflict: str | None = None
     try:
-        effects, fired = eval_rule_block(env, rules, DualStore.indexed(index), mode)
+        effects, fired = eval_rule_block(env, rules, dual, mode)
     except ConflictError as exc:
         if strict_conflicts:
             exc.tick = tick
@@ -304,8 +301,8 @@ def step(
     record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
     effect_ids = tuple(effects)
     rebuilt = None if state.effect_ids is None else tuple(dict.fromkeys(effect_ids + state.effect_ids))
-    index = index.describing(sigma_prime, snapshot, rebuilt)
-    return RunState(sigma_prime, snapshot, tick, effect_ids, index), record
+    dual = dual.describing(sigma_prime, snapshot, rebuilt)
+    return RunState(sigma_prime, snapshot, tick, effect_ids, dual), record
 
 
 def run_trace(

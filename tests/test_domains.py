@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pantagruel import UNDEF, ConflictError, store_join, store_join_all, update_member
 from pantagruel.domains import (
+    DualStore,
     Entity,
     InstanceRef,
     InterfaceRef,
@@ -411,6 +412,13 @@ def _room(store):
     return lambda entity_id: access_attribute("room", entity_id, store)
 
 
+def _keyed_rooms(store, rho, sides):
+    """The keyed sides of a join on ``room``: each variable of ``sides``
+    with its interface's ids by room, as a dual store lists them."""
+    dual = DualStore({}, store)
+    return {var: dual.keyed(rho[var].name, "room") for var in sides}
+
+
 def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
     """``1`` and ``true`` are equal and hash alike in Python but differ by
     ``value_eq``; UNDEF and a missing attribute equal nothing."""
@@ -421,8 +429,10 @@ def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
             store[f"{side}{name}"] = _entity(side.upper(), {"room": room})
         store[f"{side}none"] = _entity(side.upper())
     rho = {"x": InterfaceRef("A"), "y": InterfaceRef("B")}
-    got = instantiate(rho, index_pools(store, rho), join=("x", _room(store), "y", _room(store)))
-    assert [(env["x"].name, env["y"].name) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
+    for sides in ("x", "y", "xy"):
+        keyed = _keyed_rooms(store, rho, sides)
+        got = instantiate(rho, index_pools(store, rho), ("x", _room(store), "y", _room(store)), keyed)
+        assert [(env["x"].name, env["y"].name) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
 
 
 def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
@@ -455,7 +465,8 @@ def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
             if value_eq(read(env[x].name), read(env[y].name))
             and (not filtered or env["b"].name in kept)
         ]
-        assert instantiate(rho, pools, join) == want
+        keyed = _keyed_rooms(store, rho, rng.choice([[x], [y], [x, y]]))
+        assert instantiate(rho, pools, join, keyed) == want
 
 
 def test_instantiate_join_must_link_two_distinct_open_variables():
@@ -465,3 +476,6 @@ def test_instantiate_join_must_link_two_distinct_open_variables():
     for x, y in (("x", "x"), ("x", "z"), ("x", "w")):
         with pytest.raises(ValueError):
             instantiate(rho, index_pools(store, rho), join=(x, read, y, read))
+    # a join with neither side keyed
+    with pytest.raises(ValueError):
+        instantiate(rho, index_pools(store, rho), join=("x", read, "y", read))

@@ -25,6 +25,7 @@ from pantagruel import (
     step,
     update_member,
 )
+from pantagruel import domains
 from pantagruel.domains import Entity
 from pantagruel.parser import parse_entity_decl
 
@@ -508,3 +509,39 @@ def test_steps_threading_the_effect_ids_match_steps_scanning_every_entity():
                 assert set_l10.snapshot["l10"].events["switch"] is True
                 assert redeployed.changes[:2] == (Remove("l10"), redeploy)
                 assert redeployed.snapshot["l10"].events["switch"] is UNDEF
+
+
+METER_PROGRAM = "interface Meter { attribute room : Integer event reading : Integer }\n" + program_source(
+    RULE_1
+)
+
+
+@pytest.mark.parametrize("mode", [EDGE, LEVEL])
+def test_step_never_lists_the_interface_no_rule_names(monkeypatch, mode):
+    """Twenty meters, which no rule names, are deployed and twenty removed
+    on every tick, beside a light deployed and a detector toggled: of the
+    id lists ``step`` moves, the lights' are rebuilt, and none ever holds
+    a meter's id."""
+    checked = check_program(parse_program(METER_PROGRAM))
+    assert checked.ok
+    rebuilt = []
+    real = domains._resorted
+
+    def recording(ids, leaving, entering):
+        rebuilt.append(real(ids, leaving, entering))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(domains, "_resorted", recording)
+    state = initial_state(checked.initial_store)
+    meters: list[str] = []
+    for tick in range(1, 12):
+        fresh = [f"meter{tick}x{i}" for i in range(20)]
+        changes = [Remove(name) for name in meters]
+        changes += [Deploy(parse_entity_decl(f"{name} : Meter {{ room : 101 }}")) for name in fresh]
+        changes.append(Deploy(parse_entity_decl(f"lx{tick} : Light {{ room : 101 }}")))
+        changes.append(EventUpdate("m10", "detected", tick % 2 == 1))
+        state, record = step(state, changes, checked.rules, checked.env, mode)
+        meters = fresh
+    assert {"l": f"lx{tick}", "m": "m10"} in [fired.binding for fired in record.fired]
+    assert any(f"lx{tick}" in ids for ids in rebuilt)
+    assert not [name for ids in rebuilt for name in ids if name.startswith("meter")]

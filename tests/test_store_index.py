@@ -1,12 +1,12 @@
-"""The store index that ``step`` carries from tick to tick.
+"""The dual store that ``step`` carries from tick to tick.
 
-A :class:`~pantagruel.domains.StoreIndex` groups a store pair's current
-store by interface and keeps, per attribute a body join reads, its ids by
-the attribute's value.  ``step`` moves it by the ids each tick's changes
-name; these tests require it to equal, after every tick, an index built
-afresh from the state's stores, and the dual store the rules read to list
-the ids and the changed ids an identity scan finds.  A state whose stores
-are not the pair its index records must be run as if it had no index.
+A :class:`~pantagruel.domains.DualStore` lists its current store's ids by
+interface and, per attribute a body join reads, by the attribute's value.
+``step`` moves those lists by the ids each tick's changes name; these
+tests require them to equal, after every tick, the lists of a bare pair
+of the state's stores, and the dual store the rules read to list the ids
+and the changed ids an identity scan finds.  A state whose stores are not
+the pair it carries must be run as if it carried none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pantagruel import (
 )
 from pantagruel import runtime
 from pantagruel.ast import BoolLit, EntityDecl, InitDecl, NumLit
-from pantagruel.domains import Entity, StoreIndex, access_event, value_neq
+from pantagruel.domains import DualStore, Entity, access_event, value_neq
 from pantagruel.runtime import RunState
 
 SEED = 20_112
@@ -55,7 +55,7 @@ rules
 end
 """
 INTERFACES = ("A", "B", "C")
-# what the rules key, and two more the tests ask for, so that an index
+# what the rules key, and two more the tests ask for, so that a dual store
 # keeps them from then on
 KEYED = (("A", "room"), ("C", "room"), ("B", "room"), ("A", "floor"))
 
@@ -122,12 +122,12 @@ def _script(rng, ticks):
     return script
 
 
-def _view(index: StoreIndex):
-    """What an index answers: each interface's ids and each keyed
+def _view(dual: DualStore):
+    """What a dual store lists: each interface's ids and each keyed
     attribute's buckets."""
-    ids = {interface: list(index.ids(interface)) for interface in INTERFACES}
+    ids = {interface: list(dual.ids(interface)) for interface in INTERFACES}
     buckets = {
-        name: {key: list(found) for key, found in index.buckets(*name).items()}
+        name: {key: list(found) for key, found in dual.keyed(*name).by_key.items()}
         for name in KEYED
     }
     return ids, buckets
@@ -145,7 +145,7 @@ def _scanned(store, previous, interface, event):
 
 
 def _fresh(state: RunState) -> RunState:
-    """The state as built by hand: the same stores, no index."""
+    """The state as built by hand: the same stores, no dual store."""
     return RunState(state.previous, state.current, state.tick, state.effect_ids)
 
 
@@ -179,21 +179,21 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
                     ids, changed = _scanned(dual.current, dual.previous, interface, event)
                     assert dual.ids(interface) == ids
                     assert dual.changed(interface, event) == changed
-            assert state.index.describes(state.previous, state.current)
-            view = _view(state.index)
-            assert view == _view(StoreIndex.build(state.previous, state.current))
-            moved += state.index.touched is not None
+            assert state.dual.describes(state.previous, state.current)
+            view = _view(state.dual)
+            assert view == _view(DualStore(state.previous, state.current))
+            moved += state.dual.touched is not None
             states.append((state, view))
-        # no later tick changed an index handed out before it
+        # no later tick changed a list handed out before it
         for state, view in states:
-            assert _view(state.index) == view
+            assert _view(state.dual) == view
     assert moved > RUNS * (TICKS - 3)
 
 
 def test_a_state_run_twice_or_replaced_runs_as_a_fresh_one():
     """``step`` twice on one state, and states whose previous or current
     store was replaced, give the records and states of a run from the
-    same stores without an index."""
+    same stores without a dual store."""
     env, rules = _program()
     rng = random.Random(SEED + 1)
     compared = 0
@@ -211,7 +211,7 @@ def test_a_state_run_twice_or_replaced_runs_as_a_fresh_one():
                 dataclasses.replace(state, previous=earlier.current),
                 dataclasses.replace(state, current=earlier.current),
             ):
-                assert replaced.index is state.index
+                assert replaced.dual is state.dual
                 quiet = [EventUpdate(n, "e", True) for n in sorted(replaced.current)[:2]]
                 assert _outcome(replaced, quiet, env, rules, mode) == _outcome(
                     _fresh(replaced), quiet, env, rules, mode
@@ -224,8 +224,8 @@ def test_a_state_run_twice_or_replaced_runs_as_a_fresh_one():
 
 def test_a_replaced_store_is_not_read_through_the_index_of_the_old_one():
     """Two sharp cases: a current store with one more entity than the
-    index lists, and an empty previous store, under which every entity is
-    new, though the index has only one touched id."""
+    dual store lists, and an empty previous store, under which every entity
+    is new, though the dual store has only one touched id."""
     env, rules = _program()
     deploy = [
         Deploy(EntityDecl("a1", "A", (InitDecl("room", NumLit(1)),))),
