@@ -11,7 +11,7 @@ Everything else (entities, references, the instantiation planner, the
 checker's parts) lives in the submodules and may change without notice.
 """
 
-from .domains import UNDEF, ConflictError, DualStore, store_join, store_join_all, update_member
+from .domains import UNDEF, ConflictError, DualStore, UnknownEntityError, store_join, store_join_all, update_member
 from .formatter import format_program
 from .parser import ParseError, parse_program
 from .rule_eval import TriggerMode, eval_rule, eval_rule_block
@@ -45,6 +45,7 @@ __all__ = [
     "ScriptError",
     "TriggerMode",
     "UNDEF",
+    "UnknownEntityError",
     "apply_external",
     "apply_internal",
     "check_program",

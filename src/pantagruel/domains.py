@@ -219,22 +219,15 @@ def update_member(
     entity_id: str,
     attributes: Mapping[str, Value] | None = None,
     events: Mapping[str, Value] | None = None,
-    governing: Store | None = None,
 ) -> Entity:
     """``entity_id``'s entity in ``store`` with the given attributes and
     events overwritten; the caller puts it back into the store it builds.
-
-    Partial effect stores accumulate produced effects only, so an entity
-    missing from ``store`` but present in the ``governing`` (current) store
-    starts from a skeleton carrying nothing but the new members.  An entity
-    the governing store also lacks is an error.  Member maps left untouched
-    are shared with the old entity, not copied.
+    An id ``store`` lacks is an :class:`UnknownEntityError`.  Member maps
+    left untouched are shared with the old entity, not copied.
     """
     entity = store.get(entity_id)
     if entity is None:
-        if governing is None or entity_id not in governing:
-            raise UnknownEntityError(entity_id)
-        entity = Entity(governing[entity_id].interface_id, {}, {})
+        raise UnknownEntityError(entity_id)
     return Entity(
         entity.interface_id,
         {**entity.attributes, **attributes} if attributes else entity.attributes,
@@ -336,14 +329,6 @@ class DualStore:
         """Whether this is the pair of these very two stores."""
         return self.previous is previous and self.current is current
 
-    def describing(
-        self, previous: Store, current: Store, touched: tuple[str, ...] | None
-    ) -> DualStore:
-        """The pair ``(previous, current)``, whose current store has the
-        same ids, interfaces and attributes as this one's; it shares this
-        pair's lists."""
-        return _carrying(previous, current, touched, self._lists)
-
     def moved(
         self,
         previous: Store,
@@ -352,10 +337,11 @@ class DualStore:
         ids: Iterable[str],
     ) -> DualStore:
         """The pair ``(previous, current)``, whose current store differs
-        from this one's at most at ``ids``, each named once.  Its lists are
-        this pair's with each of those ids moved from its entity here to
-        its entity in ``current`` (None where it is absent); a list no id
-        moves in is shared, any other copied."""
+        from this one's at ``ids``, each named once, and elsewhere at most
+        in members no list reads, which are events.  Its lists are this
+        pair's with each of those ids moved from its entity here to its
+        entity in ``current`` (None where it is absent); a list no id moves
+        in is shared, any other copied."""
         lists = dict(self._lists)
         kept: dict[str, list[str | None]] = {}
         for interface, attribute in lists:
@@ -387,22 +373,31 @@ class DualStore:
                 buckets[key] = found
             else:
                 del buckets[key]
-        return _carrying(previous, current, touched, lists)
+        dual = DualStore(previous, current)
+        object.__setattr__(dual, "touched", touched)
+        object.__setattr__(dual, "_lists", lists)
+        return dual
 
     def ids(self, interface: str) -> list[str]:
         """The sorted ids of ``interface``'s entities in ``current``,
         listed from the pair's grouping on first ask."""
         found = self._lists.get((interface, None))
         if found is None:
-            grouped = self._grouped
-            if grouped is None:
-                grouped = {}
-                for entity_id, entity in self.current.items():
-                    grouped.setdefault(entity.interface_id, []).append(entity_id)
-                object.__setattr__(self, "_grouped", grouped)
-            ids = sorted(grouped.get(interface, ()))
+            ids = self._grouped_ids(interface)
             found = self._lists[(interface, None)] = {None: ids} if ids else {}
         return found.get(None, [])
+
+    def _grouped_ids(self, interface: str) -> list[str]:
+        """The sorted ids of ``interface``'s entities in ``current``, from
+        the pair's one grouping of ``current`` by interface, made on first
+        ask and never handed on."""
+        grouped = self._grouped
+        if grouped is None:
+            grouped = {}
+            for entity_id, entity in self.current.items():
+                grouped.setdefault(entity.interface_id, []).append(entity_id)
+            object.__setattr__(self, "_grouped", grouped)
+        return sorted(grouped.get(interface, ()))
 
     def keyed(self, interface: str, attribute: str) -> Keyed:
         """``interface``'s ids, all of them and by ``attribute``'s key,
@@ -424,13 +419,13 @@ class DualStore:
         absent): deployed, or changed since ``previous``.  Stores pass
         every untouched entity on as the same object (:class:`Entity`), so
         only the entities that are not ``previous``'s very object are
-        read: the ``touched`` ids, or every id of the interface when those
-        are not known."""
+        read: the ``touched`` ids, or, when those are not known, the
+        interface's ids in the pair's grouping, which lists nothing."""
         changed = self._changed.get((interface, event))
         if changed is None:
             current, previous, touched = self.current, self.previous, self.touched
             if touched is None:
-                candidates = self.ids(interface)
+                candidates = self._grouped_ids(interface)
             else:
                 candidates = sorted(
                     entity_id
@@ -448,16 +443,6 @@ class DualStore:
                 )
             ]
         return changed
-
-
-def _carrying(
-    previous: Store, current: Store, touched: tuple[str, ...] | None, lists: _Lists
-) -> DualStore:
-    """The pair ``(previous, current)`` with these ``touched`` ids and lists."""
-    dual = DualStore(previous, current)
-    object.__setattr__(dual, "touched", touched)
-    object.__setattr__(dual, "_lists", lists)
-    return dual
 
 
 @dataclass(frozen=True)

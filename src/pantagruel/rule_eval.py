@@ -4,7 +4,8 @@ A rule's entity environment is built once (:func:`rule_environment`) and
 instantiated over the matching entities.  For each binding, :func:`holds`
 tests the condition (what the pool tests below leave of it) and, if it
 holds, :func:`action_effects` builds the binding's partial store; the
-partial stores are joined into the rule's effect store.
+partial stores are joined into the rule's effect store, which is all a
+rule produces besides its :class:`FiredRule` labels and bindings.
 
 Which bindings are built is decided here, and only here: :func:`eval_rule`
 sorts the condition's conjuncts against the environment in one pass (on
@@ -92,6 +93,7 @@ from .diagnostics import SourceSpan
 from .domains import (
     UNDEF,
     DualStore,
+    Entity,
     EnvEntity,
     EnvInterface,
     InstanceRef,
@@ -124,11 +126,11 @@ class TriggerMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FiredRule:
-    """One instantiation of one rule that held and produced effects."""
+    """One instantiation of one rule that held and produced effects, by
+    label and binding; the effects are in the rule's effect store."""
 
     label: int
     binding: dict[str, str]
-    effects: tuple[tuple[str, str, Value], ...]
 
 
 class UnsupportedConstructError(Exception):
@@ -264,7 +266,9 @@ def action_effects(
     ``scope``.  ``,`` seeds each call with the previous call's output;
     ``||`` builds its operands from the same seed, last to first, and joins
     them first to last.  A call on an unbound name, or whose target's
-    interface lacks the action, or whose filter fails, returns its seed."""
+    interface lacks the action, or whose filter fails, returns its seed;
+    any other writes its implicit event into the target's entry in the
+    seed, starting one with no other member where there is none."""
     if isinstance(expr, ActionCall):
         entity_id = _bound_entity(expr.decl, scope)
         if entity_id is None:
@@ -276,10 +280,11 @@ def action_effects(
         # action filters read the current store, by definition
         if not _filter_holds(expr.filter, entity_id, current, scope):
             return seed
-        value = eval_expression(expr.arg, current, scope)
-        updated = update_member(
-            seed, entity_id, events={expr.action: value}, governing=current
-        )
+        events = {expr.action: eval_expression(expr.arg, current, scope)}
+        if entity_id in seed:
+            updated = update_member(seed, entity_id, events=events)
+        else:
+            updated = Entity(target.interface_id, {}, events)
         return {**seed, entity_id: updated}
     if isinstance(expr, ActionSeq):
         for operand in operands(expr):
@@ -297,17 +302,6 @@ def action_effects(
 
 
 # ── Rules (R) and rule blocks (K) ────────────────────────────────
-
-
-def _effects_summary(store: Store) -> tuple[tuple[str, str, Value], ...]:
-    out: list[tuple[str, str, Value]] = []
-    for entity_id in sorted(store):
-        entity = store[entity_id]
-        for key in sorted(entity.attributes):
-            out.append((entity_id, key, entity.attributes[key]))
-        for key in sorted(entity.events):
-            out.append((entity_id, key, entity.events[key]))
-    return tuple(out)
 
 
 def _open_reads(atom: EventAtom, rho: EnvEntity) -> list[str]:
@@ -461,7 +455,7 @@ def eval_rule(
                 for var, ref in scope.items()
                 if isinstance(ref, InstanceRef)
             }
-            fired.append(FiredRule(label, binding, _effects_summary(partial)))
+            fired.append(FiredRule(label, binding))
     return store_join_all(partials), fired
 
 

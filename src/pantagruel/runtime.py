@@ -3,8 +3,10 @@
 One tick applies the pending external changes to the current store, runs
 the whole rule block against the ⟨previous, current'⟩ dual store, then
 layers the joined effects onto the store while resetting every implicit
-event that was set in the previous step.  Only the previous step's effects
-set implicit events, so the reset visits only the entities they wrote.
+event that was set in the previous step.  The effects name only entities
+of the store the rules read, so layering them never adds an entity.  Only
+the previous step's effects set implicit events, so the reset visits only
+the entities they wrote (on tick 1, those :func:`initial_state` names).
 The store handed to the next tick as "previous" is the post-external,
 pre-internal one, which is what edge detection must compare against.
 The state carries that pair as one :class:`~pantagruel.domains.DualStore`,
@@ -87,9 +89,8 @@ class RunState:
     effects set implicit events (external writes to them are refused, and a
     deployed entity starts them at UNDEF), so no other entity of
     ``current`` carries a set one, and the next tick's reset visits only
-    these.  None, as :func:`initial_state` and a state built without the
-    field have it, means they are not known: the reset then scans every
-    entity.
+    these.  None, as a state built without the field has it, means they
+    are not known: the reset then scans every entity.
 
     ``dual`` is the :class:`~pantagruel.domains.DualStore` of the pair
     ``(previous, current)``, with the lists the rules have asked for so
@@ -107,8 +108,14 @@ class RunState:
 
 def initial_state(store: Store) -> RunState:
     """Tick 0: the initial store, with an empty store standing in as its
-    nonexistent predecessor."""
-    return RunState(previous={}, current=store, tick=0)
+    nonexistent predecessor.  Its ``effect_ids`` are the ids whose entity
+    carries an event other than UNDEF, any set implicit event among them:
+    none for a store built from declarations."""
+    set_ids = tuple(
+        entity_id for entity_id, entity in store.items()
+        if any(value is not UNDEF for value in entity.events.values())
+    )
+    return RunState(previous={}, current=store, tick=0, effect_ids=set_ids)
 
 
 @dataclass(frozen=True)
@@ -227,9 +234,11 @@ def apply_internal(
     """Finish the tick: reset every implicit event that was set in
     ``sigma_prime`` back to UNDEF, then layer the rule effects on top
     (effect values win over the reset; genuine conflicts were already
-    caught while the effects were joined).  Only entities with a set
-    implicit event or an effect are rebuilt; all others are passed on as
-    the very objects of ``sigma_prime``.
+    caught while the effects were joined).  Effects name entities of
+    ``sigma_prime``, as rules evaluated on it build them; any other id is
+    an ``UnknownEntityError``.  Only entities with a set implicit event or
+    an effect are rebuilt; all others are passed on as the very objects of
+    ``sigma_prime``.
 
     ``set_ids``, when given, are the only ids whose entities may carry a
     set implicit event (:attr:`RunState.effect_ids` of the tick before):
@@ -251,9 +260,7 @@ def apply_internal(
         if reset:
             out[entity_id] = update_member(out, entity_id, events=reset)
     for entity_id, produced in effects.items():
-        out[entity_id] = update_member(
-            out, entity_id, produced.attributes, produced.events, governing=effects
-        )
+        out[entity_id] = update_member(out, entity_id, produced.attributes, produced.events)
     return out
 
 
@@ -275,7 +282,8 @@ def step(
     name: only those differ between ``state.current`` and the
     post-external store.  Its ``touched`` ids are those, the ids the last
     tick's effects wrote and the ids its reset visited.  The new state's
-    pair shares its lists, since the effects write only events."""
+    pair takes those lists moved by no id, as the effects write only
+    events."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
@@ -301,7 +309,7 @@ def step(
     record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
     effect_ids = tuple(effects)
     rebuilt = None if state.effect_ids is None else tuple(dict.fromkeys(effect_ids + state.effect_ids))
-    dual = dual.describing(sigma_prime, snapshot, rebuilt)
+    dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
     return RunState(sigma_prime, snapshot, tick, effect_ids, dual), record
 
 

@@ -34,6 +34,7 @@ from pantagruel.ast import (
 )
 from pantagruel.domains import (
     DualStore,
+    Entity,
     EnvEntity,
     EnvInterface,
     InstanceRef,
@@ -180,9 +181,10 @@ def eval_action_expr(
                 if not eval_filter(filt, ref.name, current)(scope):
                     return base
                 value = eval_expression(arg, current, scope)
-                updated = update_member(
-                    base, ref.name, events={action: value}, governing=current
-                )
+                if ref.name not in base:
+                    # a partial store starts the target from a skeleton
+                    base = {**base, ref.name: Entity(target.interface_id, {}, {})}
+                updated = update_member(base, ref.name, events={action: value})
                 return {**base, ref.name: updated}
 
             return rho2, run
@@ -204,17 +206,6 @@ def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:
             if store[entity_id].interface_id == rho[var].name
         ]
     return envs
-
-
-def _effects_summary(store: Store) -> tuple[tuple[str, str, Value], ...]:
-    out: list[tuple[str, str, Value]] = []
-    for entity_id in sorted(store):
-        entity = store[entity_id]
-        for key in sorted(entity.attributes):
-            out.append((entity_id, key, entity.attributes[key]))
-        for key in sorted(entity.events):
-            out.append((entity_id, key, entity.events[key]))
-    return tuple(out)
 
 
 def eval_rule(
@@ -246,5 +237,5 @@ def eval_rule(
                 for var, ref in inst.items()
                 if isinstance(ref, InstanceRef)
             }
-            fired.append(FiredRule(effective_label, binding, _effects_summary(partial)))
+            fired.append(FiredRule(effective_label, binding))
     return store_join_all(partials), fired

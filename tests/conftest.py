@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pantagruel import check_program, parse_program, update_member
+from pantagruel import check_program, eval_rule_block, parse_program, update_member
 from pantagruel.domains import DualStore, InterfaceRef
 
 BUILDING_SPEC = """\
@@ -76,6 +76,16 @@ def program_source(*rules: str) -> str:
 def with_event(store, entity_id: str, event: str, value):
     """``store`` with one event of one entity overwritten."""
     return {**store, entity_id: update_member(store, entity_id, events={event: value})}
+
+
+def produced_keys(checked, before, after, mode):
+    """The ``(entity, key)`` pairs of the effect store that the rules of
+    the tick from state ``before`` to state ``after`` produced, evaluated
+    afresh on the pair they read: ``before``'s previous store and the
+    tick's post-external store, which ``after`` hands on as its previous."""
+    dual = DualStore(before.previous, after.previous)
+    effects, _ = eval_rule_block(checked.env, checked.rules, dual, mode)
+    return {(entity_id, key) for entity_id, entity in effects.items() for key in entity.events}
 
 
 def index_pools(store, rho):

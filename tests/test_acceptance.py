@@ -31,9 +31,11 @@ from pantagruel import (
     eval_rule,
     eval_rule_block,
     format_program,
+    initial_state,
     parse_program,
     run_trace,
     serialize_tick,
+    step,
     store_join,
     store_join_all,
 )
@@ -41,7 +43,14 @@ from pantagruel.domains import Entity, InstanceRef, InterfaceRef, instantiate, v
 from pantagruel.cli import main
 from pantagruel.rule_eval import rule_environment
 
-from conftest import BUILDING_RULES_13, BUILDING_SPEC, index_pools, program_source, with_event
+from conftest import (
+    BUILDING_RULES_13,
+    BUILDING_SPEC,
+    index_pools,
+    produced_keys,
+    program_source,
+    with_event,
+)
 from test_parser import _random_ast
 
 EDGE = TriggerMode.EDGE
@@ -291,10 +300,11 @@ def test_a4_implicit_reset_invariant(building):
             if rng.random() < 0.5:
                 changes.append(EventUpdate("thermo", "temperature", rng.randint(29, 31)))
             script.append(changes)
-        for record in run_trace(building, script, mode=EDGE):
-            produced = {
-                (entity, key) for f in record.fired for entity, key, _ in f.effects
-            }
+        state = initial_state(building.initial_store)
+        for changes in script:
+            before = state
+            state, record = step(state, changes, building.rules, building.env, EDGE)
+            produced = produced_keys(building, before, state, EDGE)
             for entity_id, entity in record.snapshot.items():
                 for key in building.env[entity.interface_id].actions:
                     assert (entity.events[key] is not UNDEF) == (

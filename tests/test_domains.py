@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pantagruel import UNDEF, ConflictError, store_join, store_join_all, update_member
+from pantagruel.ast import ActionCall, BoolLit, DeclBare, NumLit, TypeTag
 from pantagruel.domains import (
     DualStore,
     Entity,
     InstanceRef,
+    Interface,
     InterfaceRef,
     UnknownEntityError,
     access_attribute,
@@ -23,6 +25,7 @@ from pantagruel.domains import (
     value_eq,
     value_neq,
 )
+from pantagruel.rule_eval import action_effects
 
 from conftest import index_pools
 
@@ -247,14 +250,22 @@ def test_access_attribute_mirrors_event_access():
 
 
 def test_update_event_skeleton_in_partial_store():
-    governing = {"l10": _entity("Light", attrs={"room": 101}, events={"switch": UNDEF})}
-    out = update_member({}, "l10", events={"switch": True}, governing=governing)
-    assert out == Entity("Light", {}, {"switch": True})
+    """A call whose target has no entry in the partial store starts one
+    holding the target's interface and the implicit event alone; a second
+    call on it adds to that entry."""
+    env = {"Light": Interface({"room": TypeTag.NAT}, {}, {"switch": TypeTag.BOOL, "dim": TypeTag.NAT})}
+    current = {"l10": _entity("Light", attrs={"room": 101}, events={"switch": UNDEF})}
+    scope = {"l10": InstanceRef("l10")}
+    switch = ActionCall("switch", BoolLit(True), DeclBare("l10"), None)
+    out = action_effects(switch, env, current, scope, {})
+    assert out == {"l10": Entity("Light", {}, {"switch": True})}
+    dim = ActionCall("dim", NumLit(3), DeclBare("l10"), None)
+    assert action_effects(dim, env, current, scope, out) == {
+        "l10": Entity("Light", {}, {"switch": True, "dim": 3})
+    }
 
 
 def test_update_event_unknown_everywhere_raises():
-    with pytest.raises(UnknownEntityError):
-        update_member({}, "ghost", events={"switch": True}, governing={})
     with pytest.raises(UnknownEntityError):
         update_member({}, "ghost", events={"switch": True})
 

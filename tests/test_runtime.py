@@ -16,6 +16,7 @@ from pantagruel import (
     ExternalChangeError,
     Remove,
     TriggerMode,
+    UnknownEntityError,
     apply_external,
     apply_internal,
     check_program,
@@ -29,7 +30,7 @@ from pantagruel import domains
 from pantagruel.domains import Entity
 from pantagruel.parser import parse_entity_decl
 
-from conftest import RULE_1, RULE_3, program_source, with_event
+from conftest import RULE_1, RULE_3, produced_keys, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -382,12 +383,11 @@ def test_implicit_reset_invariant_on_random_scripts(building):
                     EventUpdate("thermo", "temperature", rng.randint(28, 31))
                 )
             script.append(changes)
-        for record in run_trace(building, script, mode=EDGE):
-            produced = {
-                (entity, key)
-                for fired in record.fired
-                for entity, key, _ in fired.effects
-            }
+        state = initial_state(building.initial_store)
+        for changes in script:
+            before = state
+            state, record = step(state, changes, building.rules, building.env, EDGE)
+            produced = produced_keys(building, before, state, EDGE)
             for entity_id, entity in record.snapshot.items():
                 iface = building.env[entity.interface_id]
                 for key in iface.actions:
@@ -451,6 +451,7 @@ def _stepped_as_repl(checked, ticks, mode, forget):
     state = initial_state(checked.initial_store)
     records = []
     for changes in ticks:
+        before = state
         try:
             state, record = step(
                 state, changes, checked.rules, checked.env, mode, strict_conflicts=False
@@ -458,7 +459,8 @@ def _stepped_as_repl(checked, ticks, mode, forget):
         except ExternalChangeError:
             records.append("refused")
             continue
-        written = {entity for fired in record.fired for entity, _, _ in fired.effects}
+        # a conflicting tick drops its effects
+        written = set() if record.conflict else {e for e, _ in produced_keys(checked, before, state, mode)}
         assert set(state.effect_ids) == written
         if forget:
             state = dataclasses.replace(state, effect_ids=None)
@@ -545,3 +547,28 @@ def test_step_never_lists_the_interface_no_rule_names(monkeypatch, mode):
     assert {"l": f"lx{tick}", "m": "m10"} in [fired.binding for fired in record.fired]
     assert any(f"lx{tick}" in ids for ids in rebuilt)
     assert not [name for ids in rebuilt for name in ids if name.startswith("meter")]
+
+
+def test_edge_rules_list_no_detector_once_the_touched_ids_are_known(building):
+    """Rules 1-3 in edge mode, with the detectors toggled on every tick:
+    their edge pools read only the detectors that changed, so no list the
+    state carries ever holds a detector's id, while the lights' lists,
+    which the join reads, are kept.  From the initial state on, each state
+    knows the ids its next tick touches."""
+    state = initial_state(building.initial_store)
+    assert state.effect_ids == ()
+    detectors = {"m10", "m20"}
+    for tick in range(1, 6):
+        changes = [EventUpdate(m, "detected", tick % 2 == 1) for m in sorted(detectors)]
+        state, _ = step(state, changes, building.rules, building.env, EDGE)
+        assert state.dual.touched is not None
+        lists = state.dual._lists.values()
+        kept = {entity_id for buckets in lists for ids in buckets.values() for entity_id in ids}
+        assert not kept & detectors
+        assert {"l10", "l11", "l20"} <= kept
+
+
+def test_apply_internal_refuses_an_effect_on_an_id_the_store_lacks(building):
+    effects = {"ghost": Entity("Light", {}, {"switch": True})}
+    with pytest.raises(UnknownEntityError):
+        apply_internal(building.env, effects, building.initial_store)

@@ -215,7 +215,7 @@ def _random_record(rng, previous):
             changes.append(Deploy(EntityDecl(entity_id, rng.choice(NAMES), inits)))
     fired = [
         FiredRule(rng.randint(0, 12), {rng.choice(NAMES): rng.choice(NAMES)
-                                       for _ in range(rng.randint(0, 3))}, ())
+                                       for _ in range(rng.randint(0, 3))})
         for _ in range(rng.choice([0, 0, 1, 3]))
     ]
     return _record(
@@ -390,7 +390,7 @@ def test_hand_written_jsonl_escapes_strings_and_keeps_bool_apart_from_int():
             InitDecl(odd[0], NumLit(1)), InitDecl("k", BoolLit(True)), InitDecl(odd[0], NumLit(2)),
         ))),
     ]
-    fired = [FiredRule(3, {odd[0]: odd[1], "m": odd[4]}, ()), FiredRule(1, {}, ())]
+    fired = [FiredRule(3, {odd[0]: odd[1], "m": odd[4]}), FiredRule(1, {})]
     for tick, store in enumerate(stores):
         record = _record(store, tick, changes, fired, odd[tick])
         expected = json.dumps(_payload(record), sort_keys=True, separators=(",", ":"))
