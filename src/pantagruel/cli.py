@@ -1,6 +1,10 @@
 """Command-line front end: check programs, run scripted traces, or drive
 the interpreter interactively.
 
+``run`` and ``repl`` step a tick and write its record in one place
+(:func:`_step_and_write`), so a scripted run, like an interactive one,
+writes each record as its tick ends and holds only the current state.
+
 Exit codes: 0 success, 1 parse/static/script errors and malformed command
 lines, 2 I/O errors (any failed write to stdout among them: a closed pipe,
 a full disk), 3 effect conflict under strict mode.
@@ -16,7 +20,7 @@ from typing import NoReturn
 from .domains import ConflictError, Store
 from .parser import ParseError, parse_program
 from .rule_eval import TriggerMode
-from .runtime import ExternalChange, ExternalChangeError, TickRecord, initial_state, run_trace, step
+from .runtime import ExternalChange, ExternalChangeError, RunState, TickRecord, initial_state, step
 from .script import ScriptError, TickMarker, parse_line, parse_script
 from .serialize import serialize_tick, store_text
 from .spec_eval import CheckedProgram, check_program
@@ -131,6 +135,20 @@ def _emit_initial(args: argparse.Namespace, store: Store) -> None:
         sys.stdout.write(serialize_tick(TickRecord(0, (), (), store), args.format))
 
 
+def _step_and_write(
+    args: argparse.Namespace,
+    checked: CheckedProgram,
+    state: RunState,
+    changes: list[ExternalChange],
+) -> RunState:
+    """Step one tick with the command's mode and strictness, write its
+    record to stdout, and return the new state."""
+    mode, strict = TriggerMode(args.mode), not args.no_strict_conflicts
+    state, record = step(state, changes, checked.rules, checked.env, mode, strict)
+    sys.stdout.write(serialize_tick(record, args.format))
+    return state
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     result = _load_checked(args.program)
     if isinstance(result, int):
@@ -150,20 +168,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ScriptError as exc:
         print(f"{args.script}: {exc}", file=sys.stderr)
         return EXIT_ERRORS
-    mode = TriggerMode(args.mode)
+    state = initial_state(checked.initial_store)
+    _emit_initial(args, state.current)
     try:
-        records = run_trace(
-            checked,
-            ticks,
-            mode=mode,
-            max_ticks=args.max_ticks,
-            strict_conflicts=not args.no_strict_conflicts,
-        )
+        for changes in ticks[: args.max_ticks]:
+            state = _step_and_write(args, checked, state, changes)
     except (ExternalChangeError, ConflictError) as exc:
         return _tick_failed(exc)
-    _emit_initial(args, checked.initial_store)
-    for record in records:
-        sys.stdout.write(serialize_tick(record, args.format))
     return EXIT_OK
 
 
@@ -171,7 +182,6 @@ def cmd_repl(args: argparse.Namespace) -> int:
     checked = _load_checked(args.program)
     if isinstance(checked, int):
         return checked
-    mode = TriggerMode(args.mode)
     state = initial_state(checked.initial_store)
     pending: list[ExternalChange] = []
     interactive = sys.stdin.isatty()
@@ -203,22 +213,12 @@ def cmd_repl(args: argparse.Namespace) -> int:
             pending.append(parsed)
             continue
         try:
-            state, record = step(
-                state,
-                pending,
-                checked.rules,
-                checked.env,
-                mode,
-                strict_conflicts=not args.no_strict_conflicts,
-            )
+            state = _step_and_write(args, checked, state, pending)
         except ExternalChangeError as exc:
             _tick_failed(exc)
-            pending = []
-            continue
         except ConflictError as exc:
             return _tick_failed(exc)
         pending = []
-        sys.stdout.write(serialize_tick(record, args.format))
     return EXIT_OK
 
 

@@ -37,10 +37,11 @@ by the ids each tick changed:
   ``action ack(true) on m with room = l.room``), that is an equality
   between them, read from the current store.  A side read as an attribute
   by one call and as a path (event first, then attribute) by another is
-  used only if no entity of its interface carries an event of that name,
-  so that both reads agree.  :func:`~pantagruel.domains.instantiate`
-  turns it into a hash lookup keyed by ``(type, value)``, UNDEF joining
-  nothing, exactly as :func:`value_eq` compares.  A side read as an
+  used only if no entity of its pool carries an event of that name, so
+  that both reads agree on every binding built.
+  :func:`~pantagruel.domains.instantiate` turns it into a hash lookup
+  keyed by ``(type, value)``, UNDEF joining nothing, exactly as
+  :func:`value_eq` compares.  A side read as an
   attribute is looked up in the dual store's buckets of that attribute
   (:meth:`~pantagruel.domains.DualStore.keyed`), by each entity of the
   other side's pool, so its own entities are not read at all; every join
@@ -327,31 +328,28 @@ def _link(decl: Decl, filt: Filter | None, rho: EnvEntity) -> tuple[str, str, st
 
 
 def _side_reader(
-    reads: dict[tuple[str, bool], None], interface: str, dual: DualStore
+    reads: dict[tuple[str, bool], None], pool: list[str], current: Store
 ) -> tuple[Reader, str | None] | None:
     """The one read the body's calls make of one side of their equality,
     and the attribute it reads, if it reads one.  ``reads`` holds each
     ``(member, read as a path)`` the calls make of it.  The side is read
     as an attribute, or as a path; where calls read it both ways, as an
-    attribute, provided no entity of the side's interface carries an
-    event of that name, so that both reads agree.  None if the calls read
-    different members or the reads may disagree."""
+    attribute, provided no entity of the side's ``pool`` (the only ones
+    bound to it) carries an event of that name, so that both reads agree.
+    None if the calls read different members or the reads may disagree."""
     members = dict.fromkeys(member for member, _ in reads)
     if len(members) != 1:
         return None
     (member,) = members
-    current = dual.current
     if (member, False) not in reads:
         return functools.partial(_path_value, member=member, store=current), None
-    if (member, True) in reads and any(
-        member in current[entity_id].events for entity_id in dual.ids(interface)
-    ):
+    if (member, True) in reads and any(member in current[entity_id].events for entity_id in pool):
         return None
     return functools.partial(access_attribute, member, store=current), member
 
 
 def _body_join(
-    body: ActionExpr, rho: EnvEntity, dual: DualStore
+    body: ActionExpr, rho: EnvEntity, pools: dict[str, list[str]], dual: DualStore
 ) -> tuple[Join | None, dict[str, Keyed]]:
     """The equality every call of the body tests, if each call's filter
     links the same two open variables through the same member of each:
@@ -374,8 +372,8 @@ def _body_join(
         if len(reads) > 2:
             return None, {}
     (x, x_reads), (y, y_reads) = reads.items()
-    side_x = _side_reader(x_reads, rho[x].name, dual)
-    side_y = _side_reader(y_reads, rho[y].name, dual)
+    side_x = _side_reader(x_reads, pools[x], dual.current)
+    side_y = _side_reader(y_reads, pools[y], dual.current)
     if side_x is None or side_y is None:
         return None, {}
     keyed = {
@@ -444,7 +442,7 @@ def eval_rule(
         pools[var] = pool
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(rho, pools, *_body_join(rule.body, rho, dual)):
+    for scope in instantiate(rho, pools, *_body_join(rule.body, rho, pools, dual)):
         if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})

@@ -317,7 +317,6 @@ def run_trace(
     program: CheckedProgram,
     script: list[list[ExternalChange]],
     mode: TriggerMode = TriggerMode.EDGE,
-    max_ticks: int | None = None,
     strict_conflicts: bool = True,
 ) -> list[TickRecord]:
     """Fold :func:`step` over a finite script, one change list per tick.
@@ -328,12 +327,9 @@ def run_trace(
     """
     if not program.ok:
         raise ValueError("program has check errors; refusing to run")
-    if max_ticks is not None and max_ticks < 0:
-        raise ValueError(f"max_ticks must be 0 or more, got {max_ticks}")
-    ticks = script if max_ticks is None else script[:max_ticks]
     state = initial_state(program.initial_store)
     records: list[TickRecord] = []
-    for changes in ticks:
+    for changes in script:
         state, record = step(
             state, changes, program.rules, program.env, mode, strict_conflicts
         )

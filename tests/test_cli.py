@@ -505,6 +505,46 @@ def test_repl_conflict_strict_exits_3(files, capsys, monkeypatch):
     assert "conflict at tick 1" in err
 
 
+@pytest.mark.parametrize("emit_initial", [[], ["--emit-initial"]])
+def test_run_and_repl_print_the_same_records_through_a_failing_tick(
+    files, capsys, monkeypatch, emit_initial
+):
+    """A strict conflict on tick 2: both commands have already printed the
+    records before it, report it alike and exit 3."""
+    lines = "tick\nevent m10.detected = true\ntick\ntick\n"
+    program = files("c.ptg", CONFLICT_PROGRAM)
+    script = files("c.evs", lines)
+    assert main(["run", program, "--script", script, *emit_initial]) == 3
+    scripted = capsys.readouterr()
+    code, out, err = _repl(monkeypatch, capsys, ["repl", program, *emit_initial], lines)
+    assert code == 3
+    assert out == scripted.out
+    assert err == scripted.err
+    assert err.startswith("conflict at tick 2: ")
+    assert [line for line in out.splitlines() if line.startswith("tick ")] == [
+        f"tick {n}" for n in range(0 if emit_initial else 1, 2)
+    ]
+
+
+def test_run_writes_each_record_before_it_steps_the_next_tick(files, monkeypatch):
+    """On its k-th call, ``step`` finds k - 1 records on stdout."""
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("b.evs", GOLDEN_SCRIPT)
+    stdout = io.StringIO()
+    monkeypatch.setattr("sys.stdout", stdout)
+    real_step = pantagruel.step
+    written_before = []
+
+    def watching_step(*args, **kwargs):
+        written_before.append(stdout.getvalue().count("\n"))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr("pantagruel.runtime.step", watching_step)
+    monkeypatch.setattr("pantagruel.cli.step", watching_step)
+    assert main(["run", program, "--script", script, "--format", "jsonl"]) == 0
+    assert written_before == [0, 1, 2, 3]
+
+
 # ── a reader that closes stdout early ────────────────────────────
 
 # 600 ticks of motion on and off: far more trace than a pipe buffers, so the

@@ -41,7 +41,7 @@ from pantagruel.ast import (
     ValueChanged,
     ValueEq,
 )
-from pantagruel import rule_eval
+from pantagruel import domains, rule_eval
 from pantagruel.domains import Entity, InstanceRef, Interface, InterfaceRef, value_eq
 from pantagruel.rule_eval import (
     UnsupportedConstructError,
@@ -655,6 +655,35 @@ def test_event_named_like_the_joined_member_gives_the_product_firings():
             {"l": "l1", "m": "m2"},
             {"l": "l2", "m": "m2"},
         ]
+
+
+def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join(monkeypatch):
+    """Only the entities of a side's pool are bound to it, so an event
+    ``room`` on a detector that fails ``value = true`` cannot make the two
+    reads of ``m.room`` differ: the body's join stays a hash lookup, and
+    gives the product's firings."""
+    checked = _join_rule(
+        "when event detected from m:MotionDetector value = true "
+        "trigger action switch(true) on l:Light with room = m.room "
+        "|| action ack(true) on m with room = l.room end"
+    )
+    previous = checked.initial_store
+    current = with_event(previous, "m1", "detected", True)
+    m2 = Entity("MotionDetector", {"room": 2}, {"detected": False, "room": 1, "ack": UNDEF})
+    current = {**current, "m2": m2}
+    lookups = []
+    real_partners = domains._partners
+
+    def counting_partners(*args):
+        lookups.append(args)
+        return real_partners(*args)
+
+    monkeypatch.setattr(domains, "_partners", counting_partners)
+    for mode in TriggerMode:
+        lookups.clear()
+        _, fired = _both_evaluators(checked, DualStore(previous, current), mode)
+        assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
+        assert len(lookups) == 1
 
 
 def test_parallel_calls_linking_different_pairs_fall_back_to_the_product():

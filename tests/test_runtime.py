@@ -257,7 +257,6 @@ def test_prefix_monotonicity(building):
     full = run_trace(building, script, mode=EDGE)
     for n in range(len(script) + 1):
         assert run_trace(building, script[:n], mode=EDGE) == full[:n]
-    assert run_trace(building, script, mode=EDGE, max_ticks=2) == full[:2]
 
 
 def test_sensor_persistence_across_ticks(building):
@@ -339,13 +338,6 @@ def test_conflict_relaxed_records_and_drops_effects():
     assert record.conflict is not None and "l10.switch" in record.conflict
     assert record.fired == ()
     assert all(v is UNDEF for e in record.snapshot.values() for v in [e.events.get("switch")] if "switch" in e.events)
-
-
-def test_run_trace_refuses_a_negative_max_ticks(building):
-    script = [[EventUpdate("m10", "detected", True)], []]
-    assert len(run_trace(building, script, max_ticks=0)) == 0
-    with pytest.raises(ValueError, match="max_ticks"):
-        run_trace(building, script, max_ticks=-1)
 
 
 def test_run_refuses_unchecked_program():
