@@ -7,7 +7,9 @@ writes each record as its tick ends and holds only the current state.
 
 Exit codes: 0 success, 1 parse/static/script errors and malformed command
 lines, 2 I/O errors (any failed write to stdout among them: a closed pipe,
-a full disk), 3 effect conflict under strict mode.
+a full disk), 3 effect conflict under strict mode.  ``repl`` reports a
+refused tick and reads on, and exits 1 at the end of its input if any tick
+was refused; a malformed line it reports and skips.
 """
 
 from __future__ import annotations
@@ -184,6 +186,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         return checked
     state = initial_state(checked.initial_store)
     pending: list[ExternalChange] = []
+    code = EXIT_OK  # EXIT_ERRORS once a tick is refused
     interactive = sys.stdin.isatty()
     _emit_initial(args, state.current)
     while args.max_ticks is None or state.tick < args.max_ticks:
@@ -195,10 +198,10 @@ def cmd_repl(args: argparse.Namespace) -> int:
             print(f"error: undecodable input: {exc}", file=sys.stderr)
             return EXIT_ERRORS
         if not line:
-            return EXIT_OK
+            break
         text = line.split("#", 1)[0].strip()
         if text in ("quit", "exit"):
-            return EXIT_OK
+            break
         if text == "state":
             sys.stdout.write(store_text(state.current))
             continue
@@ -215,11 +218,11 @@ def cmd_repl(args: argparse.Namespace) -> int:
         try:
             state = _step_and_write(args, checked, state, pending)
         except ExternalChangeError as exc:
-            _tick_failed(exc)
+            code = _tick_failed(exc)
         except ConflictError as exc:
             return _tick_failed(exc)
         pending = []
-    return EXIT_OK
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

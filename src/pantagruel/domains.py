@@ -1,4 +1,4 @@
-"""The semantic algebra: values, interfaces, entities, stores, references.
+"""The semantic algebra: values, interfaces, entities, stores, bindings.
 
 Everything here is a plain immutable value; updates build new entities
 rather than mutating.  The one cache lives in the :class:`DualStore`, the
@@ -15,6 +15,10 @@ interface's ids sorted, :func:`instantiate` enumerates bindings of sorted
 pools lexicographically, :func:`store_join` reports the least conflict,
 and the serializer sorts what it prints.  Nothing here iterates a set, so
 no result depends on the string hash seed.
+
+A rule's binding maps each name bound to an entity to that entity's id, a
+name it lacks being unbound; :func:`instantiate` extends one over the ids
+its open variables range over.
 """
 
 from __future__ import annotations
@@ -445,24 +449,9 @@ class DualStore:
         return changed
 
 
-@dataclass(frozen=True)
-class InterfaceRef:
-    """The variable still ranges over an interface: not yet instantiated."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class InstanceRef:
-    """The variable is bound to one concrete entity."""
-
-    name: str
-
-
-Reference = Union[InterfaceRef, InstanceRef]
-
-# Entity environment: rule-scoped variable name → reference.
-EnvEntity = dict[str, Reference]
+# A binding: rule-scoped name → the id of the entity it is bound to; a name
+# it lacks is unbound.
+Binding = dict[str, str]
 
 
 # One side of an equality between two variables: the value it reads from
@@ -514,18 +503,17 @@ def _partners(
 
 
 def instantiate(
-    rho: EnvEntity,
+    bound: Binding,
     pools: Mapping[str, Sequence[str]],
     join: Join | None = None,
     keyed: Mapping[str, Keyed] | None = None,
-) -> list[EnvEntity]:
-    """Expand interface-bound variables over their pools of entity ids.
-
-    ``pools`` maps every variable bound to an ``InterfaceRef`` to the
-    sorted ids it ranges over; each binding replaces them with an
-    ``InstanceRef`` and passes instance bindings through.  The result
-    enumerates the cross product of the pools (lexicographic in variable
-    name, then entity id) and is empty as soon as one pool is.
+) -> list[Binding]:
+    """Extend the binding ``bound`` over the open variables, the keys of
+    ``pools``, each mapped to the sorted ids it ranges over.  Each result
+    is ``bound`` with every open variable bound to one id of its pool; the
+    results enumerate the cross product of the pools (lexicographic in
+    variable name, then entity id), and are none as soon as one pool is
+    empty.
 
     ``join`` is an optional equality between two distinct open variables
     (:data:`Join`; anything else is a ``ValueError``), and ``keyed`` gives,
@@ -538,8 +526,8 @@ def instantiate(
     UNDEF) are never built.  The survivors keep the order above, so the
     result is a subsequence of the product.
     """
-    open_vars = sorted(v for v, ref in rho.items() if isinstance(ref, InterfaceRef))
-    if join is not None and (join[0] == join[2] or not {join[0], join[2]} <= set(open_vars)):
+    open_vars = sorted(pools)
+    if join is not None and (join[0] == join[2] or join[0] not in pools or join[2] not in pools):
         raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
     looked_up = None
     if join is not None:
@@ -557,9 +545,9 @@ def instantiate(
             rows = [row + (entity_id,) for row in rows for entity_id in pool]
         if not rows:
             return []
-    results: list[EnvEntity] = []
+    results: list[Binding] = []
     for row in rows:
-        env = dict(rho)
-        env.update(zip(open_vars, map(InstanceRef, row)))
-        results.append(env)
+        binding = dict(bound)
+        binding.update(zip(open_vars, row))
+        results.append(binding)
     return results

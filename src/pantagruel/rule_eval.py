@@ -1,7 +1,10 @@
 """Rule evaluation against a dual store.
 
-A rule's entity environment is built once (:func:`rule_environment`) and
-instantiated over the matching entities.  For each binding, :func:`holds`
+A rule's entity environment is built once (:func:`rule_environment`): the
+interface of each open variable, and the binding of the bare names.  A
+binding maps each name bound to an entity to that entity's id; a name it
+lacks is unbound.  :func:`~pantagruel.domains.instantiate` extends it over
+the matching entities, and for each binding :func:`holds`
 tests the condition (what the pool tests below leave of it) and, if it
 holds, :func:`action_effects` builds the binding's partial store; the
 partial stores are joined into the rule's effect store, which is all a
@@ -93,12 +96,10 @@ from .ast import (
 from .diagnostics import SourceSpan
 from .domains import (
     UNDEF,
+    Binding,
     DualStore,
     Entity,
-    EnvEntity,
     EnvInterface,
-    InstanceRef,
-    InterfaceRef,
     Join,
     Keyed,
     Reader,
@@ -131,7 +132,7 @@ class FiredRule:
     label and binding; the effects are in the rule's effect store."""
 
     label: int
-    binding: dict[str, str]
+    binding: Binding
 
 
 class UnsupportedConstructError(Exception):
@@ -145,44 +146,42 @@ class UnsupportedConstructError(Exception):
 # ── Declarations and expressions ─────────────────────────────────
 
 
-def eval_declaration(decl: Decl, rho: EnvEntity, current: Store) -> tuple[str, EnvEntity]:
-    """Bind the declared name: typed declarations open an interface-bound
-    variable.  A bare name the environment already binds keeps that
-    binding, so a variable of the rule is never taken over by an entity
-    of the same name, as the checker resolves it.  Otherwise a bare name
-    binds to itself if it is a current entity and leaves the environment
-    unchanged if not (the atom stays inert)."""
-    if isinstance(decl, DeclTyped):
-        return decl.var, {**rho, decl.var: InterfaceRef(decl.interface)}
-    if decl.name in current and decl.name not in rho:
-        return decl.name, {**rho, decl.name: InstanceRef(decl.name)}
-    return decl.name, rho
-
-
-def rule_environment(rule: RuleAst, current: Store) -> EnvEntity:
-    """The rule's entity environment: the declarations of the condition's
-    atoms, then of the body's calls, run left to right.  An aggregate
-    raises :class:`UnsupportedConstructError`."""
-    rho: EnvEntity = {}
+def rule_environment(rule: RuleAst, current: Store) -> tuple[dict[str, str], Binding]:
+    """The rule's entity environment: each open variable's interface, and
+    the binding of the bare names.  The declarations of the condition's
+    atoms, then of the body's calls, run left to right.  A typed one opens
+    its variable, unbinding the name if a bare one bound it.  A bare name
+    no typed declaration has opened binds itself if it is a current entity,
+    so a variable of the rule is never taken over by an entity of the same
+    name, as the checker resolves it; any other stays unbound (the atom
+    stays inert).  An aggregate raises :class:`UnsupportedConstructError`."""
+    open_vars: dict[str, str] = {}
+    bound: Binding = {}
     for leaf in rule_leaves(rule):
         if isinstance(leaf, Aggregate):
             raise UnsupportedConstructError(leaf.span)
-        _, rho = eval_declaration(leaf.decl, rho, current)
-    return rho
+        decl = leaf.decl
+        if isinstance(decl, DeclTyped):
+            open_vars[decl.var] = decl.interface
+            bound.pop(decl.var, None)
+        elif decl.name in current and decl.name not in open_vars:
+            bound[decl.name] = decl.name
+    return open_vars, bound
 
 
-def eval_expression(expr: Expr, store: Store, rho: EnvEntity) -> Value:
+def eval_expression(expr: Expr, store: Store, binding: Binding) -> Value:
     """Total expression read: literals are themselves; a path reads the
-    member as an event when the entity carries that event key, as an
-    attribute otherwise; unbound or uninstantiated variables read UNDEF."""
+    member of the entity its variable is bound to, as an event when the
+    entity carries that event key, as an attribute otherwise; a variable
+    ``binding`` lacks reads UNDEF."""
     if isinstance(expr, NumLit):
         return expr.value
     if isinstance(expr, BoolLit):
         return expr.value
-    ref = rho.get(expr.var)
-    if not isinstance(ref, InstanceRef):
+    entity_id = binding.get(expr.var)
+    if entity_id is None:
         return UNDEF
-    return _path_value(ref.name, expr.member, store)
+    return _path_value(entity_id, expr.member, store)
 
 
 def _path_value(entity_id: str, member: str, store: Store) -> Value:
@@ -200,13 +199,7 @@ def _decl_name(decl: Decl) -> str:
     return decl.var if isinstance(decl, DeclTyped) else decl.name
 
 
-def _bound_entity(decl: Decl, scope: EnvEntity) -> str | None:
-    """The entity the declared name is bound to, if any."""
-    ref = scope.get(_decl_name(decl))
-    return ref.name if isinstance(ref, InstanceRef) else None
-
-
-def _filter_holds(filt: Filter | None, entity_id: str, store: Store, scope: EnvEntity) -> bool:
+def _filter_holds(filt: Filter | None, entity_id: str, store: Store, scope: Binding) -> bool:
     """An absent filter holds; a present one compares the entity's
     attribute with the right-hand side, both read from ``store``."""
     return filt is None or value_eq(
@@ -218,12 +211,12 @@ def _filter_holds(filt: Filter | None, entity_id: str, store: Store, scope: EnvE
 # ── Conditions (W) ───────────────────────────────────────────────
 
 
-def holds(expr: EventExpr, dual: DualStore, scope: EnvEntity, mode: TriggerMode) -> bool:
+def holds(expr: EventExpr, dual: DualStore, scope: Binding, mode: TriggerMode) -> bool:
     """Whether the condition holds for the binding ``scope``.  An atom
-    whose name is not bound to an instance is false: no entity was found,
-    so no event is caught."""
+    whose name ``scope`` lacks is false: no entity was found, so no event
+    is caught."""
     if isinstance(expr, EventAtom):
-        entity_id = _bound_entity(expr.decl, scope)
+        entity_id = scope.get(_decl_name(expr.decl))
         if entity_id is None:
             return False
         previous, current = dual.previous, dual.current
@@ -260,7 +253,7 @@ def action_effects(
     expr: ActionExpr,
     env: EnvInterface,
     current: Store,
-    scope: EnvEntity,
+    scope: Binding,
     seed: Store,
 ) -> Store:
     """The partial store the body builds on ``seed`` for the binding
@@ -271,7 +264,7 @@ def action_effects(
     any other writes its implicit event into the target's entry in the
     seed, starting one with no other member where there is none."""
     if isinstance(expr, ActionCall):
-        entity_id = _bound_entity(expr.decl, scope)
+        entity_id = scope.get(_decl_name(expr.decl))
         if entity_id is None:
             return seed
         target = current.get(entity_id)
@@ -305,7 +298,7 @@ def action_effects(
 # ── Rules (R) and rule blocks (K) ────────────────────────────────
 
 
-def _open_reads(atom: EventAtom, rho: EnvEntity) -> list[str]:
+def _open_reads(atom: EventAtom, open_vars: dict[str, str]) -> list[str]:
     """The still-open variables an atom reads: through its declared name,
     its filter's right-hand side, and its ``value = e`` expression."""
     names = [_decl_name(atom.decl)]
@@ -313,16 +306,16 @@ def _open_reads(atom: EventAtom, rho: EnvEntity) -> list[str]:
         names.append(atom.filter.rhs.var)
     if isinstance(atom.test, ValueEq) and isinstance(atom.test.expr, Path):
         names.append(atom.test.expr.var)
-    return list(dict.fromkeys(n for n in names if isinstance(rho.get(n), InterfaceRef)))
+    return list(dict.fromkeys(n for n in names if n in open_vars))
 
 
-def _link(decl: Decl, filt: Filter | None, rho: EnvEntity) -> tuple[str, str, str, str] | None:
+def _link(decl: Decl, filt: Filter | None, open_vars: dict[str, str]) -> tuple[str, str, str, str] | None:
     """``(x, a, y, b)`` when the filter ``with a = y.b`` on the declared
     name ``x`` links two distinct open variables, None otherwise."""
     if filt is None or not isinstance(filt.rhs, Path):
         return None
     x, y = _decl_name(decl), filt.rhs.var
-    if x == y or not all(isinstance(rho.get(v), InterfaceRef) for v in (x, y)):
+    if x == y or x not in open_vars or y not in open_vars:
         return None
     return x, filt.attribute, y, filt.rhs.member
 
@@ -349,7 +342,7 @@ def _side_reader(
 
 
 def _body_join(
-    body: ActionExpr, rho: EnvEntity, pools: dict[str, list[str]], dual: DualStore
+    body: ActionExpr, open_vars: dict[str, str], pools: dict[str, list[str]], dual: DualStore
 ) -> tuple[Join | None, dict[str, Keyed]]:
     """The equality every call of the body tests, if each call's filter
     links the same two open variables through the same member of each:
@@ -363,7 +356,7 @@ def _body_join(
         if not isinstance(node, ActionCall):
             pending += (node.left, node.right)
             continue
-        link = _link(node.decl, node.filter, rho)
+        link = _link(node.decl, node.filter, open_vars)
         if link is None:
             return None, {}
         x, attribute, y, member = link
@@ -377,7 +370,7 @@ def _body_join(
     if side_x is None or side_y is None:
         return None, {}
     keyed = {
-        var: dual.keyed(rho[var].name, attribute)
+        var: dual.keyed(open_vars[var], attribute)
         for var, (_, attribute) in ((x, side_x), (y, side_y))
         if attribute is not None
     }
@@ -410,30 +403,28 @@ def eval_rule(
     if label is None:
         label = rule.label if rule.label is not None else 1
     current = dual.current
-    rho = rule_environment(rule, current)
+    open_vars, bound = rule_environment(rule, current)
     condition = rule.condition
     by_var: dict[str, list[EventAtom]] = {}  # pool tests, per open variable
     rest: list[EventExpr] = []  # tested on whole bindings
     for conjunct in operands(condition) if isinstance(condition, EventAnd) else [condition]:
-        reads = _open_reads(conjunct, rho) if isinstance(conjunct, EventAtom) else None
+        reads = _open_reads(conjunct, open_vars) if isinstance(conjunct, EventAtom) else None
         if reads is None or len(reads) > 1:
             rest.append(conjunct)
         elif reads:
             by_var.setdefault(reads[0], []).append(conjunct)
-        elif not holds(conjunct, dual, rho, mode):
+        elif not holds(conjunct, dual, bound, mode):
             return {}, []
     pools: dict[str, list[str]] = {}
-    for var, ref in rho.items():
-        if not isinstance(ref, InterfaceRef):
-            continue
+    for var, interface in open_vars.items():
         atoms = by_var.get(var, ())
         edge = next((atom for atom in atoms if _needs_change(atom, var, mode)), None)
-        pool = dual.ids(ref.name) if edge is None else dual.changed(ref.name, edge.event)
+        pool = dual.ids(interface) if edge is None else dual.changed(interface, edge.event)
         if atoms:
-            scope = dict(rho)
+            scope = dict(bound)
             kept = []
             for entity_id in pool:
-                scope[var] = InstanceRef(entity_id)
+                scope[var] = entity_id
                 if all(holds(atom, dual, scope, mode) for atom in atoms):
                     kept.append(entity_id)
             pool = kept
@@ -442,18 +433,13 @@ def eval_rule(
         pools[var] = pool
     partials: list[Store] = []
     fired: list[FiredRule] = []
-    for scope in instantiate(rho, pools, *_body_join(rule.body, rho, pools, dual)):
+    for scope in instantiate(bound, pools, *_body_join(rule.body, open_vars, pools, dual)):
         if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
             continue
         partial = action_effects(rule.body, env, current, scope, {})
         partials.append(partial)
         if partial:
-            binding = {
-                var: ref.name
-                for var, ref in scope.items()
-                if isinstance(ref, InstanceRef)
-            }
-            fired.append(FiredRule(label, binding))
+            fired.append(FiredRule(label, scope))
     return store_join_all(partials), fired
 
 

@@ -9,13 +9,22 @@ and ``eval_rule`` instantiates the environment and applies both.
 :func:`instantiate` is the oracle's own: an exhaustive loop over the whole
 store, sorted here, that shares no pool, index or join with the
 package's, so the interpreter's candidate pools and their order are under
-test.  The other pure helpers (declarations, expressions, the store join
-and the member update) come from the package.
+test.
+
+The oracle keeps the literal reference domain of the semantics, which the
+package drops: an entity environment maps each variable to an
+:class:`InterfaceRef` (still ranging over an interface) or an
+:class:`InstanceRef` (bound to one entity), and :func:`eval_declaration`
+and :func:`eval_expression` read those, so the differential tests compare
+two independent expression readers.  Only the store algebra (member
+reads, the store join, the member update, the value comparisons) comes
+from the package.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Union
 
 from pantagruel.ast import (
     ActionCall,
@@ -23,22 +32,25 @@ from pantagruel.ast import (
     ActionPar,
     ActionSeq,
     Aggregate,
+    BoolLit,
     BoolTest,
+    Decl,
+    DeclTyped,
     EventAnd,
     EventAtom,
     EventExpr,
     EventOr,
+    Expr,
     Filter,
+    NumLit,
     RuleAst,
     ValueChanged,
 )
 from pantagruel.domains import (
+    UNDEF,
     DualStore,
     Entity,
-    EnvEntity,
     EnvInterface,
-    InstanceRef,
-    InterfaceRef,
     Store,
     Value,
     access_attribute,
@@ -49,19 +61,67 @@ from pantagruel.domains import (
     value_eq,
     value_neq,
 )
-from pantagruel.rule_eval import (
-    FiredRule,
-    TriggerMode,
-    UnsupportedConstructError,
-    eval_declaration,
-    eval_expression,
-)
+from pantagruel.rule_eval import FiredRule, TriggerMode, UnsupportedConstructError
+
+
+@dataclass(frozen=True)
+class InterfaceRef:
+    """The variable still ranges over an interface: not yet instantiated."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class InstanceRef:
+    """The variable is bound to one concrete entity."""
+
+    name: str
+
+
+Reference = Union[InterfaceRef, InstanceRef]
+
+# Entity environment: rule-scoped variable name → reference.
+EnvEntity = dict[str, Reference]
 
 # A deferred predicate awaiting a fully instantiated environment.
 BoolFn = Callable[[EnvEntity], bool]
 
 # A deferred effect awaiting a fully instantiated environment.
 PendingAction = Callable[[EnvEntity], Store]
+
+
+# ── Declarations and expressions ─────────────────────────────────
+
+
+def eval_declaration(decl: Decl, rho: EnvEntity, current: Store) -> tuple[str, EnvEntity]:
+    """Bind the declared name: typed declarations open an interface-bound
+    variable.  A bare name the environment already binds keeps that
+    binding, so a variable of the rule is never taken over by an entity
+    of the same name, as the checker resolves it.  Otherwise a bare name
+    binds to itself if it is a current entity and leaves the environment
+    unchanged if not (the atom stays inert)."""
+    if isinstance(decl, DeclTyped):
+        return decl.var, {**rho, decl.var: InterfaceRef(decl.interface)}
+    if decl.name in current and decl.name not in rho:
+        return decl.name, {**rho, decl.name: InstanceRef(decl.name)}
+    return decl.name, rho
+
+
+def eval_expression(expr: Expr, store: Store, rho: EnvEntity) -> Value:
+    """Total expression read: literals are themselves; a path reads the
+    member as an event when the entity carries that event key, as an
+    attribute otherwise; unbound or uninstantiated variables read UNDEF."""
+    if isinstance(expr, (NumLit, BoolLit)):
+        return expr.value
+    ref = rho.get(expr.var)
+    if not isinstance(ref, InstanceRef):
+        return UNDEF
+    entity = store.get(ref.name)
+    if entity is None:
+        return UNDEF
+    if expr.member in entity.events:
+        return entity.events[expr.member]
+    return entity.attributes.get(expr.member, UNDEF)
 
 
 def eval_filter(filt: Filter | None, entity_id: str, store: Store) -> BoolFn:

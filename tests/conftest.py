@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from pantagruel import check_program, eval_rule_block, parse_program, update_member
-from pantagruel.domains import DualStore, InterfaceRef
+from pantagruel.domains import DualStore
 
 BUILDING_SPEC = """\
 interface MotionDetector {
@@ -88,11 +88,12 @@ def produced_keys(checked, before, after, mode):
     return {(entity_id, key) for entity_id, entity in effects.items() for key in entity.events}
 
 
-def index_pools(store, rho):
-    """Each open variable of ``rho`` mapped to every id of its interface
-    in ``store``, sorted: the full pools ``instantiate`` enumerates."""
+def index_pools(store, open_vars):
+    """Each open variable of ``open_vars`` (variable → interface) mapped
+    to every id of its interface in ``store``, sorted: the full pools
+    ``instantiate`` enumerates."""
     dual = DualStore({}, store)
-    return {var: dual.ids(ref.name) for var, ref in rho.items() if isinstance(ref, InterfaceRef)}
+    return {var: dual.ids(interface) for var, interface in open_vars.items()}
 
 
 # two rules write opposite values to both actions of both entities; the

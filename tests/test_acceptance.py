@@ -39,7 +39,7 @@ from pantagruel import (
     store_join,
     store_join_all,
 )
-from pantagruel.domains import Entity, InstanceRef, InterfaceRef, instantiate, value_eq
+from pantagruel.domains import Entity, instantiate, value_eq
 from pantagruel.cli import main
 from pantagruel.rule_eval import rule_environment
 
@@ -162,11 +162,11 @@ def test_a3_rule_one_derivation_replay(building):
     ]
 
     # the instantiation set: {m10,m20} × {l10,l11,l20}, six environments
-    rho_a = rule_environment(rule1, sigma2)
-    assert rho_a == {"m": InterfaceRef("MotionDetector"), "l": InterfaceRef("Light")}
-    envs = instantiate(rho_a, index_pools(sigma2, rho_a))
+    open_vars, bound = rule_environment(rule1, sigma2)
+    assert (open_vars, bound) == ({"m": "MotionDetector", "l": "Light"}, {})
+    envs = instantiate(bound, index_pools(sigma2, open_vars))
     assert len(envs) == 6
-    assert {(e["m"].name, e["l"].name) for e in envs} == {
+    assert {(e["m"], e["l"]) for e in envs} == {
         (m, l) for m in ("m10", "m20") for l in ("l10", "l11", "l20")
     }
     print("A3 rule-one derivation replay: PASS")
@@ -211,28 +211,27 @@ def test_a4_instantiate_cardinality():
     ifaces = ["A", "B", "C"]
     for _ in range(A4_CASES):
         store = {f"e{i}": Entity(rng.choice(ifaces), {}, {}) for i in range(rng.randint(0, 4))}
-        rho = {}
+        open_vars, bound = {}, {}
         for v in range(rng.randint(0, 3)):
             if rng.random() < 0.7:
-                rho[f"v{v}"] = InterfaceRef(rng.choice(ifaces))
+                open_vars[f"v{v}"] = rng.choice(ifaces)
             else:
-                rho[f"v{v}"] = InstanceRef(f"e{rng.randint(0, 3)}")
-        got = instantiate(rho, index_pools(store, rho))
+                bound[f"v{v}"] = f"e{rng.randint(0, 3)}"
+        got = instantiate(bound, index_pools(store, open_vars))
 
         # exhaustive oracle over every total assignment of the open variables
-        open_vars = sorted(v for v, r in rho.items() if isinstance(r, InterfaceRef))
+        names = sorted(open_vars)
         expected = []
-        for combo in itertools.product(sorted(store), repeat=len(open_vars)):
-            if all(store[eid].interface_id == rho[v].name for v, eid in zip(open_vars, combo)):
-                env = dict(rho)
-                env.update({v: InstanceRef(eid) for v, eid in zip(open_vars, combo)})
+        for combo in itertools.product(sorted(store), repeat=len(names)):
+            if all(store[eid].interface_id == open_vars[v] for v, eid in zip(names, combo)):
+                env = dict(bound)
+                env.update(zip(names, combo))
                 expected.append(env)
-        key = lambda env: sorted((k, r.name) for k, r in env.items())
+        key = lambda env: sorted(env.items())
         assert sorted(got, key=key) == sorted(expected, key=key)
         size = 1
-        for ref in rho.values():
-            if isinstance(ref, InterfaceRef):
-                size *= sum(1 for e in store.values() if e.interface_id == ref.name)
+        for interface in open_vars.values():
+            size *= sum(1 for e in store.values() if e.interface_id == interface)
         assert len(got) == size
     _A4_ELAPSED["instantiate"] = time.perf_counter() - started
     print(f"A4 instantiate cardinality ({A4_CASES} cases, seed {A4_SEED_INSTANTIATE}): PASS")

@@ -526,6 +526,26 @@ def test_run_and_repl_print_the_same_records_through_a_failing_tick(
     ]
 
 
+@pytest.mark.parametrize("end", ["", "quit\n"], ids=["eof", "quit"])
+def test_repl_exits_1_at_the_end_of_its_input_after_a_refused_tick(
+    files, capsys, monkeypatch, end
+):
+    """A refused last tick: ``repl`` reports it, reads on and exits 1 at
+    the end of its input, with the records and stderr of ``run`` on the
+    same lines, which exits 1 too.  A later clean tick does not clear it."""
+    lines = "tick\nevent ghost.detected = true\ntick\n"
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("b.evs", lines)
+    assert main(["run", program, "--script", script]) == 1
+    scripted = capsys.readouterr()
+    code, out, err = _repl(monkeypatch, capsys, ["repl", program], lines + end)
+    assert code == 1
+    assert (out, err) == (scripted.out, scripted.err)
+    code, out, _ = _repl(monkeypatch, capsys, ["repl", program], lines + "wat\ntick\n" + end)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("tick ")] == ["tick 1", "tick 2"]
+
+
 def test_run_writes_each_record_before_it_steps_the_next_tick(files, monkeypatch):
     """On its k-th call, ``step`` finds k - 1 records on stdout."""
     program = files("b.ptg", BUILDING_RUNNABLE)

@@ -14,9 +14,7 @@ from pantagruel.ast import ActionCall, BoolLit, DeclBare, NumLit, TypeTag
 from pantagruel.domains import (
     DualStore,
     Entity,
-    InstanceRef,
     Interface,
-    InterfaceRef,
     UnknownEntityError,
     access_attribute,
     access_event,
@@ -255,7 +253,7 @@ def test_update_event_skeleton_in_partial_store():
     call on it adds to that entry."""
     env = {"Light": Interface({"room": TypeTag.NAT}, {}, {"switch": TypeTag.BOOL, "dim": TypeTag.NAT})}
     current = {"l10": _entity("Light", attrs={"room": 101}, events={"switch": UNDEF})}
-    scope = {"l10": InstanceRef("l10")}
+    scope = {"l10": "l10"}
     switch = ActionCall("switch", BoolLit(True), DeclBare("l10"), None)
     out = action_effects(switch, env, current, scope, {})
     assert out == {"l10": Entity("Light", {}, {"switch": True})}
@@ -323,37 +321,38 @@ def _fig_store():
 
 
 def test_instantiate_cross_product():
-    rho = {"m": InterfaceRef("MotionDetector"), "l": InterfaceRef("Light")}
-    envs = instantiate(rho, index_pools(_fig_store(), rho))
+    open_vars = {"m": "MotionDetector", "l": "Light"}
+    envs = instantiate({}, index_pools(_fig_store(), open_vars))
     assert len(envs) == 6
-    assert envs[0] == {"l": InstanceRef("l10"), "m": InstanceRef("m10")}
-    bindings = {(e["m"].name, e["l"].name) for e in envs}
+    assert envs[0] == {"l": "l10", "m": "m10"}
+    bindings = {(e["m"], e["l"]) for e in envs}
     assert bindings == {
         (m, l) for m in ("m10", "m20") for l in ("l10", "l11", "l20")
     }
 
 
 def test_instantiate_instance_refs_pass_through():
-    rho = {"thermo": InstanceRef("thermo")}
-    assert instantiate(rho, index_pools({}, rho)) == [rho]
+    """With no open variable, the one binding is the bound names'."""
+    bound = {"thermo": "thermo"}
+    assert instantiate(bound, {}) == [bound]
 
 
 def test_instantiate_empty_on_zero_match():
-    rho = {"f": InterfaceRef("Fan")}
-    assert instantiate(rho, index_pools(_fig_store(), rho)) == []
+    assert instantiate({}, index_pools(_fig_store(), {"f": "Fan"})) == []
 
 
-def _instantiate_oracle(store, rho):
-    """Exhaustive enumeration over all total assignments of open variables."""
-    open_vars = sorted(v for v, r in rho.items() if isinstance(r, InterfaceRef))
+def _instantiate_oracle(store, open_vars, bound=None):
+    """Exhaustive enumeration over all total assignments of the open
+    variables (variable → interface), each extending ``bound``."""
+    names = sorted(open_vars)
     results = []
-    for combo in itertools.product(sorted(store), repeat=len(open_vars)):
+    for combo in itertools.product(sorted(store), repeat=len(names)):
         if all(
-            store[eid].interface_id == rho[var].name
-            for var, eid in zip(open_vars, combo)
+            store[eid].interface_id == open_vars[var]
+            for var, eid in zip(names, combo)
         ):
-            env = dict(rho)
-            env.update({var: InstanceRef(eid) for var, eid in zip(open_vars, combo)})
+            env = dict(bound or {})
+            env.update(zip(names, combo))
             results.append(env)
     return results
 
@@ -365,20 +364,19 @@ def test_instantiate_matches_exhaustive_oracle():
         store = {
             f"e{i}": _entity(rng.choice(ifaces)) for i in range(rng.randint(0, 4))
         }
-        rho = {}
+        open_vars, bound = {}, {}
         for v in range(rng.randint(0, 3)):
             if rng.random() < 0.7:
-                rho[f"v{v}"] = InterfaceRef(rng.choice(ifaces))
+                open_vars[f"v{v}"] = rng.choice(ifaces)
             else:
-                rho[f"v{v}"] = InstanceRef(f"e{rng.randint(0, 3)}")
-        got = instantiate(rho, index_pools(store, rho))
-        expected = _instantiate_oracle(store, rho)
-        key = lambda env: sorted((k, r.name) for k, r in env.items())
+                bound[f"v{v}"] = f"e{rng.randint(0, 3)}"
+        got = instantiate(bound, index_pools(store, open_vars))
+        expected = _instantiate_oracle(store, open_vars, bound)
+        key = lambda env: sorted(env.items())
         assert sorted(got, key=key) == sorted(expected, key=key)
         counts = [
-            sum(1 for e in store.values() if e.interface_id == r.name)
-            for r in rho.values()
-            if isinstance(r, InterfaceRef)
+            sum(1 for e in store.values() if e.interface_id == interface)
+            for interface in open_vars.values()
         ]
         expected_size = 1
         for c in counts:
@@ -392,8 +390,8 @@ def test_instantiate_orders_by_variable_then_id_whatever_the_store_order():
         ids = [f"e{i}" for i in range(rng.randint(0, 5))]
         rng.shuffle(ids)
         store = {entity_id: _entity(rng.choice("AB")) for entity_id in ids}
-        rho = {f"v{v}": InterfaceRef(rng.choice("AB")) for v in rng.sample(range(4), 2)}
-        assert instantiate(rho, index_pools(store, rho)) == _instantiate_oracle(store, rho)
+        open_vars = {f"v{v}": rng.choice("AB") for v in rng.sample(range(4), 2)}
+        assert instantiate({}, index_pools(store, open_vars)) == _instantiate_oracle(store, open_vars)
 
 
 def test_instantiate_admits_filters_pools_and_keeps_order():
@@ -402,7 +400,7 @@ def test_instantiate_admits_filters_pools_and_keeps_order():
     rng = random.Random(13)
     for _ in range(200):
         store = {f"e{i}": _entity(rng.choice("AB")) for i in range(rng.randint(0, 6))}
-        rho = {"v": InterfaceRef(rng.choice("AB")), "w": InterfaceRef(rng.choice("AB"))}
+        open_vars = {"v": rng.choice("AB"), "w": rng.choice("AB")}
         kept = {entity_id for entity_id in store if rng.random() < 0.5}
         asked = []
 
@@ -410,12 +408,12 @@ def test_instantiate_admits_filters_pools_and_keeps_order():
             asked.append(entity_id)
             return entity_id in kept
 
-        pools = index_pools(store, rho)
+        pools = index_pools(store, open_vars)
         pools["v"] = [entity_id for entity_id in pools["v"] if admit_v(entity_id)]
-        got = instantiate(rho, pools)
-        want = [env for env in _instantiate_oracle(store, rho) if env["v"].name in kept]
+        got = instantiate({}, pools)
+        want = [env for env in _instantiate_oracle(store, open_vars) if env["v"] in kept]
         assert got == want
-        assert all(store[entity_id].interface_id == rho["v"].name for entity_id in asked)
+        assert all(store[entity_id].interface_id == open_vars["v"] for entity_id in asked)
 
 
 def _room(store):
@@ -423,11 +421,11 @@ def _room(store):
     return lambda entity_id: access_attribute("room", entity_id, store)
 
 
-def _keyed_rooms(store, rho, sides):
+def _keyed_rooms(store, open_vars, sides):
     """The keyed sides of a join on ``room``: each variable of ``sides``
     with its interface's ids by room, as a dual store lists them."""
     dual = DualStore({}, store)
-    return {var: dual.keyed(rho[var].name, "room") for var in sides}
+    return {var: dual.keyed(open_vars[var], "room") for var in sides}
 
 
 def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
@@ -439,11 +437,11 @@ def test_instantiate_join_keeps_nat_and_bool_apart_and_never_joins_undef():
         for name, room in rooms.items():
             store[f"{side}{name}"] = _entity(side.upper(), {"room": room})
         store[f"{side}none"] = _entity(side.upper())
-    rho = {"x": InterfaceRef("A"), "y": InterfaceRef("B")}
+    open_vars = {"x": "A", "y": "B"}
     for sides in ("x", "y", "xy"):
-        keyed = _keyed_rooms(store, rho, sides)
-        got = instantiate(rho, index_pools(store, rho), ("x", _room(store), "y", _room(store)), keyed)
-        assert [(env["x"].name, env["y"].name) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
+        keyed = _keyed_rooms(store, open_vars, sides)
+        got = instantiate({}, index_pools(store, open_vars), ("x", _room(store), "y", _room(store)), keyed)
+        assert [(env["x"], env["y"]) for env in got] == [("a1", "b1"), ("a2", "b2"), ("at", "bt")]
 
 
 def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
@@ -461,32 +459,32 @@ def test_instantiate_join_drops_exactly_the_unequal_bindings_in_order():
             for entity_id in ids
             if rng.random() < 0.9
         }
-        rho = {v: InterfaceRef(rng.choice("AB")) for v in ("a", "b", "c")}
+        open_vars = {v: rng.choice("AB") for v in ("a", "b", "c")}
         read = _room(store)
-        x, y = rng.sample(sorted(rho), 2)
+        x, y = rng.sample(sorted(open_vars), 2)
         join = (x, read, y, read)
         kept = {entity_id for entity_id in store if rng.random() < 0.7}
         filtered = rng.random() < 0.5
-        pools = index_pools(store, rho)
+        pools = index_pools(store, open_vars)
         if filtered:
             pools["b"] = [entity_id for entity_id in pools["b"] if entity_id in kept]
         want = [
             env
-            for env in _instantiate_oracle(store, rho)
-            if value_eq(read(env[x].name), read(env[y].name))
-            and (not filtered or env["b"].name in kept)
+            for env in _instantiate_oracle(store, open_vars)
+            if value_eq(read(env[x]), read(env[y]))
+            and (not filtered or env["b"] in kept)
         ]
-        keyed = _keyed_rooms(store, rho, rng.choice([[x], [y], [x, y]]))
-        assert instantiate(rho, pools, join, keyed) == want
+        keyed = _keyed_rooms(store, open_vars, rng.choice([[x], [y], [x, y]]))
+        assert instantiate({}, pools, join, keyed) == want
 
 
 def test_instantiate_join_must_link_two_distinct_open_variables():
     store = {"a1": _entity("A", {"room": 1})}
-    rho = {"x": InterfaceRef("A"), "y": InterfaceRef("A"), "z": InstanceRef("a1")}
+    bound, pools = {"z": "a1"}, index_pools(store, {"x": "A", "y": "A"})
     read = _room(store)
     for x, y in (("x", "x"), ("x", "z"), ("x", "w")):
         with pytest.raises(ValueError):
-            instantiate(rho, index_pools(store, rho), join=(x, read, y, read))
+            instantiate(bound, pools, join=(x, read, y, read))
     # a join with neither side keyed
     with pytest.raises(ValueError):
-        instantiate(rho, index_pools(store, rho), join=("x", read, "y", read))
+        instantiate(bound, pools, join=("x", read, "y", read))

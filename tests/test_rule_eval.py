@@ -34,6 +34,7 @@ from pantagruel.ast import (
     DeclBare,
     DeclTyped,
     EventAtom,
+    EventOr,
     NumLit,
     Path,
     RuleAst,
@@ -42,11 +43,10 @@ from pantagruel.ast import (
     ValueEq,
 )
 from pantagruel import domains, rule_eval
-from pantagruel.domains import Entity, InstanceRef, Interface, InterfaceRef, value_eq
+from pantagruel.domains import Entity, Interface, value_eq
 from pantagruel.rule_eval import (
     UnsupportedConstructError,
     action_effects,
-    eval_declaration,
     eval_expression,
     holds,
     rule_environment,
@@ -70,20 +70,35 @@ def motion_dual(building):
 # ── Declarations (D) ─────────────────────────────────────────────
 
 
+def _condition_environment(condition, current):
+    """The environment the condition alone declares: the rule's body acts
+    on a bare name absent from every store, which declares nothing."""
+    body = ActionCall("f", NumLit(0), DeclBare("nobody"), None)
+    return rule_environment(RuleAst(None, condition, body), current)
+
+
+def _atom(decl):
+    return EventAtom("e", decl, None, ValueChanged())
+
+
 def test_typed_declaration_binds_interface_ref():
-    var, rho = eval_declaration(DeclTyped("m", "MotionDetector"), {}, {})
-    assert var == "m"
-    assert rho == {"m": InterfaceRef("MotionDetector")}
+    """A typed declaration opens a variable over its interface."""
+    open_vars, bound = _condition_environment(_atom(DeclTyped("m", "MotionDetector")), {})
+    assert open_vars == {"m": "MotionDetector"}
+    assert bound == {}
 
 
 def test_bare_declaration_binds_store_entity(building):
-    var, rho = eval_declaration(DeclBare("thermo"), {}, building.initial_store)
-    assert (var, rho) == ("thermo", {"thermo": InstanceRef("thermo")})
+    """A bare name that is a current entity binds itself."""
+    env = _condition_environment(_atom(DeclBare("thermo")), building.initial_store)
+    assert env == ({}, {"thermo": "thermo"})
 
 
 def test_bare_declaration_absent_leaves_env_unchanged():
-    var, rho = eval_declaration(DeclBare("ghost"), {"x": InstanceRef("x")}, {})
-    assert (var, rho) == ("ghost", {"x": InstanceRef("x")})
+    """A bare name absent from the store stays unbound, after a bound one."""
+    condition = EventOr(_atom(DeclBare("x")), _atom(DeclBare("ghost")))
+    env = _condition_environment(condition, {"x": Entity("I", {}, {})})
+    assert env == ({}, {"x": "x"})
 
 
 # ── Expressions (X) ──────────────────────────────────────────────
@@ -94,18 +109,20 @@ def test_expression_literals():
 
 
 def test_expression_path_instance_reads_attribute(motion_dual):
-    rho = {"m": InstanceRef("m10")}
-    assert eval_expression(Path("m", "room"), motion_dual.current, rho) == 101
+    binding = {"m": "m10"}
+    assert eval_expression(Path("m", "room"), motion_dual.current, binding) == 101
 
 
 def test_expression_path_prefers_event_key(motion_dual):
-    rho = {"m": InstanceRef("m10")}
-    assert eval_expression(Path("m", "detected"), motion_dual.current, rho) is True
+    binding = {"m": "m10"}
+    assert eval_expression(Path("m", "detected"), motion_dual.current, binding) is True
 
 
 def test_expression_path_interface_ref_is_undef(motion_dual):
-    rho = {"m": InterfaceRef("MotionDetector")}
-    assert eval_expression(Path("m", "room"), motion_dual.current, rho) is UNDEF
+    """A variable the binding lacks, still open or never declared, reads
+    UNDEF."""
+    binding = {"l": "l10"}  # m not instantiated
+    assert eval_expression(Path("m", "room"), motion_dual.current, binding) is UNDEF
     assert eval_expression(Path("nope", "room"), motion_dual.current, {}) is UNDEF
 
 
@@ -115,8 +132,8 @@ def test_expression_path_interface_ref_is_undef(motion_dual):
 def test_filter_room_match(building, motion_dual):
     call = building.rules[0].body  # switch(true) on l:Light with room = m.room
     args = (building.env, motion_dual.current)
-    hit = action_effects(call, *args, {"m": InstanceRef("m10"), "l": InstanceRef("l10")}, {})
-    miss = action_effects(call, *args, {"m": InstanceRef("m10"), "l": InstanceRef("l20")}, {})
+    hit = action_effects(call, *args, {"m": "m10", "l": "l10"}, {})
+    miss = action_effects(call, *args, {"m": "m10", "l": "l20"}, {})
     assert hit == {"l10": Entity("Light", {}, {"switch": True})}
     assert miss == {}
 
@@ -126,7 +143,7 @@ def test_omitted_filter_constantly_true():
     interfaces = {"I": Interface({}, {}, {"f": TypeTag.BOOL})}
     atom = EventAtom("e", DeclBare("x"), None, ValueEq(BoolLit(True)))
     call = ActionCall("f", BoolLit(True), DeclBare("x"), None)
-    for scope in ({"x": InstanceRef("y")}, {"x": InstanceRef("y"), "z": InstanceRef("y")}):
+    for scope in ({"x": "y"}, {"x": "y", "z": "y"}):
         assert holds(atom, DualStore({}, store), scope, EDGE) is True
         assert action_effects(call, interfaces, store, scope, {}) == {
             "y": Entity("I", {}, {"f": True})
@@ -145,7 +162,7 @@ def _dual(prev_value, curr_value):
 def _test_holds(test, dual, mode, scope=None):
     """``test`` on event ``e`` of entity ``x``, through a one-atom condition."""
     atom = EventAtom("e", DeclBare("x"), None, test)
-    return holds(atom, dual, {"x": InstanceRef("x"), **(scope or {})}, mode)
+    return holds(atom, dual, {"x": "x", **(scope or {})}, mode)
 
 
 def test_value_eq_fires_on_false_to_true_edge():
@@ -184,30 +201,23 @@ def test_value_eq_path_reads_each_store():
     prev = {"x": Entity("I", {"a": 5}, {"e": 5})}
     curr = {"x": Entity("I", {"a": 6}, {"e": 5})}
     test = ValueEq(Path("v", "a"))
-    rho = {"v": InstanceRef("x")}
+    binding = {"v": "x"}
     # at t-1: e(5) == a(5); at t: e(5) != a(6) → no edge into equality
-    assert _test_holds(test, DualStore(prev, curr), EDGE, rho) is False
-    assert _test_holds(test, DualStore(curr, prev), EDGE, rho) is True
+    assert _test_holds(test, DualStore(prev, curr), EDGE, binding) is False
+    assert _test_holds(test, DualStore(curr, prev), EDGE, binding) is True
 
 
 # ── Conditions (W) ───────────────────────────────────────────────
 
 
-def _condition_environment(condition, current):
-    """The environment the condition alone declares: the rule's body acts
-    on a bare name absent from every store, which declares nothing."""
-    body = ActionCall("f", NumLit(0), DeclBare("nobody"), None)
-    return rule_environment(RuleAst(None, condition, body), current)
-
-
 def test_rule1_condition_environment_and_predicate(building, motion_dual):
     rule1 = building.rules[0]
     rho_e = _condition_environment(rule1.condition, motion_dual.current)
-    assert rho_e == {"m": InterfaceRef("MotionDetector")}
+    assert rho_e == ({"m": "MotionDetector"}, {})
     for scope, expected in (
-        ({"m": InstanceRef("m10")}, True),
-        ({"m": InstanceRef("m20")}, False),
-        ({"m": InterfaceRef("MotionDetector")}, False),  # uninstantiated
+        ({"m": "m10"}, True),
+        ({"m": "m20"}, False),
+        ({"l": "l10"}, False),  # m uninstantiated
         ({}, False),
     ):
         assert holds(rule1.condition, motion_dual, scope, EDGE) is expected
@@ -215,8 +225,8 @@ def test_rule1_condition_environment_and_predicate(building, motion_dual):
 
 def test_atom_over_absent_bare_name_is_constantly_false(building, motion_dual):
     atom = EventAtom("temperature", DeclBare("ghost"), None, ValueChanged())
-    assert _condition_environment(atom, motion_dual.current) == {}
-    for env in ({}, {"ghost": InterfaceRef("X")}):
+    assert _condition_environment(atom, motion_dual.current) == ({}, {})
+    for env in ({}, {"thermo": "thermo"}):
         assert holds(atom, motion_dual, env, EDGE) is False
 
 
@@ -227,11 +237,11 @@ def test_or_threads_environment_and_disjoins_predicates(motion_dual):
         "trigger action switch(true) on l:Light end\n"
     )
     rule = check_program(parse_program(src)).rules[0]
-    rho = _condition_environment(rule.condition, motion_dual.current)
-    assert set(rho) == {"m", "t"}  # both sides' variables are visible
-    env = {"m": InstanceRef("m10"), "t": InstanceRef("thermo")}
+    open_vars, _ = _condition_environment(rule.condition, motion_dual.current)
+    assert set(open_vars) == {"m", "t"}  # both sides' variables are visible
+    env = {"m": "m10", "t": "thermo"}
     assert holds(rule.condition, motion_dual, env, EDGE) is True  # left disjunct
-    env = {"m": InstanceRef("m20"), "t": InstanceRef("thermo")}
+    env = {"m": "m20", "t": "thermo"}
     assert holds(rule.condition, motion_dual, env, EDGE) is False  # neither side
 
 
@@ -248,7 +258,7 @@ def test_or_truth_table_against_enumeration():
             "trigger action f(true) on x end end"
         )
         rule = check_program(parse_program(src)).rules[0]
-        got = holds(rule.condition, DualStore(prev, curr), {"x": InstanceRef("x")}, EDGE)
+        got = holds(rule.condition, DualStore(prev, curr), {"x": "x"}, EDGE)
         expected = (not e1_prev and e1_curr) or (not e2_prev and e2_curr)
         assert got == expected
 
@@ -272,20 +282,17 @@ def test_aggregate_raises_at_evaluation():
 def test_rule1_action_environment_and_effect(building, motion_dual):
     rule1 = building.rules[0]
     rho_a = rule_environment(rule1, motion_dual.current)
-    assert rho_a == {
-        "m": InterfaceRef("MotionDetector"),
-        "l": InterfaceRef("Light"),
-    }
+    assert rho_a == ({"m": "MotionDetector", "l": "Light"}, {})
 
     def effect(scope):
         return action_effects(rule1.body, building.env, motion_dual.current, scope, {})
 
     # filter room = m.room decides whether the switch event is produced
-    hit = effect({"m": InstanceRef("m10"), "l": InstanceRef("l10")})
+    hit = effect({"m": "m10", "l": "l10"})
     assert hit == {"l10": Entity("Light", {}, {"switch": True})}
-    miss = effect({"m": InstanceRef("m10"), "l": InstanceRef("l20")})
+    miss = effect({"m": "m10", "l": "l20"})
     assert miss == {}
-    inert = effect({"m": InstanceRef("m10"), "l": InterfaceRef("Light")})
+    inert = effect({"m": "m10"})  # l uninstantiated
     assert inert == {}
 
 
@@ -305,7 +312,7 @@ def test_sequential_effect_threads_partial_store():
     checked = _two_action_program()
     store = checked.initial_store
     rule = checked.rules[0]
-    scope = {"x": InstanceRef("x"), "y": InstanceRef("x")}
+    scope = {"x": "x", "y": "x"}
     got = action_effects(rule.body, checked.env, store, scope, {})
     by_hand = {"x": Entity("I", {}, {"a1": 1})}
     by_hand = {"x": update_member(by_hand, "x", events={"a2": 2})}
@@ -314,11 +321,11 @@ def test_sequential_effect_threads_partial_store():
 
 
 def _body_effects(checked):
-    """The first rule's body effects under the environment the rule
-    declares, uninstantiated: only calls on bare entity names act."""
+    """The first rule's body effects under the binding the rule declares,
+    uninstantiated: only calls on bare entity names act."""
     rule = checked.rules[0]
-    rho = rule_environment(rule, checked.initial_store)
-    return action_effects(rule.body, checked.env, checked.initial_store, rho, {})
+    _, bound = rule_environment(rule, checked.initial_store)
+    return action_effects(rule.body, checked.env, checked.initial_store, bound, {})
 
 
 def test_par_and_seq_agree_for_idempotent_and_disjoint_calls():
@@ -515,7 +522,7 @@ def _count_bindings(monkeypatch):
         return bindings
 
     def counting_holds(expr, dual, scope, mode):
-        if isinstance(scope.get("m"), InstanceRef) and isinstance(scope.get("l"), InstanceRef):
+        if "m" in scope and "l" in scope:
             calls["tested"] += 1
         return real_holds(expr, dual, scope, mode)
 
@@ -719,7 +726,7 @@ def _count_pool_tests(monkeypatch):
     real_holds = rule_eval.holds
 
     def counting_holds(expr, dual, scope, mode):
-        if isinstance(scope.get("m"), InstanceRef):
+        if "m" in scope:
             calls["tested"] += 1
         return real_holds(expr, dual, scope, mode)
 
@@ -779,6 +786,36 @@ def test_a_rule_variable_named_like_an_entity_ranges_like_its_renamed_twin(moved
         EDGE,
     )
     assert [(f.label, f.binding) for f in record.fired] == [(1, {"m": moved}), (2, {"d": moved})]
+
+
+BARE_FIRST_NAMESAKE_PROGRAM = """\
+interface MotionDetector { event detected : Boolean action ack ( Boolean ) }
+m:MotionDetector {}
+m2:MotionDetector {}
+rules
+when event detected from m value = true trigger action ack(true) on m:MotionDetector end
+end
+"""
+
+
+@pytest.mark.parametrize("mode", [EDGE, LEVEL], ids=["edge", "level"])
+def test_a_typed_declaration_after_a_bare_namesake_opens_the_variable(mode):
+    """The other declaration order: the condition's bare ``m`` names an
+    entity, and the body then declares ``m`` a variable.  The later typed
+    declaration opens it, so the rule fires for the detector that moved,
+    ``m2``, not for the entity ``m``, as the closure oracle does too."""
+    checked = check_program(parse_program(BARE_FIRST_NAMESAKE_PROGRAM))
+    assert checked.ok
+    state = initial_state(checked.initial_store)
+    _, record = step(
+        state, [EventUpdate("m2", "detected", True)], checked.rules, checked.env, mode
+    )
+    assert [(f.label, f.binding) for f in record.fired] == [(1, {"m": "m2"})]
+    rule = checked.rules[0]
+    dual = DualStore(state.current, with_event(state.current, "m2", "detected", True))
+    got = eval_rule(checked.env, rule, dual, mode)
+    assert got == closure_eval.eval_rule(checked.env, rule, dual, mode)
+    assert [f.binding for f in got[1]] == [{"m": "m2"}]
 
 
 class _CountingStore(dict):
