@@ -3,11 +3,13 @@
 Everything here is a plain immutable value; updates build new entities
 rather than mutating.  The one cache lives in the :class:`DualStore`, the
 one object for a ⟨previous, current⟩ pair: the lists of its current
-store's ids that rules ask for, by interface and, for the attributes body
-joins read, by value.  Each list is built on first ask and kept; ``step``
-carries the pair's lists from tick to tick and moves them by the ids each
-tick changed, copying only the lists it changes, so an interface no rule
-reads is never listed.  Reads are total (a miss yields ``UNDEF``), and merges
+store's ids that rules read, by interface and, for the attributes body
+joins read, by value.  One builder lists them in one pass over the store:
+on a run's first tick, every list the rule block names, and on a bare
+pair, each list a rule asks for that it lacks.  ``step`` carries the
+pair's lists from tick to tick and moves them by the ids each tick
+changed, copying only the lists it changes, so an interface no rule reads
+is never listed.  Reads are total (a miss yields ``UNDEF``), and merges
 are union-shaped with equal-value overlap tolerated.  Stores are finite
 maps: their key order carries no meaning and nothing here sorts them.  Order
 is fixed only where it can be observed: :meth:`DualStore.ids` lists an
@@ -301,19 +303,23 @@ class DualStore:
 
     A list is an interface's ids, sorted, or, for an attribute a body join
     reads, those ids by the attribute's :func:`_join_key`, sorted in each
-    bucket (UNDEF in none).  Each is built the first time a rule asks for
-    it, from one grouping of ``current`` by interface that every ask on
-    the pair shares, and kept from then on, so an interface no rule reads
-    is never listed.  :meth:`moved` hands the kept lists on to a successor
-    pair, copying only those it changes.  Neither store is changed once
-    the pair has been read (nothing here or in the evaluator does), and
-    callers do not change the lists returned, so a list once handed out
-    never changes.
+    bucket (UNDEF in none).  :meth:`build` lists the ones a rule block
+    names (:func:`~pantagruel.rule_eval.block_lists`), in one pass over
+    ``current``; a list a rule asks for that the pair lacks is built the
+    same way on ask.  Every list is kept from then on, so an interface no
+    rule reads is never listed.  :meth:`moved` hands the kept lists on to
+    a successor pair, copying only those it changes.  Neither store is
+    changed once the pair has been read (nothing here or in the evaluator
+    does), and callers do not change the lists returned, so a list once
+    handed out never changes.
 
-    ``touched`` names, when known, the ids outside of which ``previous``
-    and ``current`` hold the very same entity objects.  It, the lists,
-    the grouping and the memo of :meth:`changed` take no part in
-    construction, equality or repr: those are the two stores'.
+    ``touched`` names ids outside of which every entity of ``current``
+    reads each event as it does in ``previous``: ``previous``'s very
+    object, or, under an id ``previous`` lacks, an entity whose events are
+    all UNDEF.  When it is not known (None, as for a bare pair), the
+    pair's first pass over ``current`` finds it.  It, the lists and the
+    memo of :meth:`changed` take no part in construction, equality or
+    repr: those are the two stores'.
     """
 
     previous: Store
@@ -322,9 +328,6 @@ class DualStore:
         default=None, init=False, compare=False, repr=False
     )
     _lists: _Lists = field(default_factory=dict, init=False, compare=False, repr=False)
-    _grouped: dict[str, list[str]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
     _changed: dict[tuple[str, str], list[str]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -333,11 +336,46 @@ class DualStore:
         """Whether this is the pair of these very two stores."""
         return self.previous is previous and self.current is current
 
+    def build(self, names: Iterable[tuple[str, str | None]]) -> None:
+        """List each of ``names``, ``(interface, attribute)`` with None for
+        the interface's ids, that the pair lacks, and find ``touched`` if
+        it is not known, in one pass over ``current``; no pass if there is
+        neither to do."""
+        missing = [name for name in dict.fromkeys(names) if name not in self._lists]
+        touched: list[str] | None = [] if self.touched is None else None
+        if not missing and touched is None:
+            return
+        current, previous = self.current, self.previous
+        grouped: dict[str, list[str]] = {interface: [] for interface, _ in missing}
+        for entity_id, entity in current.items():
+            ids = grouped.get(entity.interface_id)
+            if ids is not None:
+                ids.append(entity_id)
+            if touched is not None and previous.get(entity_id) is not entity and (
+                entity_id in previous
+                or any(value is not UNDEF for value in entity.events.values())
+            ):
+                touched.append(entity_id)
+        for ids in grouped.values():
+            ids.sort()
+        for interface, attribute in missing:
+            ids = grouped[interface]
+            if attribute is None:
+                self._lists[(interface, None)] = {None: ids} if ids else {}
+                continue
+            buckets = self._lists[(interface, attribute)] = {}
+            for entity_id in ids:
+                key = _join_key(current[entity_id].attributes.get(attribute, UNDEF))
+                if key is not None:
+                    buckets.setdefault(key, []).append(entity_id)
+        if touched is not None:
+            object.__setattr__(self, "touched", tuple(touched))
+
     def moved(
         self,
         previous: Store,
         current: Store,
-        touched: tuple[str, ...] | None,
+        touched: tuple[str, ...],
         ids: Iterable[str],
     ) -> DualStore:
         """The pair ``(previous, current)``, whose current store differs
@@ -383,60 +421,38 @@ class DualStore:
         return dual
 
     def ids(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities in ``current``,
-        listed from the pair's grouping on first ask."""
+        """The sorted ids of ``interface``'s entities in ``current``."""
         found = self._lists.get((interface, None))
         if found is None:
-            ids = self._grouped_ids(interface)
-            found = self._lists[(interface, None)] = {None: ids} if ids else {}
+            self.build(((interface, None),))
+            found = self._lists[(interface, None)]
         return found.get(None, [])
 
-    def _grouped_ids(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities in ``current``, from
-        the pair's one grouping of ``current`` by interface, made on first
-        ask and never handed on."""
-        grouped = self._grouped
-        if grouped is None:
-            grouped = {}
-            for entity_id, entity in self.current.items():
-                grouped.setdefault(entity.interface_id, []).append(entity_id)
-            object.__setattr__(self, "_grouped", grouped)
-        return sorted(grouped.get(interface, ()))
-
     def keyed(self, interface: str, attribute: str) -> Keyed:
-        """``interface``'s ids, all of them and by ``attribute``'s key,
-        those listed from :meth:`ids` on first ask."""
-        ids = self.ids(interface)
+        """``interface``'s ids, all of them and by ``attribute``'s key."""
         buckets = self._lists.get((interface, attribute))
         if buckets is None:
-            buckets = self._lists[(interface, attribute)] = {}
-            current = self.current
-            for entity_id in ids:
-                key = _join_key(current[entity_id].attributes.get(attribute, UNDEF))
-                if key is not None:
-                    buckets.setdefault(key, []).append(entity_id)
-        return Keyed(ids, buckets)
+            self.build(((interface, None), (interface, attribute)))
+            buckets = self._lists[(interface, attribute)]
+        return Keyed(self.ids(interface), buckets)
 
     def changed(self, interface: str, event: str) -> list[str]:
         """Those of :meth:`ids` whose ``event`` reads differently in
         ``previous`` and ``current`` (:func:`value_neq`, UNDEF where it is
-        absent): deployed, or changed since ``previous``.  Stores pass
-        every untouched entity on as the same object (:class:`Entity`), so
-        only the entities that are not ``previous``'s very object are
-        read: the ``touched`` ids, or, when those are not known, the
-        interface's ids in the pair's grouping, which lists nothing."""
+        absent): deployed, or changed since ``previous``.  Only the
+        ``touched`` ids can, and of those only the entities that are not
+        ``previous``'s very object are read; no list is built."""
         changed = self._changed.get((interface, event))
         if changed is None:
-            current, previous, touched = self.current, self.previous, self.touched
-            if touched is None:
-                candidates = self._grouped_ids(interface)
-            else:
-                candidates = sorted(
-                    entity_id
-                    for entity_id in touched
-                    if (entity := current.get(entity_id)) is not None
-                    and entity.interface_id == interface
-                )
+            if self.touched is None:
+                self.build(())
+            current, previous = self.current, self.previous
+            candidates = sorted(
+                entity_id
+                for entity_id in self.touched
+                if (entity := current.get(entity_id)) is not None
+                and entity.interface_id == interface
+            )
             changed = self._changed[(interface, event)] = [
                 entity_id
                 for entity_id in candidates

@@ -16,9 +16,11 @@ every evaluation; the plan is not kept between ticks) and gives each open
 variable its finished pool of sorted ids, which
 :func:`~pantagruel.domains.instantiate` only enumerates.  A pool starts
 from a list the dual store keeps (:meth:`~pantagruel.domains.DualStore.ids`
-and ``changed``): built the first time a rule asks for it, shared with
-every rule of the tick, and carried by ``step`` from tick to tick, moved
-by the ids each tick changed:
+and ``changed``), shared with every rule of the tick.  Which lists a rule
+block reads is fixed by the rules and the mode (:func:`block_lists`, from
+the same conjunct split and body links :func:`eval_rule` reads), so
+``step`` builds them all on a run's first tick and carries them from
+tick to tick, moved by the ids each tick changed:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -69,6 +71,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .ast import (
     ActionCall,
@@ -320,35 +323,46 @@ def _link(decl: Decl, filt: Filter | None, open_vars: dict[str, str]) -> tuple[s
     return x, filt.attribute, y, filt.rhs.member
 
 
-def _side_reader(
-    reads: dict[tuple[str, bool], None], pool: list[str], current: Store
-) -> tuple[Reader, str | None] | None:
-    """The one read the body's calls make of one side of their equality,
-    and the attribute it reads, if it reads one.  ``reads`` holds each
-    ``(member, read as a path)`` the calls make of it.  The side is read
-    as an attribute, or as a path; where calls read it both ways, as an
-    attribute, provided no entity of the side's ``pool`` (the only ones
-    bound to it) carries an event of that name, so that both reads agree.
-    None if the calls read different members or the reads may disagree."""
+def _one_member(reads: dict[tuple[str, bool], None]) -> tuple[str, bool] | None:
+    """The member the body's calls read of one side of their equality, and
+    whether one of them reads it as an attribute; ``reads`` holds each
+    ``(member, read as a path)`` they make of it.  None if they read
+    different members."""
     members = dict.fromkeys(member for member, _ in reads)
     if len(members) != 1:
         return None
     (member,) = members
-    if (member, False) not in reads:
+    return member, (member, False) in reads
+
+
+def _side_reader(
+    reads: dict[tuple[str, bool], None], pool: list[str], current: Store
+) -> tuple[Reader, str | None] | None:
+    """The one read the body's calls make of one side of their equality,
+    and the attribute it reads, if it reads one.  The side is read as an
+    attribute (:func:`_one_member`), or as a path; where calls read it both
+    ways, as an attribute, provided no entity of the side's ``pool`` (the
+    only ones bound to it) carries an event of that name, so that both
+    reads agree.  None if the calls read different members or the reads
+    may disagree."""
+    read = _one_member(reads)
+    if read is None:
+        return None
+    member, as_attribute = read
+    if not as_attribute:
         return functools.partial(_path_value, member=member, store=current), None
     if (member, True) in reads and any(member in current[entity_id].events for entity_id in pool):
         return None
     return functools.partial(access_attribute, member, store=current), member
 
 
-def _body_join(
-    body: ActionExpr, open_vars: dict[str, str], pools: dict[str, list[str]], dual: DualStore
-) -> tuple[Join | None, dict[str, Keyed]]:
-    """The equality every call of the body tests, if each call's filter
-    links the same two open variables through the same member of each:
-    where it fails, every call returns its seed, so the binding produces
-    no effect.  Bare names count (``on m with room = l.room``).  With it,
-    each side read as an attribute, keyed by it (:meth:`DualStore.keyed`)."""
+def _body_links(
+    body: ActionExpr, open_vars: dict[str, str]
+) -> dict[str, dict[tuple[str, bool], None]] | None:
+    """The reads of the equality every call of the body tests, if each
+    call's filter links the same two open variables (:func:`_link`): for
+    each of the two, every ``(member, read as a path)`` the calls make of
+    it.  None if some call links none, or the calls link more than two."""
     reads: dict[str, dict[tuple[str, bool], None]] = {}
     pending = [body]
     while pending:
@@ -358,12 +372,25 @@ def _body_join(
             continue
         link = _link(node.decl, node.filter, open_vars)
         if link is None:
-            return None, {}
+            return None
         x, attribute, y, member = link
         reads.setdefault(x, {})[(attribute, False)] = None
         reads.setdefault(y, {})[(member, True)] = None
         if len(reads) > 2:
-            return None, {}
+            return None
+    return reads
+
+
+def _body_join(
+    body: ActionExpr, open_vars: dict[str, str], pools: dict[str, list[str]], dual: DualStore
+) -> tuple[Join | None, dict[str, Keyed]]:
+    """The equality every call of the body tests (:func:`_body_links`):
+    where it fails, every call returns its seed, so the binding produces
+    no effect.  Bare names count (``on m with room = l.room``).  With it,
+    each side read as an attribute, keyed by it (:meth:`DualStore.keyed`)."""
+    reads = _body_links(body, open_vars)
+    if reads is None:
+        return None, {}
     (x, x_reads), (y, y_reads) = reads.items()
     side_x = _side_reader(x_reads, pools[x], dual.current)
     side_y = _side_reader(y_reads, pools[y], dual.current)
@@ -377,6 +404,28 @@ def _body_join(
     return (x, side_x[0], y, side_y[0]), keyed
 
 
+def _conjuncts(
+    condition: EventExpr, open_vars: dict[str, str]
+) -> tuple[list[EventAtom], dict[str, list[EventAtom]], list[EventExpr]]:
+    """The conjuncts of the condition's top-level ``and`` chain (or the
+    lone conjunct a condition is), split by the open variables each reads
+    (:func:`_open_reads`): the atoms reading none, each variable's pool
+    tests (atoms reading that one), and the rest, tested on whole
+    bindings."""
+    closed: list[EventAtom] = []
+    by_var: dict[str, list[EventAtom]] = {}
+    rest: list[EventExpr] = []
+    for conjunct in operands(condition) if isinstance(condition, EventAnd) else [condition]:
+        reads = _open_reads(conjunct, open_vars) if isinstance(conjunct, EventAtom) else None
+        if reads is None or len(reads) > 1:
+            rest.append(conjunct)
+        elif reads:
+            by_var.setdefault(reads[0], []).append(conjunct)
+        else:
+            closed.append(conjunct)
+    return closed, by_var, rest
+
+
 def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
     """Whether ``atom``, a pool test of ``var``, can hold only on an entity
     whose event changed value this tick: ``value changed``, or in EDGE
@@ -387,6 +436,15 @@ def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
     return isinstance(test, ValueChanged) or (
         mode is TriggerMode.EDGE and isinstance(test.expr, (NumLit, BoolLit))
     )
+
+
+def _edge_atom(atoms: Iterable[EventAtom], var: str, mode: TriggerMode) -> EventAtom | None:
+    """The first of ``var``'s pool tests that :func:`_needs_change`, whose
+    event gives ``var``'s pool from the changed ids, or None."""
+    for atom in atoms:
+        if _needs_change(atom, var, mode):
+            return atom
+    return None
 
 
 def eval_rule(
@@ -404,21 +462,14 @@ def eval_rule(
         label = rule.label if rule.label is not None else 1
     current = dual.current
     open_vars, bound = rule_environment(rule, current)
-    condition = rule.condition
-    by_var: dict[str, list[EventAtom]] = {}  # pool tests, per open variable
-    rest: list[EventExpr] = []  # tested on whole bindings
-    for conjunct in operands(condition) if isinstance(condition, EventAnd) else [condition]:
-        reads = _open_reads(conjunct, open_vars) if isinstance(conjunct, EventAtom) else None
-        if reads is None or len(reads) > 1:
-            rest.append(conjunct)
-        elif reads:
-            by_var.setdefault(reads[0], []).append(conjunct)
-        elif not holds(conjunct, dual, bound, mode):
+    closed, by_var, rest = _conjuncts(rule.condition, open_vars)
+    for atom in closed:
+        if not holds(atom, dual, bound, mode):
             return {}, []
     pools: dict[str, list[str]] = {}
     for var, interface in open_vars.items():
         atoms = by_var.get(var, ())
-        edge = next((atom for atom in atoms if _needs_change(atom, var, mode)), None)
+        edge = _edge_atom(atoms, var, mode)
         pool = dual.ids(interface) if edge is None else dual.changed(interface, edge.event)
         if atoms:
             scope = dict(bound)
@@ -460,3 +511,30 @@ def eval_rule_block(
         effects = store_join(effects, partial)
         fired.extend(rule_fired)
     return effects, fired
+
+
+def block_lists(
+    rules: tuple[RuleAst, ...] | list[RuleAst], mode: TriggerMode
+) -> list[tuple[str, str | None]]:
+    """Every list :func:`eval_rule_block` may ask a dual store for, as
+    :meth:`~pantagruel.domains.DualStore.build` takes them: each open
+    variable's interface ids, ``(interface, None)``, unless its pool comes
+    from the changed ids, and each ``(interface, attribute)`` a body join
+    may key, with that interface's ids.  It depends on the rules and the
+    mode, not on the stores: open variables are the typed declarations,
+    and the split of the condition (:func:`_conjuncts`) and the body's
+    links (:func:`_body_links`) are read as :func:`eval_rule` reads them.
+    An aggregate raises :class:`UnsupportedConstructError`."""
+    names: dict[tuple[str, str | None], None] = {}
+    for rule in rules:
+        open_vars, _ = rule_environment(rule, {})
+        _, by_var, _ = _conjuncts(rule.condition, open_vars)
+        for var, interface in open_vars.items():
+            if _edge_atom(by_var.get(var, ()), var, mode) is None:
+                names[(interface, None)] = None
+        for var, reads in (_body_links(rule.body, open_vars) or {}).items():
+            read = _one_member(reads)
+            if read is not None and read[1]:
+                names[(open_vars[var], None)] = None
+                names[(open_vars[var], read[0])] = None
+    return list(names)

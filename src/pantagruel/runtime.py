@@ -10,8 +10,9 @@ the entities they wrote (on tick 1, those :func:`initial_state` names).
 The store handed to the next tick as "previous" is the post-external,
 pre-internal one, which is what edge detection must compare against.
 The state carries that pair as one :class:`~pantagruel.domains.DualStore`,
-with the lists of ids the rules have asked for; the next tick moves them
-by the ids its changes name.
+with the lists of ids the rule block names, built on the run's first tick
+(:func:`~pantagruel.rule_eval.block_lists`); each next tick moves them by
+the ids its changes name.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .domains import (
     update_member,
     value_type_matches,
 )
-from .rule_eval import FiredRule, TriggerMode, eval_rule_block
+from .rule_eval import FiredRule, TriggerMode, block_lists, eval_rule_block
 from .spec_eval import CheckedProgram, build_entity
 
 
@@ -90,14 +91,15 @@ class RunState:
     deployed entity starts them at UNDEF), so no other entity of
     ``current`` carries a set one, and the next tick's reset visits only
     these.  None, as a state built without the field has it, means they
-    are not known: the reset then scans every entity.
+    are not known: the reset then scans every entity, and the tick hands
+    on no dual store.
 
     ``dual`` is the :class:`~pantagruel.domains.DualStore` of the pair
-    ``(previous, current)``, with the lists the rules have asked for so
-    far, which :func:`step` moves on by the ids the next tick's changes
-    name.  It is used only while it is this very pair, so a state built by
-    hand, or with ``dataclasses.replace``, starts from a bare pair.  It
-    takes no part in equality or repr."""
+    ``(previous, current)``, with the lists the rule block names once a
+    tick has run, which :func:`step` moves on by the ids the next tick's
+    changes name.  It is used only while it is this very pair, so a state
+    built by hand, or with ``dataclasses.replace``, starts from a fresh
+    one.  It takes no part in equality or repr."""
 
     previous: Store
     current: Store
@@ -110,12 +112,17 @@ def initial_state(store: Store) -> RunState:
     """Tick 0: the initial store, with an empty store standing in as its
     nonexistent predecessor.  Its ``effect_ids`` are the ids whose entity
     carries an event other than UNDEF, any set implicit event among them:
-    none for a store built from declarations."""
+    none for a store built from declarations.  Its dual store is the pair
+    of those two very stores, with those ids as its ``touched``, since
+    every other entity reads UNDEF on both sides; it lists nothing until
+    the first tick builds what the rules name."""
     set_ids = tuple(
         entity_id for entity_id, entity in store.items()
         if any(value is not UNDEF for value in entity.events.values())
     )
-    return RunState(previous={}, current=store, tick=0, effect_ids=set_ids)
+    previous: Store = {}
+    dual = DualStore(previous, store).moved(previous, store, set_ids, ())
+    return RunState(previous, store, 0, set_ids, dual)
 
 
 @dataclass(frozen=True)
@@ -278,12 +285,17 @@ def step(
 ) -> tuple[RunState, TickRecord]:
     """Run one orchestration step and return the new state plus its record.
 
-    The rules read the state's dual store moved by the ids the changes
-    name: only those differ between ``state.current`` and the
-    post-external store.  Its ``touched`` ids are those, the ids the last
-    tick's effects wrote and the ids its reset visited.  The new state's
-    pair takes those lists moved by no id, as the effects write only
-    events."""
+    On a run's first tick (from :func:`initial_state`, tick 0), the
+    state's dual store first lists what ``rules`` read in ``mode``
+    (:func:`~pantagruel.rule_eval.block_lists`), in one pass over
+    ``state.current``; later ticks carry those lists.  A state with no
+    dual store of its own stores gets a fresh one, built the same way,
+    whose ``touched`` ids that pass finds.  The rules then read that pair
+    moved by the ids the changes name: only those differ between
+    ``state.current`` and the post-external store.  Its ``touched`` ids
+    are those and the pair's own, which are the ids the last tick's
+    effects wrote and the ids its reset visited.  The new state's pair
+    takes those lists moved by no id, as the effects write only events."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
@@ -291,11 +303,13 @@ def step(
         exc.tick = tick
         raise
     dual = state.dual
-    if dual is None or not dual.describes(state.previous, state.current):
+    fresh = dual is None or not dual.describes(state.previous, state.current)
+    if fresh:
         dual = DualStore(state.previous, state.current)
+    if fresh or state.tick == 0:
+        dual.build(block_lists(rules, mode))
     named = tuple(dict.fromkeys(map(_named, changes)))
-    touched = None if dual.touched is None else tuple(dict.fromkeys(dual.touched + named))
-    dual = dual.moved(state.previous, sigma_prime, touched, named)
+    dual = dual.moved(state.previous, sigma_prime, tuple(dict.fromkeys(dual.touched + named)), named)
     conflict: str | None = None
     try:
         effects, fired = eval_rule_block(env, rules, dual, mode)
@@ -308,8 +322,11 @@ def step(
     snapshot = apply_internal(env, effects, sigma_prime, state.effect_ids)
     record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
     effect_ids = tuple(effects)
-    rebuilt = None if state.effect_ids is None else tuple(dict.fromkeys(effect_ids + state.effect_ids))
-    dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
+    if state.effect_ids is None:
+        dual = None
+    else:
+        rebuilt = tuple(dict.fromkeys(effect_ids + state.effect_ids))
+        dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
     return RunState(sigma_prime, snapshot, tick, effect_ids, dual), record
 
 

@@ -47,11 +47,15 @@ def _assert_seed_independent(argv: list[str]) -> subprocess.CompletedProcess:
     return first
 
 
-@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize(
+    "options",
+    [["--format", "text"], ["--format", "jsonl"], ["--mode", "level"]],
+    ids=["text", "jsonl", "level"],
+)
 @pytest.mark.parametrize("script", ["trace.evs", "deployment.evs"])
-def test_demo_traces_do_not_depend_on_the_hash_seed(script, fmt):
+def test_demo_traces_do_not_depend_on_the_hash_seed(script, options):
     argv = ["run", str(DEMOS / "building.ptg"), "--script", str(DEMOS / script)]
-    done = _assert_seed_independent([*argv, "--format", fmt])
+    done = _assert_seed_independent([*argv, *options])
     assert done.returncode == 0 and done.stdout
 
 

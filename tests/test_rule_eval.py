@@ -42,7 +42,7 @@ from pantagruel.ast import (
     ValueChanged,
     ValueEq,
 )
-from pantagruel import domains, rule_eval
+from pantagruel import domains, rule_eval, runtime
 from pantagruel.domains import Entity, Interface, value_eq
 from pantagruel.rule_eval import (
     UnsupportedConstructError,
@@ -819,8 +819,7 @@ def test_a_typed_declaration_after_a_bare_namesake_opens_the_variable(mode):
 
 
 class _CountingStore(dict):
-    """A store that counts the passes over its items: grouping it by
-    interface is one pass."""
+    """A store that counts the passes over its items."""
 
     passes = 0
 
@@ -831,18 +830,47 @@ class _CountingStore(dict):
 
 @pytest.mark.parametrize("evaluate", ["two-rules-alone", "block"])
 def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
-    building, motion_dual, evaluate
+    monkeypatch, building, motion_dual, evaluate
 ):
+    """A bare pair passes over ``current`` once for each list it lacks when
+    a rule asks for it, and once to find the ids its ``changed`` pools
+    read; what it holds it never lists again.  A pair ``step`` reads
+    passes over its current store only on tick 1."""
     current = _CountingStore(motion_dual.current)
     dual = DualStore(motion_dual.previous, current)
-    if evaluate == "block":
-        got = eval_rule_block(building.env, building.rules, dual, EDGE)
-        assert got == eval_rule_block(building.env, building.rules, motion_dual, EDGE)
-    else:
-        for rule in building.rules[:2]:
-            got = eval_rule(building.env, rule, dual, EDGE)
-            assert got == eval_rule(building.env, rule, motion_dual, EDGE)
-    assert current.passes == 1
-    # the grouping is no part of the pair's value
+    rules = building.rules if evaluate == "block" else building.rules[:2]
+    for _ in range(2):
+        if evaluate == "block":
+            got = eval_rule_block(building.env, rules, dual, EDGE)
+            assert got == eval_rule_block(building.env, rules, motion_dual, EDGE)
+        else:
+            for rule in rules:
+                got = eval_rule(building.env, rule, dual, EDGE)
+                assert got == eval_rule(building.env, rule, motion_dual, EDGE)
+        assert sorted(dual._lists, key=str) == [("Light", "room"), ("Light", None)]
+        assert current.passes == 3
+    # the lists are no part of the pair's value
     assert dual == DualStore(motion_dual.previous, motion_dual.current)
     assert repr(dual) == repr(DualStore(motion_dual.previous, dict(current)))
+
+    made = []
+
+    def counted(piece):
+        def counting(*args):
+            made.append(_CountingStore(piece(*args)))
+            return made[-1]
+
+        return counting
+
+    monkeypatch.setattr(runtime, "apply_external", counted(runtime.apply_external))
+    monkeypatch.setattr(runtime, "apply_internal", counted(runtime.apply_internal))
+    initial = _CountingStore(building.initial_store)
+    state = initial_state(initial)
+    assert initial.passes == 1  # its set ids
+    for tick in range(1, 7):
+        changes = [EventUpdate("m10", "detected", tick % 2 == 1)]
+        if tick == 4:
+            changes.append(EventUpdate("thermo", "temperature", 30))
+        state, _ = step(state, changes, rules, building.env, EDGE)
+        assert initial.passes == 2
+    assert len(made) == 12 and not any(store.passes for store in made)

@@ -27,7 +27,7 @@ from pantagruel import (
     update_member,
 )
 from pantagruel import domains
-from pantagruel.domains import Entity
+from pantagruel.domains import DualStore, Entity
 from pantagruel.parser import parse_entity_decl
 
 from conftest import RULE_1, RULE_3, produced_keys, program_source, with_event
@@ -130,7 +130,7 @@ def test_effects_layer_onto_store(building):
 
 
 def test_set_implicit_events_reset_then_effects_win(building):
-    from pantagruel.domains import Entity
+    from pantagruel.domains import DualStore, Entity
 
     sigma = building.initial_store
     sigma = {**sigma, "l10": Entity("Light", sigma["l10"].attributes, {"switch": True})}
@@ -147,7 +147,7 @@ def test_no_set_implicits_no_effects_is_identity(building):
 
 
 def test_apply_internal_rebuilds_only_reset_or_affected_entities(building):
-    from pantagruel.domains import Entity
+    from pantagruel.domains import DualStore, Entity
 
     sigma = with_event(building.initial_store, "m10", "detected", True)
     sigma = {**sigma, "l11": Entity("Light", sigma["l11"].attributes, {"switch": True})}
@@ -558,6 +558,37 @@ def test_edge_rules_list_no_detector_once_the_touched_ids_are_known(building):
         kept = {entity_id for buckets in lists for ids in buckets.values() for entity_id in ids}
         assert not kept & detectors
         assert {"l10", "l11", "l20"} <= kept
+
+
+def test_a_list_first_read_on_a_later_tick_is_built_on_tick_1(monkeypatch, building):
+    """Rules 1-3 in edge mode, with the thermometer first at 30 on tick 4:
+    rule 3 first reaches ``f:Fan`` then, yet the state's pair lists the
+    fans from tick 1 on, with every other list the rule block names, and
+    no pair ``step`` reads builds a list after tick 1."""
+    built = []  # (tick, the lists one call of the builder added)
+    real = DualStore.build
+
+    def recording(self, names):
+        before = set(self._lists)
+        real(self, names)
+        built.append((tick, set(self._lists) - before))
+
+    monkeypatch.setattr(DualStore, "build", recording)
+    script = [
+        [EventUpdate("m10", "detected", True)],
+        [EventUpdate("m10", "detected", False)],
+        [EventUpdate("m10", "detected", True)],
+        [EventUpdate("thermo", "temperature", 30)],
+        [EventUpdate("m10", "detected", False)],
+    ]
+    state = initial_state(building.initial_store)
+    fan_ticks = []
+    for tick, changes in enumerate(script, start=1):
+        state, record = step(state, changes, building.rules, building.env, EDGE)
+        assert {("Fan", None), ("Fan", "room")} <= set(state.dual._lists)
+        fan_ticks += [tick for fired in record.fired if "f" in fired.binding]
+    assert fan_ticks == [4, 4]
+    assert [tick for tick, added in built if added] == [1]
 
 
 def test_apply_internal_refuses_an_effect_on_an_id_the_store_lacks(building):

@@ -158,10 +158,12 @@ def _outcome(state, changes, env, rules, mode):
 def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
     env, rules = _program()
     duals = []
+    listed = []  # the lists each of those pairs held before the rules ran
     real = runtime.eval_rule_block
 
     def recording(env, rules, dual, mode):
         duals.append(dual)
+        listed.append(list(dual._lists))
         return real(env, rules, dual, mode)
 
     monkeypatch.setattr(runtime, "eval_rule_block", recording)
@@ -173,6 +175,8 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
         for changes in _script(rng, TICKS):
             state, _ = step(state, changes, rules, env, mode, strict_conflicts=False)
             dual = duals[-1]
+            # the rules asked the pair for no list it did not hold
+            assert list(dual._lists) == listed[-1]
             # ``go`` is an implicit event: the reset changes it too
             for interface in INTERFACES:
                 for event in ("e", "go"):
