@@ -1,7 +1,7 @@
 """Rule evaluation against a dual store.
 
-A rule's entity environment is built once (:func:`rule_environment`): the
-interface of each open variable, and the binding of the bare names.  A
+A rule's entity environment (:func:`rule_environment`) is the interface
+of each open variable, and the binding of the bare names.  A
 binding maps each name bound to an entity to that entity's id; a name it
 lacks is unbound.  :func:`~pantagruel.domains.instantiate` extends it over
 the matching entities, and for each binding :func:`holds`
@@ -10,17 +10,21 @@ holds, :func:`action_effects` builds the binding's partial store; the
 partial stores are joined into the rule's effect store, which is all a
 rule produces besides its :class:`FiredRule` labels and bindings.
 
-Which bindings are built is decided here, and only here: :func:`eval_rule`
-sorts the condition's conjuncts against the environment in one pass (on
-every evaluation; the plan is not kept between ticks) and gives each open
-variable its finished pool of sorted ids, which
-:func:`~pantagruel.domains.instantiate` only enumerates.  A pool starts
-from a list the dual store keeps (:meth:`~pantagruel.domains.DualStore.ids`
-and ``changed``), shared with every rule of the tick.  Which lists a rule
-block reads is fixed by the rules and the mode (:func:`block_lists`, from
-the same conjunct split and body links :func:`eval_rule` reads), so
-``step`` builds them all on a run's first tick and carries them from
-tick to tick, moved by the ids each tick changed:
+Which bindings are built is decided here, and only here.  What that
+reads of the rule and the trigger mode alone is the rule's plan: its
+environment's open variables and bare names, its condition's conjuncts
+sorted against them, each open variable's pool, and the body's equality.
+:func:`plan_block` plans a whole block, with the lists the block reads,
+and ``step`` keeps that plan for the run, planning again only for other
+rules or another mode; :func:`eval_rule` and :func:`eval_rule_block`
+plan on each call.  On a dual store, a plan gives each open variable its
+finished pool of sorted ids, which :func:`~pantagruel.domains.instantiate`
+only enumerates.  A pool starts from a list the dual store keeps
+(:meth:`~pantagruel.domains.DualStore.ids` and ``changed``), shared with
+every rule of the tick.  Which lists a rule block reads is fixed by its
+plan (:attr:`BlockPlan.lists`), so ``step`` builds them all on a run's
+first tick and carries them from tick to tick, moved by the ids each
+tick changed:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -50,7 +54,10 @@ tick to tick, moved by the ids each tick changed:
   attribute is looked up in the dual store's buckets of that attribute
   (:meth:`~pantagruel.domains.DualStore.keyed`), by each entity of the
   other side's pool, so its own entities are not read at all; every join
-  found here has such a side.
+  found here has such a side.  Each binding the join builds satisfies
+  every call's filter, which compares the same two reads by
+  :func:`value_eq`, so it runs the body without them; a body whose join
+  is refused runs with its filters.
 
 Only the conjuncts not tested on pools (``or`` terms and atoms reading two
 open variables, whatever their filters) are left to :func:`holds` on whole
@@ -71,7 +78,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import NamedTuple, Sequence
 
 from .ast import (
     ActionCall,
@@ -149,27 +156,36 @@ class UnsupportedConstructError(Exception):
 # ── Declarations and expressions ─────────────────────────────────
 
 
-def rule_environment(rule: RuleAst, current: Store) -> tuple[dict[str, str], Binding]:
-    """The rule's entity environment: each open variable's interface, and
-    the binding of the bare names.  The declarations of the condition's
-    atoms, then of the body's calls, run left to right.  A typed one opens
-    its variable, unbinding the name if a bare one bound it.  A bare name
-    no typed declaration has opened binds itself if it is a current entity,
-    so a variable of the rule is never taken over by an entity of the same
-    name, as the checker resolves it; any other stays unbound (the atom
-    stays inert).  An aggregate raises :class:`UnsupportedConstructError`."""
+def _environment(rule: RuleAst) -> tuple[dict[str, str], tuple[str, ...]]:
+    """Each open variable's interface, and the bare names that bind
+    themselves when they are current entities.  The declarations of the
+    condition's atoms, then of the body's calls, run left to right.  A
+    typed one opens its variable, dropping the name if a bare one named
+    it; a bare name no typed declaration has opened is kept.  An aggregate
+    raises :class:`UnsupportedConstructError`."""
     open_vars: dict[str, str] = {}
-    bound: Binding = {}
+    bare: dict[str, None] = {}
     for leaf in rule_leaves(rule):
         if isinstance(leaf, Aggregate):
             raise UnsupportedConstructError(leaf.span)
         decl = leaf.decl
         if isinstance(decl, DeclTyped):
             open_vars[decl.var] = decl.interface
-            bound.pop(decl.var, None)
-        elif decl.name in current and decl.name not in open_vars:
-            bound[decl.name] = decl.name
-    return open_vars, bound
+            bare.pop(decl.var, None)
+        elif decl.name not in open_vars:
+            bare[decl.name] = None
+    return open_vars, tuple(bare)
+
+
+def rule_environment(rule: RuleAst, current: Store) -> tuple[dict[str, str], Binding]:
+    """The rule's entity environment: each open variable's interface, and
+    the binding of the bare names (:func:`_environment`, which a rule's plan
+    keeps).  A bare name binds itself if it is a current entity, so a
+    variable of the rule is never taken over by an entity of the same
+    name, as the checker resolves it; any other stays unbound (the atom
+    stays inert).  An aggregate raises :class:`UnsupportedConstructError`."""
+    open_vars, bare = _environment(rule)
+    return open_vars, {name: name for name in bare if name in current}
 
 
 def eval_expression(expr: Expr, store: Store, binding: Binding) -> Value:
@@ -323,46 +339,24 @@ def _link(decl: Decl, filt: Filter | None, open_vars: dict[str, str]) -> tuple[s
     return x, filt.attribute, y, filt.rhs.member
 
 
-def _one_member(reads: dict[tuple[str, bool], None]) -> tuple[str, bool] | None:
-    """The member the body's calls read of one side of their equality, and
-    whether one of them reads it as an attribute; ``reads`` holds each
-    ``(member, read as a path)`` they make of it.  None if they read
-    different members."""
-    members = dict.fromkeys(member for member, _ in reads)
-    if len(members) != 1:
-        return None
-    (member,) = members
-    return member, (member, False) in reads
+class _Side(NamedTuple):
+    """One side of the equality every call of a body tests: its variable
+    and interface, the one member the calls read of it, and whether some
+    call reads it as an attribute (so a join keys it by that attribute)
+    and some as a path."""
+
+    var: str
+    interface: str
+    member: str
+    as_attribute: bool
+    as_path: bool
 
 
-def _side_reader(
-    reads: dict[tuple[str, bool], None], pool: list[str], current: Store
-) -> tuple[Reader, str | None] | None:
-    """The one read the body's calls make of one side of their equality,
-    and the attribute it reads, if it reads one.  The side is read as an
-    attribute (:func:`_one_member`), or as a path; where calls read it both
-    ways, as an attribute, provided no entity of the side's ``pool`` (the
-    only ones bound to it) carries an event of that name, so that both
-    reads agree.  None if the calls read different members or the reads
-    may disagree."""
-    read = _one_member(reads)
-    if read is None:
-        return None
-    member, as_attribute = read
-    if not as_attribute:
-        return functools.partial(_path_value, member=member, store=current), None
-    if (member, True) in reads and any(member in current[entity_id].events for entity_id in pool):
-        return None
-    return functools.partial(access_attribute, member, store=current), member
-
-
-def _body_links(
-    body: ActionExpr, open_vars: dict[str, str]
-) -> dict[str, dict[tuple[str, bool], None]] | None:
-    """The reads of the equality every call of the body tests, if each
-    call's filter links the same two open variables (:func:`_link`): for
-    each of the two, every ``(member, read as a path)`` the calls make of
-    it.  None if some call links none, or the calls link more than two."""
+def _body_sides(body: ActionExpr, open_vars: dict[str, str]) -> tuple[_Side, _Side] | None:
+    """The two sides of the equality every call of the body tests, if
+    each call's filter links the same two open variables (:func:`_link`)
+    and the calls read one member of each.  None if some call links none,
+    the calls link more than two, or they read different members of one."""
     reads: dict[str, dict[tuple[str, bool], None]] = {}
     pending = [body]
     while pending:
@@ -378,30 +372,58 @@ def _body_links(
         reads.setdefault(y, {})[(member, True)] = None
         if len(reads) > 2:
             return None
-    return reads
+    sides = []
+    for var, var_reads in reads.items():
+        members = dict.fromkeys(member for member, _ in var_reads)
+        if len(members) != 1:
+            return None
+        (member,) = members
+        sides.append(
+            _Side(var, open_vars[var], member, (member, False) in var_reads, (member, True) in var_reads)
+        )
+    return sides[0], sides[1]
+
+
+def _side_reader(side: _Side, pool: list[str], current: Store) -> Reader | None:
+    """The one read the body's calls make of ``side``: as an attribute, or
+    as a path; where calls read it both ways, as an attribute, provided no
+    entity of the side's ``pool`` (the only ones bound to it) carries an
+    event of that name, so that both reads agree.  None if they may not."""
+    if not side.as_attribute:
+        return functools.partial(_path_value, member=side.member, store=current)
+    if side.as_path and any(side.member in current[entity_id].events for entity_id in pool):
+        return None
+    return functools.partial(access_attribute, side.member, store=current)
 
 
 def _body_join(
-    body: ActionExpr, open_vars: dict[str, str], pools: dict[str, list[str]], dual: DualStore
-) -> tuple[Join | None, dict[str, Keyed]]:
-    """The equality every call of the body tests (:func:`_body_links`):
+    sides: tuple[_Side, _Side], pools: dict[str, list[str]], dual: DualStore
+) -> tuple[Join, dict[str, Keyed]] | None:
+    """The equality every call of the body tests (:func:`_body_sides`):
     where it fails, every call returns its seed, so the binding produces
     no effect.  Bare names count (``on m with room = l.room``).  With it,
-    each side read as an attribute, keyed by it (:meth:`DualStore.keyed`)."""
-    reads = _body_links(body, open_vars)
-    if reads is None:
-        return None, {}
-    (x, x_reads), (y, y_reads) = reads.items()
-    side_x = _side_reader(x_reads, pools[x], dual.current)
-    side_y = _side_reader(y_reads, pools[y], dual.current)
-    if side_x is None or side_y is None:
-        return None, {}
-    keyed = {
-        var: dual.keyed(open_vars[var], attribute)
-        for var, (_, attribute) in ((x, side_x), (y, side_y))
-        if attribute is not None
-    }
-    return (x, side_x[0], y, side_y[0]), keyed
+    each side read as an attribute, keyed by it (:meth:`DualStore.keyed`).
+    None if a side's reads may disagree (:func:`_side_reader`)."""
+    x, y = sides
+    read_x = _side_reader(x, pools[x.var], dual.current)
+    read_y = _side_reader(y, pools[y.var], dual.current)
+    if read_x is None or read_y is None:
+        return None
+    keyed = {side.var: dual.keyed(side.interface, side.member) for side in sides if side.as_attribute}
+    return (x.var, read_x, y.var, read_y), keyed
+
+
+def _unfiltered(body: ActionExpr) -> ActionExpr:
+    """``body`` with no call filter.  Chains are unrolled as
+    :func:`action_effects` unrolls them, so no chain length costs
+    recursion."""
+    if isinstance(body, ActionCall):
+        return ActionCall(body.action, body.arg, body.decl, None, body.span)
+    parts = [_unfiltered(operand) for operand in operands(body)]
+    joined = parts[0]
+    for part in parts[1:]:
+        joined = type(body)(joined, part)
+    return joined
 
 
 def _conjuncts(
@@ -438,13 +460,121 @@ def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
     )
 
 
-def _edge_atom(atoms: Iterable[EventAtom], var: str, mode: TriggerMode) -> EventAtom | None:
-    """The first of ``var``'s pool tests that :func:`_needs_change`, whose
-    event gives ``var``'s pool from the changed ids, or None."""
-    for atom in atoms:
-        if _needs_change(atom, var, mode):
-            return atom
-    return None
+class _RulePlan(NamedTuple):
+    """What evaluating one rule reads of the rule and the trigger mode
+    alone, derived once (:func:`_plan_rule`): the label, the bare names
+    that bind themselves when they are current entities, the closed atoms,
+    how each open variable's pool is found, the conjuncts left to whole
+    bindings, the sides of the body's equality (None if it has none), and
+    the body, with every call filter removed for the bindings that
+    equality enumerates.
+
+    A pool is found from ``(var, interface, tests, edge_event)``: the
+    variable's pool tests, and the event of the first of them that
+    :func:`_needs_change`, whose changed ids the pool starts from (None:
+    all the interface's ids)."""
+
+    label: int
+    bare: tuple[str, ...]
+    closed: tuple[EventAtom, ...]
+    pools: tuple[tuple[str, str, tuple[EventAtom, ...], str | None], ...]
+    rest: tuple[EventExpr, ...]
+    sides: tuple[_Side, _Side] | None
+    body: ActionExpr
+    joined_body: ActionExpr
+
+
+class BlockPlan(NamedTuple):
+    """A rule block planned for one trigger mode (:func:`plan_block`): the
+    very rules and mode it was made for, one plan per rule, and every list
+    the rules may ask a dual store for."""
+
+    rules: Sequence[RuleAst]
+    mode: TriggerMode
+    plans: tuple[_RulePlan, ...]
+    lists: tuple[tuple[str, str | None], ...]
+
+
+def _plan_rule(rule: RuleAst, mode: TriggerMode, label: int) -> _RulePlan:
+    """The rule's plan in ``mode``: its environment (:func:`_environment`),
+    the split of its condition (:func:`_conjuncts`), each open variable's
+    pool, and its body's equality (:func:`_body_sides`).  An aggregate
+    raises :class:`UnsupportedConstructError`."""
+    open_vars, bare = _environment(rule)
+    closed, by_var, rest = _conjuncts(rule.condition, open_vars)
+    pools = []
+    for var, interface in open_vars.items():
+        tests = tuple(by_var.get(var, ()))
+        edge = next((atom.event for atom in tests if _needs_change(atom, var, mode)), None)
+        pools.append((var, interface, tests, edge))
+    sides = _body_sides(rule.body, open_vars)
+    joined_body = rule.body if sides is None else _unfiltered(rule.body)
+    return _RulePlan(label, bare, tuple(closed), tuple(pools), tuple(rest), sides, rule.body, joined_body)
+
+
+def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
+    """Plan every rule of the block in ``mode``, each labelled by its own
+    label or else its 1-based position, and name every list their
+    evaluation may ask a dual store for, as
+    :meth:`~pantagruel.domains.DualStore.build` takes them: each open
+    variable's interface ids, ``(interface, None)``, unless its pool comes
+    from the changed ids, and each ``(interface, attribute)`` a body join
+    may key, with that interface's ids.  None of it depends on the stores.
+    An aggregate raises :class:`UnsupportedConstructError`."""
+    plans = tuple(
+        _plan_rule(rule, mode, rule.label if rule.label is not None else position)
+        for position, rule in enumerate(rules, start=1)
+    )
+    names: dict[tuple[str, str | None], None] = {}
+    for plan in plans:
+        for _, interface, _, edge_event in plan.pools:
+            if edge_event is None:
+                names[(interface, None)] = None
+        for side in plan.sides or ():
+            if side.as_attribute:
+                names[(side.interface, None)] = None
+                names[(side.interface, side.member)] = None
+    return BlockPlan(rules, mode, plans, tuple(names))
+
+
+def _eval_rule_plan(
+    env: EnvInterface, plan: _RulePlan, dual: DualStore, mode: TriggerMode
+) -> tuple[Store, list[FiredRule]]:
+    """Evaluate one planned rule on ``dual``, as the module docstring
+    describes.  Where the body's equality gives the join, every binding
+    built satisfies each call's filter, so the body runs without them."""
+    current = dual.current
+    bound = {name: name for name in plan.bare if name in current}
+    for atom in plan.closed:
+        if not holds(atom, dual, bound, mode):
+            return {}, []
+    pools: dict[str, list[str]] = {}
+    for var, interface, tests, edge_event in plan.pools:
+        pool = dual.ids(interface) if edge_event is None else dual.changed(interface, edge_event)
+        if tests:
+            scope = dict(bound)
+            kept = []
+            for entity_id in pool:
+                scope[var] = entity_id
+                if all(holds(atom, dual, scope, mode) for atom in tests):
+                    kept.append(entity_id)
+            pool = kept
+        if not pool:
+            return {}, []
+        pools[var] = pool
+    joined = None if plan.sides is None else _body_join(plan.sides, pools, dual)
+    body = plan.body if joined is None else plan.joined_body
+    rest = plan.rest
+    partials: list[Store] = []
+    fired: list[FiredRule] = []
+    for scope in instantiate(bound, pools, *(joined or ())):
+        if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
+            continue
+        partial = action_effects(body, env, current, scope, {})
+        partials.append(partial)
+        if partial:
+            fired.append(FiredRule(plan.label, scope))
+    return store_join_all(partials), fired
 
 
 def eval_rule(
@@ -456,85 +586,42 @@ def eval_rule(
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects.
-    The conjuncts narrow the bindings first, as the module docstring
-    describes; the result is that of the full product."""
+    The rule is planned on each call (:func:`plan_block` plans a block
+    once); the conjuncts narrow the bindings first, as the module
+    docstring describes, and the result is that of the full product."""
     if label is None:
         label = rule.label if rule.label is not None else 1
-    current = dual.current
-    open_vars, bound = rule_environment(rule, current)
-    closed, by_var, rest = _conjuncts(rule.condition, open_vars)
-    for atom in closed:
-        if not holds(atom, dual, bound, mode):
-            return {}, []
-    pools: dict[str, list[str]] = {}
-    for var, interface in open_vars.items():
-        atoms = by_var.get(var, ())
-        edge = _edge_atom(atoms, var, mode)
-        pool = dual.ids(interface) if edge is None else dual.changed(interface, edge.event)
-        if atoms:
-            scope = dict(bound)
-            kept = []
-            for entity_id in pool:
-                scope[var] = entity_id
-                if all(holds(atom, dual, scope, mode) for atom in atoms):
-                    kept.append(entity_id)
-            pool = kept
-        if not pool:
-            return {}, []
-        pools[var] = pool
-    partials: list[Store] = []
-    fired: list[FiredRule] = []
-    for scope in instantiate(bound, pools, *_body_join(rule.body, open_vars, pools, dual)):
-        if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
-            continue
-        partial = action_effects(rule.body, env, current, scope, {})
-        partials.append(partial)
-        if partial:
-            fired.append(FiredRule(label, scope))
-    return store_join_all(partials), fired
+    return _eval_rule_plan(env, _plan_rule(rule, mode, label), dual, mode)
 
 
-def eval_rule_block(
-    env: EnvInterface,
-    rules: tuple[RuleAst, ...] | list[RuleAst],
-    dual: DualStore,
-    mode: TriggerMode,
-) -> tuple[Store, list[FiredRule]]:
-    """Evaluate every rule against the same dual store and join the partial
-    effect stores; interfering rules surface as a ConflictError.  All
-    rules share the lists ``dual`` keeps."""
+def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Store, list[FiredRule]]:
+    """Evaluate every rule of a planned block (:func:`plan_block`) against
+    the same dual store, in the plan's mode, and join the partial effect
+    stores; interfering rules surface as a ConflictError.  All rules share
+    the lists ``dual`` keeps."""
     effects: Store = {}
     fired: list[FiredRule] = []
-    for position, rule in enumerate(rules, start=1):
-        label = rule.label if rule.label is not None else position
-        partial, rule_fired = eval_rule(env, rule, dual, mode, label=label)
+    for rule_plan in plan.plans:
+        partial, rule_fired = _eval_rule_plan(env, rule_plan, dual, plan.mode)
         effects = store_join(effects, partial)
         fired.extend(rule_fired)
     return effects, fired
 
 
-def block_lists(
-    rules: tuple[RuleAst, ...] | list[RuleAst], mode: TriggerMode
-) -> list[tuple[str, str | None]]:
-    """Every list :func:`eval_rule_block` may ask a dual store for, as
-    :meth:`~pantagruel.domains.DualStore.build` takes them: each open
-    variable's interface ids, ``(interface, None)``, unless its pool comes
-    from the changed ids, and each ``(interface, attribute)`` a body join
-    may key, with that interface's ids.  It depends on the rules and the
-    mode, not on the stores: open variables are the typed declarations,
-    and the split of the condition (:func:`_conjuncts`) and the body's
-    links (:func:`_body_links`) are read as :func:`eval_rule` reads them.
-    An aggregate raises :class:`UnsupportedConstructError`."""
-    names: dict[tuple[str, str | None], None] = {}
-    for rule in rules:
-        open_vars, _ = rule_environment(rule, {})
-        _, by_var, _ = _conjuncts(rule.condition, open_vars)
-        for var, interface in open_vars.items():
-            if _edge_atom(by_var.get(var, ()), var, mode) is None:
-                names[(interface, None)] = None
-        for var, reads in (_body_links(rule.body, open_vars) or {}).items():
-            read = _one_member(reads)
-            if read is not None and read[1]:
-                names[(open_vars[var], None)] = None
-                names[(open_vars[var], read[0])] = None
-    return list(names)
+def eval_rule_block(
+    env: EnvInterface,
+    rules: Sequence[RuleAst],
+    dual: DualStore,
+    mode: TriggerMode,
+) -> tuple[Store, list[FiredRule]]:
+    """Evaluate every rule against the same dual store and join the partial
+    effect stores; interfering rules surface as a ConflictError.  The block
+    is planned on each call (:func:`eval_plan` of :func:`plan_block`);
+    ``step`` plans it once per run."""
+    return eval_plan(env, plan_block(rules, mode), dual)
+
+
+def block_lists(rules: Sequence[RuleAst], mode: TriggerMode) -> list[tuple[str, str | None]]:
+    """Every list the block's evaluation in ``mode`` may ask a dual store
+    for: the lists of :func:`plan_block`."""
+    return list(plan_block(rules, mode).lists)

@@ -10,9 +10,10 @@ the entities they wrote (on tick 1, those :func:`initial_state` names).
 The store handed to the next tick as "previous" is the post-external,
 pre-internal one, which is what edge detection must compare against.
 The state carries that pair as one :class:`~pantagruel.domains.DualStore`,
-with the lists of ids the rule block names, built on the run's first tick
-(:func:`~pantagruel.rule_eval.block_lists`); each next tick moves them by
-the ids its changes name.
+with the lists of ids the rule block names, built on the run's first tick;
+each next tick moves them by the ids its changes name.  It carries the
+rule block's plan too (:func:`~pantagruel.rule_eval.plan_block`), made on
+the run's first tick, which names those lists.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .domains import (
     update_member,
     value_type_matches,
 )
-from .rule_eval import FiredRule, TriggerMode, block_lists, eval_rule_block
+from .rule_eval import BlockPlan, FiredRule, TriggerMode, eval_plan, plan_block
 from .spec_eval import CheckedProgram, build_entity
 
 
@@ -99,13 +100,20 @@ class RunState:
     tick has run, which :func:`step` moves on by the ids the next tick's
     changes name.  It is used only while it is this very pair, so a state
     built by hand, or with ``dataclasses.replace``, starts from a fresh
-    one.  It takes no part in equality or repr."""
+    one.
+
+    ``plan`` is the rule block's plan (:func:`~pantagruel.rule_eval.plan_block`)
+    for the rules and mode the tick ran, which :func:`step` uses while it
+    is given those very rules and that mode.
+
+    ``dual`` and ``plan`` take no part in equality or repr."""
 
     previous: Store
     current: Store
     tick: int
     effect_ids: tuple[str, ...] | None = None
     dual: DualStore | None = field(default=None, compare=False, repr=False)
+    plan: BlockPlan | None = field(default=None, compare=False, repr=False)
 
 
 def initial_state(store: Store) -> RunState:
@@ -285,34 +293,41 @@ def step(
 ) -> tuple[RunState, TickRecord]:
     """Run one orchestration step and return the new state plus its record.
 
-    On a run's first tick (from :func:`initial_state`, tick 0), the
-    state's dual store first lists what ``rules`` read in ``mode``
-    (:func:`~pantagruel.rule_eval.block_lists`), in one pass over
-    ``state.current``; later ticks carry those lists.  A state with no
-    dual store of its own stores gets a fresh one, built the same way,
-    whose ``touched`` ids that pass finds.  The rules then read that pair
-    moved by the ids the changes name: only those differ between
-    ``state.current`` and the post-external store.  Its ``touched`` ids
-    are those and the pair's own, which are the ids the last tick's
-    effects wrote and the ids its reset visited.  The new state's pair
-    takes those lists moved by no id, as the effects write only events."""
+    On a run's first tick (from :func:`initial_state`, tick 0), the block
+    is planned (:func:`~pantagruel.rule_eval.plan_block`), and the
+    state's dual store lists what the plan names, in one pass over
+    ``state.current``; later ticks carry the plan and the lists.  The
+    block is planned again, and what the new plan names listed, only when
+    the state's plan was made for other ``rules`` (by identity) or another
+    ``mode``.  A state with no dual store of its own stores gets a fresh
+    one, built the same way, whose ``touched`` ids that pass finds.  The
+    rules then read that pair moved by the ids the changes name: only
+    those differ between ``state.current`` and the post-external store.
+    Its ``touched`` ids are those and the pair's own, which are the ids
+    the last tick's effects wrote and the ids its reset visited.  The new
+    state's pair takes those lists moved by no id, as the effects write
+    only events."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
     except ExternalChangeError as exc:
         exc.tick = tick
         raise
+    plan = state.plan
+    planned = plan is None or plan.rules is not rules or plan.mode is not mode
+    if planned:
+        plan = plan_block(rules, mode)
     dual = state.dual
     fresh = dual is None or not dual.describes(state.previous, state.current)
     if fresh:
         dual = DualStore(state.previous, state.current)
-    if fresh or state.tick == 0:
-        dual.build(block_lists(rules, mode))
+    if fresh or planned:
+        dual.build(plan.lists)
     named = tuple(dict.fromkeys(map(_named, changes)))
     dual = dual.moved(state.previous, sigma_prime, tuple(dict.fromkeys(dual.touched + named)), named)
     conflict: str | None = None
     try:
-        effects, fired = eval_rule_block(env, rules, dual, mode)
+        effects, fired = eval_plan(env, plan, dual)
     except ConflictError as exc:
         if strict_conflicts:
             exc.tick = tick
@@ -327,7 +342,7 @@ def step(
     else:
         rebuilt = tuple(dict.fromkeys(effect_ids + state.effect_ids))
         dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
-    return RunState(sigma_prime, snapshot, tick, effect_ids, dual), record
+    return RunState(sigma_prime, snapshot, tick, effect_ids, dual, plan), record
 
 
 def run_trace(

@@ -583,9 +583,10 @@ def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
 
 def test_rule_one_reads_the_room_of_only_the_lights_it_switches(monkeypatch):
     """On 2 500 rooms, rule 1 finds a detector's lights in the room index
-    that ``step`` carries, so after the first tick it reads ``room`` on
-    no light but those its filter then tests, the lights of the rooms
-    whose detector turned on, rather than on all 5 000 lights."""
+    that ``step`` carries, rather than reading ``room`` on all 5 000
+    lights.  Each light it finds has the detector's room, so the call's
+    filter, the equality the join enforced, is not tested again: the rule
+    reads ``room`` on no light at all."""
     rooms = 2_500
     checked = _rooms_program(rooms, RULE_1)
     reads = []
@@ -600,16 +601,14 @@ def test_rule_one_reads_the_room_of_only_the_lights_it_switches(monkeypatch):
     state = initial_state(checked.initial_store)
     ticks = [["m7"], ["m9", "m1200"], [], ["m7"], ["m2499", "m0"]]
     on: set[str] = set()
-    for tick, turned_on in enumerate(ticks):
+    for turned_on in ticks:
         changes = [EventUpdate(m, "detected", True) for m in turned_on]
         changes += [EventUpdate(m, "detected", False) for m in sorted(on - set(turned_on))]
         on = set(turned_on)
-        reads.clear()
         state, record = step(state, changes, checked.rules, checked.env, EDGE)
         lights = sorted(f"l{side}{m[1:]}" for m in turned_on for side in "ab")
         assert sorted(f.binding["l"] for f in record.fired) == lights
-        if tick:
-            assert sorted(reads) == lights
+        assert reads == []
 
 
 JOIN_SPEC = """\
@@ -691,6 +690,55 @@ def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join(monk
         _, fired = _both_evaluators(checked, DualStore(previous, current), mode)
         assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
         assert len(lookups) == 1
+
+
+def _strictly(evaluate, checked, dual, mode):
+    """The rule's result, or the conflict it raises, as strict conflicts
+    report it."""
+    try:
+        return evaluate(checked.env, checked.rules[0], dual, mode)
+    except ConflictError as exc:
+        return str(exc)
+
+
+def test_a_refused_join_still_tests_every_call_filter(monkeypatch):
+    """``l.room`` and ``m.room`` are each read as an attribute by one call
+    and as a path by the other.  With ``room`` an event of ``l1`` (an
+    unchecked store) the two reads of ``l1.room`` differ, so the join is
+    refused and each call of the product's four bindings tests its filter:
+    without them, ``(l1, m2)`` would switch ``l1`` off while ``(l1, m1)``
+    switches it on, a conflict.  With no such event the join is taken,
+    and no call filter is tested."""
+    checked = _join_rule(
+        "when event detected from m:MotionDetector value changed "
+        "trigger action switch(m.detected) on l:Light with room = m.room "
+        "|| action ack(true) on m with room = l.room end"
+    )
+    previous = checked.initial_store
+    joined = with_event(with_event(previous, "m1", "detected", True), "m2", "detected", False)
+    refused = {**joined, "l1": Entity("Light", {"room": 1}, {"room": 2, "switch": UNDEF})}
+    tested = []
+    real = rule_eval._filter_holds
+
+    def counting(filt, entity_id, store, scope):
+        if filt is not None:
+            tested.append(entity_id)
+        return real(filt, entity_id, store, scope)
+
+    monkeypatch.setattr(rule_eval, "_filter_holds", counting)
+    for current, filters, bindings in (
+        (refused, 8, [{"l": "l1", "m": "m1"}, {"l": "l1", "m": "m2"}, {"l": "l2", "m": "m2"}]),
+        (joined, 0, [{"l": "l1", "m": "m1"}, {"l": "l2", "m": "m2"}]),
+    ):
+        for mode in TriggerMode:
+            dual = DualStore(previous, current)
+            tested.clear()
+            got = _strictly(eval_rule, checked, dual, mode)
+            assert len(tested) == filters
+            assert got == _strictly(closure_eval.eval_rule, checked, dual, mode)
+            effects, fired = got
+            assert [f.binding for f in fired] == bindings
+            assert effects["l1"].events == {"switch": True}
 
 
 def test_parallel_calls_linking_different_pairs_fall_back_to_the_product():

@@ -26,9 +26,10 @@ from pantagruel import (
     step,
     update_member,
 )
-from pantagruel import domains
+from pantagruel import domains, runtime
 from pantagruel.domains import DualStore, Entity
 from pantagruel.parser import parse_entity_decl
+from pantagruel.runtime import RunState
 
 from conftest import RULE_1, RULE_3, produced_keys, program_source, with_event
 
@@ -589,6 +590,77 @@ def test_a_list_first_read_on_a_later_tick_is_built_on_tick_1(monkeypatch, build
         fan_ticks += [tick for fired in record.fired if "f" in fired.binding]
     assert fan_ticks == [4, 4]
     assert [tick for tick, added in built if added] == [1]
+
+
+# the thermometer reaches 30 on tick 4, after rule 1 switched room 101's
+# lights on tick 3, so rule 3 first fires then
+PLAN_SCRIPT = [
+    [EventUpdate("m10", "detected", True)],
+    [EventUpdate("m10", "detected", False)],
+    [EventUpdate("m10", "detected", True)],
+    [EventUpdate("thermo", "temperature", 30)],
+    [EventUpdate("m10", "detected", False)],
+    [EventUpdate("m10", "detected", True)],
+]
+
+
+def _counting_plans(monkeypatch):
+    """The ``(rules, mode)`` of each call ``step`` makes to plan a block."""
+    planned = []
+    real = runtime.plan_block
+
+    def counting(rules, mode):
+        planned.append((rules, mode))
+        return real(rules, mode)
+
+    monkeypatch.setattr(runtime, "plan_block", counting)
+    return planned
+
+
+@pytest.mark.parametrize("mode", list(TriggerMode))
+def test_a_run_plans_its_rule_block_once_on_tick_1(monkeypatch, building, mode):
+    planned = _counting_plans(monkeypatch)
+    state = initial_state(building.initial_store)
+    per_tick = []
+    for changes in PLAN_SCRIPT:
+        before = len(planned)
+        state, _ = step(state, changes, building.rules, building.env, mode)
+        per_tick.append(len(planned) - before)
+    assert per_tick == [1, 0, 0, 0, 0, 0]
+    assert planned == [(building.rules, mode)]
+    assert state.plan.rules is building.rules and state.plan.mode is mode
+    planned.clear()
+    run_trace(building, PLAN_SCRIPT, mode)
+    assert planned == [(building.rules, mode)]
+
+
+@pytest.mark.parametrize("switch", ["rules", "mode"])
+def test_a_state_stepped_with_other_rules_or_another_mode_plans_again(monkeypatch, building, switch):
+    """Three ticks of rule 1 alone in edge mode, then the rest of the
+    script with rules 1-3 (or rule 1 in level mode): the first tick after
+    the switch plans again, and the carried state runs as a state built
+    from the same stores with no plan or dual store of its own."""
+    first = building.rules[:1]
+    rules, mode = (building.rules, EDGE) if switch == "rules" else (first, LEVEL)
+    state = initial_state(building.initial_store)
+    for changes in PLAN_SCRIPT[:3]:
+        state, _ = step(state, changes, first, building.env, EDGE)
+    assert state.dual is not None
+    fresh = RunState(state.previous, state.current, state.tick, state.effect_ids)
+    planned = _counting_plans(monkeypatch)
+    carried = []
+    for changes in PLAN_SCRIPT[3:]:
+        state, record = step(state, changes, rules, building.env, mode)
+        carried.append((state, record))
+    assert planned == [(rules, mode)]
+    fired = []
+    for changes, (state, record) in zip(PLAN_SCRIPT[3:], carried):
+        fresh, fresh_record = step(fresh, changes, rules, building.env, mode)
+        assert (fresh, fresh_record) == (state, record)
+        fired += [f.binding for f in record.fired]
+    assert fired
+    if switch == "rules":
+        assert any("f" in binding for binding in fired)
 
 
 def test_apply_internal_refuses_an_effect_on_an_id_the_store_lacks(building):
