@@ -7,7 +7,9 @@ writes each record as its tick ends and holds only the current state.
 
 Exit codes: 0 success, 1 parse/static/script errors and malformed command
 lines, 2 I/O errors (any failed write to stdout among them: a closed pipe,
-a full disk), 3 effect conflict under strict mode.  ``repl`` reports a
+a full disk), 3 effect conflict under strict mode, 4 an internal error:
+any other exception a command raises, reported as one ``error: internal
+error:`` line on stderr, never a traceback.  ``repl`` reports a
 refused tick and reads on, and exits 1 at the end of its input if any tick
 was refused; a malformed line it reports and skips.
 """
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_ERRORS = 1
 EXIT_IO = 2
 EXIT_CONFLICT = 3
+EXIT_INTERNAL = 4
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -225,17 +228,18 @@ def cmd_repl(args: argparse.Namespace) -> int:
     return code
 
 
+_COMMANDS = {"check": cmd_check, "run": cmd_run, "repl": cmd_repl}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.max_ticks is not None and args.max_ticks < 0:
+    if args.command != "check" and args.max_ticks is not None and args.max_ticks < 0:
         print(
             f"error: --max-ticks must be 0 or more, got {args.max_ticks}", file=sys.stderr
         )
         return EXIT_ERRORS
     try:
-        code = cmd_run(args) if args.command == "run" else cmd_repl(args)
+        code = _COMMANDS[args.command](args)
         sys.stdout.flush()
     except OSError as exc:
         # Writing stdout failed: its reader closed it early (`pantagruel run
@@ -245,6 +249,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

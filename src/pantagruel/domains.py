@@ -4,18 +4,19 @@ Everything here is a plain immutable value; updates build new entities
 rather than mutating.  The one cache lives in the :class:`DualStore`, the
 one object for a ⟨previous, current⟩ pair: the lists of its current
 store's ids that rules read, by interface and, for the attributes body
-joins read, by value.  One builder lists them in one pass over the store:
-on a run's first tick, every list the rule block names, and on a bare
-pair, each list a rule asks for that it lacks.  ``step`` carries the
-pair's lists from tick to tick and moves them by the ids each tick
-changed, copying only the lists it changes, so an interface no rule reads
-is never listed.  Reads are total (a miss yields ``UNDEF``), and merges
-are union-shaped with equal-value overlap tolerated.  Stores are finite
-maps: their key order carries no meaning and nothing here sorts them.  Order
-is fixed only where it can be observed: :meth:`DualStore.ids` lists an
-interface's ids sorted, :func:`instantiate` enumerates bindings of sorted
-pools lexicographically, :func:`store_join` reports the least conflict,
-and the serializer sorts what it prints.  Nothing here iterates a set, so
+joins read, by value.  One builder lists them in one pass over the store,
+called only by the evaluation of a planned rule block, with every list
+the block names; reading a list the pair was not built for is a
+``KeyError``.  ``step`` carries the pair's lists from tick to tick and
+moves them by the ids each tick changed, copying only the lists it
+changes, so an interface no rule reads is never listed.  Reads are total
+(a miss yields ``UNDEF``), and merges are union-shaped with equal-value
+overlap tolerated.  Stores are finite maps: their key order carries no
+meaning and nothing here sorts them.  Order is fixed only where it can be
+observed: :meth:`DualStore.ids` lists an interface's ids sorted,
+:func:`instantiate` enumerates bindings of sorted pools lexicographically,
+:func:`store_join` reports the least conflict, and the serializer sorts
+what it prints.  Nothing here iterates a set, so
 no result depends on the string hash seed.
 
 A rule's binding maps each name bound to an entity to that entity's id, a
@@ -303,10 +304,12 @@ class DualStore:
 
     A list is an interface's ids, sorted, or, for an attribute a body join
     reads, those ids by the attribute's :func:`_join_key`, sorted in each
-    bucket (UNDEF in none).  :meth:`build` lists the ones a rule block
-    names (:func:`~pantagruel.rule_eval.block_lists`), in one pass over
-    ``current``; a list a rule asks for that the pair lacks is built the
-    same way on ask.  Every list is kept from then on, so an interface no
+    bucket (UNDEF in none).  :meth:`build` lists the ones a rule block's
+    plan names (:attr:`~pantagruel.rule_eval.BlockPlan.lists`), in one
+    pass over ``current``, and :func:`~pantagruel.rule_eval.eval_plan`
+    calls it before any rule reads the pair.  :meth:`ids`, :meth:`keyed`
+    and :meth:`changed` only look up: a list the pair was not built for is
+    a ``KeyError``.  Every list is kept from then on, so an interface no
     rule reads is never listed.  :meth:`moved` hands the kept lists on to
     a successor pair, copying only those it changes.  Neither store is
     changed once the pair has been read (nothing here or in the evaluator
@@ -316,8 +319,8 @@ class DualStore:
     ``touched`` names ids outside of which every entity of ``current``
     reads each event as it does in ``previous``: ``previous``'s very
     object, or, under an id ``previous`` lacks, an entity whose events are
-    all UNDEF.  When it is not known (None, as for a bare pair), the
-    pair's first pass over ``current`` finds it.  It, the lists and the
+    all UNDEF.  When it is not known (None, as for a bare pair),
+    :meth:`build` finds it in the same pass.  It, the lists and the
     memo of :meth:`changed` take no part in construction, equality or
     repr: those are the two stores'.
     """
@@ -421,31 +424,28 @@ class DualStore:
         return dual
 
     def ids(self, interface: str) -> list[str]:
-        """The sorted ids of ``interface``'s entities in ``current``."""
-        found = self._lists.get((interface, None))
-        if found is None:
-            self.build(((interface, None),))
-            found = self._lists[(interface, None)]
-        return found.get(None, [])
+        """The sorted ids of ``interface``'s entities in ``current``; a
+        ``KeyError`` naming ``(interface, None)`` if the pair was not built
+        for it."""
+        return self._lists[(interface, None)].get(None, [])
 
     def keyed(self, interface: str, attribute: str) -> Keyed:
-        """``interface``'s ids, all of them and by ``attribute``'s key."""
-        buckets = self._lists.get((interface, attribute))
-        if buckets is None:
-            self.build(((interface, None), (interface, attribute)))
-            buckets = self._lists[(interface, attribute)]
-        return Keyed(self.ids(interface), buckets)
+        """``interface``'s ids, all of them and by ``attribute``'s key; a
+        ``KeyError`` naming the list the pair was not built for."""
+        return Keyed(self.ids(interface), self._lists[(interface, attribute)])
 
     def changed(self, interface: str, event: str) -> list[str]:
-        """Those of :meth:`ids` whose ``event`` reads differently in
+        """Those of ``interface``'s ids whose ``event`` reads differently in
         ``previous`` and ``current`` (:func:`value_neq`, UNDEF where it is
         absent): deployed, or changed since ``previous``.  Only the
         ``touched`` ids can, and of those only the entities that are not
-        ``previous``'s very object are read; no list is built."""
+        ``previous``'s very object are read; no list is built, and a pair
+        whose ``touched`` is not known yet (:meth:`build` finds it) is a
+        ``ValueError``."""
         changed = self._changed.get((interface, event))
         if changed is None:
             if self.touched is None:
-                self.build(())
+                raise ValueError("the pair's touched ids are not known: build it first")
             current, previous = self.current, self.previous
             candidates = sorted(
                 entity_id

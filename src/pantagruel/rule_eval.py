@@ -22,9 +22,12 @@ finished pool of sorted ids, which :func:`~pantagruel.domains.instantiate`
 only enumerates.  A pool starts from a list the dual store keeps
 (:meth:`~pantagruel.domains.DualStore.ids` and ``changed``), shared with
 every rule of the tick.  Which lists a rule block reads is fixed by its
-plan (:attr:`BlockPlan.lists`), so ``step`` builds them all on a run's
-first tick and carries them from tick to tick, moved by the ids each
-tick changed:
+plan (:attr:`BlockPlan.lists`), and :func:`eval_plan`, through which
+every evaluation runs, is the one place a pair is listed: it builds
+them all before any rule reads the pair, which, carried by ``step``
+from tick to tick and moved by the ids each tick changed, holds them
+from a run's first tick on.  A list a plan failed to name is a
+``KeyError``, never a list built in the middle of a run:
 
 * Each atom of the condition's top-level ``and`` chain (or the lone atom
   a condition is) that reads at most one still-open variable, through its
@@ -218,10 +221,11 @@ def _decl_name(decl: Decl) -> str:
     return decl.var if isinstance(decl, DeclTyped) else decl.name
 
 
-def _filter_holds(filt: Filter | None, entity_id: str, store: Store, scope: Binding) -> bool:
-    """An absent filter holds; a present one compares the entity's
-    attribute with the right-hand side, both read from ``store``."""
-    return filt is None or value_eq(
+def _filter_holds(filt: Filter, entity_id: str, store: Store, scope: Binding) -> bool:
+    """Whether the filter holds for the entity: its attribute compared with
+    the right-hand side, both read from ``store``.  Callers test only a
+    present filter; an absent one holds."""
+    return value_eq(
         access_attribute(filt.attribute, entity_id, store),
         eval_expression(filt.rhs, store, scope),
     )
@@ -240,7 +244,7 @@ def holds(expr: EventExpr, dual: DualStore, scope: Binding, mode: TriggerMode) -
             return False
         previous, current = dual.previous, dual.current
         # event filters read the previous store, by definition
-        if not _filter_holds(expr.filter, entity_id, previous, scope):
+        if expr.filter is not None and not _filter_holds(expr.filter, entity_id, previous, scope):
             return False
         now = access_event(expr.event, entity_id, current)
         test = expr.test
@@ -291,7 +295,7 @@ def action_effects(
         if iface is None or expr.action not in iface.actions:
             return seed
         # action filters read the current store, by definition
-        if not _filter_holds(expr.filter, entity_id, current, scope):
+        if expr.filter is not None and not _filter_holds(expr.filter, entity_id, current, scope):
             return seed
         events = {expr.action: eval_expression(expr.arg, current, scope)}
         if entity_id in seed:
@@ -585,20 +589,26 @@ def eval_rule(
     label: int | None = None,
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
-    :class:`FiredRule` per instantiation that held and produced effects.
-    The rule is planned on each call (:func:`plan_block` plans a block
-    once); the conjuncts narrow the bindings first, as the module
-    docstring describes, and the result is that of the full product."""
-    if label is None:
-        label = rule.label if rule.label is not None else 1
-    return _eval_rule_plan(env, _plan_rule(rule, mode, label), dual, mode)
+    :class:`FiredRule` per instantiation that held and produced effects,
+    labelled ``label`` when given.  The rule is planned on each call and
+    evaluated as a block of one (:func:`eval_plan` of :func:`plan_block`);
+    the conjuncts narrow the bindings first, as the module docstring
+    describes, and the result is that of the full product."""
+    plan = plan_block((rule,), mode)
+    if label is not None:
+        plan = plan._replace(plans=(plan.plans[0]._replace(label=label),))
+    return eval_plan(env, plan, dual)
 
 
 def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule of a planned block (:func:`plan_block`) against
     the same dual store, in the plan's mode, and join the partial effect
-    stores; interfering rules surface as a ConflictError.  All rules share
-    the lists ``dual`` keeps."""
+    stores; interfering rules surface as a ConflictError.  This is the one
+    place a pair is listed: ``dual`` is first built for the plan's lists
+    (:meth:`~pantagruel.domains.DualStore.build`, no pass over the store
+    when it holds them all and knows its ``touched`` ids), and all rules
+    share them."""
+    dual.build(plan.lists)
     effects: Store = {}
     fired: list[FiredRule] = []
     for rule_plan in plan.plans:
@@ -616,12 +626,7 @@ def eval_rule_block(
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule against the same dual store and join the partial
     effect stores; interfering rules surface as a ConflictError.  The block
-    is planned on each call (:func:`eval_plan` of :func:`plan_block`);
-    ``step`` plans it once per run."""
+    is planned on each call (:func:`eval_plan` of :func:`plan_block`),
+    which builds the lists it reads on ``dual``; ``step`` plans it once
+    per run."""
     return eval_plan(env, plan_block(rules, mode), dual)
-
-
-def block_lists(rules: Sequence[RuleAst], mode: TriggerMode) -> list[tuple[str, str | None]]:
-    """Every list the block's evaluation in ``mode`` may ask a dual store
-    for: the lists of :func:`plan_block`."""
-    return list(plan_block(rules, mode).lists)

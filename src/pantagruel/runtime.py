@@ -10,10 +10,11 @@ the entities they wrote (on tick 1, those :func:`initial_state` names).
 The store handed to the next tick as "previous" is the post-external,
 pre-internal one, which is what edge detection must compare against.
 The state carries that pair as one :class:`~pantagruel.domains.DualStore`,
-with the lists of ids the rule block names, built on the run's first tick;
-each next tick moves them by the ids its changes name.  It carries the
-rule block's plan too (:func:`~pantagruel.rule_eval.plan_block`), made on
-the run's first tick, which names those lists.
+with the lists of ids the rule block names, which the evaluation of the
+run's first tick builds (:func:`~pantagruel.rule_eval.eval_plan`); each
+next tick moves them by the ids its changes name and builds nothing.  It
+carries the rule block's plan too (:func:`~pantagruel.rule_eval.plan_block`),
+made on the run's first tick, which names those lists.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class RunState:
     ``(previous, current)``, with the lists the rule block names once a
     tick has run, which :func:`step` moves on by the ids the next tick's
     changes name.  It is used only while it is this very pair, so a state
-    built by hand, or with ``dataclasses.replace``, starts from a fresh
-    one.
+    built by hand, or with ``dataclasses.replace``, has its next tick's
+    rules read a bare pair of ``previous`` and the post-external store.
 
     ``plan`` is the rule block's plan (:func:`~pantagruel.rule_eval.plan_block`)
     for the rules and mode the tick ran, which :func:`step` uses while it
@@ -293,20 +294,21 @@ def step(
 ) -> tuple[RunState, TickRecord]:
     """Run one orchestration step and return the new state plus its record.
 
-    On a run's first tick (from :func:`initial_state`, tick 0), the block
-    is planned (:func:`~pantagruel.rule_eval.plan_block`), and the
-    state's dual store lists what the plan names, in one pass over
-    ``state.current``; later ticks carry the plan and the lists.  The
-    block is planned again, and what the new plan names listed, only when
-    the state's plan was made for other ``rules`` (by identity) or another
-    ``mode``.  A state with no dual store of its own stores gets a fresh
-    one, built the same way, whose ``touched`` ids that pass finds.  The
-    rules then read that pair moved by the ids the changes name: only
-    those differ between ``state.current`` and the post-external store.
-    Its ``touched`` ids are those and the pair's own, which are the ids
-    the last tick's effects wrote and the ids its reset visited.  The new
-    state's pair takes those lists moved by no id, as the effects write
-    only events."""
+    The block is planned (:func:`~pantagruel.rule_eval.plan_block`) on a
+    run's first tick, and again only when the state's plan was made for
+    other ``rules`` (by identity) or another ``mode``; other ticks carry
+    the plan.  The rules read the state's dual store moved by the ids the
+    changes name: only those differ between ``state.current`` and the
+    post-external store.  Its ``touched`` ids are those and the pair's
+    own, which are the ids the last tick's effects wrote and the ids its
+    reset visited.  A state with no dual store of its own stores has its
+    rules read the bare pair of ``state.previous`` and the post-external
+    store instead.  ``step`` builds no list:
+    :func:`~pantagruel.rule_eval.eval_plan` builds what the plan names and
+    the pair lacks, in one pass over the post-external store, which also
+    finds a bare pair's ``touched`` ids, and none on a later tick while
+    the rules and mode stay the same.  The new state's pair takes those
+    lists moved by no id, as the effects write only events."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
@@ -314,17 +316,14 @@ def step(
         exc.tick = tick
         raise
     plan = state.plan
-    planned = plan is None or plan.rules is not rules or plan.mode is not mode
-    if planned:
+    if plan is None or plan.rules is not rules or plan.mode is not mode:
         plan = plan_block(rules, mode)
     dual = state.dual
-    fresh = dual is None or not dual.describes(state.previous, state.current)
-    if fresh:
-        dual = DualStore(state.previous, state.current)
-    if fresh or planned:
-        dual.build(plan.lists)
-    named = tuple(dict.fromkeys(map(_named, changes)))
-    dual = dual.moved(state.previous, sigma_prime, tuple(dict.fromkeys(dual.touched + named)), named)
+    if dual is None or not dual.describes(state.previous, state.current):
+        dual = DualStore(state.previous, sigma_prime)
+    else:
+        named = tuple(dict.fromkeys(map(_named, changes)))
+        dual = dual.moved(state.previous, sigma_prime, tuple(dict.fromkeys(dual.touched + named)), named)
     conflict: str | None = None
     try:
         effects, fired = eval_plan(env, plan, dual)

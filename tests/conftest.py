@@ -93,6 +93,7 @@ def index_pools(store, open_vars):
     to every id of its interface in ``store``, sorted: the full pools
     ``instantiate`` enumerates."""
     dual = DualStore({}, store)
+    dual.build((interface, None) for interface in open_vars.values())
     return {var: dual.ids(interface) for var, interface in open_vars.items()}
 
 

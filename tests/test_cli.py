@@ -565,6 +565,33 @@ def test_run_writes_each_record_before_it_steps_the_next_tick(files, monkeypatch
     assert written_before == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_an_internal_error_is_exit_4_with_one_line_and_no_traceback(
+    files, capsys, monkeypatch, command
+):
+    """An exception no command expects (here from ``step`` on tick 2,
+    with a message of two lines) is exit 4 and one ``error: internal
+    error:`` line on stderr; the record of tick 1 is already printed."""
+    program = files("b.ptg", BUILDING_RUNNABLE)
+    script = files("b.evs", GOLDEN_SCRIPT)
+    real_step = pantagruel.step
+
+    def failing_step(state, *args, **kwargs):
+        if state.tick == 1:
+            raise RuntimeError("the evaluator broke\non two lines")
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr("pantagruel.cli.step", failing_step)
+    if command == "run":
+        code = main(["run", program, "--script", script])
+        out, err = capsys.readouterr()
+    else:
+        code, out, err = _repl(monkeypatch, capsys, ["repl", program], GOLDEN_SCRIPT)
+    assert code == 4
+    assert err.splitlines() == ["error: internal error: RuntimeError: the evaluator broke on two lines"]
+    assert [line for line in out.splitlines() if line.startswith("tick ")] == ["tick 1"]
+
+
 # ── a reader that closes stdout early ────────────────────────────
 
 # 600 ticks of motion on and off: far more trace than a pipe buffers, so the

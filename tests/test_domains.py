@@ -425,6 +425,7 @@ def _keyed_rooms(store, open_vars, sides):
     """The keyed sides of a join on ``room``: each variable of ``sides``
     with its interface's ids by room, as a dual store lists them."""
     dual = DualStore({}, store)
+    dual.build(name for var in sides for name in ((open_vars[var], None), (open_vars[var], "room")))
     return {var: dual.keyed(open_vars[var], "room") for var in sides}
 
 

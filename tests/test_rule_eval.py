@@ -49,6 +49,7 @@ from pantagruel.rule_eval import (
     action_effects,
     eval_expression,
     holds,
+    plan_block,
     rule_environment,
 )
 from pantagruel.spec_eval import eval_specification
@@ -876,14 +877,27 @@ class _CountingStore(dict):
         return super().items()
 
 
+def _counted(made, piece):
+    """``piece``, with each store it returns wrapped to count its passes
+    and appended to ``made``."""
+
+    def counting(*args):
+        made.append(_CountingStore(piece(*args)))
+        return made[-1]
+
+    return counting
+
+
 @pytest.mark.parametrize("evaluate", ["two-rules-alone", "block"])
 def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
     monkeypatch, building, motion_dual, evaluate
 ):
-    """A bare pair passes over ``current`` once for each list it lacks when
-    a rule asks for it, and once to find the ids its ``changed`` pools
-    read; what it holds it never lists again.  A pair ``step`` reads
-    passes over its current store only on tick 1."""
+    """A bare pair's first evaluation builds every list its plan names,
+    and finds the ids its ``changed`` pools read, in one pass over
+    ``current``; what it holds it never lists again.  A pair ``step``
+    reads passes over the store only on tick 1, and then over the tick's
+    post-external store: the initial store is passed over once, for its
+    set ids."""
     current = _CountingStore(motion_dual.current)
     dual = DualStore(motion_dual.previous, current)
     rules = building.rules if evaluate == "block" else building.rules[:2]
@@ -895,23 +909,15 @@ def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
             for rule in rules:
                 got = eval_rule(building.env, rule, dual, EDGE)
                 assert got == eval_rule(building.env, rule, motion_dual, EDGE)
-        assert sorted(dual._lists, key=str) == [("Light", "room"), ("Light", None)]
-        assert current.passes == 3
+        assert set(dual._lists) == set(plan_block(rules, EDGE).lists)
+        assert current.passes == 1
     # the lists are no part of the pair's value
     assert dual == DualStore(motion_dual.previous, motion_dual.current)
     assert repr(dual) == repr(DualStore(motion_dual.previous, dict(current)))
 
     made = []
-
-    def counted(piece):
-        def counting(*args):
-            made.append(_CountingStore(piece(*args)))
-            return made[-1]
-
-        return counting
-
-    monkeypatch.setattr(runtime, "apply_external", counted(runtime.apply_external))
-    monkeypatch.setattr(runtime, "apply_internal", counted(runtime.apply_internal))
+    monkeypatch.setattr(runtime, "apply_external", _counted(made, runtime.apply_external))
+    monkeypatch.setattr(runtime, "apply_internal", _counted(made, runtime.apply_internal))
     initial = _CountingStore(building.initial_store)
     state = initial_state(initial)
     assert initial.passes == 1  # its set ids
@@ -920,5 +926,29 @@ def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
         if tick == 4:
             changes.append(EventUpdate("thermo", "temperature", 30))
         state, _ = step(state, changes, rules, building.env, EDGE)
-        assert initial.passes == 2
-    assert len(made) == 12 and not any(store.passes for store in made)
+        assert initial.passes == 1
+    assert [store.passes for store in made] == [1] + [0] * 11
+
+
+def test_a_hand_built_state_lists_its_post_external_store_once(monkeypatch, building):
+    """A state built by hand carries no dual store: its tick evaluates the
+    rules on the pair of its previous store and the post-external one,
+    which one pass over the latter lists, and never passes over
+    ``state.current``; the record is that of the state ``step`` made."""
+    state, _ = step(
+        initial_state(building.initial_store),
+        [EventUpdate("m10", "detected", True)],
+        building.rules,
+        building.env,
+        EDGE,
+    )
+    current = _CountingStore(state.current)
+    by_hand = runtime.RunState(state.previous, current, state.tick, state.effect_ids)
+    changes = [EventUpdate("m10", "detected", False), EventUpdate("m20", "detected", True)]
+    want = step(state, changes, building.rules, building.env, EDGE)
+    made = []
+    monkeypatch.setattr(runtime, "apply_external", _counted(made, runtime.apply_external))
+    got = step(by_hand, changes, building.rules, building.env, EDGE)
+    assert current.passes == 0
+    assert [store.passes for store in made] == [1]
+    assert got == want and got[1].fired

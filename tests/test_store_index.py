@@ -55,8 +55,7 @@ rules
 end
 """
 INTERFACES = ("A", "B", "C")
-# what the rules key, and two more the tests ask for, so that a dual store
-# keeps them from then on
+# what the rules key, and two more the view lists
 KEYED = (("A", "room"), ("C", "room"), ("B", "room"), ("A", "floor"))
 
 
@@ -128,6 +127,7 @@ def _view(dual: DualStore):
     lists built for the view are not carried on to the next tick, where
     the rules must find the lists the block names without them."""
     dual = dual.moved(dual.previous, dual.current, dual.touched, ())
+    dual.build([(interface, None) for interface in INTERFACES] + list(KEYED))
     ids = {interface: list(dual.ids(interface)) for interface in INTERFACES}
     buckets = {
         name: {key: list(found) for key, found in dual.keyed(*name).by_key.items()}
@@ -159,15 +159,23 @@ def _outcome(state, changes, env, rules, mode):
 
 @pytest.mark.parametrize("mode", list(TriggerMode))
 def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
+    """The drift guard.  ``eval_plan`` is the one caller of
+    ``DualStore.build``, and a pair ``step`` carries holds, from the end of
+    a run's first tick on, every list the block's plan names: no later
+    tick lists anything, as the rules and mode stay the same and no pair
+    is fresh.  A list the plan failed to name is a ``KeyError`` on the
+    read, so the rules ask for nothing the pair was not built for."""
     env, rules = _program()
     duals = []
-    listed = []  # the lists each of those pairs held before the rules ran
+    built = []  # the lists each evaluation built on the pair it read
     real = runtime.eval_plan
 
     def recording(env, plan, dual):
+        before = set(dual._lists)
+        result = real(env, plan, dual)
         duals.append(dual)
-        listed.append(list(dual._lists))
-        return real(env, plan, dual)
+        built.append((set(dual._lists) - before, set(plan.lists)))
+        return result
 
     monkeypatch.setattr(runtime, "eval_plan", recording)
     rng = random.Random(SEED)
@@ -175,16 +183,18 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
     for _ in range(RUNS):
         state = initial_state({})
         states = []
-        for changes in _script(rng, TICKS):
+        for tick, changes in enumerate(_script(rng, TICKS), start=1):
             state, _ = step(state, changes, rules, env, mode, strict_conflicts=False)
             dual = duals[-1]
-            # the rules asked the pair for no list it did not hold
-            assert list(dual._lists) == listed[-1]
+            added, named = built[-1]
+            assert added == (named if tick == 1 else set())
+            assert set(dual._lists) == named
             # ``go`` is an implicit event: the reset changes it too
             for interface in INTERFACES:
                 for event in ("e", "go"):
                     ids, changed = _scanned(dual.current, dual.previous, interface, event)
-                    assert dual.ids(interface) == ids
+                    if (interface, None) in named:
+                        assert dual.ids(interface) == ids
                     assert dual.changed(interface, event) == changed
             assert state.dual.describes(state.previous, state.current)
             view = _view(state.dual)
@@ -195,6 +205,43 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
         for state, view in states:
             assert _view(state.dual) == view
     assert moved > RUNS * (TICKS - 3)
+
+
+def test_a_list_is_read_only_from_a_pair_built_for_it():
+    """``ids``, ``keyed`` and ``changed`` only look up: before ``build``
+    a list read is a ``KeyError`` naming a list it lacks (``keyed`` reads
+    the interface's ids first), and ``changed`` on a pair whose touched
+    ids are unknown a ``ValueError``.  After ``build`` each equals a scan
+    of the stores, and a list it was not asked for is still a
+    ``KeyError``."""
+    env, rules = _program()
+    rng = random.Random(SEED + 2)
+    state = initial_state({})
+    for changes in _script(rng, 6):
+        state, _ = step(state, changes, rules, env, TriggerMode.LEVEL, strict_conflicts=False)
+    assert len(state.current) > 3
+    dual = DualStore(state.previous, state.current)
+    with pytest.raises(KeyError, match=r"\('A', None\)"):
+        dual.ids("A")
+    with pytest.raises(KeyError, match=r"\('C', None\)"):
+        dual.keyed("C", "room")
+    with pytest.raises(ValueError):
+        dual.changed("A", "e")
+    dual.build([("A", None), ("B", None), ("C", None), ("C", "room")])
+    for interface in INTERFACES:
+        ids, changed = _scanned(dual.current, dual.previous, interface, "e")
+        assert dual.ids(interface) == ids
+        assert dual.changed(interface, "e") == changed
+    keyed = dual.keyed("C", "room")
+    assert keyed.ids == dual.ids("C")
+    rooms = {}
+    for entity_id in dual.ids("C"):
+        room = dual.current[entity_id].attributes.get("room", UNDEF)
+        if room is not UNDEF:
+            rooms.setdefault((type(room), room), []).append(entity_id)
+    assert dict(keyed.by_key) == rooms
+    with pytest.raises(KeyError, match=r"\('A', 'room'\)"):
+        dual.keyed("A", "room")
 
 
 def test_a_state_run_twice_or_replaced_runs_as_a_fresh_one():
