@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """1-based line/column of a source fragment, with its length in characters."""
+class SourceSpan(NamedTuple):
+    """1-based line/column of a source fragment, with its length in
+    characters: a plain record, as the lexer makes one per token read."""
 
     line: int
     column: int

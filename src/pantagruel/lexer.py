@@ -3,13 +3,22 @@
 Identifiers are ``[A-Za-z][A-Za-z0-9_]*``, numerals are decimal nonnegative
 integers, and ``#`` starts a comment running to end of line.  Newlines are
 ordinary whitespace; declarations are keyword-delimited.
+
+The text is split at ``\\n``, the only line break: any other blank
+(``str.isspace``, such as ``\\r`` or ``\\u2028``) is one column of its
+line.  One compiled pattern scans each line, each match skipping the
+blanks before one token, comment, or invalid character.  Its character
+classes are ASCII, as the identifier and numeral forms are, so ``é`` or
+``٣`` is an invalid character, not part of a word.  A token is a plain
+record of its kind, text and position; its :class:`SourceSpan` is made
+only when asked for (:attr:`Token.span`).
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, error
 
@@ -54,19 +63,28 @@ class TokenKind(enum.Enum):
 KEYWORDS = {kind.value: kind for kind in TokenKind if kind.value == kind.name.lower()}
 
 
-@dataclass(frozen=True)
-class Token:
+# builds a Token or SourceSpan from a tuple of all its fields, as the
+# records' own ``_make`` does, without the Python-level ``__new__`` call
+_new = tuple.__new__
+
+
+class Token(NamedTuple):
+    """One token: its kind, its text, and the 1-based line and column of
+    its first character.  Its span covers the text."""
+
     kind: TokenKind
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return _new(SourceSpan, (self.line, self.column, len(self.text)))
 
 
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-# the longest run of identifier characters at a position (ASCII only)
-_WORD = re.compile(r"[A-Za-z0-9_]*")
-_DIGITS = re.compile(r"[0-9]*")
-
-_PUNCT = {
+# the kind of each keyword and punctuation text; any other word is IDENT
+_KINDS = {
+    **KEYWORDS,
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
     "(": TokenKind.LPAREN,
@@ -75,7 +93,22 @@ _PUNCT = {
     "=": TokenKind.EQUALS,
     ".": TokenKind.DOT,
     ",": TokenKind.COMMA,
+    "||": TokenKind.PARPAR,
 }
+
+# blanks, then one of: (1) a word or punctuation, (2) a numeral,
+# (3) a malformed numeral (digits running into letters or '_'), a comment,
+# or (4) any other non-blank character, which is invalid.  Blanks at the
+# end of a line would match nothing, and the search would retry them from
+# each of their positions, so a line is scanned without them.
+_SCAN = re.compile(
+    r"\s*(?:"
+    r"([A-Za-z][A-Za-z0-9_]*|\|\||[{}():=.,])"
+    r"|([0-9]+)(?![A-Za-z0-9_])"
+    r"|([0-9][A-Za-z0-9_]*)"
+    r"|#.*"
+    r"|(\S))"
+).finditer
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -86,66 +119,25 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     """
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    pos = 0
-    line = 1
-    col = 1
-
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(line, col, length)
-
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < len(text) and text[pos] != "\n":
-                pos += 1
-                col += 1
-            continue
-        if "0" <= ch <= "9":
-            end = _DIGITS.match(text, pos).end()
-            bad_end = _WORD.match(text, end).end()
-            if bad_end > end:
-                bad = text[pos:bad_end]
-                diagnostics.append(
-                    error("parse-error", f"malformed numeral {bad!r}", span(len(bad)))
-                )
-                col += len(bad)
-                pos = bad_end
-                continue
-            word = text[pos:end]
-            tokens.append(Token(TokenKind.INT, word, span(len(word))))
-            col += len(word)
-            pos = end
-            continue
-        if ch in _IDENT_START:
-            end = _WORD.match(text, pos).end()
-            word = text[pos:end]
-            kind = KEYWORDS.get(word, TokenKind.IDENT)
-            tokens.append(Token(kind, word, span(len(word))))
-            col += len(word)
-            pos = end
-            continue
-        if ch == "|" and text[pos : pos + 2] == "||":
-            tokens.append(Token(TokenKind.PARPAR, "||", span(2)))
-            pos += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, span(1)))
-            pos += 1
-            col += 1
-            continue
-        diagnostics.append(error("parse-error", f"invalid character {ch!r}", span(1)))
-        pos += 1
-        col += 1
-
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(line, col, 0)))
+    append = tokens.append
+    kinds = _KINDS.get
+    ident = TokenKind.IDENT
+    integer = TokenKind.INT
+    lines = text.split("\n")
+    for number, line in enumerate(lines, start=1):
+        for match in _SCAN(line.rstrip()):
+            group = match.lastindex
+            if group == 1:
+                word = match[1]
+                append(_new(Token, (kinds(word, ident), word, number, match.start(1) + 1)))
+            elif group == 2:
+                append(_new(Token, (integer, match[2], number, match.start(2) + 1)))
+            elif group == 3:
+                bad = match[3]
+                span = SourceSpan(number, match.start(3) + 1, len(bad))
+                diagnostics.append(error("parse-error", f"malformed numeral {bad!r}", span))
+            elif group == 4:
+                span = SourceSpan(number, match.start(4) + 1, 1)
+                diagnostics.append(error("parse-error", f"invalid character {match[4]!r}", span))
+    tokens.append(Token(TokenKind.EOF, "", len(lines), len(lines[-1]) + 1))
     return tokens, diagnostics

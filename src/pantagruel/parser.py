@@ -53,6 +53,7 @@ _TYPE_NAMES = {"Integer": TypeTag.NAT, "Boolean": TypeTag.BOOL}
 _MEMBER_KINDS = (TokenKind.ATTRIBUTE, TokenKind.EVENT, TokenKind.ACTION)
 _SPEC_SYNC = (TokenKind.INTERFACE, TokenKind.ENTITY, TokenKind.RULES, TokenKind.EOF)
 _RULE_SYNC = (TokenKind.WHEN, TokenKind.LPAREN, TokenKind.END, TokenKind.EOF)
+_EOF = TokenKind.EOF
 
 
 class ParseError(Exception):
@@ -68,6 +69,11 @@ class _Bail(Exception):
 
 
 class _Parser:
+    """A cursor over one token list, which ends with its EOF token: ``pos``
+    indexes the current token, and the per-token helpers (``_at``,
+    ``_advance``, ``_expect``) read ``tokens[pos]`` directly.  The cursor
+    never moves past EOF."""
+
     def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
         self.tokens = tokens
         self.pos = 0
@@ -79,14 +85,14 @@ class _Parser:
         return self.tokens[self.pos]
 
     def _at(self, *kinds: TokenKind) -> bool:
-        return self._current().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def _peek(self, offset: int) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
-        tok = self._current()
-        if tok.kind is not TokenKind.EOF:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
@@ -99,9 +105,11 @@ class _Parser:
         raise _Bail()
 
     def _expect(self, kind: TokenKind, what: str) -> Token:
-        if self._at(kind):
-            return self._advance()
-        tok = self._current()
+        """Consume a token of ``kind``, which is never EOF, or fail."""
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:
+            self.pos += 1
+            return tok
         got = tok.text or str(tok.kind.value)
         self._fail(f"expected {what}, got {got!r}")
 

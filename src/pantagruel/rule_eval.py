@@ -1,13 +1,17 @@
 """Rule evaluation against a dual store.
 
-A rule's entity environment (:func:`rule_environment`) is the interface
-of each open variable, and the binding of the bare names.  A
-binding maps each name bound to an entity to that entity's id; a name it
-lacks is unbound.  :func:`~pantagruel.domains.instantiate` extends it over
-the matching entities, and for each binding :func:`holds`
-tests the condition (what the pool tests below leave of it) and, if it
-holds, :func:`action_effects` builds the binding's partial store; the
-partial stores are joined into the rule's effect store, which is all a
+A rule's entity environment (:func:`_environment`, which the rule's plan
+keeps) is the interface of each open variable, and the binding of the
+bare names: a bare name binds itself if it is a current entity, so a
+variable of the rule is never taken over by an entity of the same name,
+as the checker resolves it; any other stays unbound (its atom or call
+stays inert).  A binding maps each name bound to an entity to that
+entity's id; a name it lacks is unbound.
+:func:`~pantagruel.domains.instantiate` extends it over the matching
+entities, and for each binding :func:`holds` tests the condition (what
+the pool tests below leave of it) and, if it holds,
+:func:`action_effects` builds the binding's partial store; the partial
+stores are joined into the rule's effect store, which is all a
 rule produces besides its :class:`FiredRule` labels and bindings.
 
 Which bindings are built is decided here, and only here.  What that
@@ -178,17 +182,6 @@ def _environment(rule: RuleAst) -> tuple[dict[str, str], tuple[str, ...]]:
         elif decl.name not in open_vars:
             bare[decl.name] = None
     return open_vars, tuple(bare)
-
-
-def rule_environment(rule: RuleAst, current: Store) -> tuple[dict[str, str], Binding]:
-    """The rule's entity environment: each open variable's interface, and
-    the binding of the bare names (:func:`_environment`, which a rule's plan
-    keeps).  A bare name binds itself if it is a current entity, so a
-    variable of the rule is never taken over by an entity of the same
-    name, as the checker resolves it; any other stays unbound (the atom
-    stays inert).  An aggregate raises :class:`UnsupportedConstructError`."""
-    open_vars, bare = _environment(rule)
-    return open_vars, {name: name for name in bare if name in current}
 
 
 def eval_expression(expr: Expr, store: Store, binding: Binding) -> Value:

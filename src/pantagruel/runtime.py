@@ -301,9 +301,10 @@ def step(
     changes name: only those differ between ``state.current`` and the
     post-external store.  Its ``touched`` ids are those and the pair's
     own, which are the ids the last tick's effects wrote and the ids its
-    reset visited.  A state with no dual store of its own stores has its
-    rules read the bare pair of ``state.previous`` and the post-external
-    store instead.  ``step`` builds no list:
+    reset visited.  A state with no dual store of its own stores, or one
+    whose plan is made again, has its rules read the bare pair of
+    ``state.previous`` and the post-external store instead, so a pair
+    holds only the lists its plan names.  ``step`` builds no list:
     :func:`~pantagruel.rule_eval.eval_plan` builds what the plan names and
     the pair lacks, in one pass over the post-external store, which also
     finds a bare pair's ``touched`` ids, and none on a later tick while
@@ -315,10 +316,12 @@ def step(
     except ExternalChangeError as exc:
         exc.tick = tick
         raise
-    plan = state.plan
+    plan, dual = state.plan, state.dual
     if plan is None or plan.rules is not rules or plan.mode is not mode:
+        if plan is not None:
+            # the carried lists were named by the old plan
+            dual = None
         plan = plan_block(rules, mode)
-    dual = state.dual
     if dual is None or not dual.describes(state.previous, state.current):
         dual = DualStore(state.previous, sigma_prime)
     else:

@@ -218,7 +218,7 @@ class _RuleChecker:
     def check_rule(self, rule: RuleAst) -> None:
         """Resolve every name the rule declares, condition atoms then body
         calls, before typing any expression: the evaluator binds them all
-        first too (``rule_eval.rule_environment``), so a path may name a
+        first too (``rule_eval._environment``), so a path may name a
         variable declared by a later atom or call."""
         scope: _Scope = {}
         resolved: list[tuple[EventAtom | ActionCall, str | None]] = []

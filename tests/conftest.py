@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from pantagruel import check_program, eval_rule_block, parse_program, update_member
+from pantagruel import TriggerMode, check_program, eval_rule_block, parse_program, update_member
 from pantagruel.domains import DualStore
+from pantagruel.rule_eval import plan_block
 
 BUILDING_SPEC = """\
 interface MotionDetector {
@@ -86,6 +87,16 @@ def produced_keys(checked, before, after, mode):
     dual = DualStore(before.previous, after.previous)
     effects, _ = eval_rule_block(checked.env, checked.rules, dual, mode)
     return {(entity_id, key) for entity_id, entity in effects.items() for key in entity.events}
+
+
+def plan_environment(rule, current):
+    """The rule's entity environment as its plan keeps it: each open
+    variable's interface, and the binding of the bare names that are
+    ``current`` entities, each to itself.  Planning an aggregate raises
+    ``UnsupportedConstructError``."""
+    plan = plan_block((rule,), TriggerMode.EDGE).plans[0]
+    open_vars = {var: interface for var, interface, _, _ in plan.pools}
+    return open_vars, {name: name for name in plan.bare if name in current}
 
 
 def index_pools(store, open_vars):

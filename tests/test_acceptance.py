@@ -41,12 +41,12 @@ from pantagruel import (
 )
 from pantagruel.domains import Entity, instantiate, value_eq
 from pantagruel.cli import main
-from pantagruel.rule_eval import rule_environment
 
 from conftest import (
     BUILDING_RULES_13,
     BUILDING_SPEC,
     index_pools,
+    plan_environment,
     produced_keys,
     program_source,
     with_event,
@@ -162,7 +162,7 @@ def test_a3_rule_one_derivation_replay(building):
     ]
 
     # the instantiation set: {m10,m20} × {l10,l11,l20}, six environments
-    open_vars, bound = rule_environment(rule1, sigma2)
+    open_vars, bound = plan_environment(rule1, sigma2)
     assert (open_vars, bound) == ({"m": "MotionDetector", "l": "Light"}, {})
     envs = instantiate(bound, index_pools(sigma2, open_vars))
     assert len(envs) == 6

@@ -50,11 +50,10 @@ from pantagruel.rule_eval import (
     eval_expression,
     holds,
     plan_block,
-    rule_environment,
 )
 from pantagruel.spec_eval import eval_specification
 
-from conftest import BUILDING_SPEC, RULE_1, program_source, with_event
+from conftest import BUILDING_SPEC, RULE_1, plan_environment, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -75,7 +74,7 @@ def _condition_environment(condition, current):
     """The environment the condition alone declares: the rule's body acts
     on a bare name absent from every store, which declares nothing."""
     body = ActionCall("f", NumLit(0), DeclBare("nobody"), None)
-    return rule_environment(RuleAst(None, condition, body), current)
+    return plan_environment(RuleAst(None, condition, body), current)
 
 
 def _atom(decl):
@@ -273,8 +272,6 @@ def test_aggregate_raises_at_evaluation():
     env, store, _ = eval_specification(parse_program(src).spec)
     with pytest.raises(UnsupportedConstructError):
         eval_rule(env, rule, DualStore(store, store), EDGE)
-    with pytest.raises(UnsupportedConstructError):
-        rule_environment(rule, store)
 
 
 # ── Actions (C) ──────────────────────────────────────────────────
@@ -282,7 +279,7 @@ def test_aggregate_raises_at_evaluation():
 
 def test_rule1_action_environment_and_effect(building, motion_dual):
     rule1 = building.rules[0]
-    rho_a = rule_environment(rule1, motion_dual.current)
+    rho_a = plan_environment(rule1, motion_dual.current)
     assert rho_a == ({"m": "MotionDetector", "l": "Light"}, {})
 
     def effect(scope):
@@ -325,7 +322,7 @@ def _body_effects(checked):
     """The first rule's body effects under the binding the rule declares,
     uninstantiated: only calls on bare entity names act."""
     rule = checked.rules[0]
-    _, bound = rule_environment(rule, checked.initial_store)
+    _, bound = plan_environment(rule, checked.initial_store)
     return action_effects(rule.body, checked.env, checked.initial_store, bound, {})
 
 

@@ -29,6 +29,7 @@ from pantagruel import (
 from pantagruel import domains, runtime
 from pantagruel.domains import DualStore, Entity
 from pantagruel.parser import parse_entity_decl
+from pantagruel.rule_eval import plan_block
 from pantagruel.runtime import RunState
 
 from conftest import RULE_1, RULE_3, produced_keys, program_source, with_event
@@ -661,6 +662,23 @@ def test_a_state_stepped_with_other_rules_or_another_mode_plans_again(monkeypatc
     assert fired
     if switch == "rules":
         assert any("f" in binding for binding in fired)
+
+
+def test_a_state_planned_again_carries_only_the_lists_its_new_plan_names(building):
+    """Rules 1-3 in edge mode for one tick, then rule 1 alone for three:
+    from the switch on, the pair lists only what rule 1's plan names (not
+    the fans that rule 3 read), and the records are those of a state built
+    from the same stores with no plan or dual store of its own."""
+    first = building.rules[:1]
+    state, _ = step(initial_state(building.initial_store), PLAN_SCRIPT[0], building.rules, building.env, EDGE)
+    assert ("Fan", None) in state.dual._lists
+    fresh = RunState(state.previous, state.current, state.tick, state.effect_ids)
+    named = set(plan_block(first, EDGE).lists)
+    for changes in PLAN_SCRIPT[1:4]:
+        state, record = step(state, changes, first, building.env, EDGE)
+        fresh, fresh_record = step(fresh, changes, first, building.env, EDGE)
+        assert set(state.dual._lists) == named
+        assert (state, record) == (fresh, fresh_record)
 
 
 def test_apply_internal_refuses_an_effect_on_an_id_the_store_lacks(building):
