@@ -11,10 +11,10 @@ Everything else (entities, references, the instantiation planner, the
 checker's parts) lives in the submodules and may change without notice.
 """
 
-from .domains import UNDEF, ConflictError, DualStore, UnknownEntityError, store_join, store_join_all, update_member
+from .domains import UNDEF, ConflictError, DualStore, UnknownEntityError, store_join, update_member
 from .formatter import format_program
 from .parser import ParseError, parse_program
-from .rule_eval import TriggerMode, eval_rule, eval_rule_block
+from .rule_eval import TriggerMode, eval_rule
 from .runtime import (
     AttributeUpdate,
     Deploy,
@@ -50,7 +50,6 @@ __all__ = [
     "apply_internal",
     "check_program",
     "eval_rule",
-    "eval_rule_block",
     "format_program",
     "initial_state",
     "parse_program",
@@ -59,6 +58,5 @@ __all__ = [
     "serialize_tick",
     "step",
     "store_join",
-    "store_join_all",
     "update_member",
 ]

@@ -20,10 +20,10 @@ environment's open variables and bare names, its condition's conjuncts
 sorted against them, each open variable's pool, and the body's equality.
 :func:`plan_block` plans a whole block, with the lists the block reads,
 and ``step`` keeps that plan for the run, planning again only for other
-rules or another mode; :func:`eval_rule` and :func:`eval_rule_block`
-plan on each call.  On a dual store, a plan gives each open variable its
-finished pool of sorted ids, which :func:`~pantagruel.domains.instantiate`
-only enumerates.  A pool starts from a list the dual store keeps
+rules or another mode; :func:`eval_rule` plans its one rule on each call.
+On a dual store, a plan gives each open variable its finished pool of
+sorted ids, which :func:`~pantagruel.domains.instantiate` only
+enumerates.  A pool starts from a list the dual store keeps
 (:meth:`~pantagruel.domains.DualStore.ids` and ``changed``), shared with
 every rule of the tick.  Which lists a rule block reads is fixed by its
 plan (:attr:`BlockPlan.lists`), and :func:`eval_plan`, through which
@@ -610,16 +610,3 @@ def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Stor
         fired.extend(rule_fired)
     return effects, fired
 
-
-def eval_rule_block(
-    env: EnvInterface,
-    rules: Sequence[RuleAst],
-    dual: DualStore,
-    mode: TriggerMode,
-) -> tuple[Store, list[FiredRule]]:
-    """Evaluate every rule against the same dual store and join the partial
-    effect stores; interfering rules surface as a ConflictError.  The block
-    is planned on each call (:func:`eval_plan` of :func:`plan_block`),
-    which builds the lists it reads on ``dual``; ``step`` plans it once
-    per run."""
-    return eval_plan(env, plan_block(rules, mode), dual)

@@ -119,19 +119,16 @@ class RunState:
 
 def initial_state(store: Store) -> RunState:
     """Tick 0: the initial store, with an empty store standing in as its
-    nonexistent predecessor.  Its ``effect_ids`` are the ids whose entity
-    carries an event other than UNDEF, any set implicit event among them:
-    none for a store built from declarations.  Its dual store is the pair
-    of those two very stores, with those ids as its ``touched``, since
-    every other entity reads UNDEF on both sides; it lists nothing until
-    the first tick builds what the rules name."""
-    set_ids = tuple(
-        entity_id for entity_id, entity in store.items()
-        if any(value is not UNDEF for value in entity.events.values())
-    )
+    nonexistent predecessor.  Its dual store is the pair of those two very
+    stores, built for no list, so its one pass finds only ``touched``: the
+    ids whose entity carries an event other than UNDEF, any set implicit
+    event among them, and none for a store built from declarations.  They
+    are also its ``effect_ids``.  The pair lists nothing until the first
+    tick builds what the rules name."""
     previous: Store = {}
-    dual = DualStore(previous, store).moved(previous, store, set_ids, ())
-    return RunState(previous, store, 0, set_ids, dual)
+    dual = DualStore(previous, store)
+    dual.build(())
+    return RunState(previous, store, 0, dual.touched, dual)
 
 
 @dataclass(frozen=True)

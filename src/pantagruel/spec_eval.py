@@ -1,9 +1,10 @@
 """Specification evaluation and static checking.
 
 Builds the constant interface environment and the initial store from parsed
-declarations, type-checking attribute initializers along the way, then
-statically checks every rule against those interfaces.  Diagnostics are
-collected, never fail-fast.
+declarations, then statically checks every rule against those interfaces.
+Each entity's initializers are checked in one loop against its interface's
+attribute table, which stops at the entity's first bad initializer; apart
+from that, diagnostics are collected, never fail-fast.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .ast import (
     Expr,
     Filter,
     InterfaceDecl,
-    Literal,
     NumLit,
     ProgramAst,
     RuleAst,
@@ -32,51 +32,6 @@ from .ast import (
 )
 from .diagnostics import Diagnostic, error, has_errors, warning
 from .domains import UNDEF, Entity, EnvInterface, Interface, Store, Value
-
-
-# ── Checked attribute assignment ─────────────────────────────────
-
-
-@dataclass(frozen=True)
-class CheckedAttributes:
-    """Accumulator for attribute initialization: a value map while all
-    assignments type-check, absorbing once any assignment fails."""
-
-    ok: bool
-    values: dict[str, Value]
-    diagnostics: tuple[Diagnostic, ...] = ()
-
-    @staticmethod
-    def empty() -> "CheckedAttributes":
-        return CheckedAttributes(True, {})
-
-
-def check_assignment(
-    attr: str, lit: Literal, iface: Interface, acc: CheckedAttributes
-) -> CheckedAttributes:
-    """Fold one ``attr : lit`` initializer into ``acc``.
-
-    A mismatch or unknown attribute flips the accumulator to its error
-    state, and later assignments are skipped without adding diagnostics.
-    """
-    if not acc.ok:
-        return acc
-    declared = iface.attributes.get(attr)
-    if declared is None:
-        diag = error("unknown-attribute", f"unknown attribute {attr!r}", lit.span)
-        return CheckedAttributes(False, acc.values, acc.diagnostics + (diag,))
-    if attr in acc.values:
-        diag = error("duplicate-init", f"attribute {attr!r} initialized twice", lit.span)
-        return CheckedAttributes(False, acc.values, acc.diagnostics + (diag,))
-    got = TypeTag.BOOL if isinstance(lit, BoolLit) else TypeTag.NAT
-    if got is not declared:
-        diag = error(
-            "type-mismatch",
-            f"attribute {attr!r} declared {declared.value} but initialized with {got.value}",
-            lit.span,
-        )
-        return CheckedAttributes(False, acc.values, acc.diagnostics + (diag,))
-    return CheckedAttributes(True, {**acc.values, attr: lit.value}, acc.diagnostics)
 
 
 # ── Interface and entity construction ────────────────────────────
@@ -127,7 +82,13 @@ def build_entity(
 ) -> tuple[Entity | None, list[Diagnostic]]:
     """Build one entity: checked attribute values, every declared event and
     action key initialized to UNDEF (sensed data starts undefined, and an
-    implicit event exists per action)."""
+    implicit event exists per action).
+
+    One loop checks the initializers against the interface's attribute
+    table and stops at the first unknown, duplicate or mistyped one: its
+    error is the only one reported, and it and every later initializer
+    are left unapplied.  Each attribute still without a value starts UNDEF
+    with a warning, in interface order."""
     iface = env.get(decl.interface)
     if iface is None:
         return None, [
@@ -137,11 +98,27 @@ def build_entity(
                 decl.span,
             )
         ]
-    acc = CheckedAttributes.empty()
+    diagnostics: list[Diagnostic] = []
+    attributes: dict[str, Value] = {}
     for init in decl.inits:
-        acc = check_assignment(init.attribute, init.value, iface, acc)
-    diagnostics = list(acc.diagnostics)
-    attributes = dict(acc.values)
+        attr, lit = init.attribute, init.value
+        declared = iface.attributes.get(attr)
+        got = TypeTag.BOOL if isinstance(lit, BoolLit) else TypeTag.NAT
+        if declared is None:
+            bad = error("unknown-attribute", f"unknown attribute {attr!r}", lit.span)
+        elif attr in attributes:
+            bad = error("duplicate-init", f"attribute {attr!r} initialized twice", lit.span)
+        elif got is not declared:
+            bad = error(
+                "type-mismatch",
+                f"attribute {attr!r} declared {declared.value} but initialized with {got.value}",
+                lit.span,
+            )
+        else:
+            attributes[attr] = lit.value
+            continue
+        diagnostics.append(bad)
+        break
     for name in iface.attributes:
         if name not in attributes:
             diagnostics.append(

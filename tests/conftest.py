@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from pantagruel import TriggerMode, check_program, eval_rule_block, parse_program, update_member
+from pantagruel import TriggerMode, check_program, parse_program, update_member
 from pantagruel.domains import DualStore
-from pantagruel.rule_eval import plan_block
+from pantagruel.rule_eval import eval_plan, plan_block
 
 BUILDING_SPEC = """\
 interface MotionDetector {
@@ -79,13 +79,19 @@ def with_event(store, entity_id: str, event: str, value):
     return {**store, entity_id: update_member(store, entity_id, events={event: value})}
 
 
+def eval_block(env, rules, dual, mode):
+    """Every rule of ``rules`` on ``dual``, effects joined, as ``step``
+    evaluates its block: the block planned, then its plan evaluated."""
+    return eval_plan(env, plan_block(rules, mode), dual)
+
+
 def produced_keys(checked, before, after, mode):
     """The ``(entity, key)`` pairs of the effect store that the rules of
     the tick from state ``before`` to state ``after`` produced, evaluated
     afresh on the pair they read: ``before``'s previous store and the
     tick's post-external store, which ``after`` hands on as its previous."""
     dual = DualStore(before.previous, after.previous)
-    effects, _ = eval_rule_block(checked.env, checked.rules, dual, mode)
+    effects, _ = eval_block(checked.env, checked.rules, dual, mode)
     return {(entity_id, key) for entity_id, entity in effects.items() for key in entity.events}
 
 

@@ -29,7 +29,6 @@ from pantagruel import (
     TriggerMode,
     check_program,
     eval_rule,
-    eval_rule_block,
     format_program,
     initial_state,
     parse_program,
@@ -37,14 +36,14 @@ from pantagruel import (
     serialize_tick,
     step,
     store_join,
-    store_join_all,
 )
-from pantagruel.domains import Entity, instantiate, value_eq
+from pantagruel.domains import Entity, instantiate, store_join_all, value_eq
 from pantagruel.cli import main
 
 from conftest import (
     BUILDING_RULES_13,
     BUILDING_SPEC,
+    eval_block,
     index_pools,
     plan_environment,
     produced_keys,
@@ -273,12 +272,12 @@ def test_a4_rule_order_permutation_invariance():
             if rng.random() < 0.7:
                 curr = with_event(curr, eid, "s", rng.choice([True, False, UNDEF]))
         dual = DualStore(prev, curr)
-        effects, fired = eval_rule_block(checked.env, checked.rules, dual, EDGE)
+        effects, fired = eval_block(checked.env, checked.rules, dual, EDGE)
         fired_set = {(f.label, tuple(sorted(f.binding.items()))) for f in fired}
         order = list(checked.rules)
         for _ in range(3):
             rng.shuffle(order)
-            p_effects, p_fired = eval_rule_block(checked.env, tuple(order), dual, EDGE)
+            p_effects, p_fired = eval_block(checked.env, tuple(order), dual, EDGE)
             assert p_effects == effects
             assert {(f.label, tuple(sorted(f.binding.items()))) for f in p_fired} == fired_set
     _A4_ELAPSED["permutation"] = time.perf_counter() - started

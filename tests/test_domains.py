@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pantagruel import UNDEF, ConflictError, store_join, store_join_all, update_member
+from pantagruel import UNDEF, ConflictError, store_join, update_member
 from pantagruel.ast import ActionCall, BoolLit, DeclBare, NumLit, TypeTag
 from pantagruel.domains import (
     DualStore,
@@ -20,6 +20,7 @@ from pantagruel.domains import (
     access_event,
     combine_entities,
     instantiate,
+    store_join_all,
     value_eq,
     value_neq,
 )

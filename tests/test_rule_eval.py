@@ -21,7 +21,6 @@ from pantagruel import (
     TriggerMode,
     check_program,
     eval_rule,
-    eval_rule_block,
     initial_state,
     parse_program,
     step,
@@ -53,7 +52,7 @@ from pantagruel.rule_eval import (
 )
 from pantagruel.spec_eval import eval_specification
 
-from conftest import BUILDING_SPEC, RULE_1, plan_environment, program_source, with_event
+from conftest import BUILDING_SPEC, RULE_1, eval_block, plan_environment, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -409,13 +408,13 @@ def test_rule1_matches_brute_force_binding_oracle(building, motion_dual):
 
 
 def test_rule_block_joins_and_reports(building, motion_dual):
-    effects, fired = eval_rule_block(building.env, building.rules, motion_dual, EDGE)
+    effects, fired = eval_block(building.env, building.rules, motion_dual, EDGE)
     assert sorted(effects) == ["l10", "l11"]
     assert {f.label for f in fired} == {1}
 
 
 def test_empty_rule_list():
-    assert eval_rule_block({}, [], DualStore({}, {}), EDGE) == ({}, [])
+    assert eval_block({}, [], DualStore({}, {}), EDGE) == ({}, [])
 
 
 def test_conflicting_rules_raise_with_entity_and_key(motion_dual, building):
@@ -427,7 +426,7 @@ def test_conflicting_rules_raise_with_entity_and_key(motion_dual, building):
     )
     checked = check_program(parse_program(src))
     with pytest.raises(ConflictError) as exc:
-        eval_rule_block(checked.env, checked.rules, motion_dual, EDGE)
+        eval_block(checked.env, checked.rules, motion_dual, EDGE)
     assert exc.value.entity_id == "l10"
     assert exc.value.key == "switch"
 
@@ -438,7 +437,7 @@ def test_unlabeled_rules_numbered_by_position(motion_dual):
         "trigger action switch(true) on l:Light with room = m.room end\n"
     ).replace("(1) ", "")
     checked = check_program(parse_program(src))
-    _, fired = eval_rule_block(checked.env, checked.rules, motion_dual, EDGE)
+    _, fired = eval_block(checked.env, checked.rules, motion_dual, EDGE)
     assert {f.label for f in fired} == {1}
 
 
@@ -448,7 +447,7 @@ def test_eval_rule_default_label_is_the_written_one(motion_dual):
     for src, expected in ((labelled, 0), (unlabelled, 1)):
         checked = check_program(parse_program(src))
         _, alone = eval_rule(checked.env, checked.rules[0], motion_dual, EDGE)
-        _, in_block = eval_rule_block(checked.env, checked.rules, motion_dual, EDGE)
+        _, in_block = eval_block(checked.env, checked.rules, motion_dual, EDGE)
         assert alone and {f.label for f in alone} == {expected}
         assert alone == in_block
 
@@ -900,8 +899,8 @@ def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
     rules = building.rules if evaluate == "block" else building.rules[:2]
     for _ in range(2):
         if evaluate == "block":
-            got = eval_rule_block(building.env, rules, dual, EDGE)
-            assert got == eval_rule_block(building.env, rules, motion_dual, EDGE)
+            got = eval_block(building.env, rules, dual, EDGE)
+            assert got == eval_block(building.env, rules, motion_dual, EDGE)
         else:
             for rule in rules:
                 got = eval_rule(building.env, rule, dual, EDGE)

@@ -583,6 +583,7 @@ def test_a_list_first_read_on_a_later_tick_is_built_on_tick_1(monkeypatch, build
         [EventUpdate("thermo", "temperature", 30)],
         [EventUpdate("m10", "detected", False)],
     ]
+    tick = 0  # initial_state's pass is made before tick 1
     state = initial_state(building.initial_store)
     fan_ticks = []
     for tick, changes in enumerate(script, start=1):

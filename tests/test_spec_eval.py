@@ -1,14 +1,23 @@
-"""Specification evaluation, checked initializers, and static rule checks."""
+"""Specification evaluation, checked initializers, and static rule checks.
+
+``tests/spec_oracle.py`` is the fold ``spec_eval.build_entity`` replaced;
+on every drawn entity both must build the same entity and report the same
+diagnostics, in the same order.
+"""
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spec_oracle
 from pantagruel import UNDEF, check_program, parse_program
-from pantagruel.diagnostics import Severity
-from pantagruel.ast import BoolLit, NumLit, TypeTag
+from pantagruel.diagnostics import Severity, SourceSpan
+from pantagruel.ast import BoolLit, EntityDecl, InitDecl, NumLit, TypeTag
+from pantagruel.domains import Interface
 from pantagruel.spec_eval import (
-    CheckedAttributes,
+    build_entity,
     build_interface,
-    check_assignment,
     check_rules,
     eval_specification,
 )
@@ -116,7 +125,7 @@ def test_duplicate_init_key_rejected():
     assert "duplicate-init" in _codes(diags, Severity.ERROR)
 
 
-# ── build_interface / check_assignment units ─────────────────────
+# ── build_interface / build_entity units ─────────────────────────
 
 
 def test_build_interface_light():
@@ -128,28 +137,63 @@ def test_build_interface_light():
     assert light.actions == {"switch": TypeTag.BOOL}
 
 
-def test_check_assignment_ok_path():
+def test_initializers_after_a_bad_one_add_nothing():
     ast = parse_program(BUILDING_SPEC + "\nrules end")
     light, _ = build_interface(ast.spec.interfaces[1])
-    acc = check_assignment("room", NumLit(101), light, CheckedAttributes.empty())
-    assert acc.ok and acc.values == {"room": 101}
+    bad = InitDecl("room", BoolLit(True, SourceSpan(1, 10, 4)))
+    later = (
+        InitDecl("room", NumLit(5, SourceSpan(1, 20, 1))),
+        InitDecl("nope", NumLit(5, SourceSpan(1, 30, 1))),
+    )
+    entity, diags = build_entity(
+        EntityDecl("l", "Light", (bad, *later), SourceSpan(1, 1, 1)), {"Light": light}
+    )
+    assert [(d.code, d.span) for d in diags] == [
+        ("type-mismatch", SourceSpan(1, 10, 4)),
+        ("uninitialized-attribute", SourceSpan(1, 1, 1)),
+    ]
+    assert entity.attributes == {"room": UNDEF}
 
 
-def test_check_assignment_mismatch_flips_to_err():
-    ast = parse_program(BUILDING_SPEC + "\nrules end")
-    light, _ = build_interface(ast.spec.interfaces[1])
-    acc = check_assignment("room", BoolLit(True), light, CheckedAttributes.empty())
-    assert not acc.ok
-    assert [d.code for d in acc.diagnostics] == ["type-mismatch"]
+# ── build_entity against the fold it replaced ────────────────────
+
+_ATTRIBUTES = {"a": TypeTag.NAT, "b": TypeTag.BOOL, "c": TypeTag.NAT}
+# 0 and 1 beside False and True: a value's type is compared as well
+_literals = st.one_of(st.integers(0, 2).map(NumLit), st.booleans().map(BoolLit))
 
 
-def test_check_assignment_err_is_absorbing():
-    ast = parse_program(BUILDING_SPEC + "\nrules end")
-    light, _ = build_interface(ast.spec.interfaces[1])
-    err = check_assignment("room", BoolLit(True), light, CheckedAttributes.empty())
-    after = check_assignment("room", NumLit(5), light, err)
-    after = check_assignment("nope", NumLit(5), light, after)
-    assert after == err  # same error state, same diagnostics set
+@st.composite
+def _entity_cases(draw):
+    names = draw(st.sets(st.sampled_from(sorted(_ATTRIBUTES))))
+    iface = Interface(
+        {name: _ATTRIBUTES[name] for name in sorted(names)}, {}, {"switch": TypeTag.BOOL}
+    )
+    drawn = draw(st.lists(st.tuples(st.sampled_from("abcz"), _literals), max_size=5))
+    inits = tuple(
+        # each initializer gets its own span, so a diagnostic names which
+        InitDecl(attr, type(lit)(lit.value, SourceSpan(2, 10 * i + 1, 1)))
+        for i, (attr, lit) in enumerate(drawn)
+    )
+    return iface, EntityDecl("e", "I", inits, SourceSpan(2, 1, 1))
+
+
+def _typed(values):
+    return [(name, type(value), value) for name, value in values.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entity_cases())
+def test_build_entity_matches_the_checked_attributes_fold(case):
+    iface, decl = case
+    env = {"I": iface}
+    entity, diags = build_entity(decl, env)
+    want_entity, want_diags = spec_oracle.build_entity(decl, env)
+    assert entity.interface_id == want_entity.interface_id
+    assert _typed(entity.attributes) == _typed(want_entity.attributes)
+    assert _typed(entity.events) == _typed(want_entity.events)
+    assert [(d.severity, d.code, d.message, d.span) for d in diags] == [
+        (d.severity, d.code, d.message, d.span) for d in want_diags
+    ]
 
 
 # ── static rule checks ───────────────────────────────────────────
