@@ -1,23 +1,24 @@
 """The semantic algebra: values, interfaces, entities, stores, bindings.
 
 Everything here is a plain immutable value; updates build new entities
-rather than mutating.  The one cache lives in the :class:`DualStore`, the
-one object for a ⟨previous, current⟩ pair: the lists of its current
-store's ids that rules read, by interface and, for the attributes body
-joins read, by value.  One builder lists them in one pass over the store,
-called only by the evaluation of a planned rule block, with every list
-the block names; reading a list the pair was not built for is a
-``KeyError``.  ``step`` carries the pair's lists from tick to tick and
-moves them by the ids each tick changed, copying only the lists it
-changes, so an interface no rule reads is never listed.  Reads are total
-(a miss yields ``UNDEF``), and merges are union-shaped with equal-value
-overlap tolerated.  Stores are finite maps: their key order carries no
-meaning and nothing here sorts them.  Order is fixed only where it can be
-observed: :meth:`DualStore.ids` lists an interface's ids sorted,
-:func:`instantiate` enumerates bindings of sorted pools lexicographically,
-:func:`store_join` reports the least conflict, and the serializer sorts
-what it prints.  Nothing here iterates a set, so
-no result depends on the string hash seed.
+rather than mutating, and an update or a merge that changes no member
+returns the very entity it was given.  The one cache lives in the
+:class:`DualStore`, the one object for a ⟨previous, current⟩ pair: the
+lists of its current store's ids that rules read, by interface and, for
+the attributes body joins read, by value.  One builder lists them in one
+pass over the store, called only by the evaluation of a planned rule
+block, with every list the block names; reading a list the pair was not
+built for is a ``KeyError``.  ``step`` carries the pair's lists from tick
+to tick and moves them by the ids each tick changed, copying only the
+lists it changes, so an interface no rule reads is never listed.  Reads
+are total (a miss yields ``UNDEF``), and merges are union-shaped with
+equal-value overlap tolerated.  Stores are finite maps: their key order
+carries no meaning and nothing here sorts them.  Order is fixed only where
+it can be observed: :meth:`DualStore.ids` lists an interface's ids
+sorted, :func:`instantiate` enumerates bindings of sorted pools
+lexicographically, :func:`join_into` reports the least conflict, and the
+serializer sorts what it prints.  Nothing here iterates a set, so no
+result depends on the string hash seed.
 
 A rule's binding maps each name bound to an entity to that entity's id, a
 name it lacks being unbound; :func:`instantiate` extends one over the ids
@@ -148,6 +149,8 @@ class UnknownEntityError(Exception):
 def _merge_maps(
     entity_id: str, left: dict[str, Value], right: dict[str, Value]
 ) -> dict[str, Value]:
+    """``left`` with ``right``'s members, and ``left`` itself when each of
+    them holds there already (no clash means an equal value)."""
     clashes = [
         key for key, value in right.items()
         if key in left and value_neq(left[key], value)
@@ -155,6 +158,8 @@ def _merge_maps(
     if clashes:
         key = min(clashes)
         raise ConflictError(entity_id, key, left[key], right[key])
+    if right.keys() <= left.keys():
+        return left
     return {**left, **right}
 
 
@@ -167,6 +172,7 @@ def combine_entities(
     values, otherwise the partial states interfere and a
     :class:`ConflictError` is raised: for a differing interface first, then
     for the least clashing attribute, then for the least clashing event.
+    ``a`` itself is returned when ``b`` adds nothing to it.
     """
     if a is None:
         return b
@@ -174,36 +180,47 @@ def combine_entities(
         return a
     if a.interface_id != b.interface_id:
         raise ConflictError(entity_id, "interface", a.interface_id, b.interface_id)
-    return Entity(
-        a.interface_id,
-        _merge_maps(entity_id, a.attributes, b.attributes),
-        _merge_maps(entity_id, a.events, b.events),
-    )
+    attributes = _merge_maps(entity_id, a.attributes, b.attributes)
+    events = _merge_maps(entity_id, a.events, b.events)
+    if attributes is a.attributes and events is a.events:
+        return a
+    return Entity(a.interface_id, attributes, events)
 
 
-def store_join(s1: Store, s2: Store) -> Store:
-    """Pointwise :func:`combine_entities` over the union of both key sets.
-
-    When several entities clash, the one with the least id is reported, so
-    the error does not depend on either store's key order.
-    """
-    out = dict(s1)
+def join_into(into: Store, store: Store) -> None:
+    """Join ``store`` into ``into`` in place: pointwise
+    :func:`combine_entities` over the union of both key sets, ``into``
+    on the left.  When several entities clash, the one with the least id
+    is reported, so the error does not depend on either store's key
+    order; ``into`` is then left part-joined."""
     clashes: list[ConflictError] = []
-    for entity_id, entity in s2.items():
+    for entity_id, entity in store.items():
+        present = into.get(entity_id)
+        if present is None:
+            into[entity_id] = entity
+            continue
         try:
-            out[entity_id] = combine_entities(entity_id, s1.get(entity_id), entity)
+            into[entity_id] = combine_entities(entity_id, present, entity)
         except ConflictError as exc:
             clashes.append(exc)
     if clashes:
         raise min(clashes, key=lambda exc: exc.entity_id)
+
+
+def store_join(s1: Store, s2: Store) -> Store:
+    """The conflict-checked merge of two stores, as a new store
+    (:func:`join_into` of ``s2`` into a copy of ``s1``)."""
+    out = dict(s1)
+    join_into(out, s2)
     return out
 
 
 def store_join_all(stores: Iterable[Store]) -> Store:
-    """Left fold of :func:`store_join`; order-independent when conflict-free."""
+    """Left fold of :func:`store_join`, into one store joined in place;
+    order-independent when conflict-free."""
     acc: Store = {}
     for store in stores:
-        acc = store_join(acc, store)
+        join_into(acc, store)
     return acc
 
 
@@ -221,6 +238,19 @@ def access_attribute(attribute: str, entity_id: str, store: Store) -> Value:
     return entity.attributes.get(attribute, UNDEF)
 
 
+_ABSENT = object()
+
+
+def _holds_already(members: dict[str, Value], written: Mapping[str, Value]) -> bool:
+    """Whether each written member holds already a value of the same type
+    that is equal; ``1`` is not ``True``, though Python takes them equal."""
+    for key, value in written.items():
+        old = members.get(key, _ABSENT)
+        if type(old) is not type(value) or old != value:
+            return False
+    return True
+
+
 def update_member(
     store: Store,
     entity_id: str,
@@ -230,15 +260,22 @@ def update_member(
     """``entity_id``'s entity in ``store`` with the given attributes and
     events overwritten; the caller puts it back into the store it builds.
     An id ``store`` lacks is an :class:`UnknownEntityError`.  Member maps
-    left untouched are shared with the old entity, not copied.
+    left untouched are shared with the old entity, not copied, and an
+    equal write, where every written member already holds the same value
+    (:func:`_holds_already`), returns the very entity, so that whatever
+    follows object identity sees no change.
     """
     entity = store.get(entity_id)
     if entity is None:
         raise UnknownEntityError(entity_id)
+    new_attributes = bool(attributes) and not _holds_already(entity.attributes, attributes)
+    new_events = bool(events) and not _holds_already(entity.events, events)
+    if not (new_attributes or new_events):
+        return entity
     return Entity(
         entity.interface_id,
-        {**entity.attributes, **attributes} if attributes else entity.attributes,
-        {**entity.events, **events} if events else entity.events,
+        {**entity.attributes, **attributes} if new_attributes else entity.attributes,
+        {**entity.events, **events} if new_events else entity.events,
     )
 
 

@@ -8,10 +8,10 @@ as the checker resolves it; any other stays unbound (its atom or call
 stays inert).  A binding maps each name bound to an entity to that
 entity's id; a name it lacks is unbound.
 :func:`~pantagruel.domains.instantiate` extends it over the matching
-entities, and for each binding :func:`holds` tests the condition (what
-the pool tests below leave of it) and, if it holds,
-:func:`action_effects` builds the binding's partial store; the partial
-stores are joined into the rule's effect store, which is all a
+entities.  For each binding the rule's condition (what the pool tests
+below leave of it) is tested and, if it holds, its body builds the
+binding's partial store, which is joined in place into the rule's one
+effect store (:func:`~pantagruel.domains.join_into`); that store is all a
 rule produces besides its :class:`FiredRule` labels and bindings.
 
 Which bindings are built is decided here, and only here.  What that
@@ -21,6 +21,21 @@ sorted against them, each open variable's pool, and the body's equality.
 :func:`plan_block` plans a whole block, with the lists the block reads,
 and ``step`` keeps that plan for the run, planning again only for other
 rules or another mode; :func:`eval_rule` plans its one rule on each call.
+
+A plan holds its rule as code.  :func:`_plan_rule` compiles the rule into
+closures once (closure generation, after Feeley and Lapalme, "Using
+Closures for Code Generation", 1987), with every event name, member,
+literal and the mode bound in them, so no binding's evaluation looks at
+the rule's syntax:
+
+* one predicate per open variable on an entity id, its pool tests: each
+  one's event filter read against ``previous``, its value test and, in
+  EDGE mode, its edge test;
+* one predicate for the closed atoms, and one for the conjuncts left to
+  whole bindings;
+* one writer for the body, and, where the body has the equality below,
+  one compiled without the call filters that equality enforces.
+
 On a dual store, a plan gives each open variable its finished pool of
 sorted ids, which :func:`~pantagruel.domains.instantiate` only
 enumerates.  A pool starts from a list the dual store keeps
@@ -63,21 +78,24 @@ from a run's first tick on.  A list a plan failed to name is a
   other side's pool, so its own entities are not read at all; every join
   found here has such a side.  Each binding the join builds satisfies
   every call's filter, which compares the same two reads by
-  :func:`value_eq`, so it runs the body without them; a body whose join
-  is refused runs with its filters.
+  :func:`value_eq`, so it runs the body's writer compiled without them; a
+  body whose join is refused runs the one with its filters.
 
 Only the conjuncts not tested on pools (``or`` terms and atoms reading two
-open variables, whatever their filters) are left to :func:`holds` on whole
-bindings, and none if there are none; :func:`action_effects` runs on every
-binding built.  This is exact: a binding never built fails a pushed
-conjunct, or every call's filter (so each call returns its seed), and
-would have produced no partial store and no :class:`FiredRule`; the
-survivors keep their enumeration order, so the fired list, the fold of
-partial stores and any reported conflict are those of the full product.
+open variables, whatever their filters) are left to whole bindings, and
+none if there are none; the body's writer runs on every binding built.
+This is exact: a binding never built fails a pushed conjunct, or every
+call's filter (so each call returns its seed), and would have produced no
+partial store and no :class:`FiredRule`; the survivors keep their
+enumeration order, so the fired list, the fold of partial stores and any
+reported conflict are those of the full product.
 
-Conditions read event filters against the *previous* store while action
-filters read the *current* one — an asymmetry kept deliberately, as are
-all other evaluation orders here.
+Every compiled closure reads as the definition does: conditions read
+event filters against the *previous* store while action filters read the
+*current* one (an asymmetry kept deliberately, as are all other
+evaluation orders here); a path reads an event before an attribute;
+UNDEF is absent; and :func:`value_eq` is type-strict, so ``1`` is not
+``True``.
 """
 
 from __future__ import annotations
@@ -85,7 +103,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .ast import (
     ActionCall,
@@ -94,6 +112,7 @@ from .ast import (
     ActionSeq,
     Aggregate,
     BoolLit,
+    BoolTest,
     Decl,
     DeclTyped,
     EventAnd,
@@ -114,6 +133,7 @@ from .diagnostics import SourceSpan
 from .domains import (
     UNDEF,
     Binding,
+    ConflictError,
     DualStore,
     Entity,
     EnvInterface,
@@ -125,8 +145,8 @@ from .domains import (
     access_attribute,
     access_event,
     instantiate,
+    join_into,
     store_join,
-    store_join_all,
     update_member,
     value_eq,
     value_neq,
@@ -184,21 +204,6 @@ def _environment(rule: RuleAst) -> tuple[dict[str, str], tuple[str, ...]]:
     return open_vars, tuple(bare)
 
 
-def eval_expression(expr: Expr, store: Store, binding: Binding) -> Value:
-    """Total expression read: literals are themselves; a path reads the
-    member of the entity its variable is bound to, as an event when the
-    entity carries that event key, as an attribute otherwise; a variable
-    ``binding`` lacks reads UNDEF."""
-    if isinstance(expr, NumLit):
-        return expr.value
-    if isinstance(expr, BoolLit):
-        return expr.value
-    entity_id = binding.get(expr.var)
-    if entity_id is None:
-        return UNDEF
-    return _path_value(entity_id, expr.member, store)
-
-
 def _path_value(entity_id: str, member: str, store: Store) -> Value:
     """``entity_id.member`` as a path reads it: the event when the entity
     carries that event key, the attribute otherwise, UNDEF if absent."""
@@ -214,101 +219,239 @@ def _decl_name(decl: Decl) -> str:
     return decl.var if isinstance(decl, DeclTyped) else decl.name
 
 
-def _filter_holds(filt: Filter, entity_id: str, store: Store, scope: Binding) -> bool:
-    """Whether the filter holds for the entity: its attribute compared with
-    the right-hand side, both read from ``store``.  Callers test only a
-    present filter; an absent one holds."""
-    return value_eq(
-        access_attribute(filt.attribute, entity_id, store),
-        eval_expression(filt.rhs, store, scope),
-    )
+# ── Compiled rules ───────────────────────────────────────────────
+#
+# Each closure below is made once per plan, and called with what changes
+# from binding to binding: the two stores, the binding, and, in a pool
+# test, the subject, the id its variable is bound to, which it reads in
+# place of the binding's entry for that variable.
+
+# A compiled expression: its value read from ``store`` for the subject
+# and the binding of every other name.
+Read = Callable[[Union[str, None], Store, Binding], Value]
+# A compiled filter: whether it holds for the entity ``entity_id``, both
+# sides read from ``store``.
+FilterTest = Callable[[str, Union[str, None], Store, Binding], bool]
+# A compiled condition: whether it holds for the subject (None outside a
+# pool test) and the binding, on ``(previous, current)``.
+Test = Callable[[Union[str, None], Store, Store, Binding], bool]
+# A compiled value test: whether it holds for the event of ``entity_id``,
+# given the subject, ``(previous, current)`` and the binding.
+ValueTest = Callable[[str, Union[str, None], Store, Store, Binding], bool]
+# A compiled body: the partial store it builds on ``seed`` for the binding,
+# read from ``current`` against the interfaces ``env``.
+Writer = Callable[[EnvInterface, Store, Binding, Store], Store]
 
 
-# ── Conditions (W) ───────────────────────────────────────────────
+def _compile_read(expr: Expr, var: str | None) -> Read:
+    """Total expression read: a literal is itself; a path reads the member
+    of the entity its variable is bound to (the subject for ``var``, the
+    binding's entity for any other name), as an event when the entity
+    carries that event key, as an attribute otherwise; a name the binding
+    lacks reads UNDEF."""
+    if not isinstance(expr, Path):
+        value = expr.value
+        return lambda subject, store, scope: value
+    name, member = expr.var, expr.member
+    if name == var:
+        return lambda subject, store, scope: _path_value(subject, member, store)
+
+    def read(subject: str | None, store: Store, scope: Binding) -> Value:
+        entity_id = scope.get(name)
+        return UNDEF if entity_id is None else _path_value(entity_id, member, store)
+
+    return read
 
 
-def holds(expr: EventExpr, dual: DualStore, scope: Binding, mode: TriggerMode) -> bool:
-    """Whether the condition holds for the binding ``scope``.  An atom
-    whose name ``scope`` lacks is false: no entity was found, so no event
-    is caught."""
-    if isinstance(expr, EventAtom):
-        entity_id = scope.get(_decl_name(expr.decl))
+def _compile_filter(filt: Filter, var: str | None) -> FilterTest:
+    """Whether the filter holds for an entity: its attribute compared with
+    the right-hand side, both read from the store given.  A call or an atom
+    with no filter compiles none."""
+    attribute, rhs = filt.attribute, _compile_read(filt.rhs, var)
+
+    def test(entity_id: str, subject: str | None, store: Store, scope: Binding) -> bool:
+        return value_eq(access_attribute(attribute, entity_id, store), rhs(subject, store, scope))
+
+    return test
+
+
+def _compile_value_test(event: str, test: BoolTest, mode: TriggerMode, var: str | None) -> ValueTest:
+    """An atom's test of an entity's ``event``: ``value changed`` compares
+    the two stores (:func:`value_neq`); ``value = e`` holds when the event
+    equals ``e`` in ``current`` and, in EDGE mode, did not in
+    ``previous``, each side read from its own store.  A literal is
+    compared type-strictly, as :func:`value_eq` does."""
+    if isinstance(test, ValueChanged):
+
+        def changed(
+            entity_id: str, subject: str | None, previous: Store, current: Store, scope: Binding
+        ) -> bool:
+            return value_neq(
+                access_event(event, entity_id, previous), access_event(event, entity_id, current)
+            )
+
+        return changed
+    if isinstance(test.expr, Path):
+        read = _compile_read(test.expr, var)
+
+        def equal_at(store: Store, entity_id: str, subject: str | None, scope: Binding) -> bool:
+            return value_eq(access_event(event, entity_id, store), read(subject, store, scope))
+
+        if mode is TriggerMode.LEVEL:
+            return lambda entity_id, subject, previous, current, scope: equal_at(
+                current, entity_id, subject, scope
+            )
+        return lambda entity_id, subject, previous, current, scope: equal_at(
+            current, entity_id, subject, scope
+        ) and not equal_at(previous, entity_id, subject, scope)
+    literal = test.expr.value
+    kind = type(literal)
+    if mode is TriggerMode.LEVEL:
+
+        def level(
+            entity_id: str, subject: str | None, previous: Store, current: Store, scope: Binding
+        ) -> bool:
+            now = access_event(event, entity_id, current)
+            return type(now) is kind and now == literal
+
+        return level
+
+    def edge(
+        entity_id: str, subject: str | None, previous: Store, current: Store, scope: Binding
+    ) -> bool:
+        now = access_event(event, entity_id, current)
+        if type(now) is not kind or now != literal:
+            return False
+        before = access_event(event, entity_id, previous)
+        return type(before) is not kind or before != literal
+
+    return edge
+
+
+def _compile_atom(atom: EventAtom, mode: TriggerMode, var: str | None) -> Test:
+    """Whether the atom holds: false when its declared name is unbound (no
+    entity was found, so no event is caught); else its filter, read from
+    ``previous``, and then its value test (:func:`_compile_value_test`)."""
+    name = _decl_name(atom.decl)
+    own = name == var
+    filt = None if atom.filter is None else _compile_filter(atom.filter, var)
+    value_test = _compile_value_test(atom.event, atom.test, mode, var)
+
+    def holds(subject: str | None, previous: Store, current: Store, scope: Binding) -> bool:
+        entity_id = subject if own else scope.get(name)
         if entity_id is None:
             return False
-        previous, current = dual.previous, dual.current
         # event filters read the previous store, by definition
-        if expr.filter is not None and not _filter_holds(expr.filter, entity_id, previous, scope):
+        if filt is not None and not filt(entity_id, subject, previous, scope):
             return False
-        now = access_event(expr.event, entity_id, current)
-        test = expr.test
-        if isinstance(test, ValueChanged):
-            return value_neq(access_event(expr.event, entity_id, previous), now)
-        if not value_eq(now, eval_expression(test.expr, current, scope)):
-            return False
-        return mode is TriggerMode.LEVEL or not value_eq(
-            access_event(expr.event, entity_id, previous),
-            eval_expression(test.expr, previous, scope),
-        )
-    if isinstance(expr, EventAnd):
-        for operand in operands(expr):
-            if not holds(operand, dual, scope, mode):
+        return value_test(entity_id, subject, previous, current, scope)
+
+    return holds
+
+
+def _all_of(tests: list[Test]) -> Test:
+    """A test that holds when every one of ``tests`` does, tried in order."""
+    if len(tests) == 1:
+        return tests[0]
+
+    def all_hold(subject: str | None, previous: Store, current: Store, scope: Binding) -> bool:
+        for test in tests:
+            if not test(subject, previous, current, scope):
                 return False
         return True
+
+    return all_hold
+
+
+def _compile_condition(expr: EventExpr, mode: TriggerMode, var: str | None) -> Test:
+    """The condition as one test: an atom (:func:`_compile_atom`), or the
+    conjunction or disjunction of its chain's operands, tried in order."""
+    if isinstance(expr, EventAtom):
+        return _compile_atom(expr, mode, var)
+    tests = [_compile_condition(operand, mode, var) for operand in operands(expr)]
+    if isinstance(expr, EventAnd):
+        return _all_of(tests)
     if isinstance(expr, EventOr):
-        for operand in operands(expr):
-            if holds(operand, dual, scope, mode):
-                return True
-        return False
+
+        def any_holds(subject: str | None, previous: Store, current: Store, scope: Binding) -> bool:
+            for test in tests:
+                if test(subject, previous, current, scope):
+                    return True
+            return False
+
+        return any_holds
     raise TypeError(f"not an event node: {expr!r}")
 
 
-# ── Actions (C) ──────────────────────────────────────────────────
+def _compile_conjuncts(
+    conjuncts: Sequence[EventExpr], mode: TriggerMode, var: str | None
+) -> Test | None:
+    """The conjuncts as one test that holds when all do, with ``var`` read
+    from the subject; None for no conjunct."""
+    if not conjuncts:
+        return None
+    return _all_of([_compile_condition(conjunct, mode, var) for conjunct in conjuncts])
 
 
-def action_effects(
-    expr: ActionExpr,
-    env: EnvInterface,
-    current: Store,
-    scope: Binding,
-    seed: Store,
-) -> Store:
-    """The partial store the body builds on ``seed`` for the binding
-    ``scope``.  ``,`` seeds each call with the previous call's output;
-    ``||`` builds its operands from the same seed, last to first, and joins
-    them first to last.  A call on an unbound name, or whose target's
-    interface lacks the action, or whose filter fails, returns its seed;
-    any other writes its implicit event into the target's entry in the
-    seed, starting one with no other member where there is none."""
-    if isinstance(expr, ActionCall):
-        entity_id = scope.get(_decl_name(expr.decl))
+def _compile_call(call: ActionCall, filtered: bool) -> Writer:
+    """A call returns its seed when its name is unbound, or its target's
+    interface lacks the action, or (if ``filtered``) its filter, read from
+    ``current``, fails; any other writes its implicit event into the
+    target's entry in the seed, starting one with no other member where
+    there is none."""
+    name, action = _decl_name(call.decl), call.action
+    arg = _compile_read(call.arg, None)
+    filt = _compile_filter(call.filter, None) if filtered and call.filter is not None else None
+
+    def write(env: EnvInterface, current: Store, scope: Binding, seed: Store) -> Store:
+        entity_id = scope.get(name)
         if entity_id is None:
             return seed
         target = current.get(entity_id)
         iface = env.get(target.interface_id) if target is not None else None
-        if iface is None or expr.action not in iface.actions:
+        if iface is None or action not in iface.actions:
             return seed
         # action filters read the current store, by definition
-        if expr.filter is not None and not _filter_holds(expr.filter, entity_id, current, scope):
+        if filt is not None and not filt(entity_id, None, current, scope):
             return seed
-        events = {expr.action: eval_expression(expr.arg, current, scope)}
+        events = {action: arg(None, current, scope)}
         if entity_id in seed:
             updated = update_member(seed, entity_id, events=events)
         else:
             updated = Entity(target.interface_id, {}, events)
         return {**seed, entity_id: updated}
-    if isinstance(expr, ActionSeq):
-        for operand in operands(expr):
-            seed = action_effects(operand, env, current, scope, seed)
-        return seed
-    if isinstance(expr, ActionPar):
-        parts: list[Store] = []
-        for operand in reversed(operands(expr)):
-            parts.append(action_effects(operand, env, current, scope, seed))
-        joined = parts.pop()
-        while parts:
-            joined = store_join(parts.pop(), joined)
-        return joined
-    raise TypeError(f"not an action node: {expr!r}")
+
+    return write
+
+
+def _compile_body(body: ActionExpr, filtered: bool) -> Writer:
+    """The body's writer.  ``,`` seeds each call with the previous call's
+    output; ``||`` builds its operands from the same seed, last to first,
+    and joins them first to last.  Without ``filtered`` every call runs as
+    if it had no filter (:func:`_compile_call`)."""
+    if isinstance(body, ActionCall):
+        return _compile_call(body, filtered)
+    writers = [_compile_body(operand, filtered) for operand in operands(body)]
+    if isinstance(body, ActionSeq):
+
+        def seq(env: EnvInterface, current: Store, scope: Binding, seed: Store) -> Store:
+            for write in writers:
+                seed = write(env, current, scope, seed)
+            return seed
+
+        return seq
+    if isinstance(body, ActionPar):
+        last_first = writers[::-1]
+
+        def par(env: EnvInterface, current: Store, scope: Binding, seed: Store) -> Store:
+            parts = [write(env, current, scope, seed) for write in last_first]
+            joined = parts.pop()
+            while parts:
+                joined = store_join(parts.pop(), joined)
+            return joined
+
+        return par
+    raise TypeError(f"not an action node: {body!r}")
 
 
 # ── Rules (R) and rule blocks (K) ────────────────────────────────
@@ -410,19 +553,6 @@ def _body_join(
     return (x.var, read_x, y.var, read_y), keyed
 
 
-def _unfiltered(body: ActionExpr) -> ActionExpr:
-    """``body`` with no call filter.  Chains are unrolled as
-    :func:`action_effects` unrolls them, so no chain length costs
-    recursion."""
-    if isinstance(body, ActionCall):
-        return ActionCall(body.action, body.arg, body.decl, None, body.span)
-    parts = [_unfiltered(operand) for operand in operands(body)]
-    joined = parts[0]
-    for part in parts[1:]:
-        joined = type(body)(joined, part)
-    return joined
-
-
 def _conjuncts(
     condition: EventExpr, open_vars: dict[str, str]
 ) -> tuple[list[EventAtom], dict[str, list[EventAtom]], list[EventExpr]]:
@@ -459,26 +589,28 @@ def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
 
 class _RulePlan(NamedTuple):
     """What evaluating one rule reads of the rule and the trigger mode
-    alone, derived once (:func:`_plan_rule`): the label, the bare names
-    that bind themselves when they are current entities, the closed atoms,
-    how each open variable's pool is found, the conjuncts left to whole
-    bindings, the sides of the body's equality (None if it has none), and
-    the body, with every call filter removed for the bindings that
-    equality enumerates.
+    alone, derived and compiled once (:func:`_plan_rule`): the label, the
+    bare names that bind themselves when they are current entities, the
+    closed atoms' test, how each open variable's pool is found, the test
+    of the conjuncts left to whole bindings (None where there is none),
+    the sides of the body's equality (None if it has none), and the body's
+    writer, with its call filters and, for the bindings that equality
+    enumerates, without them.
 
-    A pool is found from ``(var, interface, tests, edge_event)``: the
-    variable's pool tests, and the event of the first of them that
-    :func:`_needs_change`, whose changed ids the pool starts from (None:
-    all the interface's ids)."""
+    A pool is found from ``(var, interface, test, edge_event)``: the test
+    of the variable's pool tests, on the entity id as subject (None for
+    none), and the event of the first of them that :func:`_needs_change`,
+    whose changed ids the pool starts from (None: all the interface's
+    ids)."""
 
     label: int
     bare: tuple[str, ...]
-    closed: tuple[EventAtom, ...]
-    pools: tuple[tuple[str, str, tuple[EventAtom, ...], str | None], ...]
-    rest: tuple[EventExpr, ...]
+    closed: Test | None
+    pools: tuple[tuple[str, str, Test | None, str | None], ...]
+    rest: Test | None
     sides: tuple[_Side, _Side] | None
-    body: ActionExpr
-    joined_body: ActionExpr
+    body: Writer
+    joined_body: Writer | None
 
 
 class BlockPlan(NamedTuple):
@@ -495,18 +627,26 @@ class BlockPlan(NamedTuple):
 def _plan_rule(rule: RuleAst, mode: TriggerMode, label: int) -> _RulePlan:
     """The rule's plan in ``mode``: its environment (:func:`_environment`),
     the split of its condition (:func:`_conjuncts`), each open variable's
-    pool, and its body's equality (:func:`_body_sides`).  An aggregate
-    raises :class:`UnsupportedConstructError`."""
+    pool, and its body's equality (:func:`_body_sides`), each part
+    compiled.  An aggregate raises :class:`UnsupportedConstructError`."""
     open_vars, bare = _environment(rule)
     closed, by_var, rest = _conjuncts(rule.condition, open_vars)
     pools = []
     for var, interface in open_vars.items():
-        tests = tuple(by_var.get(var, ()))
+        tests = by_var.get(var, [])
         edge = next((atom.event for atom in tests if _needs_change(atom, var, mode)), None)
-        pools.append((var, interface, tests, edge))
+        pools.append((var, interface, _compile_conjuncts(tests, mode, var), edge))
     sides = _body_sides(rule.body, open_vars)
-    joined_body = rule.body if sides is None else _unfiltered(rule.body)
-    return _RulePlan(label, bare, tuple(closed), tuple(pools), tuple(rest), sides, rule.body, joined_body)
+    return _RulePlan(
+        label,
+        bare,
+        _compile_conjuncts(closed, mode, None),
+        tuple(pools),
+        _compile_conjuncts(rest, mode, None),
+        sides,
+        _compile_body(rule.body, filtered=True),
+        None if sides is None else _compile_body(rule.body, filtered=False),
+    )
 
 
 def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
@@ -535,43 +675,52 @@ def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
 
 
 def _eval_rule_plan(
-    env: EnvInterface, plan: _RulePlan, dual: DualStore, mode: TriggerMode
+    env: EnvInterface, plan: _RulePlan, dual: DualStore
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one planned rule on ``dual``, as the module docstring
     describes.  Where the body's equality gives the join, every binding
-    built satisfies each call's filter, so the body runs without them."""
-    current = dual.current
+    built satisfies each call's filter, so the body runs without them.
+
+    Each binding's partial store is joined into the rule's one store in
+    place, and the result is that of
+    :func:`~pantagruel.domains.store_join_all` over the list of them once
+    all are built: a conflict between the operands of one binding's
+    ``||`` is raised while that binding is built, so it comes first; one
+    between bindings is the first the fold meets, raised only once every
+    binding is built."""
+    previous, current = dual.previous, dual.current
     bound = {name: name for name in plan.bare if name in current}
-    for atom in plan.closed:
-        if not holds(atom, dual, bound, mode):
-            return {}, []
+    if plan.closed is not None and not plan.closed(None, previous, current, bound):
+        return {}, []
     pools: dict[str, list[str]] = {}
-    for var, interface, tests, edge_event in plan.pools:
+    for var, interface, test, edge_event in plan.pools:
         pool = dual.ids(interface) if edge_event is None else dual.changed(interface, edge_event)
-        if tests:
-            scope = dict(bound)
-            kept = []
-            for entity_id in pool:
-                scope[var] = entity_id
-                if all(holds(atom, dual, scope, mode) for atom in tests):
-                    kept.append(entity_id)
-            pool = kept
+        if test is not None:
+            pool = [entity_id for entity_id in pool if test(entity_id, previous, current, bound)]
         if not pool:
             return {}, []
         pools[var] = pool
     joined = None if plan.sides is None else _body_join(plan.sides, pools, dual)
-    body = plan.body if joined is None else plan.joined_body
-    rest = plan.rest
-    partials: list[Store] = []
+    write = plan.body if joined is None else plan.joined_body
+    rest, label = plan.rest, plan.label
+    effects: Store = {}
     fired: list[FiredRule] = []
+    clash: ConflictError | None = None
     for scope in instantiate(bound, pools, *(joined or ())):
-        if not all(holds(conjunct, dual, scope, mode) for conjunct in rest):
+        if rest is not None and not rest(None, previous, current, scope):
             continue
-        partial = action_effects(body, env, current, scope, {})
-        partials.append(partial)
-        if partial:
-            fired.append(FiredRule(plan.label, scope))
-    return store_join_all(partials), fired
+        partial = write(env, current, scope, {})
+        if not partial:
+            continue
+        fired.append(FiredRule(label, scope))
+        if clash is None:
+            try:
+                join_into(effects, partial)
+            except ConflictError as exc:
+                clash = exc
+    if clash is not None:
+        raise clash
+    return effects, fired
 
 
 def eval_rule(
@@ -605,8 +754,8 @@ def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Stor
     effects: Store = {}
     fired: list[FiredRule] = []
     for rule_plan in plan.plans:
-        partial, rule_fired = _eval_rule_plan(env, rule_plan, dual, plan.mode)
-        effects = store_join(effects, partial)
+        partial, rule_fired = _eval_rule_plan(env, rule_plan, dual)
+        join_into(effects, partial)
         fired.extend(rule_fired)
     return effects, fired
 

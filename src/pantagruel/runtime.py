@@ -249,15 +249,18 @@ def apply_internal(
     (effect values win over the reset; genuine conflicts were already
     caught while the effects were joined).  Effects name entities of
     ``sigma_prime``, as rules evaluated on it build them; any other id is
-    an ``UnknownEntityError``.  Only entities with a set implicit event or
-    an effect are rebuilt; all others are passed on as the very objects of
-    ``sigma_prime``.
+    an ``UnknownEntityError``.  Each entity with a set implicit event or
+    an effect gets one member update, the reset and the effects together,
+    which keeps ``sigma_prime``'s object when it writes back what it
+    holds (:func:`~pantagruel.domains.update_member`); all others are
+    passed on as the very objects of ``sigma_prime``.
 
     ``set_ids``, when given, are the only ids whose entities may carry a
     set implicit event (:attr:`RunState.effect_ids` of the tick before):
     the reset visits them alone, skipping any no longer in
     ``sigma_prime``.  When None, it visits every entity."""
     out = dict(sigma_prime)
+    resets: dict[str, dict[str, Value]] = {}
     for entity_id in sigma_prime if set_ids is None else set_ids:
         entity = sigma_prime.get(entity_id)
         if entity is None:
@@ -271,9 +274,13 @@ def apply_internal(
             if entity.events.get(key, UNDEF) is not UNDEF
         }
         if reset:
-            out[entity_id] = update_member(out, entity_id, events=reset)
+            resets[entity_id] = reset
     for entity_id, produced in effects.items():
-        out[entity_id] = update_member(out, entity_id, produced.attributes, produced.events)
+        reset = resets.pop(entity_id, None)
+        events = {**reset, **produced.events} if reset else produced.events
+        out[entity_id] = update_member(sigma_prime, entity_id, produced.attributes, events)
+    for entity_id, reset in resets.items():
+        out[entity_id] = update_member(sigma_prime, entity_id, events=reset)
     return out
 
 

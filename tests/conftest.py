@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from pantagruel import TriggerMode, check_program, parse_program, update_member
+import closure_eval
+from pantagruel import TriggerMode, check_program, parse_program, rule_eval, update_member
 from pantagruel.domains import DualStore
 from pantagruel.rule_eval import eval_plan, plan_block
 
@@ -83,6 +84,40 @@ def eval_block(env, rules, dual, mode):
     """Every rule of ``rules`` on ``dual``, effects joined, as ``step``
     evaluates its block: the block planned, then its plan evaluated."""
     return eval_plan(env, plan_block(rules, mode), dual)
+
+
+def _references(binding):
+    """A binding as the closure oracle's entity environment."""
+    return {name: closure_eval.InstanceRef(entity_id) for name, entity_id in binding.items()}
+
+
+def eval_expression(expr, store, binding):
+    """``expr`` read from ``store`` for ``binding`` by the read a planned
+    rule compiles, which the closure oracle's reader must agree with."""
+    got = rule_eval._compile_read(expr, None)(None, store, binding)
+    want = closure_eval.eval_expression(expr, store, _references(binding))
+    assert (type(got), got) == (type(want), want)
+    return got
+
+
+def holds(condition, dual, scope, mode):
+    """Whether ``condition`` holds for the binding ``scope`` on ``dual`` in
+    ``mode``, by the test a planned rule compiles, which the closure
+    oracle's predicate must agree with."""
+    got = rule_eval._compile_condition(condition, mode, None)(None, dual.previous, dual.current, scope)
+    _, predicate = closure_eval.eval_event_expr(condition, dual, {}, lambda rho: True, mode)
+    assert got is predicate(_references(scope))
+    return got
+
+
+def action_effects(body, env, current, scope, seed):
+    """The partial store ``body`` builds on ``seed`` for the binding
+    ``scope``, by the writer a planned rule compiles (call filters
+    included), which the closure oracle's effect must equal."""
+    got = rule_eval._compile_body(body, True)(env, current, scope, seed)
+    _, effect = closure_eval.eval_action_expr(body, env, current, {}, lambda rho: seed)
+    assert got == effect(_references(scope))
+    return got
 
 
 def produced_keys(checked, before, after, mode):

@@ -24,9 +24,8 @@ from pantagruel.domains import (
     value_eq,
     value_neq,
 )
-from pantagruel.rule_eval import action_effects
 
-from conftest import index_pools
+from conftest import action_effects, index_pools
 
 # ── Values ───────────────────────────────────────────────────────
 
@@ -306,6 +305,23 @@ def test_update_member_overwrites_both_kinds_and_keeps_the_rest():
     # the old entity is untouched, and a kind left alone is shared, not copied
     assert entity.attributes == {"room": 101, "floor": 1}
     assert update_member({"l10": entity}, "l10", events={"switch": True}).attributes is entity.attributes
+
+
+def test_an_equal_write_returns_the_very_entity_and_1_over_true_does_not():
+    """A write whose every member already holds a value of the same type
+    that is equal changes nothing, so the entity itself comes back; the
+    type is part of the value, as :func:`value_eq` keeps ``1`` and
+    ``True`` apart even where Python (and so ``Entity.__eq__``) does not."""
+    entity = _entity("Light", attrs={"room": 101}, events={"switch": True, "dim": UNDEF})
+    store = {"l10": entity}
+    assert update_member(store, "l10", events={"switch": True}) is entity
+    assert update_member(store, "l10", attributes={"room": 101}, events={"dim": UNDEF}) is entity
+    one = update_member(store, "l10", events={"switch": 1})
+    assert one is not entity and type(one.events["switch"]) is int
+    assert one == entity
+    assert update_member(store, "l10", events={"flash": UNDEF}) is not entity  # a new member
+    moved = update_member(store, "l10", attributes={"room": 102}, events={"switch": True})
+    assert moved.attributes == {"room": 102} and moved.events is entity.events
 
 
 # ── Instantiation ────────────────────────────────────────────────

@@ -43,16 +43,20 @@ from pantagruel.ast import (
 )
 from pantagruel import domains, rule_eval, runtime
 from pantagruel.domains import Entity, Interface, value_eq
-from pantagruel.rule_eval import (
-    UnsupportedConstructError,
-    action_effects,
-    eval_expression,
-    holds,
-    plan_block,
-)
+from pantagruel.rule_eval import UnsupportedConstructError, plan_block
 from pantagruel.spec_eval import eval_specification
 
-from conftest import BUILDING_SPEC, RULE_1, eval_block, plan_environment, program_source, with_event
+from conftest import (
+    BUILDING_SPEC,
+    RULE_1,
+    action_effects,
+    eval_block,
+    eval_expression,
+    holds,
+    plan_environment,
+    program_source,
+    with_event,
+)
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -505,31 +509,47 @@ def _rooms_program(rooms, rule):
     return checked
 
 
-def _count_bindings(monkeypatch):
-    """Counters of what ``eval_rule`` does: the bindings it builds, the
-    condition tests on bindings with both ``m`` and ``l`` bound, and the
-    bodies it runs."""
+def _count_bindings(monkeypatch, rules):
+    """Counters of what evaluating ``rules`` does, through the closures
+    their plan compiles, so installed before the plan is made: the
+    bindings built, the condition tests on bindings with both ``m`` and
+    ``l`` bound, and the runs of a rule's whole body."""
     calls = {"built": 0, "tested": 0, "acted": 0}
     real_instantiate = rule_eval.instantiate
-    real_holds, real_action_effects = rule_eval.holds, rule_eval.action_effects
+    real_conjuncts, real_body = rule_eval._compile_conjuncts, rule_eval._compile_body
+    bodies = [rule.body for rule in rules]
 
     def counting_instantiate(*args):
         bindings = real_instantiate(*args)
         calls["built"] += len(bindings)
         return bindings
 
-    def counting_holds(expr, dual, scope, mode):
-        if "m" in scope and "l" in scope:
-            calls["tested"] += 1
-        return real_holds(expr, dual, scope, mode)
+    def compiling_conjuncts(*args):
+        test = real_conjuncts(*args)
+        if test is None:
+            return None
 
-    def counting_action_effects(*args):
-        calls["acted"] += 1
-        return real_action_effects(*args)
+        def counting(subject, previous, current, scope):
+            if "m" in scope and "l" in scope:
+                calls["tested"] += 1
+            return test(subject, previous, current, scope)
+
+        return counting
+
+    def compiling_body(body, filtered):
+        write = real_body(body, filtered)
+        if not any(body is whole for whole in bodies):
+            return write
+
+        def counting(*args):
+            calls["acted"] += 1
+            return write(*args)
+
+        return counting
 
     monkeypatch.setattr(rule_eval, "instantiate", counting_instantiate)
-    monkeypatch.setattr(rule_eval, "holds", counting_holds)
-    monkeypatch.setattr(rule_eval, "action_effects", counting_action_effects)
+    monkeypatch.setattr(rule_eval, "_compile_conjuncts", compiling_conjuncts)
+    monkeypatch.setattr(rule_eval, "_compile_body", compiling_body)
     return calls
 
 
@@ -542,7 +562,7 @@ def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch)
     condition on a whole binding."""
     rooms = 200
     checked = _rooms_program(rooms, RULE_1)
-    calls = _count_bindings(monkeypatch)
+    calls = _count_bindings(monkeypatch, checked.rules)
     _, record = step(
         initial_state(checked.initial_store),
         [EventUpdate("m7", "detected", True)],
@@ -563,7 +583,7 @@ def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
     rooms × lights = 80 000), in product order."""
     rooms = 200
     checked = _rooms_program(rooms, RULE_1)
-    calls = _count_bindings(monkeypatch)
+    calls = _count_bindings(monkeypatch, checked.rules)
     _, record = step(
         initial_state(checked.initial_store),
         [EventUpdate(f"m{room}", "detected", True) for room in range(rooms)],
@@ -715,14 +735,18 @@ def test_a_refused_join_still_tests_every_call_filter(monkeypatch):
     joined = with_event(with_event(previous, "m1", "detected", True), "m2", "detected", False)
     refused = {**joined, "l1": Entity("Light", {"room": 1}, {"room": 2, "switch": UNDEF})}
     tested = []
-    real = rule_eval._filter_holds
+    real = rule_eval._compile_filter
 
-    def counting(filt, entity_id, store, scope):
-        if filt is not None:
+    def compiling(filt, var):
+        test = real(filt, var)
+
+        def counting(entity_id, *args):
             tested.append(entity_id)
-        return real(filt, entity_id, store, scope)
+            return test(entity_id, *args)
 
-    monkeypatch.setattr(rule_eval, "_filter_holds", counting)
+        return counting
+
+    monkeypatch.setattr(rule_eval, "_compile_filter", compiling)
     for current, filters, bindings in (
         (refused, 8, [{"l": "l1", "m": "m1"}, {"l": "l1", "m": "m2"}, {"l": "l2", "m": "m2"}]),
         (joined, 0, [{"l": "l1", "m": "m1"}, {"l": "l2", "m": "m2"}]),
@@ -764,18 +788,23 @@ end
 
 
 def _count_pool_tests(monkeypatch):
-    """Counter of the condition tests ``eval_rule`` makes with ``m`` bound:
-    on rule 1 and the ``value changed`` rule, the pool tests of the
-    detectors."""
+    """Counter of the pool tests of ``m``: the calls of the test its plan
+    compiles on the detector ids, so installed before the plan is made."""
     calls = {"tested": 0}
-    real_holds = rule_eval.holds
+    real = rule_eval._compile_conjuncts
 
-    def counting_holds(expr, dual, scope, mode):
-        if "m" in scope:
+    def compiling(conjuncts, mode, var):
+        test = real(conjuncts, mode, var)
+        if test is None or var != "m":
+            return test
+
+        def counting(*args):
             calls["tested"] += 1
-        return real_holds(expr, dual, scope, mode)
+            return test(*args)
 
-    monkeypatch.setattr(rule_eval, "holds", counting_holds)
+        return counting
+
+    monkeypatch.setattr(rule_eval, "_compile_conjuncts", compiling)
     return calls
 
 
@@ -792,8 +821,9 @@ def test_pool_tests_visit_only_the_detectors_that_changed(monkeypatch, rule, mod
     left as it was, so every detector is tested."""
     rooms = 2500
     checked = _rooms_program(rooms, rule)
-    state, _ = step(initial_state(checked.initial_store), [], checked.rules, checked.env, mode)
     calls = _count_pool_tests(monkeypatch)
+    state, _ = step(initial_state(checked.initial_store), [], checked.rules, checked.env, mode)
+    calls["tested"] = 0
     _, record = step(
         state, [EventUpdate("m7", "detected", True)], checked.rules, checked.env, mode
     )

@@ -360,6 +360,22 @@ def test_level_mode_refires_while_condition_held(building):
     assert [r.snapshot["l10"].events["switch"] for r in edge] == [True, UNDEF, UNDEF]
 
 
+def test_a_level_rule_refiring_on_an_unchanged_light_keeps_its_object(building):
+    """Tick 2 writes ``m10.detected = true`` again and rule 1, in LEVEL
+    mode, switches ``l10`` and ``l11`` on again: the reset and the effect
+    together give back what each light holds, so the snapshot holds the
+    post-external store's very objects, as that store holds tick 1's."""
+    changes = [EventUpdate("m10", "detected", True)]
+    state, first = step(initial_state(building.initial_store), changes, building.rules, building.env, LEVEL)
+    state, second = step(state, changes, building.rules, building.env, LEVEL)
+    assert [f.binding for f in second.fired] == [f.binding for f in first.fired]
+    assert [f.binding["l"] for f in second.fired] == ["l10", "l11"]
+    sigma_prime = state.previous
+    for entity_id in ("m10", "l10", "l11"):
+        assert second.snapshot[entity_id] is sigma_prime[entity_id] is first.snapshot[entity_id]
+    assert second.snapshot == first.snapshot
+
+
 def test_implicit_reset_invariant_on_random_scripts(building):
     rng = random.Random(99)
     for _ in range(50):

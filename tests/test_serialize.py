@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,13 @@ from pantagruel import (
     EventUpdate,
     Remove,
     TriggerMode,
+    check_program,
+    initial_state,
+    parse_program,
+    parse_script,
     run_trace,
     serialize_tick,
+    step,
 )
 from pantagruel import serialize
 from pantagruel.domains import Entity
@@ -24,6 +31,10 @@ from pantagruel.runtime import TickRecord
 from pantagruel.ast import BoolLit, EntityDecl, InitDecl, NumLit
 from pantagruel.formatter import format_value
 from pantagruel.serialize import store_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def _record(snapshot, tick=1, changes=(), fired=(), conflict=None):
@@ -368,6 +379,37 @@ def test_a_tick_renders_only_the_entities_it_changed(monkeypatch, fmt):
             assert line == json.dumps(_payload(record), sort_keys=True, separators=(",", ":")) + "\n"
         else:
             assert line.endswith("\nstate:\n" + _state_rows(record.snapshot))
+
+
+def test_a_level_dense_pass_renders_only_the_rows_whose_text_changes(monkeypatch):
+    """On the benchmark's level-dense workload about 97 bindings fire per
+    tick, most of them writing back what their entity holds.  An equal
+    write keeps its object, so from the second tick on the memo renders
+    exactly the entities whose row differs from the tick before."""
+    wl = workloads.WORKLOADS["level-dense"](0)
+    name = {"jsonl": "_jsonl_fragment", "text": "_text_fragment"}[wl.fmt]
+    render = getattr(serialize, name)
+    calls = []
+
+    def counted(entity_id, entity):
+        calls.append(entity_id)
+        return render(entity_id, entity)
+
+    monkeypatch.setattr(serialize, name, counted)
+    checked = check_program(parse_program(wl.program))
+    state = initial_state(checked.initial_store)
+    rows = None
+    renders = []
+    for changes in parse_script(wl.script):
+        state, record = step(state, changes, checked.rules, checked.env, TriggerMode(wl.mode))
+        calls.clear()
+        serialize_tick(record, wl.fmt)
+        now = {entity_id: render(entity_id, entity) for entity_id, entity in record.snapshot.items()}
+        if rows is not None:
+            assert sorted(calls) == sorted(k for k, row in now.items() if rows.get(k) != row)
+            renders.append(len(calls))
+        rows = now
+    assert len(renders) > 100 and 0 < sum(renders) < 50 * len(renders)
 
 
 def test_hand_written_jsonl_escapes_strings_and_keeps_bool_apart_from_int():
