@@ -134,13 +134,23 @@ def initial_state(store: Store) -> RunState:
 @dataclass(frozen=True)
 class TickRecord:
     """One orchestration step's output: what came in, what fired, and the
-    full post-step store."""
+    full post-step store.
+
+    A record :func:`step` makes also has its lineage: ``base``, the store
+    the snapshot was stepped from, and ``touched``, ids that include every
+    id at which ``snapshot`` and ``base`` hold different entity objects
+    (an id may repeat).  The renderer uses them to visit only those ids
+    when it last rendered ``base``.  None, as a record built by hand has
+    them, means the lineage is not known.  They take no part in equality
+    or repr."""
 
     tick: int
     changes: tuple[ExternalChange, ...]
     fired: tuple[FiredRule, ...]
     snapshot: Store
     conflict: str | None = None
+    base: Store | None = field(default=None, compare=False, repr=False)
+    touched: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
 
 # ── The step and the loop ────────────────────────────────────────
@@ -313,7 +323,11 @@ def step(
     the pair lacks, in one pass over the post-external store, which also
     finds a bare pair's ``touched`` ids, and none on a later tick while
     the rules and mode stay the same.  The new state's pair takes those
-    lists moved by no id, as the effects write only events."""
+    lists moved by no id, as the effects write only events.
+
+    The record's lineage is ``state.current`` and the ids the changes
+    name, the effects wrote and the reset visited, when the state names
+    the ids its reset must visit; otherwise it has none."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
@@ -326,10 +340,10 @@ def step(
             # the carried lists were named by the old plan
             dual = None
         plan = plan_block(rules, mode)
+    named = tuple(dict.fromkeys(map(_named, changes)))
     if dual is None or not dual.describes(state.previous, state.current):
         dual = DualStore(state.previous, sigma_prime)
     else:
-        named = tuple(dict.fromkeys(map(_named, changes)))
         dual = dual.moved(state.previous, sigma_prime, tuple(dict.fromkeys(dual.touched + named)), named)
     conflict: str | None = None
     try:
@@ -341,13 +355,18 @@ def step(
         conflict = str(exc)
         effects, fired = {}, []
     snapshot = apply_internal(env, effects, sigma_prime, state.effect_ids)
-    record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
     effect_ids = tuple(effects)
+    touched: tuple[str, ...] | None = None
     if state.effect_ids is None:
         dual = None
     else:
         rebuilt = tuple(dict.fromkeys(effect_ids + state.effect_ids))
         dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
+        touched = named + rebuilt
+    record = TickRecord(
+        tick, tuple(changes), tuple(fired), snapshot, conflict,
+        None if touched is None else state.current, touched,
+    )
     return RunState(sigma_prime, snapshot, tick, effect_ids, dual, plan), record
 
 

@@ -9,20 +9,34 @@ rules the order in which they fired.  Identical records always render to
 identical bytes.
 
 Rendering costs what changed.  Per format, a memo keeps the last store it
-rendered as three parallel lists in id order: the sorted ids, the
-:class:`Entity` objects, and each entity's finished piece -- in ``jsonl``
-its ``"id":{...}`` member of ``entities``, in ``text`` its whole padded
-row.  Stores never change an entity in place and pass untouched entities
-on as the same objects, so a store's delta against the memo is found by
-object identity: every memo id is looked up in the new store and the
-objects are compared with ``is``.  A removed id looks up as ``None``.  New
-ids are looked for only when the counts say there are some: first among
-the store's last keys, where deploying appends them, and only if one of
-those is in the memo, as the store's keys less the memo's.  Ids go in and out with ``bisect``, and only the changed
-positions are rendered again.  ``text`` keeps the lengths of each column
-as counts and re-pads every row only when a column's width moves.  So the
-only per-tick work over the whole store is that identity pass, at C speed,
-and the final join.
+rendered: the store object itself, the :class:`Entity` object it rendered
+under each id, the ids in sorted order, and in that order each entity's
+finished piece -- in ``jsonl`` its ``"id":{...}`` member of ``entities``,
+in ``text`` its whole padded row.  Stores never change an entity in place
+and pass untouched entities on as the same objects, so a store's delta
+against the memo is found by object identity, at C speed: each visited id
+is looked up in the new store and in the memo, and the two objects are
+compared with ``is`` (an absent id looks up as ``None``).
+
+Which ids are visited follows the record's lineage.  A record that
+:func:`~pantagruel.runtime.step` made names the store it was stepped from
+(``base``) and the ids at which its snapshot can differ from it
+(``touched``); when ``base`` is the store the memo last rendered, only
+those ids are visited.  Otherwise -- a run's first tick, a record rendered
+out of order or built by hand, :func:`store_text` -- every memo id is
+visited, and new ids are looked for only when the counts say there are
+some: first among the store's last keys, where deploying appends them,
+and only if one of those is in the memo, as the store's keys less the
+memo's.
+
+Ids go in and out with ``bisect``; a delta that moves more than half the
+ids lays the lists out afresh in id order instead.  A moved entity is
+rendered from its shape's template -- its interface, attribute keys and
+event keys -- compiled once per memo into a ``%``-format string with the
+keys already sorted and escaped.  ``text`` keeps the lengths of each
+column as counts and re-pads every row only when a column's width moves.
+So a tick stepped from the store last rendered costs its touched ids, and
+the only work over the whole store is the final join.
 
 The ``jsonl`` line is written by hand in sorted key order, with strings
 escaped by the encoder ``json.dumps`` uses, and equals
@@ -37,13 +51,15 @@ from collections import Counter
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import is_not
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
-from .domains import UNDEF, Entity, Store, Value, in_sorted
+from .domains import UNDEF, Entity, Store, Value
 from .formatter import format_inits, format_value
 from .runtime import AttributeUpdate, EventUpdate, ExternalChange, Remove, TickRecord
 
 _INDENT = "  "
+# a text row up to its members: the id and the interface, each padded
+_ROW_HEAD = f"{_INDENT}%-*s  %-*s  "
 
 
 def change_text(change: ExternalChange) -> str:
@@ -99,81 +115,111 @@ def _fired_json(label: int, binding: dict[str, str]) -> str:
     return f'{{"binding":{_object(binding, _string)},"rule":{int.__repr__(label)}}}'
 
 
-def _jsonl_fragment(entity_id: str, entity: Entity) -> str:
-    return (
-        f'{_string(entity_id)}:{{"attributes":{_object(entity.attributes)}'
-        f',"events":{_object(entity.events)},"interface":{_string(entity.interface_id)}}}'
-    )
-
-
-def _text_fragment(entity_id: str, entity: Entity) -> str:
-    attrs = " ".join(
-        f"{k}={format_value(v)}" for k, v in sorted(entity.attributes.items())
-    )
-    events = " ".join(
-        f"{k}={format_value(v)}" for k, v in sorted(entity.events.items())
-    )
-    return f"{attrs or '-'} | {events or '-'}"
-
-
 # ── The memo ─────────────────────────────────────────────────────
 
 
+# A compiled shape: the %-format string, then the attribute keys and the
+# event keys in the order the string takes their values.
+_Template = tuple[str, tuple[str, ...], tuple[str, ...]]
+
+
+def _percent(text: str) -> str:
+    return text.replace("%", "%%")
+
+
 class _Memo:
-    """The last store rendered in ``jsonl``: its ids in sorted order, the
-    entity object under each, and each entity's ``"id":{...}`` member."""
+    """The last store rendered in ``jsonl``: the store itself, its entity
+    under each id, its ids in sorted order, and each entity's
+    ``"id":{...}`` member of ``entities``: the escaped id, then the rest
+    filled in from the template of the entity's shape."""
+
+    # A value is an int, or one of the singletons True, False and UNDEF,
+    # so it is spelled by a lookup of its identity, and an int by ``%s``.
+    spelling = {id(True): "true", id(False): "false", id(UNDEF): "null"}
 
     def __init__(self) -> None:
+        self.store: Store | None = None
+        self.last: dict[str, Entity] = {}
         self.ids: list[str] = []
-        self.entities: list[Entity] = []
         self.pieces: list[str] = []
+        # by interface, number of attributes, attribute keys and event keys
+        self.templates: dict[tuple[str | int, ...], _Template] = {}
+
+    def head(self, entity_id: str, entity: Entity) -> tuple[Any, ...]:
+        """What a template takes before the values: the escaped id."""
+        return (_string(entity_id),)
+
+    def compile(self, interface: str, attributes: list[str], events: list[str]) -> str:
+        """The piece of an entity with these sorted member keys, as a
+        ``%``-format string taking its head, then the values in key order."""
+        attrs = ",".join([_percent(_string(k)) + ":%s" for k in attributes])
+        evs = ",".join([_percent(_string(k)) + ":%s" for k in events])
+        return (
+            f'%s:{{"attributes":{{{attrs}}},"events":{{{evs}}}'
+            f',"interface":{_percent(_string(interface))}}}'
+        )
 
     def piece(self, entity_id: str, entity: Entity) -> str:
-        return _jsonl_fragment(entity_id, entity)
+        attributes, events = entity.attributes, entity.events
+        shape = (entity.interface_id, len(attributes), *attributes, *events)
+        template = self.templates.get(shape)
+        if template is None:
+            attribute_keys, event_keys = sorted(attributes), sorted(events)
+            text = self.compile(entity.interface_id, attribute_keys, event_keys)
+            template = self.templates[shape] = (text, tuple(attribute_keys), tuple(event_keys))
+        text, attribute_keys, event_keys = template
+        values = [*map(attributes.__getitem__, attribute_keys), *map(events.__getitem__, event_keys)]
+        spelled = map(self.spelling.get, map(id, values), values)
+        return text % (*self.head(entity_id, entity), *spelled)
 
-    def resize(
-        self, changed: list[int], now: list[Entity | None], added: list[str], store: Store
-    ) -> None:
-        """Called before any piece is rendered again, with the positions
-        that change, the store's entity at each position (``None`` when
-        removed) and the ids that come in."""
+    def resize(self, moved: Iterable[str], store: Store) -> None:
+        """Called before any piece is rendered again, with the ids whose
+        entity changes, comes or goes."""
 
-    def _added(self, store: Store, count: int) -> list[str]:
-        """The ``count`` keys of ``store`` the memo lacks, sorted.
-        ``apply_external`` appends deployed entities to the store it
-        copies, so they are most often its last keys; those are checked
-        first, and the whole key set is differenced only when one of them
-        is in the memo.  (The gone ids are not keys of the store, so they
-        need not leave first.)"""
-        if count <= 0:
-            return []
-        ids = self.ids
-        last = list(islice(reversed(store), count))
-        if any(in_sorted(ids, entity_id) for entity_id in last):
-            return sorted(store.keys() - ids)
-        return sorted(last)
-
-    def render(self, store: Store) -> list[str]:
-        """Bring the memo to ``store``; return the pieces in id order."""
-        ids, entities, pieces = self.ids, self.entities, self.pieces
-        now = list(map(store.get, ids))  # None where an id was removed
-        changed = list(compress(range(len(ids)), map(is_not, now, entities)))
-        gone = [i for i in changed if now[i] is None]
-        added = self._added(store, len(store) - len(ids) + len(gone))
-        self.resize(changed, now, added, store)
-        for i in changed:
-            entity = now[i]
-            if entity is not None:
-                entities[i] = entity
-                pieces[i] = self.piece(ids[i], entity)
-        for i in reversed(gone):
-            del ids[i], entities[i], pieces[i]
-        for entity_id in added:
-            i = bisect_left(ids, entity_id)
-            entity = store[entity_id]
-            ids.insert(i, entity_id)
-            entities.insert(i, entity)
-            pieces.insert(i, self.piece(entity_id, entity))
+    def render(self, store: Store, ids: Sequence[str] | None = None) -> list[str]:
+        """Bring the memo to ``store``; return the pieces in id order.
+        ``ids`` are the ids to visit, which must include every id where
+        ``store`` and the last store rendered hold different objects; None
+        visits every id of both."""
+        last, order, pieces = self.last, self.ids, self.pieces
+        if ids is None:
+            # every id: the memo's whose object moved, then the store's new ones
+            ids = list(compress(last, map(is_not, map(store.get, last), last.values())))
+            gone = len(ids) - sum(map(store.__contains__, ids))
+            ids += _new_ids(store, last, len(store) - len(last) + gone)
+        # each id whose object is not the one rendered, once; None where absent
+        moved = dict.fromkeys(compress(ids, map(is_not, map(store.get, ids), map(last.get, ids))))
+        self.resize(moved, store)
+        if len(moved) * 2 > len(order):
+            # a wide change, such as a first render: each id in and out by
+            # bisect would move the lists' tails once per id, so they are
+            # laid out afresh in id order instead
+            kept = dict(zip(order, pieces))
+            for entity_id in moved:
+                entity = store.get(entity_id)
+                if entity is None:
+                    del last[entity_id]
+                else:
+                    kept[entity_id] = self.piece(entity_id, entity)
+                    last[entity_id] = entity
+            order[:] = sorted(last)
+            pieces[:] = map(kept.__getitem__, order)
+            self.store = store
+            return pieces
+        for entity_id in moved:
+            entity = store.get(entity_id)
+            i = bisect_left(order, entity_id)
+            if entity is None:
+                del order[i], pieces[i], last[entity_id]
+                continue
+            piece = self.piece(entity_id, entity)
+            if entity_id in last:
+                pieces[i] = piece
+            else:
+                order.insert(i, entity_id)
+                pieces.insert(i, piece)
+            last[entity_id] = entity
+        self.store = store
         return pieces
 
 
@@ -182,43 +228,59 @@ class _TextMemo(_Memo):
     padded to the id and interface widths, which it keeps as counts of
     the lengths in each column."""
 
+    spelling = {id(True): "true", id(False): "false", id(UNDEF): "undef"}
+
     def __init__(self) -> None:
         super().__init__()
         self.id_lengths: Counter[int] = Counter()
         self.interface_lengths: Counter[int] = Counter()
         self.widths = (0, 0)
 
-    def _prefix(self, entity_id: str, entity: Entity) -> str:
+    def head(self, entity_id: str, entity: Entity) -> tuple[Any, ...]:
+        """The id and the interface, each with the width to pad it to."""
         id_width, iface_width = self.widths
-        return f"{_INDENT}{entity_id:<{id_width}}  {entity.interface_id:<{iface_width}}  "
+        return (id_width, entity_id, iface_width, entity.interface_id)
 
-    def piece(self, entity_id: str, entity: Entity) -> str:
-        return self._prefix(entity_id, entity) + _text_fragment(entity_id, entity) + "\n"
+    def compile(self, interface: str, attributes: list[str], events: list[str]) -> str:
+        attrs = " ".join([_percent(k) + "=%s" for k in attributes])
+        evs = " ".join([_percent(k) + "=%s" for k in events])
+        return f"{_ROW_HEAD}{attrs or '-'} | {evs or '-'}\n"
 
-    def resize(
-        self, changed: list[int], now: list[Entity | None], added: list[str], store: Store
-    ) -> None:
-        ids, entities = self.ids, self.entities
+    def resize(self, moved: Iterable[str], store: Store) -> None:
+        last = self.last
         id_lengths, interface_lengths = self.id_lengths, self.interface_lengths
-        for i in changed:
-            old, new = entities[i], now[i]
-            if new is None:
-                id_lengths[len(ids[i])] -= 1
+        for entity_id in moved:
+            old, new = last.get(entity_id), store.get(entity_id)
+            if old is None:
+                id_lengths[len(entity_id)] += 1
+                interface_lengths[len(new.interface_id)] += 1
+            elif new is None:
+                id_lengths[len(entity_id)] -= 1
                 interface_lengths[len(old.interface_id)] -= 1
             elif new.interface_id != old.interface_id:
                 interface_lengths[len(old.interface_id)] -= 1
                 interface_lengths[len(new.interface_id)] += 1
-        for entity_id in added:
-            id_lengths[len(entity_id)] += 1
-            interface_lengths[len(store[entity_id].interface_id)] += 1
-        widths = (_widest(self.id_lengths), _widest(self.interface_lengths))
+        widths = (_widest(id_lengths), _widest(interface_lengths))
         if widths != self.widths:
             start = len(_INDENT) + sum(self.widths) + 4  # where each row's fragment starts
             self.widths = widths
             self.pieces[:] = [
-                self._prefix(entity_id, entity) + row[start:]
-                for entity_id, entity, row in zip(self.ids, self.entities, self.pieces)
+                _ROW_HEAD % self.head(entity_id, last[entity_id]) + row[start:]
+                for entity_id, row in zip(self.ids, self.pieces)
             ]
+
+
+def _new_ids(store: Store, known: dict[str, Entity], count: int) -> list[str]:
+    """The ``count`` keys of ``store`` that ``known`` lacks.  Deploying
+    appends to the store it copies, so they are most often its last keys;
+    those are tried first, and the key sets are differenced only when one
+    of them is known."""
+    if count <= 0:
+        return []
+    tail = list(islice(reversed(store), count))
+    if any(map(known.__contains__, tail)):
+        return list(store.keys() - known.keys())
+    return tail
 
 
 def _widest(lengths: Counter[int]) -> int:
@@ -229,19 +291,27 @@ def _widest(lengths: Counter[int]) -> int:
 _memos: dict[str, _Memo] = {"jsonl": _Memo(), "text": _TextMemo()}
 
 
-def _pieces(fmt: str, store: Store) -> list[str]:
+def _pieces(
+    fmt: str, store: Store, base: Store | None = None, touched: Sequence[str] | None = None
+) -> list[str]:
+    """The pieces of ``store`` in ``fmt``.  When ``base`` is the store the
+    memo last rendered, only ``touched`` are visited."""
     memo = _memos[fmt]
     try:
-        return memo.render(store)
+        return memo.render(store, touched if base is not None and base is memo.store else None)
     except BaseException:
         _memos[fmt] = type(memo)()  # a half-updated memo would serve stale pieces
         raise
 
 
+def _state(head: str, rows: list[str]) -> str:
+    """``head``, then the rows of a state block, in one copy."""
+    return "".join([head, *rows]) if rows else f"{head}{_INDENT}(empty store)\n"
+
+
 def store_text(store: Store) -> str:
     """Aligned per-entity lines: id, interface, attributes | events."""
-    rows = _pieces("text", store)
-    return "".join(rows) if rows else f"{_INDENT}(empty store)\n"
+    return _state("", _pieces("text", store))
 
 
 def serialize_tick(record: TickRecord, fmt: str = "text") -> str:
@@ -249,12 +319,17 @@ def serialize_tick(record: TickRecord, fmt: str = "text") -> str:
     if fmt == "jsonl":
         changes = ",".join([_change_json(c) for c in record.changes])
         conflict = "null" if record.conflict is None else _string(record.conflict)
-        entities = ",".join(_pieces("jsonl", record.snapshot))
         fired = ",".join([_fired_json(f.label, f.binding) for f in record.fired])
-        return (
-            f'{{"changes":[{changes}],"conflict":{conflict},"entities":{{{entities}}}'
-            f',"fired":[{fired}],"tick":{int.__repr__(record.tick)}}}\n'
-        )
+        head = f'{{"changes":[{changes}],"conflict":{conflict},"entities":{{'
+        tail = f'}},"fired":[{fired}],"tick":{int.__repr__(record.tick)}}}\n'
+        entities = _pieces("jsonl", record.snapshot, record.base, record.touched)
+        if not entities:
+            return head + tail
+        # the line in one copy: head and tail ride on the end members
+        line = entities.copy()
+        line[0] = head + line[0]
+        line[-1] += tail
+        return ",".join(line)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"tick {record.tick}"]
@@ -273,4 +348,5 @@ def serialize_tick(record: TickRecord, fmt: str = "text") -> str:
     if record.conflict:
         lines.append(f"conflict: {record.conflict}")
     lines.append("state:")
-    return "\n".join(lines) + "\n" + store_text(record.snapshot)
+    rows = _pieces("text", record.snapshot, record.base, record.touched)
+    return _state("\n".join(lines) + "\n", rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -14,6 +15,7 @@ from pantagruel import (
     AttributeUpdate,
     Deploy,
     EventUpdate,
+    ExternalChangeError,
     Remove,
     TriggerMode,
     check_program,
@@ -350,17 +352,34 @@ def test_text_state_block_equals_the_memo_free_rows_as_widths_move():
         assert serialize_tick(record, "text").endswith("\nstate:\n" + expected)
 
 
+def _spy_pieces(monkeypatch, fmt, calls, fail_at=None):
+    """Record the id of every entity the ``fmt`` memo renders a piece
+    for; raise KeyboardInterrupt when it renders ``fail_at``."""
+    memo = type(serialize._memos[fmt])
+    render = memo.piece
+
+    def counted(self, entity_id, entity):
+        if entity_id == fail_at:
+            raise KeyboardInterrupt
+        calls.append(entity_id)
+        return render(self, entity_id, entity)
+
+    monkeypatch.setattr(memo, "piece", counted)
+
+
+def _entity_row(fmt, entity):
+    """One entity's members as rendered in ``fmt``, without a memo."""
+    if fmt == "jsonl":
+        return json.dumps(_payload(_record({"e": entity}))["entities"]["e"], sort_keys=True)
+    attrs = " ".join(f"{k}={format_value(v)}" for k, v in sorted(entity.attributes.items()))
+    events = " ".join(f"{k}={format_value(v)}" for k, v in sorted(entity.events.items()))
+    return f"{entity.interface_id} {attrs or '-'} | {events or '-'}"
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
 def test_a_tick_renders_only_the_entities_it_changed(monkeypatch, fmt):
-    name = {"jsonl": "_jsonl_fragment", "text": "_text_fragment"}[fmt]
-    render = getattr(serialize, name)
     calls = []
-
-    def counted(entity_id, entity):
-        calls.append(entity_id)
-        return render(entity_id, entity)
-
-    monkeypatch.setattr(serialize, name, counted)
+    _spy_pieces(monkeypatch, fmt, calls)
     store = {f"e{i:04}": Entity("Meter", {"zone": i % 4}, {"reading": UNDEF}) for i in range(2_500)}
     serialize_tick(_record(store), fmt)
 
@@ -387,15 +406,8 @@ def test_a_level_dense_pass_renders_only_the_rows_whose_text_changes(monkeypatch
     write keeps its object, so from the second tick on the memo renders
     exactly the entities whose row differs from the tick before."""
     wl = workloads.WORKLOADS["level-dense"](0)
-    name = {"jsonl": "_jsonl_fragment", "text": "_text_fragment"}[wl.fmt]
-    render = getattr(serialize, name)
     calls = []
-
-    def counted(entity_id, entity):
-        calls.append(entity_id)
-        return render(entity_id, entity)
-
-    monkeypatch.setattr(serialize, name, counted)
+    _spy_pieces(monkeypatch, wl.fmt, calls)
     checked = check_program(parse_program(wl.program))
     state = initial_state(checked.initial_store)
     rows = None
@@ -404,7 +416,7 @@ def test_a_level_dense_pass_renders_only_the_rows_whose_text_changes(monkeypatch
         state, record = step(state, changes, checked.rules, checked.env, TriggerMode(wl.mode))
         calls.clear()
         serialize_tick(record, wl.fmt)
-        now = {entity_id: render(entity_id, entity) for entity_id, entity in record.snapshot.items()}
+        now = {entity_id: _entity_row(wl.fmt, entity) for entity_id, entity in record.snapshot.items()}
         if rows is not None:
             assert sorted(calls) == sorted(k for k, row in now.items() if rows.get(k) != row)
             renders.append(len(calls))
@@ -441,21 +453,14 @@ def test_hand_written_jsonl_escapes_strings_and_keeps_bool_apart_from_int():
 
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
 def test_a_render_that_raises_leaves_no_stale_piece(monkeypatch, fmt):
-    name = {"jsonl": "_jsonl_fragment", "text": "_text_fragment"}[fmt]
-    render = getattr(serialize, name)
     old = {f"e{i}": Entity("I", {"k": 0}, {}) for i in range(5)}
     serialize_tick(_record(old), fmt)
     new = {**{f"e{i}": Entity("I", {"k": 1}, {}) for i in range(5)}, "a_longer_id": Entity("I", {}, {})}
 
-    def failing(entity_id, entity):
-        if entity_id == "e3":
-            raise KeyboardInterrupt
-        return render(entity_id, entity)
-
-    monkeypatch.setattr(serialize, name, failing)
-    with pytest.raises(KeyboardInterrupt):
-        serialize_tick(_record(new), fmt)
-    monkeypatch.setattr(serialize, name, render)
+    with monkeypatch.context() as patch:
+        _spy_pieces(patch, fmt, [], fail_at="e3")
+        with pytest.raises(KeyboardInterrupt):
+            serialize_tick(_record(new), fmt)
     line = serialize_tick(_record(new), fmt)
     if fmt == "jsonl":
         assert line == json.dumps(_payload(_record(new)), sort_keys=True, separators=(",", ":")) + "\n"
@@ -489,3 +494,138 @@ def test_new_ids_render_wherever_the_store_holds_them(fmt):
         # the jsonl expectation is the whole line, the text one the state block
         assert serialize_tick(record, fmt).endswith(_memo_free(record, fmt))
         assert serialize._memos[fmt].ids == sorted(store)
+
+
+# ── Rendering by lineage ─────────────────────────────────────────
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _fresh(record, fmt):
+    """``record`` rendered by a memo that has rendered nothing before."""
+    kept = serialize._memos[fmt]
+    serialize._memos[fmt] = type(kept)()
+    try:
+        return serialize_tick(record, fmt)
+    finally:
+        serialize._memos[fmt] = kept
+
+
+def _steps(checked, ticks, mode):
+    """Each record of a run, strict about conflicts."""
+    state = initial_state(checked.initial_store)
+    for changes in ticks:
+        state, record = step(state, changes, checked.rules, checked.env, mode)
+        yield record
+
+
+def _assert_renders_as_fresh(records, fmt):
+    for record in records:
+        base, snapshot = record.base, record.snapshot
+        moved = {k for k in base.keys() | snapshot.keys() if base.get(k) is not snapshot.get(k)}
+        assert moved <= set(record.touched)
+        assert serialize_tick(record, fmt) == _fresh(record, fmt)
+        assert serialize._memos[fmt].ids == sorted(record.snapshot)
+
+
+@pytest.mark.parametrize("mode", list(TriggerMode))
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+@pytest.mark.parametrize("script", ["trace.evs", "deployment.evs"])
+def test_every_demo_tick_renders_by_lineage_as_a_fresh_memo_does(script, fmt, mode):
+    checked = check_program(parse_program((DEMOS / "building.ptg").read_text()))
+    ticks = parse_script((DEMOS / script).read_text())
+    # the tick-0 record first, as --emit-initial writes it, so that the
+    # first tick is stepped from the store the memo last rendered
+    serialize_tick(TickRecord(0, (), (), checked.initial_store), fmt)
+    _assert_renders_as_fresh(_steps(checked, ticks, mode), fmt)
+
+
+@pytest.mark.parametrize("mode", list(TriggerMode))
+@pytest.mark.parametrize("seed", [0, 39])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_benchmark_tick_renders_by_lineage_as_a_fresh_memo_does(name, seed, mode):
+    wl = workloads.WORKLOADS[name](seed)
+    checked = check_program(parse_program(wl.program))
+    records = list(_steps(checked, parse_script(wl.script), mode))
+    for fmt in ("jsonl", "text"):
+        _assert_renders_as_fresh(records, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_a_record_rendered_out_of_order_renders_its_own_store(building, fmt):
+    script = [
+        [EventUpdate("m10", "detected", True)],
+        [EventUpdate("thermo", "temperature", 30), Remove("l11")],
+        [EventUpdate("m10", "detected", False)],
+        [Deploy(EntityDecl("l11", "Light", (InitDecl("room", NumLit(101)),)))],
+        [EventUpdate("m10", "detected", True)],
+    ]
+    records = list(_steps(building, script, TriggerMode.EDGE))
+    # records[3] comes first while its base, records[2]'s snapshot, is not
+    # the store last rendered, and again right after records[2]
+    for index in (0, 1, 3, 2, 3, 4, 0, 4):
+        record = records[index]
+        assert serialize_tick(record, fmt) == _fresh(record, fmt)
+        assert serialize._memos[fmt].ids == sorted(record.snapshot)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_a_refused_tick_between_two_records_leaves_the_lineage_whole(building, fmt):
+    rules, env, mode = building.rules, building.env, TriggerMode.EDGE
+    state = initial_state(building.initial_store)
+    state, first = step(state, [EventUpdate("m10", "detected", True)], rules, env, mode)
+    serialize_tick(first, fmt)
+    with pytest.raises(ExternalChangeError):
+        step(state, [EventUpdate("ghost", "detected", True)], rules, env, mode)
+    state, second = step(state, [EventUpdate("thermo", "temperature", 30)], rules, env, mode)
+    assert second.base is first.snapshot
+    assert serialize_tick(second, fmt) == _fresh(second, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_ids_named_twice_in_a_tick_go_into_the_memo_once(building, fmt, monkeypatch):
+    light = EntityDecl("l30", "Light", (InitDecl("room", NumLit(101)),))
+    script = [
+        [EventUpdate("m10", "detected", False)],
+        # l30 is deployed and switched on by rule 1 in the same tick, so it
+        # is both a changed id and an effect id
+        [Deploy(light), EventUpdate("m10", "detected", True)],
+        # l30 is removed and deployed again while its switch resets
+        [Remove("l30"), Deploy(light), EventUpdate("m10", "detected", False)],
+        [Remove("l30"), Deploy(light)],
+    ]
+    records = list(_steps(building, script, TriggerMode.EDGE))
+    assert records[1].touched.count("l30") == 2
+    assert "l30" in records[2].touched
+    assert records[1].snapshot["l30"].events["switch"] is True
+    rendered = []
+    _spy_pieces(monkeypatch, fmt, rendered)
+    for record in records:
+        rendered.clear()
+        line = serialize_tick(record, fmt)
+        assert rendered.count("l30") <= 1
+        assert serialize._memos[fmt].ids == sorted(record.snapshot)
+        assert line == _fresh(record, fmt)
+
+
+def test_a_steady_churn_wide_tick_looks_up_only_its_touched_ids():
+    wl = workloads.WORKLOADS["churn-wide"](0)
+    checked = check_program(parse_program(wl.program))
+    records = _steps(checked, parse_script(wl.script), TriggerMode(wl.mode))
+    for _ in range(5):
+        serialize_tick(next(records), wl.fmt)
+    record = next(records)
+
+    looked_up = []
+
+    class Spied(dict):
+        def get(self, key, default=None):
+            looked_up.append(key)
+            return super().get(key, default)
+
+    spied = dataclasses.replace(record, snapshot=Spied(record.snapshot))
+    assert spied.base is record.base and spied.touched is record.touched
+    line = serialize_tick(spied, wl.fmt)
+    assert line == _fresh(record, wl.fmt)
+    assert set(looked_up) == set(record.touched)
+    assert len(looked_up) <= 2 * len(record.touched) < len(record.snapshot) // 10
