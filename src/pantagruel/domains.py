@@ -215,15 +215,6 @@ def store_join(s1: Store, s2: Store) -> Store:
     return out
 
 
-def store_join_all(stores: Iterable[Store]) -> Store:
-    """Left fold of :func:`store_join`, into one store joined in place;
-    order-independent when conflict-free."""
-    acc: Store = {}
-    for store in stores:
-        join_into(acc, store)
-    return acc
-
-
 def access_event(event: str, entity_id: str, store: Store) -> Value:
     entity = store.get(entity_id)
     if entity is None:

@@ -38,13 +38,14 @@ from .ast import (
 from .domains import UNDEF, Value
 
 
+# A value is an int, or one of the singletons True, False and UNDEF, so
+# its spelling is a lookup of its identity, or failing that the int's.
+SPELLING = {id(True): "true", id(False): "false", id(UNDEF): "undef"}
+
+
 def format_value(value: Value) -> str:
     """Source spelling of a literal or runtime value."""
-    if value is UNDEF:
-        return "undef"
-    if type(value) is bool:
-        return "true" if value else "false"
-    return str(value)
+    return SPELLING.get(id(value)) or str(value)
 
 
 def format_expr(expr: Expr) -> str:

@@ -682,12 +682,12 @@ def _eval_rule_plan(
     built satisfies each call's filter, so the body runs without them.
 
     Each binding's partial store is joined into the rule's one store in
-    place, and the result is that of
-    :func:`~pantagruel.domains.store_join_all` over the list of them once
-    all are built: a conflict between the operands of one binding's
-    ``||`` is raised while that binding is built, so it comes first; one
-    between bindings is the first the fold meets, raised only once every
-    binding is built."""
+    place, and the result is that of a left fold of
+    :func:`~pantagruel.domains.store_join` over the list of them once all
+    are built (the closure oracle's ``store_join_all``): a conflict
+    between the operands of one binding's ``||`` is raised while that
+    binding is built, so it comes first; one between bindings is the
+    first the fold meets, raised only once every binding is built."""
     previous, current = dual.previous, dual.current
     bound = {name: name for name in plan.bare if name in current}
     if plan.closed is not None and not plan.closed(None, previous, current, bound):

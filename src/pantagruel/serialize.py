@@ -8,26 +8,24 @@ whatever order it built them.  Changes keep their script order, and fired
 rules the order in which they fired.  Identical records always render to
 identical bytes.
 
-Rendering costs what changed.  Per format, a memo keeps the last store it
-rendered: the store object itself, the :class:`Entity` object it rendered
-under each id, the ids in sorted order, and in that order each entity's
-finished piece -- in ``jsonl`` its ``"id":{...}`` member of ``entities``,
-in ``text`` its whole padded row.  Stores never change an entity in place
-and pass untouched entities on as the same objects, so a store's delta
-against the memo is found by object identity, at C speed: each visited id
-is looked up in the new store and in the memo, and the two objects are
-compared with ``is`` (an absent id looks up as ``None``).
+Rendering costs what changed.  Per format, a memo is the last store it
+rendered -- the store object itself -- with its ids in sorted order and,
+in that order, each entity's finished piece: in ``jsonl`` its
+``"id":{...}`` member of ``entities``, in ``text`` its whole padded row.
+Stores never change an entity in place and pass untouched entities on as
+the same objects, and a store once rendered is never changed in place
+either, so a store's delta against the memo is found by object identity,
+at C speed: each visited id is looked up in the new store and in the
+memo's, and the two objects are compared with ``is`` (an absent id looks
+up as ``None``).
 
 Which ids are visited follows the record's lineage.  A record that
 :func:`~pantagruel.runtime.step` made names the store it was stepped from
 (``base``) and the ids at which its snapshot can differ from it
 (``touched``); when ``base`` is the store the memo last rendered, only
 those ids are visited.  Otherwise -- a run's first tick, a record rendered
-out of order or built by hand, :func:`store_text` -- every memo id is
-visited, and new ids are looked for only when the counts say there are
-some: first among the store's last keys, where deploying appends them,
-and only if one of those is in the memo, as the store's keys less the
-memo's.
+out of order or built by hand, :func:`store_text` -- every id of both
+stores is visited.
 
 Ids go in and out with ``bisect``; a delta that moves more than half the
 ids lays the lists out afresh in id order instead.  A moved entity is
@@ -48,13 +46,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import compress, islice
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _string
 from operator import is_not
 from typing import Any, Callable, Iterable, Sequence
 
 from .domains import UNDEF, Entity, Store, Value
-from .formatter import format_inits, format_value
+from .formatter import SPELLING, format_inits, format_value
 from .runtime import AttributeUpdate, EventUpdate, ExternalChange, Remove, TickRecord
 
 _INDENT = "  "
@@ -77,12 +75,13 @@ def change_text(change: ExternalChange) -> str:
 # ── jsonl, by hand ───────────────────────────────────────────────
 
 
+# A value is an int, or one of the singletons True, False and UNDEF, so
+# its JSON spelling is a lookup of its identity, or failing that the int's.
+_JSON = {id(True): "true", id(False): "false", id(UNDEF): "null"}
+
+
 def _value(value: Value) -> str:
-    if value is UNDEF:
-        return "null"
-    if type(value) is bool:
-        return "true" if value else "false"
-    return int.__repr__(value)
+    return _JSON.get(id(value)) or int.__repr__(value)
 
 
 def _object(members: dict[str, Any], write: Callable[[Any], str] = _value) -> str:
@@ -128,18 +127,17 @@ def _percent(text: str) -> str:
 
 
 class _Memo:
-    """The last store rendered in ``jsonl``: the store itself, its entity
-    under each id, its ids in sorted order, and each entity's
-    ``"id":{...}`` member of ``entities``: the escaped id, then the rest
-    filled in from the template of the entity's shape."""
+    """The last store rendered in ``jsonl``: the store itself, its ids in
+    sorted order, each entity's ``"id":{...}`` member of ``entities`` --
+    the escaped id, then the rest filled in from the template of the
+    entity's shape -- and the templates compiled so far."""
 
-    # A value is an int, or one of the singletons True, False and UNDEF,
-    # so it is spelled by a lookup of its identity, and an int by ``%s``.
-    spelling = {id(True): "true", id(False): "false", id(UNDEF): "null"}
+    # a value's spelling by its identity; an int is not in it, and goes
+    # through ``%s``
+    spelling = _JSON
 
     def __init__(self) -> None:
-        self.store: Store | None = None
-        self.last: dict[str, Entity] = {}
+        self.store: Store = {}
         self.ids: list[str] = []
         self.pieces: list[str] = []
         # by interface, number of attributes, attribute keys and event keys
@@ -181,12 +179,9 @@ class _Memo:
         ``ids`` are the ids to visit, which must include every id where
         ``store`` and the last store rendered hold different objects; None
         visits every id of both."""
-        last, order, pieces = self.last, self.ids, self.pieces
+        last, order, pieces = self.store, self.ids, self.pieces
         if ids is None:
-            # every id: the memo's whose object moved, then the store's new ones
-            ids = list(compress(last, map(is_not, map(store.get, last), last.values())))
-            gone = len(ids) - sum(map(store.__contains__, ids))
-            ids += _new_ids(store, last, len(store) - len(last) + gone)
+            ids = [*last, *store]
         # each id whose object is not the one rendered, once; None where absent
         moved = dict.fromkeys(compress(ids, map(is_not, map(store.get, ids), map(last.get, ids))))
         self.resize(moved, store)
@@ -197,12 +192,9 @@ class _Memo:
             kept = dict(zip(order, pieces))
             for entity_id in moved:
                 entity = store.get(entity_id)
-                if entity is None:
-                    del last[entity_id]
-                else:
+                if entity is not None:
                     kept[entity_id] = self.piece(entity_id, entity)
-                    last[entity_id] = entity
-            order[:] = sorted(last)
+            order[:] = sorted(store)
             pieces[:] = map(kept.__getitem__, order)
             self.store = store
             return pieces
@@ -210,7 +202,7 @@ class _Memo:
             entity = store.get(entity_id)
             i = bisect_left(order, entity_id)
             if entity is None:
-                del order[i], pieces[i], last[entity_id]
+                del order[i], pieces[i]
                 continue
             piece = self.piece(entity_id, entity)
             if entity_id in last:
@@ -218,7 +210,6 @@ class _Memo:
             else:
                 order.insert(i, entity_id)
                 pieces.insert(i, piece)
-            last[entity_id] = entity
         self.store = store
         return pieces
 
@@ -228,7 +219,7 @@ class _TextMemo(_Memo):
     padded to the id and interface widths, which it keeps as counts of
     the lengths in each column."""
 
-    spelling = {id(True): "true", id(False): "false", id(UNDEF): "undef"}
+    spelling = SPELLING
 
     def __init__(self) -> None:
         super().__init__()
@@ -247,7 +238,7 @@ class _TextMemo(_Memo):
         return f"{_ROW_HEAD}{attrs or '-'} | {evs or '-'}\n"
 
     def resize(self, moved: Iterable[str], store: Store) -> None:
-        last = self.last
+        last = self.store
         id_lengths, interface_lengths = self.id_lengths, self.interface_lengths
         for entity_id in moved:
             old, new = last.get(entity_id), store.get(entity_id)
@@ -270,19 +261,6 @@ class _TextMemo(_Memo):
             ]
 
 
-def _new_ids(store: Store, known: dict[str, Entity], count: int) -> list[str]:
-    """The ``count`` keys of ``store`` that ``known`` lacks.  Deploying
-    appends to the store it copies, so they are most often its last keys;
-    those are tried first, and the key sets are differenced only when one
-    of them is known."""
-    if count <= 0:
-        return []
-    tail = list(islice(reversed(store), count))
-    if any(map(known.__contains__, tail)):
-        return list(store.keys() - known.keys())
-    return tail
-
-
 def _widest(lengths: Counter[int]) -> int:
     return max((n for n, count in lengths.items() if count), default=0)
 
@@ -298,7 +276,7 @@ def _pieces(
     memo last rendered, only ``touched`` are visited."""
     memo = _memos[fmt]
     try:
-        return memo.render(store, touched if base is not None and base is memo.store else None)
+        return memo.render(store, touched if base is memo.store else None)
     except BaseException:
         _memos[fmt] = type(memo)()  # a half-updated memo would serve stale pieces
         raise

@@ -18,13 +18,14 @@ package drops: an entity environment maps each variable to an
 and :func:`eval_expression` read those, so the differential tests compare
 two independent expression readers.  Only the store algebra (member
 reads, the store join, the member update, the value comparisons) comes
-from the package.
+from the package; :func:`store_join_all`, the fold of a rule's partial
+stores, is the oracle's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from pantagruel.ast import (
     ActionCall,
@@ -55,8 +56,8 @@ from pantagruel.domains import (
     Value,
     access_attribute,
     access_event,
+    join_into,
     store_join,
-    store_join_all,
     update_member,
     value_eq,
     value_neq,
@@ -266,6 +267,15 @@ def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:
             if store[entity_id].interface_id == rho[var].name
         ]
     return envs
+
+
+def store_join_all(stores: Iterable[Store]) -> Store:
+    """Left fold of :func:`~pantagruel.domains.store_join`, into one store
+    joined in place; order-independent when conflict-free."""
+    acc: Store = {}
+    for store in stores:
+        join_into(acc, store)
+    return acc
 
 
 def eval_rule(

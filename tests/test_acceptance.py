@@ -37,10 +37,11 @@ from pantagruel import (
     step,
     store_join,
 )
-from pantagruel.domains import Entity, instantiate, store_join_all, value_eq
+from pantagruel.domains import Entity, instantiate, value_eq
 from pantagruel.cli import main
 
-from conftest import (
+from closure_eval import store_join_all
+from support import (
     BUILDING_RULES_13,
     BUILDING_SPEC,
     eval_block,

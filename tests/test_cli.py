@@ -6,16 +6,25 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import pantagruel
-from pantagruel import format_program, parse_program
+from pantagruel import (
+    TriggerMode,
+    check_program,
+    format_program,
+    parse_program,
+    parse_script,
+    run_trace,
+)
+from pantagruel import serialize
 from pantagruel.cli import main
 
-from conftest import (
+from support import (
     BUILDING_FULL,
     BUILDING_RULES_13,
     BUILDING_RUNNABLE,
@@ -34,6 +43,8 @@ tick
 event thermo.temperature = 30
 tick
 """
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 CONFLICT_PROGRAM = program_source(
     "when event detected from m:MotionDetector value = true "
@@ -544,6 +555,43 @@ def test_repl_exits_1_at_the_end_of_its_input_after_a_refused_tick(
     code, out, _ = _repl(monkeypatch, capsys, ["repl", program], lines + "wat\ntick\n" + end)
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("tick ")] == ["tick 1", "tick 2"]
+
+
+def _fresh_store_text(store):
+    """``store_text(store)`` from a text memo that has rendered nothing."""
+    kept = serialize._memos["text"]
+    serialize._memos["text"] = type(kept)()
+    try:
+        return serialize.store_text(store)
+    finally:
+        serialize._memos["text"] = kept
+
+
+@pytest.mark.parametrize("mode", list(TriggerMode))
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("script", ["trace.evs", "deployment.evs"])
+def test_repl_states_between_ticks_leave_the_records_as_run_prints_them(
+    capsys, monkeypatch, script, fmt, mode
+):
+    """A ``state`` line after every ``tick``: the repl prints ``run``'s
+    records with, after each, the state block a fresh memo renders.  In
+    ``text`` the records by lineage and the states without it take turns
+    on one memo."""
+    program, lines = str(DEMOS / "building.ptg"), (DEMOS / script).read_text()
+    argv = ["--format", fmt, "--mode", mode.value]
+    assert main(["run", program, "--script", str(DEMOS / script), *argv]) == 0
+    scripted = capsys.readouterr().out
+    if fmt == "jsonl":
+        records = scripted.splitlines(keepends=True)
+    else:
+        records = re.split(r"(?m)^(?=tick )", scripted)[1:]
+    checked = check_program(parse_program((DEMOS / "building.ptg").read_text()))
+    snapshots = [r.snapshot for r in run_trace(checked, parse_script(lines), mode)]
+    assert len(records) == len(snapshots) == 4
+    with_states = re.sub(r"(?m)^tick$", "tick\nstate", lines) + "quit\n"
+    code, out, err = _repl(monkeypatch, capsys, ["repl", program, *argv], with_states)
+    assert (code, err) == (0, "")
+    assert out == "".join(map("".join, zip(records, map(_fresh_store_text, snapshots))))
 
 
 def test_run_writes_each_record_before_it_steps_the_next_tick(files, monkeypatch):

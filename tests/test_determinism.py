@@ -17,7 +17,7 @@ import pytest
 
 import pantagruel
 
-from conftest import TWO_KEY_CONFLICT_PROGRAM, TWO_KEY_CONFLICT_SCRIPT
+from support import TWO_KEY_CONFLICT_PROGRAM, TWO_KEY_CONFLICT_SCRIPT
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 SRC = pathlib.Path(pantagruel.__file__).resolve().parent.parent

@@ -20,12 +20,12 @@ from pantagruel.domains import (
     access_event,
     combine_entities,
     instantiate,
-    store_join_all,
     value_eq,
     value_neq,
 )
 
-from conftest import action_effects, index_pools
+from closure_eval import store_join_all
+from support import action_effects, index_pools
 
 # ── Values ───────────────────────────────────────────────────────
 

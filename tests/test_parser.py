@@ -37,7 +37,7 @@ from pantagruel.ast import (
 )
 from pantagruel.parser import parse_entity_decl
 
-from conftest import BUILDING_FULL, BUILDING_RUNNABLE
+from support import BUILDING_FULL, BUILDING_RUNNABLE
 
 
 def test_full_corpus_shape():

@@ -46,7 +46,7 @@ from pantagruel.domains import Entity, Interface, value_eq
 from pantagruel.rule_eval import UnsupportedConstructError, plan_block
 from pantagruel.spec_eval import eval_specification
 
-from conftest import (
+from support import (
     BUILDING_SPEC,
     RULE_1,
     action_effects,

@@ -32,7 +32,7 @@ from pantagruel.parser import parse_entity_decl
 from pantagruel.rule_eval import plan_block
 from pantagruel.runtime import RunState
 
-from conftest import RULE_1, RULE_3, produced_keys, program_source, with_event
+from support import RULE_1, RULE_3, produced_keys, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL

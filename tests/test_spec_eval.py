@@ -22,7 +22,7 @@ from pantagruel.spec_eval import (
     eval_specification,
 )
 
-from conftest import BUILDING_FULL, BUILDING_RULES_13, BUILDING_SPEC
+from support import BUILDING_FULL, BUILDING_RULES_13, BUILDING_SPEC
 
 
 def _codes(diagnostics, severity=None):
