@@ -12,6 +12,9 @@ classes are ASCII, as the identifier and numeral forms are, so ``é`` or
 ``٣`` is an invalid character, not part of a word.  A token is a plain
 record of its kind, text and position; its :class:`SourceSpan` is made
 only when asked for (:attr:`Token.span`).
+
+:func:`scan_line` scans one line; :func:`tokenize` is it run over each
+line of a text, then the EOF token.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class TokenKind(enum.Enum):
     DOT = "."
     COMMA = ","
     PARPAR = "||"
+    # a whole line read as one entity declaration (see parser._fold)
+    DECL = "entity declaration"
     EOF = "end of input"
     # keywords: valued as their own name in lower case, which is what
     # KEYWORDS picks them out by
@@ -111,6 +116,38 @@ _SCAN = re.compile(
 ).finditer
 
 
+def scan_line(
+    line: str, number: int, tokens: list[Token], diagnostics: list[Diagnostic]
+) -> None:
+    """Append the tokens of ``line``, the ``number``-th line of a text, to
+    ``tokens``, and a diagnostic for each invalid character or malformed
+    numeral to ``diagnostics``."""
+    append = tokens.append
+    kinds = _KINDS.get
+    ident = TokenKind.IDENT
+    integer = TokenKind.INT
+    for match in _SCAN(line.rstrip()):
+        group = match.lastindex
+        if group == 1:
+            word = match[1]
+            append(_new(Token, (kinds(word, ident), word, number, match.start(1) + 1)))
+        elif group == 2:
+            append(_new(Token, (integer, match[2], number, match.start(2) + 1)))
+        elif group == 3:
+            bad = match[3]
+            span = SourceSpan(number, match.start(3) + 1, len(bad))
+            diagnostics.append(error("parse-error", f"malformed numeral {bad!r}", span))
+        elif group == 4:
+            span = SourceSpan(number, match.start(4) + 1, 1)
+            diagnostics.append(error("parse-error", f"invalid character {match[4]!r}", span))
+
+
+def end_of_input(lines: list[str]) -> Token:
+    """The EOF token of a text split at ``\\n`` into ``lines``: just after
+    its last character."""
+    return Token(TokenKind.EOF, "", len(lines), len(lines[-1]) + 1)
+
+
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     """Scan ``text`` into tokens; invalid characters become diagnostics.
 
@@ -119,25 +156,8 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     """
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    append = tokens.append
-    kinds = _KINDS.get
-    ident = TokenKind.IDENT
-    integer = TokenKind.INT
     lines = text.split("\n")
     for number, line in enumerate(lines, start=1):
-        for match in _SCAN(line.rstrip()):
-            group = match.lastindex
-            if group == 1:
-                word = match[1]
-                append(_new(Token, (kinds(word, ident), word, number, match.start(1) + 1)))
-            elif group == 2:
-                append(_new(Token, (integer, match[2], number, match.start(2) + 1)))
-            elif group == 3:
-                bad = match[3]
-                span = SourceSpan(number, match.start(3) + 1, len(bad))
-                diagnostics.append(error("parse-error", f"malformed numeral {bad!r}", span))
-            elif group == 4:
-                span = SourceSpan(number, match.start(4) + 1, 1)
-                diagnostics.append(error("parse-error", f"invalid character {match[4]!r}", span))
-    tokens.append(Token(TokenKind.EOF, "", len(lines), len(lines[-1]) + 1))
+        scan_line(line, number, tokens, diagnostics)
+    tokens.append(end_of_input(lines))
     return tokens, diagnostics

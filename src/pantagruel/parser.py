@@ -4,6 +4,18 @@ Parsing is total: any input yields either an AST or a :class:`ParseError`
 carrying one diagnostic per problem found.  The parser recovers at
 declaration boundaries so several errors can be reported in one pass.
 
+Most of a program is entity declarations, one per line, so a line that
+one compiled pattern takes whole (``[entity] name : Interface { attr :
+literal [,] ... }``, blanks and a trailing comment allowed) is not
+tokenized: it becomes one ``DECL`` token, whose declaration is built
+from the match's offsets, with the spans the token parser gives it.  The
+parser accepts that token only where a declaration may start.  A line
+whose names include a keyword, or whose numeral is longer than ``int``
+converts, is tokenized instead.  A text with any diagnostic at all stops
+being read at its first one and is parsed again from its tokens alone,
+so every diagnostic is the token parser's.  Scripted deploys
+(:func:`parse_entity_decl`) read their line with the same pattern.
+
 Shape decisions: ``and`` binds tighter than ``or`` and ``,`` binds tighter
 than ``||``, all left-associative; the ``entity`` keyword is optional (bare
 ``name:Interface { ... }`` is accepted); entity initializers accept ``:``
@@ -12,6 +24,8 @@ or ``=``; ``all ... groupby`` aggregation is parsed into an
 """
 
 from __future__ import annotations
+
+import re
 
 from .ast import (
     ActionCall,
@@ -46,14 +60,36 @@ from .ast import (
 )
 from typing import NoReturn
 
-from .diagnostics import Diagnostic, error
-from .lexer import Token, TokenKind, tokenize
+from .diagnostics import Diagnostic, SourceSpan, error
+from .lexer import KEYWORDS, Token, TokenKind, end_of_input, scan_line, tokenize
 
 _TYPE_NAMES = {"Integer": TypeTag.NAT, "Boolean": TypeTag.BOOL}
 _MEMBER_KINDS = (TokenKind.ATTRIBUTE, TokenKind.EVENT, TokenKind.ACTION)
 _SPEC_SYNC = (TokenKind.INTERFACE, TokenKind.ENTITY, TokenKind.RULES, TokenKind.EOF)
 _RULE_SYNC = (TokenKind.WHEN, TokenKind.LPAREN, TokenKind.END, TokenKind.EOF)
 _EOF = TokenKind.EOF
+_DECL = TokenKind.DECL
+
+# A whole entity-declaration line, ``[entity] name : Interface { attr :
+# literal [,] ... }``, with blanks anywhere the token parser allows them
+# and an optional trailing comment.  Names, numerals and ``true``/``false``
+# end where the lexer ends them, so the pattern splits a line into the
+# words the lexer would.  Blanks exclude ``\n``, the one line break, so a
+# match lies on one line; no two blank runs are adjacent, so a line the
+# pattern refuses is refused without trying each split of its blanks.
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_BLANK = r"[^\S\n]*"
+_INIT = (
+    rf"({_NAME}){_BLANK}[:=]{_BLANK}((?:[0-9]+|true|false)(?![A-Za-z0-9_]))"
+    rf"{_BLANK}(?:,{_BLANK})?"
+)
+_DECL_LINE = re.compile(
+    rf"{_BLANK}(?:entity[^\S\n]+)?({_NAME}){_BLANK}:{_BLANK}({_NAME}){_BLANK}"
+    rf"\{{{_BLANK}((?:{_INIT})*)\}}{_BLANK}(?:#.*)?"
+).fullmatch
+_INITS = re.compile(_INIT).finditer
+# builds a SourceSpan from a tuple of its fields, as the lexer does
+_new = tuple.__new__
 
 
 class ParseError(Exception):
@@ -68,16 +104,28 @@ class _Bail(Exception):
     """Internal signal: abandon the current declaration and resynchronize."""
 
 
+class _Refold(Exception):
+    """A text read with folded declaration lines has a problem: it is
+    read again from its tokens alone, which word every diagnostic."""
+
+
 class _Parser:
     """A cursor over one token list, which ends with its EOF token: ``pos``
     indexes the current token, and the per-token helpers (``_at``,
     ``_advance``, ``_expect``) read ``tokens[pos]`` directly.  The cursor
     never moves past EOF."""
 
-    def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
+    def __init__(
+        self,
+        tokens: list[Token],
+        diagnostics: list[Diagnostic],
+        decls: dict[int, EntityDecl] | None = None,
+    ):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
+        # the declaration each DECL token stands for, by its line number
+        self.decls = decls or {}
 
     # ── token access ─────────────────────────────────────────────
 
@@ -97,6 +145,8 @@ class _Parser:
         return tok
 
     def _error(self, message: str, token: Token | None = None) -> None:
+        if self.decls:
+            raise _Refold()
         tok = token or self._current()
         self.diagnostics.append(error("parse-error", message, tok.span))
 
@@ -134,7 +184,11 @@ class _Parser:
         entities: list[EntityDecl] = []
         while not self._at(TokenKind.RULES, TokenKind.EOF):
             try:
-                if self._at(TokenKind.INTERFACE):
+                tok = self.tokens[self.pos]
+                if tok.kind is _DECL:
+                    self.pos += 1
+                    entities.append(self.decls[tok.line])
+                elif self._at(TokenKind.INTERFACE):
                     interfaces.append(self._interface_decl())
                 elif self._at(TokenKind.ENTITY):
                     self._advance()
@@ -346,9 +400,73 @@ class _Parser:
         self._fail(f"expected a value expression, got {tok.text or tok.kind.value!r}")
 
 
+def _read_decl(line: str, number: int) -> EntityDecl | None:
+    """The entity declaration that ``line``, the ``number``-th line of a
+    text, holds whole, with the records and spans the token parser makes
+    of it; None if the declaration pattern does not take the line, or if
+    a name, interface or attribute is a keyword or a numeral is longer
+    than ``int`` converts, which the token parser reads instead."""
+    match = _DECL_LINE(line)
+    if match is None:
+        return None
+    name, iface = match[1], match[2]
+    if name in KEYWORDS or iface in KEYWORDS:
+        return None
+    inits: list[InitDecl] = []
+    start, end = match.span(3)
+    for init in _INITS(line, start, end):
+        attr, text = init.groups()
+        if attr in KEYWORDS:
+            return None
+        span = _new(SourceSpan, (number, init.start(2) + 1, len(text)))
+        if text == "true" or text == "false":
+            value: Literal = BoolLit(text == "true", span)
+        else:
+            try:
+                value = NumLit(int(text), span)
+            except ValueError:
+                return None
+        span = _new(SourceSpan, (number, init.start() + 1, len(attr)))
+        inits.append(InitDecl(attr, value, span))
+    span = _new(SourceSpan, (number, match.start(1) + 1, len(name)))
+    return EntityDecl(name, iface, tuple(inits), span)
+
+
+def _fold(text: str) -> tuple[list[Token], list[Diagnostic], dict[int, EntityDecl]]:
+    """``tokenize(text)``, except that each line :func:`_read_decl` takes
+    is one DECL token, whose declaration the returned map holds under its
+    line number."""
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    decls: dict[int, EntityDecl] = {}
+    lines = text.split("\n")
+    for number, line in enumerate(lines, start=1):
+        decl = _read_decl(line, number)
+        if decl is None:
+            scan_line(line, number, tokens, diagnostics)
+        else:
+            decls[number] = decl
+            tokens.append(Token(_DECL, line, number, 1))
+    tokens.append(end_of_input(lines))
+    return tokens, diagnostics, decls
+
+
 def parse_program(text: str) -> ProgramAst:
-    """Parse a full program; raise :class:`ParseError` listing all problems."""
-    tokens, diagnostics = tokenize(text)
+    """Parse a full program; raise :class:`ParseError` listing all problems.
+
+    Each line the declaration pattern takes whole is read as one token,
+    which the parser accepts only where a declaration may start.  A text
+    with any problem at all is dropped at its first problem and read again
+    by the token parser alone, so its diagnostics are the token parser's.
+    """
+    tokens, diagnostics, decls = _fold(text)
+    if decls:
+        if not diagnostics:
+            try:
+                return _Parser(tokens, diagnostics, decls).parse_program()
+            except _Refold:
+                pass
+        tokens, diagnostics = tokenize(text)
     parser = _Parser(tokens, diagnostics)
     program = parser.parse_program()
     if parser.diagnostics:
@@ -358,8 +476,10 @@ def parse_program(text: str) -> ProgramAst:
 
 def parse_entity_decl(text: str) -> EntityDecl:
     """Parse a single ``name:Interface { ... }`` declaration (scripted deploys)."""
-    tokens, diagnostics = tokenize(text)
-    parser = _Parser(tokens, diagnostics)
+    decl = _read_decl(text, 1)
+    if decl is not None:
+        return decl
+    parser = _Parser(*tokenize(text))
     try:
         if parser._at(TokenKind.ENTITY):
             parser._advance()

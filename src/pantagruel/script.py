@@ -3,6 +3,9 @@
 One change per line; a ``tick`` line closes the current group of changes
 and marks one orchestration step.  Values are decimal nonnegative
 integers, ``true``, ``false``, or ``undef`` (sensor dropout).
+``deploy`` must not run into the declaration's name: ``deployx : ...``
+is no deploy.  ``run`` and the repl both read their lines with
+:func:`parse_line`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ _UPDATE_RE = re.compile(
     r"^(event|attr)\s+([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z][A-Za-z0-9_]*)\s*=\s*(\S+)$"
 )
 _REMOVE_RE = re.compile(r"^remove\s+([A-Za-z][A-Za-z0-9_]*)$")
+# 'deploy' and not the start of a longer word, as in 'deployx : ...'
+_DEPLOY_RE = re.compile(r"^deploy(?![A-Za-z0-9_])")
 
 
 class ScriptError(Exception):
@@ -61,7 +66,7 @@ def parse_line(line: str) -> ExternalChange | TickMarker | None:
         return AttributeUpdate(entity, member, value)
     if match := _REMOVE_RE.match(text):
         return Remove(match.group(1))
-    if text.startswith("deploy"):
+    if _DEPLOY_RE.match(text):
         rest = text[len("deploy") :].strip()
         try:
             return Deploy(parse_entity_decl(rest))

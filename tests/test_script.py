@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from pantagruel import (
@@ -13,7 +16,10 @@ from pantagruel import (
     ScriptError,
 )
 from pantagruel.ast import EntityDecl, InitDecl, NumLit
+from pantagruel.cli import main
 from pantagruel.script import TickMarker, parse_line, parse_script
+
+from support import BUILDING_RUNNABLE
 
 
 def test_parse_line_forms():
@@ -79,3 +85,40 @@ def test_trailing_changes_without_tick_rejected():
     with pytest.raises(ScriptError) as exc:
         parse_script("event m10.detected = true\n")
     assert "never execute" in str(exc.value)
+
+
+# ── deploy is a word of its own ──────────────────────────────────
+
+RUN_INTO = "deployl40 : Light { room : 101 }"
+
+
+def test_deploy_run_into_a_name_is_unrecognized():
+    with pytest.raises(ScriptError, match="unrecognized script line 'deployl40 :"):
+        parse_line(RUN_INTO)
+    # 'deploy' alone, or before punctuation, is still a malformed deploy
+    for line, message in (
+        ("deploy", "bad deploy: expected entity name, got 'end of input'"),
+        ("deploy{ }", "bad deploy: expected entity name, got '{'"),
+    ):
+        with pytest.raises(ScriptError, match=message):
+            parse_line(line)
+
+
+def test_run_and_repl_refuse_deploy_run_into_a_name(tmp_path, capsys, monkeypatch):
+    program = tmp_path / "b.ptg"
+    program.write_text(BUILDING_RUNNABLE, encoding="utf-8")
+    evs = tmp_path / "bad.evs"
+    evs.write_text(f"{RUN_INTO}\ntick\n", encoding="utf-8")
+    assert main(["run", str(program), "--script", str(evs)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{evs}: line 1: unrecognized script line {RUN_INTO!r}\n"
+    # the repl reports the line and goes on without it
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{RUN_INTO}\ntick\nquit\n"))
+    assert main(["repl", str(program), "--format", "jsonl"]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"error: unrecognized script line {RUN_INTO!r}\n"
+    record = json.loads(out)
+    assert record["tick"] == 1 and record["changes"] == []
+    assert "l40" not in record["entities"]
+
