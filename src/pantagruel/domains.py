@@ -16,7 +16,7 @@ equal-value overlap tolerated.  Stores are finite maps: their key order
 carries no meaning and nothing here sorts them.  Order is fixed only where
 it can be observed: :meth:`DualStore.ids` lists an interface's ids
 sorted, :func:`instantiate` enumerates bindings of sorted pools
-lexicographically, :func:`join_into` reports the least conflict, and the
+lexicographically, :func:`store_join` reports the least conflict, and the
 serializer sorts what it prints.  Nothing here iterates a set, so no
 result depends on the string hash seed.
 
@@ -187,31 +187,24 @@ def combine_entities(
     return Entity(a.interface_id, attributes, events)
 
 
-def join_into(into: Store, store: Store) -> None:
-    """Join ``store`` into ``into`` in place: pointwise
-    :func:`combine_entities` over the union of both key sets, ``into``
-    on the left.  When several entities clash, the one with the least id
-    is reported, so the error does not depend on either store's key
-    order; ``into`` is then left part-joined."""
+def store_join(s1: Store, s2: Store) -> Store:
+    """The conflict-checked merge of two stores, as a new store: pointwise
+    :func:`combine_entities` over the union of both key sets, ``s1`` on
+    the left.  When several entities clash, the one with the least id is
+    reported, so the error does not depend on either store's key order."""
+    out = dict(s1)
     clashes: list[ConflictError] = []
-    for entity_id, entity in store.items():
-        present = into.get(entity_id)
+    for entity_id, entity in s2.items():
+        present = out.get(entity_id)
         if present is None:
-            into[entity_id] = entity
+            out[entity_id] = entity
             continue
         try:
-            into[entity_id] = combine_entities(entity_id, present, entity)
+            out[entity_id] = combine_entities(entity_id, present, entity)
         except ConflictError as exc:
             clashes.append(exc)
     if clashes:
         raise min(clashes, key=lambda exc: exc.entity_id)
-
-
-def store_join(s1: Store, s2: Store) -> Store:
-    """The conflict-checked merge of two stores, as a new store
-    (:func:`join_into` of ``s2`` into a copy of ``s1``)."""
-    out = dict(s1)
-    join_into(out, s2)
     return out
 
 

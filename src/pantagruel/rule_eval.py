@@ -9,10 +9,15 @@ stays inert).  A binding maps each name bound to an entity to that
 entity's id; a name it lacks is unbound.
 :func:`~pantagruel.domains.instantiate` extends it over the matching
 entities.  For each binding the rule's condition (what the pool tests
-below leave of it) is tested and, if it holds, its body builds the
-binding's partial store, which is joined in place into the rule's one
-effect store (:func:`~pantagruel.domains.join_into`); that store is all a
-rule produces besides its :class:`FiredRule` labels and bindings.
+below leave of it) is tested and, if it holds, its body writes the
+binding's effects into one flat map of :data:`Effects`, ``(entity,
+action)`` to the value written, and no entity is built.  Each binding's
+map is folded into the rule's one map, and each rule's into the block's,
+with the conflict check :func:`~pantagruel.domains.store_join` makes
+(:func:`_fold`); only the block's map becomes a store, once, its entities
+taking their interfaces from the current store (:func:`_store_of`).  That
+store is all a block produces besides its :class:`FiredRule` labels and
+bindings.
 
 Which bindings are built is decided here, and only here.  What that
 reads of the rule and the trigger mode alone is the rule's plan: its
@@ -85,10 +90,10 @@ Only the conjuncts not tested on pools (``or`` terms and atoms reading two
 open variables, whatever their filters) are left to whole bindings, and
 none if there are none; the body's writer runs on every binding built.
 This is exact: a binding never built fails a pushed conjunct, or every
-call's filter (so each call returns its seed), and would have produced no
-partial store and no :class:`FiredRule`; the survivors keep their
-enumeration order, so the fired list, the fold of partial stores and any
-reported conflict are those of the full product.
+call's filter (so no call writes), and would have written no effect and
+made no :class:`FiredRule`; the survivors keep their enumeration order,
+so the fired list, the fold of the bindings' effects and any reported
+conflict are those of the full product.
 
 Every compiled closure reads as the definition does: conditions read
 event filters against the *previous* store while action filters read the
@@ -145,9 +150,6 @@ from .domains import (
     access_attribute,
     access_event,
     instantiate,
-    join_into,
-    store_join,
-    update_member,
     value_eq,
     value_neq,
 )
@@ -238,9 +240,12 @@ Test = Callable[[Union[str, None], Store, Store, Binding], bool]
 # A compiled value test: whether it holds for the event of ``entity_id``,
 # given the subject, ``(previous, current)`` and the binding.
 ValueTest = Callable[[str, Union[str, None], Store, Store, Binding], bool]
-# A compiled body: the partial store it builds on ``seed`` for the binding,
-# read from ``current`` against the interfaces ``env``.
-Writer = Callable[[EnvInterface, Store, Binding, Store], Store]
+# Effects as one flat map: ``(entity_id, action)`` to the value the
+# action's implicit event is set to.
+Effects = dict[tuple[str, str], Value]
+# A compiled body: writes the binding's calls into ``effects`` in place,
+# each read from ``current`` against the interfaces ``env``.
+Writer = Callable[[EnvInterface, Store, Binding, Effects], None]
 
 
 def _compile_read(expr: Expr, var: str | None) -> Read:
@@ -393,65 +398,95 @@ def _compile_conjuncts(
     return _all_of([_compile_condition(conjunct, mode, var) for conjunct in conjuncts])
 
 
+def _fold(into: Effects, part: Effects) -> tuple[str, str] | None:
+    """Join ``part`` into ``into`` in place, as
+    :func:`~pantagruel.domains.store_join` joins two partial stores: a key
+    held on both sides must hold equal values (:func:`value_neq`), and
+    ``into`` keeps its own.  Returns the least clashing key, the one that
+    join reports, None if none clashes; ``into`` is then part-joined."""
+    clashes = []
+    for key, value in part.items():
+        held = into.setdefault(key, value)
+        if held is not value and value_neq(held, value):
+            clashes.append(key)
+    return min(clashes) if clashes else None
+
+
 def _compile_call(call: ActionCall, filtered: bool) -> Writer:
-    """A call returns its seed when its name is unbound, or its target's
+    """A call writes nothing when its name is unbound, or its target's
     interface lacks the action, or (if ``filtered``) its filter, read from
-    ``current``, fails; any other writes its implicit event into the
-    target's entry in the seed, starting one with no other member where
-    there is none."""
+    ``current``, fails; any other writes its implicit event's value under
+    ``(target, action)``, over any value written there before."""
     name, action = _decl_name(call.decl), call.action
     arg = _compile_read(call.arg, None)
     filt = _compile_filter(call.filter, None) if filtered and call.filter is not None else None
 
-    def write(env: EnvInterface, current: Store, scope: Binding, seed: Store) -> Store:
+    def write(env: EnvInterface, current: Store, scope: Binding, effects: Effects) -> None:
         entity_id = scope.get(name)
         if entity_id is None:
-            return seed
+            return
         target = current.get(entity_id)
         iface = env.get(target.interface_id) if target is not None else None
         if iface is None or action not in iface.actions:
-            return seed
+            return
         # action filters read the current store, by definition
         if filt is not None and not filt(entity_id, None, current, scope):
-            return seed
-        events = {action: arg(None, current, scope)}
-        if entity_id in seed:
-            updated = update_member(seed, entity_id, events=events)
-        else:
-            updated = Entity(target.interface_id, {}, events)
-        return {**seed, entity_id: updated}
+            return
+        effects[entity_id, action] = arg(None, current, scope)
 
     return write
 
 
 def _compile_body(body: ActionExpr, filtered: bool) -> Writer:
-    """The body's writer.  ``,`` seeds each call with the previous call's
-    output; ``||`` builds its operands from the same seed, last to first,
-    and joins them first to last.  Without ``filtered`` every call runs as
-    if it had no filter (:func:`_compile_call`)."""
+    """The body's writer.  ``,`` runs its operands in order on the map it
+    was given, so a later call overwrites an earlier one's key.  ``||``
+    runs its operands last to first, each on a copy of the map it was
+    given (the first on that map itself, once the copies are made), and
+    joins them in first to last (:func:`_fold`): a clash is a
+    :class:`~pantagruel.domains.ConflictError` with the later operand's
+    value on the left, as ``store_join(later, earlier)`` reports it.
+    Without ``filtered`` every call runs as if it had no filter
+    (:func:`_compile_call`)."""
     if isinstance(body, ActionCall):
         return _compile_call(body, filtered)
     writers = [_compile_body(operand, filtered) for operand in operands(body)]
     if isinstance(body, ActionSeq):
 
-        def seq(env: EnvInterface, current: Store, scope: Binding, seed: Store) -> Store:
+        def seq(env: EnvInterface, current: Store, scope: Binding, effects: Effects) -> None:
             for write in writers:
-                seed = write(env, current, scope, seed)
-            return seed
+                write(env, current, scope, effects)
 
         return seq
     if isinstance(body, ActionPar):
-        last_first = writers[::-1]
+        first, later_last_first = writers[0], writers[:0:-1]
 
-        def par(env: EnvInterface, current: Store, scope: Binding, seed: Store) -> Store:
-            parts = [write(env, current, scope, seed) for write in last_first]
-            joined = parts.pop()
+        def par(env: EnvInterface, current: Store, scope: Binding, effects: Effects) -> None:
+            parts = []
+            for write in later_last_first:
+                part = dict(effects)
+                write(env, current, scope, part)
+                parts.append(part)
+            first(env, current, scope, effects)
             while parts:
-                joined = store_join(parts.pop(), joined)
-            return joined
+                part = parts.pop()
+                key = _fold(effects, part)
+                if key is not None:
+                    raise ConflictError(*key, part[key], effects[key])
 
         return par
     raise TypeError(f"not an action node: {body!r}")
+
+
+def _store_of(effects: Effects, current: Store) -> Store:
+    """``effects`` as a store: one entity per id written, of its
+    interface in ``current``, with no attribute and the written events."""
+    events_of: dict[str, dict[str, Value]] = {}
+    for (entity_id, action), value in effects.items():
+        events_of.setdefault(entity_id, {})[action] = value
+    return {
+        entity_id: Entity(current[entity_id].interface_id, {}, events)
+        for entity_id, events in events_of.items()
+    }
 
 
 # ── Rules (R) and rule blocks (K) ────────────────────────────────
@@ -540,10 +575,10 @@ def _body_join(
     sides: tuple[_Side, _Side], pools: dict[str, list[str]], dual: DualStore
 ) -> tuple[Join, dict[str, Keyed]] | None:
     """The equality every call of the body tests (:func:`_body_sides`):
-    where it fails, every call returns its seed, so the binding produces
-    no effect.  Bare names count (``on m with room = l.room``).  With it,
-    each side read as an attribute, keyed by it (:meth:`DualStore.keyed`).
-    None if a side's reads may disagree (:func:`_side_reader`)."""
+    where it fails, no call writes, so the binding produces no effect.
+    Bare names count (``on m with room = l.room``).  With it, each side
+    read as an attribute, keyed by it (:meth:`DualStore.keyed`).  None if
+    a side's reads may disagree (:func:`_side_reader`)."""
     x, y = sides
     read_x = _side_reader(x, pools[x.var], dual.current)
     read_y = _side_reader(y, pools[y.var], dual.current)
@@ -676,18 +711,22 @@ def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
 
 def _eval_rule_plan(
     env: EnvInterface, plan: _RulePlan, dual: DualStore
-) -> tuple[Store, list[FiredRule]]:
+) -> tuple[Effects, list[FiredRule]]:
     """Evaluate one planned rule on ``dual``, as the module docstring
-    describes.  Where the body's equality gives the join, every binding
-    built satisfies each call's filter, so the body runs without them.
+    describes, into the rule's one flat map of effects.  Where the body's
+    equality gives the join, every binding built satisfies each call's
+    filter, so the body runs without them.
 
-    Each binding's partial store is joined into the rule's one store in
-    place, and the result is that of a left fold of
-    :func:`~pantagruel.domains.store_join` over the list of them once all
-    are built (the closure oracle's ``store_join_all``): a conflict
-    between the operands of one binding's ``||`` is raised while that
-    binding is built, so it comes first; one between bindings is the
-    first the fold meets, raised only once every binding is built."""
+    Each binding writes into a map of its own, so that a ``,`` call
+    overwriting the binding's earlier write is no clash, and that map is
+    folded into the rule's (:func:`_fold`).  The result, as a store, is
+    that of a left fold of :func:`~pantagruel.domains.store_join` over
+    the bindings' partial stores once all are built (the closure oracle's
+    ``store_join_all``): a conflict between the operands of one binding's
+    ``||`` is raised while that binding is built, so it comes first; one
+    between bindings is the first the fold meets, its least ``(entity,
+    action)`` with the rule's value on the left, raised only once every
+    binding is built."""
     previous, current = dual.previous, dual.current
     bound = {name: name for name in plan.bare if name in current}
     if plan.closed is not None and not plan.closed(None, previous, current, bound):
@@ -703,21 +742,21 @@ def _eval_rule_plan(
     joined = None if plan.sides is None else _body_join(plan.sides, pools, dual)
     write = plan.body if joined is None else plan.joined_body
     rest, label = plan.rest, plan.label
-    effects: Store = {}
+    effects: Effects = {}
     fired: list[FiredRule] = []
     clash: ConflictError | None = None
     for scope in instantiate(bound, pools, *(joined or ())):
         if rest is not None and not rest(None, previous, current, scope):
             continue
-        partial = write(env, current, scope, {})
+        partial: Effects = {}
+        write(env, current, scope, partial)
         if not partial:
             continue
         fired.append(FiredRule(label, scope))
         if clash is None:
-            try:
-                join_into(effects, partial)
-            except ConflictError as exc:
-                clash = exc
+            key = _fold(effects, partial)
+            if key is not None:
+                clash = ConflictError(*key, effects[key], partial[key])
     if clash is not None:
         raise clash
     return effects, fired
@@ -744,18 +783,23 @@ def eval_rule(
 
 def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule of a planned block (:func:`plan_block`) against
-    the same dual store, in the plan's mode, and join the partial effect
-    stores; interfering rules surface as a ConflictError.  This is the one
-    place a pair is listed: ``dual`` is first built for the plan's lists
+    the same dual store, in the plan's mode, and join the rules' flat maps
+    of effects in order (:func:`_fold`); interfering rules surface as a
+    ConflictError, the least clash of the first rule that has one, with
+    the earlier rules' value on the left.  The joined map becomes the
+    block's effect store once (:func:`_store_of`).  This is the one place
+    a pair is listed: ``dual`` is first built for the plan's lists
     (:meth:`~pantagruel.domains.DualStore.build`, no pass over the store
     when it holds them all and knows its ``touched`` ids), and all rules
     share them."""
     dual.build(plan.lists)
-    effects: Store = {}
+    effects: Effects = {}
     fired: list[FiredRule] = []
     for rule_plan in plan.plans:
         partial, rule_fired = _eval_rule_plan(env, rule_plan, dual)
-        join_into(effects, partial)
+        key = _fold(effects, partial)
+        if key is not None:
+            raise ConflictError(*key, effects[key], partial[key])
         fired.extend(rule_fired)
-    return effects, fired
+    return _store_of(effects, dual.current), fired
 

@@ -56,7 +56,6 @@ from pantagruel.domains import (
     Value,
     access_attribute,
     access_event,
-    join_into,
     store_join,
     update_member,
     value_eq,
@@ -270,11 +269,11 @@ def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:
 
 
 def store_join_all(stores: Iterable[Store]) -> Store:
-    """Left fold of :func:`~pantagruel.domains.store_join`, into one store
-    joined in place; order-independent when conflict-free."""
+    """Left fold of :func:`~pantagruel.domains.store_join`;
+    order-independent when conflict-free."""
     acc: Store = {}
     for store in stores:
-        join_into(acc, store)
+        acc = store_join(acc, store)
     return acc
 
 

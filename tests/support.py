@@ -111,11 +111,23 @@ def holds(condition, dual, scope, mode):
     return got
 
 
+def body_store(body, env, current, scope, seed):
+    """The partial store ``body``'s compiled writer (call filters
+    included) builds on the store ``seed`` for the binding ``scope``:
+    ``seed``'s events as the writer's flat map, the writer run on it, and
+    the map turned back into a store."""
+    effects = {
+        (entity_id, key): value for entity_id, entity in seed.items() for key, value in entity.events.items()
+    }
+    rule_eval._compile_body(body, True)(env, current, scope, effects)
+    return rule_eval._store_of(effects, current)
+
+
 def action_effects(body, env, current, scope, seed):
     """The partial store ``body`` builds on ``seed`` for the binding
-    ``scope``, by the writer a planned rule compiles (call filters
-    included), which the closure oracle's effect must equal."""
-    got = rule_eval._compile_body(body, True)(env, current, scope, seed)
+    ``scope``, by the writer a planned rule compiles (:func:`body_store`),
+    which the closure oracle's effect must equal."""
+    got = body_store(body, env, current, scope, seed)
     _, effect = closure_eval.eval_action_expr(body, env, current, {}, lambda rho: seed)
     assert got == effect(_references(scope))
     return got

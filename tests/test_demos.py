@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 
@@ -55,3 +56,36 @@ def test_deployment_script_switches_the_new_light(capsys):
         if entity["events"].get("switch") is True
     }
     assert switched == {"l10", "l11", "l30"}
+
+
+def _conflict_demo(monkeypatch, capsys, command, *flags):
+    """``command`` (``run``, or ``repl`` fed the script and ``quit``) on
+    the conflict demo: its exit code, stdout and stderr."""
+    script = DEMOS / "conflict.evs"
+    argv = [command, str(DEMOS / "conflict.ptg"), *flags]
+    if command == "run":
+        argv += ["--script", str(script)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(script.read_text() + "quit\n"))
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_conflict_script_overwrites_in_sequence_and_clashes_in_parallel(monkeypatch, capsys):
+    """Tick 1 fires rule (1), whose ``,`` overwrites ``desk.dim``, and rule
+    (2), whose ``||`` clashes on ``hall.switch``.  Strictly, ``run`` and
+    ``repl`` both stop there with exit 3 and the same report.  Relaxed,
+    they print the same records: the conflict drops tick 1's effects, and
+    tick 3 fires rule (1) alone, which leaves ``desk.dim`` at 80."""
+    report = "conflict at tick 1: conflicting values for hall.switch: False vs True\n"
+    for command in ("run", "repl"):
+        assert _conflict_demo(monkeypatch, capsys, command) == (3, "", report)
+    code, out, err = _conflict_demo(monkeypatch, capsys, "run", "--no-strict-conflicts", "--format", "jsonl")
+    assert (code, err) == (0, "")
+    assert _conflict_demo(monkeypatch, capsys, "repl", "--no-strict-conflicts", "--format", "jsonl") == (0, out, "")
+    ticks = [json.loads(line) for line in out.splitlines()]
+    assert [t["conflict"] for t in ticks] == [report.split(": ", 1)[1].rstrip("\n"), None, None]
+    assert [t["fired"] for t in ticks] == [[], [], [{"binding": {"desk": "desk", "up": "up"}, "rule": 1}]]
+    assert ticks[0]["entities"]["desk"]["events"]["dim"] is None
+    assert ticks[2]["entities"]["desk"]["events"]["dim"] == 80

@@ -435,6 +435,64 @@ def test_conflicting_rules_raise_with_entity_and_key(motion_dual, building):
     assert exc.value.key == "switch"
 
 
+def _fired_block(body, **sensors):
+    """A block of one rule that fires once per sensor ``s`` of ``sensors``
+    (id → ``(v, w)`` attributes) and runs ``body``, with its dual store:
+    every sensor's ``e`` goes from UNDEF to true."""
+    src = (
+        "interface S { attribute v : Integer attribute w : Integer event e : Boolean }\n"
+        "interface L { action a ( Integer ) action b ( Integer ) }\n"
+        + "".join(f"{sid}:S {{ v : {v}, w : {w} }}\n" for sid, (v, w) in sensors.items())
+        + "y:L {}\nx:L {}\n"
+        + f"rules when event e from s:S value = true trigger {body} end end\n"
+    )
+    checked = check_program(parse_program(src))
+    assert checked.ok, checked.diagnostics
+    current = checked.initial_store
+    for sid in sensors:
+        current = with_event(current, sid, "e", True)
+    return checked, DualStore(checked.initial_store, current)
+
+
+def test_a_seq_call_overwriting_its_binding_is_no_clash():
+    """``,`` threads one binding's writes: the second call overwrites the
+    first's key, so the binding fires once and writes the last value."""
+    checked, dual = _fired_block("action a(1) on x, action a(2) on x", s1=(0, 0))
+    for mode in TriggerMode:
+        effects, fired = eval_block(checked.env, checked.rules, dual, mode)
+        assert effects == {"x": Entity("L", {}, {"a": 2})}
+        assert [(f.label, f.binding) for f in fired] == [(1, {"x": "x", "s": "s1"})]
+
+
+def test_a_clash_between_bindings_reports_the_least_entity_and_key():
+    """The second binding writes other values than the first to both
+    actions of both entities, in the order against the report's (``y``
+    before ``x``, ``b`` before ``a``): the least ``(entity, key)`` is
+    reported, with the earlier binding's value on the left."""
+    body = "action b(s.v) on y, action a(s.v) on y, action b(s.v) on x, action a(s.v) on x"
+    checked, dual = _fired_block(body, s1=(1, 0), s2=(2, 0))
+    for mode in TriggerMode:
+        with pytest.raises(ConflictError) as exc:
+            eval_block(checked.env, checked.rules, dual, mode)
+        assert (exc.value.entity_id, exc.value.key, exc.value.left, exc.value.right) == ("x", "a", 1, 2)
+        assert str(exc.value) == _strictly(closure_eval.eval_rule, checked, dual, mode)
+
+
+def test_a_par_clash_inside_a_binding_comes_before_one_between_bindings():
+    """``s1`` and ``s2`` write different values to ``x.a``, a clash the
+    fold meets first; ``s3``'s two ``||`` operands clash on ``x.a`` while
+    it is built, and that clash is the one raised, with the later
+    operand's value on the left."""
+    checked, dual = _fired_block(
+        "action a(s.v) on x || action a(s.w) on x", s1=(1, 1), s2=(2, 2), s3=(3, 4)
+    )
+    for mode in TriggerMode:
+        with pytest.raises(ConflictError) as exc:
+            eval_block(checked.env, checked.rules, dual, mode)
+        assert (exc.value.entity_id, exc.value.key, exc.value.left, exc.value.right) == ("x", "a", 4, 3)
+        assert str(exc.value) == _strictly(closure_eval.eval_rule, checked, dual, mode)
+
+
 def test_unlabeled_rules_numbered_by_position(motion_dual):
     src = program_source(
         "when event detected from m:MotionDetector value = true "
