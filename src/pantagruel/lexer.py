@@ -13,8 +13,10 @@ classes are ASCII, as the identifier and numeral forms are, so ``é`` or
 record of its kind, text and position; its :class:`SourceSpan` is made
 only when asked for (:attr:`Token.span`).
 
-:func:`scan_line` scans one line; :func:`tokenize` is it run over each
-line of a text, then the EOF token.
+:func:`scan_line` scans one line; the parser calls it on each line as it
+reads the line.  :func:`tokenize` is it run over each line of a whole
+text, then the EOF token: the token stream in one list, for the lexer's
+tests and the benchmark's lexer layer.  The interpreter never calls it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ class TokenKind(enum.Enum):
     DOT = "."
     COMMA = ","
     PARPAR = "||"
-    # a whole line read as one entity declaration (see parser._fold)
-    DECL = "entity declaration"
     EOF = "end of input"
     # keywords: valued as their own name in lower case, which is what
     # KEYWORDS picks them out by

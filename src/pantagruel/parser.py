@@ -4,16 +4,16 @@ Parsing is total: any input yields either an AST or a :class:`ParseError`
 carrying one diagnostic per problem found.  The parser recovers at
 declaration boundaries so several errors can be reported in one pass.
 
-Most of a program is entity declarations, one per line, so a line that
-one compiled pattern takes whole (``[entity] name : Interface { attr :
-literal [,] ... }``, blanks and a trailing comment allowed) is not
-tokenized: it becomes one ``DECL`` token, whose declaration is built
-from the match's offsets, with the spans the token parser gives it.  The
-parser accepts that token only where a declaration may start.  A line
-whose names include a keyword, or whose numeral is longer than ``int``
-converts, is tokenized instead.  A text with any diagnostic at all stops
-being read at its first one and is parsed again from its tokens alone,
-so every diagnostic is the token parser's.  Scripted deploys
+The parser scans the text a line at a time as it asks for tokens, so
+each line is read once.  Most of a program is entity declarations, one
+per line, so where a declaration may start and no token is left unread,
+the next line is first offered to one compiled pattern (``[entity] name
+: Interface { attr : literal [,] ... }``, blanks and a trailing comment
+allowed).  A line it takes is not tokenized: its declaration is built
+from the match's offsets, with the spans the token parser gives it.  A
+line whose names include a keyword, or whose numeral is longer than
+``int`` converts, is tokenized instead.  Diagnostics list the lexer's,
+in line order, then the parser's.  Scripted deploys
 (:func:`parse_entity_decl`) read their line with the same pattern.
 
 Shape decisions: ``and`` binds tighter than ``or`` and ``,`` binds tighter
@@ -61,14 +61,13 @@ from .ast import (
 from typing import NoReturn
 
 from .diagnostics import Diagnostic, SourceSpan, error
-from .lexer import KEYWORDS, Token, TokenKind, end_of_input, scan_line, tokenize
+from .lexer import KEYWORDS, Token, TokenKind, end_of_input, scan_line
 
 _TYPE_NAMES = {"Integer": TypeTag.NAT, "Boolean": TypeTag.BOOL}
 _MEMBER_KINDS = (TokenKind.ATTRIBUTE, TokenKind.EVENT, TokenKind.ACTION)
 _SPEC_SYNC = (TokenKind.INTERFACE, TokenKind.ENTITY, TokenKind.RULES, TokenKind.EOF)
 _RULE_SYNC = (TokenKind.WHEN, TokenKind.LPAREN, TokenKind.END, TokenKind.EOF)
 _EOF = TokenKind.EOF
-_DECL = TokenKind.DECL
 
 # A whole entity-declaration line, ``[entity] name : Interface { attr :
 # literal [,] ... }``, with blanks anywhere the token parser allows them
@@ -104,49 +103,55 @@ class _Bail(Exception):
     """Internal signal: abandon the current declaration and resynchronize."""
 
 
-class _Refold(Exception):
-    """A text read with folded declaration lines has a problem: it is
-    read again from its tokens alone, which word every diagnostic."""
-
-
 class _Parser:
-    """A cursor over one token list, which ends with its EOF token: ``pos``
-    indexes the current token, and the per-token helpers (``_at``,
-    ``_advance``, ``_expect``) read ``tokens[pos]`` directly.  The cursor
-    never moves past EOF."""
+    """A cursor over the tokens of one text, scanned a line at a time:
+    ``tokens`` holds those of the first ``read`` lines, then, once every
+    line is read, the EOF token.  ``pos`` indexes the current token, and
+    the per-token helpers scan more lines only when it is past the last
+    one read.  The cursor never moves past EOF."""
 
-    def __init__(
-        self,
-        tokens: list[Token],
-        diagnostics: list[Diagnostic],
-        decls: dict[int, EntityDecl] | None = None,
-    ):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.lines = text.split("\n")
+        self.read = 0
+        self.tokens: list[Token] = []
         self.pos = 0
-        self.diagnostics = diagnostics
-        # the declaration each DECL token stands for, by its line number
-        self.decls = decls or {}
+        self.lexed: list[Diagnostic] = []  # the lexer's diagnostics
+        self.diagnostics: list[Diagnostic] = []
 
     # ── token access ─────────────────────────────────────────────
 
+    def _scan(self, index: int) -> None:
+        """Scan lines until token ``index`` is read, or the EOF token is."""
+        tokens, lines = self.tokens, self.lines
+        while len(tokens) <= index and self.read <= len(lines):
+            if self.read == len(lines):
+                tokens.append(end_of_input(lines))
+            else:
+                scan_line(lines[self.read], self.read + 1, tokens, self.lexed)
+            self.read += 1
+
     def _current(self) -> Token:
-        return self.tokens[self.pos]
+        try:
+            return self.tokens[self.pos]
+        except IndexError:
+            self._scan(self.pos)
+            return self.tokens[self.pos]
 
     def _at(self, *kinds: TokenKind) -> bool:
-        return self.tokens[self.pos].kind in kinds
+        return self._current().kind in kinds
 
     def _peek(self, offset: int) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        index = self.pos + offset
+        self._scan(index)
+        return self.tokens[min(index, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self._current()
         if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
     def _error(self, message: str, token: Token | None = None) -> None:
-        if self.decls:
-            raise _Refold()
         tok = token or self._current()
         self.diagnostics.append(error("parse-error", message, tok.span))
 
@@ -156,7 +161,7 @@ class _Parser:
 
     def _expect(self, kind: TokenKind, what: str) -> Token:
         """Consume a token of ``kind``, which is never EOF, or fail."""
-        tok = self.tokens[self.pos]
+        tok = self._current()
         if tok.kind is kind:
             self.pos += 1
             return tok
@@ -177,18 +182,37 @@ class _Parser:
         while not self._at(*kinds):
             self._advance()
 
+    def _raise_problems(self) -> None:
+        """Raise :class:`ParseError` if there is any problem: the lexer's
+        diagnostics, in line order, then the parser's.  Lines left unread
+        are scanned for the lexer's first."""
+        lines = self.lines
+        for number in range(self.read, len(lines)):
+            scan_line(lines[number], number + 1, [], self.lexed)
+        if self.lexed or self.diagnostics:
+            raise ParseError(self.lexed + self.diagnostics)
+
     # ── program ──────────────────────────────────────────────────
 
     def parse_program(self) -> ProgramAst:
         interfaces: list[InterfaceDecl] = []
         entities: list[EntityDecl] = []
-        while not self._at(TokenKind.RULES, TokenKind.EOF):
+        lines, tokens = self.lines, self.tokens
+        while True:
+            # a declaration may start here: while no token is left unread,
+            # the next line is offered to the pattern before it is scanned
+            while self.pos == len(tokens) and self.read < len(lines):
+                line = lines[self.read]
+                self.read += 1
+                decl = _read_decl(line, self.read)
+                if decl is None:
+                    scan_line(line, self.read, tokens, self.lexed)
+                else:
+                    entities.append(decl)
+            if self._at(TokenKind.RULES, TokenKind.EOF):
+                break
             try:
-                tok = self.tokens[self.pos]
-                if tok.kind is _DECL:
-                    self.pos += 1
-                    entities.append(self.decls[tok.line])
-                elif self._at(TokenKind.INTERFACE):
+                if self._at(TokenKind.INTERFACE):
                     interfaces.append(self._interface_decl())
                 elif self._at(TokenKind.ENTITY):
                     self._advance()
@@ -432,45 +456,16 @@ def _read_decl(line: str, number: int) -> EntityDecl | None:
     return EntityDecl(name, iface, tuple(inits), span)
 
 
-def _fold(text: str) -> tuple[list[Token], list[Diagnostic], dict[int, EntityDecl]]:
-    """``tokenize(text)``, except that each line :func:`_read_decl` takes
-    is one DECL token, whose declaration the returned map holds under its
-    line number."""
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    decls: dict[int, EntityDecl] = {}
-    lines = text.split("\n")
-    for number, line in enumerate(lines, start=1):
-        decl = _read_decl(line, number)
-        if decl is None:
-            scan_line(line, number, tokens, diagnostics)
-        else:
-            decls[number] = decl
-            tokens.append(Token(_DECL, line, number, 1))
-    tokens.append(end_of_input(lines))
-    return tokens, diagnostics, decls
-
-
 def parse_program(text: str) -> ProgramAst:
     """Parse a full program; raise :class:`ParseError` listing all problems.
 
-    Each line the declaration pattern takes whole is read as one token,
-    which the parser accepts only where a declaration may start.  A text
-    with any problem at all is dropped at its first problem and read again
-    by the token parser alone, so its diagnostics are the token parser's.
+    The text is read once, a line at a time as the parser goes; each line
+    the declaration pattern takes whole where a declaration may start is
+    read as that declaration, and no line is read again.
     """
-    tokens, diagnostics, decls = _fold(text)
-    if decls:
-        if not diagnostics:
-            try:
-                return _Parser(tokens, diagnostics, decls).parse_program()
-            except _Refold:
-                pass
-        tokens, diagnostics = tokenize(text)
-    parser = _Parser(tokens, diagnostics)
+    parser = _Parser(text)
     program = parser.parse_program()
-    if parser.diagnostics:
-        raise ParseError(parser.diagnostics)
+    parser._raise_problems()
     return program
 
 
@@ -479,7 +474,7 @@ def parse_entity_decl(text: str) -> EntityDecl:
     decl = _read_decl(text, 1)
     if decl is not None:
         return decl
-    parser = _Parser(*tokenize(text))
+    parser = _Parser(text)
     try:
         if parser._at(TokenKind.ENTITY):
             parser._advance()
@@ -488,7 +483,6 @@ def parse_entity_decl(text: str) -> EntityDecl:
             parser._error("unexpected text after entity declaration")
     except _Bail:
         decl = None
-    if parser.diagnostics:
-        raise ParseError(parser.diagnostics)
+    parser._raise_problems()
     assert decl is not None
     return decl

@@ -5,7 +5,8 @@ and marks one orchestration step.  Values are decimal nonnegative
 integers, ``true``, ``false``, or ``undef`` (sensor dropout).
 ``deploy`` must not run into the declaration's name: ``deployx : ...``
 is no deploy.  ``run`` and the repl both read their lines with
-:func:`parse_line`.
+:func:`parse_line`, and both end a line at ``\n`` alone, as the program
+lexer does: a form feed or ``\u2028`` is a blank within its line.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def parse_script(text: str) -> list[list[ExternalChange]]:
     ticks: list[list[ExternalChange]] = []
     pending: list[ExternalChange] = []
     last_change_line: int | None = None
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         try:
             parsed = parse_line(line)
         except ScriptError as exc:

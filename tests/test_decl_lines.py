@@ -1,19 +1,22 @@
 """Whole declaration lines against the token parser alone.
 
-``parse_program`` reads each line that one compiled pattern takes whole
-as a single token and builds its entity declaration from the match; a
-text with any problem is read again by the token parser.  With the line
-reader taking no line, ``parse_program`` and ``parse_entity_decl`` are
-the token parser alone, the reference here: on every text both must give
-equal trees, with every span equal field by field, or equal
-``ParseError`` diagnostics.  The drawn texts are declaration lines with
-random edits from ``tests/test_lexer.py``'s alphabet (the characters the
-lexer and its oracle could read differently), placed where a declaration
-may start and where it may not.
+``parse_program`` reads a text once, a line at a time, and where a
+declaration may start it builds the entity declaration of each line
+that one compiled pattern takes whole from the match, without
+tokenizing the line.  With the line reader taking no line,
+``parse_program`` and ``parse_entity_decl`` are the token parser alone,
+the reference here: on every text both must give equal trees, with
+every span equal field by field, or equal ``ParseError`` diagnostics.
+The drawn texts are declaration lines with random edits from
+``tests/test_lexer.py``'s alphabet (the characters the lexer and its
+oracle could read differently), placed where a declaration may start
+and where it may not.  Each line of a text, clean or not, is
+read exactly once: taken whole, or scanned.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import time
 from unittest import mock
@@ -24,7 +27,6 @@ from hypothesis import strategies as st
 
 from pantagruel import ParseError, parse_program
 from pantagruel import parser
-from pantagruel.lexer import TokenKind
 from pantagruel.parser import parse_entity_decl
 
 from support import BUILDING_FULL
@@ -83,10 +85,11 @@ _CLOSES = (["}"], ["", "}}", ")"])
 
 
 @st.composite
-def _decl_line(draw):
-    """A declaration line: well-formed, or, about half the time, with some
-    parts ill-formed and up to two random edits."""
-    broken = draw(st.booleans())
+def _decl_line(draw, broken=None):
+    """A declaration line: well-formed, or, about half the time (always if
+    ``broken``), with some parts ill-formed and up to two random edits."""
+    if broken is None:
+        broken = draw(st.booleans())
 
     def part(choices):
         good, bad = choices
@@ -142,12 +145,14 @@ def _program(draw):
     """A program with drawn declaration lines where a declaration may start
     (between the interfaces and the rules, and after a lone ``entity``),
     and where one may not (inside an interface body, inside the rules
-    block, after the rules block, two on one line); LF or CRLF."""
+    block, after the rules block, two on one line), and a broken one
+    before many well-formed ones; LF or CRLF."""
     decls = draw(st.lists(_decl_line(), min_size=1, max_size=4))
     first, rest = decls[0], "\n".join(decls[1:])
     where = draw(
         st.sampled_from(
-            ["spec", "spec", "spec", "interface", "rules", "after rules", "one line", "entity"]
+            ["spec"] * 3
+            + ["interface", "rules", "after rules", "one line", "entity", "after broken"]
         )
     )
     if where == "interface":
@@ -160,6 +165,10 @@ def _program(draw):
         text = f"{HEAD}{' '.join(decls)}\nrules\n{RULE}\nend\n"
     elif where == "entity":
         text = f"{HEAD}entity\n{first}\n{rest}\nrules\n{RULE}\nend\n"
+    elif where == "after broken":
+        broken = draw(_decl_line(broken=True))
+        good = "\n".join(draw(st.lists(_decl_line(broken=False), min_size=5, max_size=30)))
+        text = f"{HEAD}{broken}\n{good}\nrules\n{RULE}\nend\n"
     else:
         text = f"{HEAD}{first}\n{rest}\nrules\n{RULE}\nend\n"
     if draw(st.booleans()):
@@ -227,28 +236,77 @@ def test_fixed_lines_read_as_by_the_token_parser(line):
     assert _read(parse_entity_decl, line) == _token_parser_alone(parse_entity_decl, line)
 
 
-def test_declaration_lines_are_read_whole():
-    """Each entity line of the demo program is one token, and the trees
-    equal the token parser's with their spans."""
-    tokens, diagnostics, decls = parser._fold(BUILDING_FULL)
-    entities = parse_program(BUILDING_FULL).spec.entities
-    assert diagnostics == []
-    assert [t.line for t in tokens if t.kind is TokenKind.DECL] == sorted(decls)
-    assert list(decls.values()) == list(entities) and len(entities) == 8
-    _assert_same_reading(BUILDING_FULL)
+def _lines_read(text):
+    """How many times ``parse_program`` reads each line of ``text``, by
+    line number, and the numbers of the lines taken whole."""
+    reads: collections.Counter[int] = collections.Counter()
+    taken: list[int] = []
+    read_decl, scan_line = parser._read_decl, parser.scan_line
+
+    def counted_read_decl(line, number):
+        decl = read_decl(line, number)
+        if decl is not None:
+            reads[number] += 1
+            taken.append(number)
+        return decl
+
+    def counted_scan_line(line, number, tokens, diagnostics):
+        reads[number] += 1
+        scan_line(line, number, tokens, diagnostics)
+
+    with mock.patch.object(parser, "_read_decl", counted_read_decl), mock.patch.object(
+        parser, "scan_line", counted_scan_line
+    ):
+        _read(parse_program, text)
+    return reads, taken
 
 
-def test_a_problem_ends_the_folded_reading():
-    """The folded reading stops at the first problem, before the
-    declaration lines after it, and leaves the diagnostics to the token
-    parser."""
-    text = HEAD + "interface J {\n  x : I { a : 1 }\n}\n" + "y : I { a : 2 }\n" * 100
-    tokens, diagnostics, decls = parser._fold(text)
-    assert diagnostics == [] and len(decls) == 101
-    reading = parser._Parser(tokens, diagnostics, decls)
-    with pytest.raises(parser._Refold):
-        reading.parse_program()
-    assert tokens[reading.pos].line == 6
+def _insert_line(text, line, at):
+    """``text`` with ``line`` inserted before its ``at``-th line (1-based)."""
+    lines = text.split("\n")
+    return "\n".join(lines[: at - 1] + [line] + lines[at - 1 :])
+
+
+_ENTITY_LINES = [
+    number
+    for number, line in enumerate(BUILDING_FULL.split("\n"), start=1)
+    if parser._read_decl(line, number) is not None
+]
+_RULES_LINE = BUILDING_FULL.split("\n").index("rules") + 1
+
+
+@pytest.mark.parametrize(
+    "text, taken",
+    [
+        (BUILDING_FULL, _ENTITY_LINES),
+        # inside the first interface: every entity line comes one later
+        (_insert_line(BUILDING_FULL, "x : : I { }", 2), [n + 1 for n in _ENTITY_LINES]),
+        (_insert_line(BUILDING_FULL, "x : : I { }", _RULES_LINE), _ENTITY_LINES),
+    ],
+    ids=["clean", "malformed second line", "malformed line before rules"],
+)
+def test_each_line_is_read_once(text, taken):
+    """Each line is read exactly once, taken whole or scanned, on a clean
+    text and after an error; every entity line of the demo program is
+    taken whole, after an error too, and the trees or diagnostics equal
+    the token parser's."""
+    reads, taken_lines = _lines_read(text)
+    assert len(_ENTITY_LINES) == 8
+    assert reads == {number: 1 for number in range(1, len(text.split("\n")) + 1)}
+    assert taken_lines == taken
+    _assert_same_reading(text)
+
+
+def test_lines_left_unread_are_scanned_for_the_lexer():
+    """A parse that stops before the last lines still reports their
+    lexer diagnostics, and before the parser's."""
+    text = f"{HEAD}rules\n{RULE}\nend\nx\n@\n"
+    with pytest.raises(ParseError) as raised:
+        parse_program(text)
+    assert [d.message for d in raised.value.diagnostics] == [
+        "invalid character '@'",
+        "unexpected text after the rules block",
+    ]
     _assert_same_reading(text)
 
 

@@ -81,6 +81,33 @@ def test_script_error_carries_line_number():
     assert "line 2" in str(exc.value)
 
 
+# the line breaks of str.splitlines other than \n and \r
+_OTHER_BREAKS = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("blank", _OTHER_BREAKS)
+def test_only_newline_ends_a_script_line(blank, tmp_path, capsys, monkeypatch):
+    """``run`` and the repl end a line at ``\n`` alone: a change after
+    another break in a comment is part of the comment for both, and a
+    ScriptError's line counts ``\n`` only."""
+    script = f"# note{blank}event m10.detected = true\ntick\n"
+    assert parse_script(script) == [[]]
+    with pytest.raises(ScriptError) as exc:
+        parse_script(f"tick\n# a{blank}b\nnonsense here\n")
+    assert exc.value.line == 3
+    program = tmp_path / "b.ptg"
+    program.write_text(BUILDING_RUNNABLE, encoding="utf-8")
+    evs = tmp_path / "t.evs"
+    evs.write_text(script, encoding="utf-8")
+    assert main(["run", str(program), "--script", str(evs), "--format", "jsonl"]) == 0
+    run_out, _ = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(script + "quit\n"))
+    assert main(["repl", str(program), "--format", "jsonl"]) == 0
+    repl_out, _ = capsys.readouterr()
+    assert run_out == repl_out
+    assert json.loads(run_out)["changes"] == []
+
+
 def test_trailing_changes_without_tick_rejected():
     with pytest.raises(ScriptError) as exc:
         parse_script("event m10.detected = true\n")
