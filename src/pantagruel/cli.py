@@ -94,8 +94,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _read_file(path: str) -> str | None:
+    """The text of ``path``, its line breaks as written: ``\n`` alone ends
+    a line, as in the repl's input and in :func:`parse_program`."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             return handle.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)

@@ -9,15 +9,15 @@ the attributes body joins read, by value.  One builder lists them in one
 pass over the store, called only by the evaluation of a planned rule
 block, with every list the block names; reading a list the pair was not
 built for is a ``KeyError``.  ``step`` carries the pair's lists from tick
-to tick and moves them by the ids each tick changed, copying only the
-lists it changes, so an interface no rule reads is never listed.  Reads
-are total (a miss yields ``UNDEF``), and merges are union-shaped with
-equal-value overlap tolerated.  Stores are finite maps: their key order
-carries no meaning and nothing here sorts them.  Order is fixed only where
-it can be observed: :meth:`DualStore.ids` lists an interface's ids
-sorted, :func:`instantiate` enumerates bindings of sorted pools
-lexicographically, :func:`store_join` reports the least conflict, and the
-serializer sorts what it prints.  Nothing here iterates a set, so no
+to tick and moves them in place by the ids each tick changed, so an
+interface no rule reads is never listed; a pair hands its lists on once,
+and lists nothing after.  Reads are total (a miss yields ``UNDEF``), and
+merges are union-shaped with equal-value overlap tolerated.  Stores are
+finite maps: their key order carries no meaning and nothing here sorts
+them.  Order is fixed only where it can be observed: :meth:`DualStore.ids`
+lists an interface's ids sorted, :func:`instantiate` enumerates bindings
+of sorted pools lexicographically, :func:`store_join` reports the least
+conflict, and the serializer sorts what it prints.  Nothing here iterates a set, so no
 result depends on the string hash seed.
 
 A rule's binding maps each name bound to an entity to that entity's id, a
@@ -27,8 +27,7 @@ its open variables range over.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -244,8 +243,8 @@ def update_member(
     """``entity_id``'s entity in ``store`` with the given attributes and
     events overwritten; the caller puts it back into the store it builds.
     An id ``store`` lacks is an :class:`UnknownEntityError`.  Member maps
-    left untouched are shared with the old entity, not copied, and an
-    equal write, where every written member already holds the same value
+    left untouched are the old entity's own, and an equal write, where
+    every written member already holds the same value
     (:func:`_holds_already`), returns the very entity, so that whatever
     follows object identity sees no change.
     """
@@ -300,16 +299,6 @@ def _places_of(entity: Entity | None, kept: Mapping[str, list[str | None]]) -> l
     return places
 
 
-def _resorted(ids: Sequence[str], leaving: Sequence[str], entering: Sequence[str]) -> list[str]:
-    """A sorted copy of ``ids`` without ``leaving`` and with ``entering``."""
-    out = list(ids)
-    for entity_id in leaving:
-        del out[bisect_left(out, entity_id)]
-    out += entering
-    out.sort()
-    return out
-
-
 class Keyed(NamedTuple):
     """One joined variable's interface as a dual store lists it: all its
     ids, sorted, and those ids by the key of the attribute the join reads."""
@@ -332,10 +321,11 @@ class DualStore:
     and :meth:`changed` only look up: a list the pair was not built for is
     a ``KeyError``.  Every list is kept from then on, so an interface no
     rule reads is never listed.  :meth:`moved` hands the kept lists on to
-    a successor pair, copying only those it changes.  Neither store is
-    changed once the pair has been read (nothing here or in the evaluator
-    does), and callers do not change the lists returned, so a list once
-    handed out never changes.
+    a successor pair, once: it moves them in place, and this pair lists
+    nothing after, so a read of it is a ``KeyError``, not stale data.
+    Neither store is changed once the pair has been read (nothing here or
+    in the evaluator does), and callers do not change the lists returned,
+    so a list never changes within the tick that read it.
 
     ``touched`` names ids outside of which every entity of ``current``
     reads each event as it does in ``previous``: ``previous``'s very
@@ -404,41 +394,31 @@ class DualStore:
     ) -> DualStore:
         """The pair ``(previous, current)``, whose current store differs
         from this one's at ``ids``, each named once, and elsewhere at most
-        in members no list reads, which are events.  Its lists are this
-        pair's with each of those ids moved from its entity here to its
-        entity in ``current`` (None where it is absent); a list no id moves
-        in is shared, any other copied."""
-        lists = dict(self._lists)
+        in members no list reads, which are events.  It takes this pair's
+        lists over, with each of those ids moved in place from its entity
+        here to its entity in ``current`` (None where it is absent), and
+        this pair is left with none."""
+        lists = self._lists
+        object.__setattr__(self, "_lists", {})
         kept: dict[str, list[str | None]] = {}
         for interface, attribute in lists:
             kept.setdefault(interface, []).append(attribute)
-        leaving: defaultdict[_Place, list[str]] = defaultdict(list)
-        entering: defaultdict[_Place, list[str]] = defaultdict(list)
         before = self.current
         for entity_id in ids:
             old, new = before.get(entity_id), current.get(entity_id)
             if old is new:
                 continue
             out, into = _places_of(old, kept), _places_of(new, kept)
-            for place in out:
-                if place not in into:
-                    leaving[place].append(entity_id)
-            for place in into:
-                if place not in out:
-                    entering[place].append(entity_id)
-        copied: set[tuple[str, str | None]] = set()
-        for place in dict.fromkeys([*leaving, *entering]):
-            interface, attribute, key = place
-            name = (interface, attribute)
-            if name not in copied:
-                copied.add(name)
-                lists[name] = dict(lists[name])
-            buckets = lists[name]
-            found = _resorted(buckets.get(key, ()), leaving.get(place, ()), entering.get(place, ()))
-            if found:
-                buckets[key] = found
-            else:
-                del buckets[key]
+            for interface, attribute, key in out:
+                if (interface, attribute, key) not in into:
+                    buckets = lists[(interface, attribute)]
+                    bucket = buckets[key]
+                    del bucket[bisect_left(bucket, entity_id)]
+                    if not bucket:
+                        del buckets[key]
+            for interface, attribute, key in into:
+                if (interface, attribute, key) not in out:
+                    insort(lists[(interface, attribute)].setdefault(key, []), entity_id)
         dual = DualStore(previous, current)
         object.__setattr__(dual, "touched", touched)
         object.__setattr__(dual, "_lists", lists)

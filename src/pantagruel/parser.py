@@ -65,7 +65,6 @@ from .lexer import KEYWORDS, Token, TokenKind, end_of_input, scan_line
 
 _TYPE_NAMES = {"Integer": TypeTag.NAT, "Boolean": TypeTag.BOOL}
 _MEMBER_KINDS = (TokenKind.ATTRIBUTE, TokenKind.EVENT, TokenKind.ACTION)
-_SPEC_SYNC = (TokenKind.INTERFACE, TokenKind.ENTITY, TokenKind.RULES, TokenKind.EOF)
 _RULE_SYNC = (TokenKind.WHEN, TokenKind.LPAREN, TokenKind.END, TokenKind.EOF)
 _EOF = TokenKind.EOF
 
@@ -198,19 +197,27 @@ class _Parser:
         interfaces: list[InterfaceDecl] = []
         entities: list[EntityDecl] = []
         lines, tokens = self.lines, self.tokens
+        skipping = False  # after an error: to the next interface, entity or rules
         while True:
             # a declaration may start here: while no token is left unread,
-            # the next line is offered to the pattern before it is scanned
+            # the next line is offered to the pattern before it is scanned;
+            # while skipping, a line it takes is skipped too, unless it
+            # starts with the 'entity' keyword, where skipping tokens stops
             while self.pos == len(tokens) and self.read < len(lines):
                 line = lines[self.read]
                 self.read += 1
                 decl = _read_decl(line, self.read)
                 if decl is None:
                     scan_line(line, self.read, tokens, self.lexed)
-                else:
+                elif not skipping or line[: decl.span.column - 1].strip():
+                    skipping = False
                     entities.append(decl)
             if self._at(TokenKind.RULES, TokenKind.EOF):
                 break
+            if skipping and not self._at(TokenKind.INTERFACE, TokenKind.ENTITY):
+                self.pos += 1
+                continue
+            skipping = False
             try:
                 if self._at(TokenKind.INTERFACE):
                     interfaces.append(self._interface_decl())
@@ -222,7 +229,7 @@ class _Parser:
                 else:
                     self._fail("expected an interface, entity, or rules block")
             except _Bail:
-                self._sync(_SPEC_SYNC)
+                skipping = True
         rules = self._rule_block()
         if not self._at(TokenKind.EOF):
             self._error("unexpected text after the rules block")
@@ -461,7 +468,9 @@ def parse_program(text: str) -> ProgramAst:
 
     The text is read once, a line at a time as the parser goes; each line
     the declaration pattern takes whole where a declaration may start is
-    read as that declaration, and no line is read again.
+    read as that declaration, and no line is read again.  Recovery after
+    an error offers lines to the pattern too, so it skips a declaration
+    line without scanning it.
     """
     parser = _Parser(text)
     program = parser.parse_program()

@@ -98,8 +98,10 @@ class RunState:
 
     ``dual`` is the :class:`~pantagruel.domains.DualStore` of the pair
     ``(previous, current)``, with the lists the rule block names once a
-    tick has run, which :func:`step` moves on by the ids the next tick's
-    changes name.  It is used only while it is this very pair, so a state
+    tick has run, which :func:`step` moves on in place by the ids the next
+    tick's changes name; the pair then lists nothing, so a state stepped
+    again has its rules list what they read afresh, in one pass, as a
+    bare pair does.  It is used only while it is this very pair, so a state
     built by hand, or with ``dataclasses.replace``, has its next tick's
     rules read a bare pair of ``previous`` and the post-external store.
 
@@ -323,7 +325,9 @@ def step(
     the pair lacks, in one pass over the post-external store, which also
     finds a bare pair's ``touched`` ids, and none on a later tick while
     the rules and mode stay the same.  The new state's pair takes those
-    lists moved by no id, as the effects write only events.
+    lists moved by no id, as the effects write only events.  Each pair
+    hands its lists on once, in place: stepping a state again finds its
+    pair listing nothing, and the lists are built afresh.
 
     The record's lineage is ``state.current`` and the ids the changes
     name, the effects wrote and the reset visited, when the state names

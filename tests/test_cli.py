@@ -425,6 +425,30 @@ def test_repl_matches_scripted_run(files, capsys, monkeypatch):
     assert out == scripted
 
 
+def test_a_lone_carriage_return_ends_no_line_under_run_or_repl(tmp_path, capsys, monkeypatch):
+    """``run`` reads a script's line breaks as written, so a lone ``\r``
+    in a comment ends no line, as in the repl: the change after it is
+    part of the comment for both.  A CRLF script still runs as its LF
+    twin does."""
+    program = tmp_path / "b.ptg"
+    program.write_bytes(BUILDING_RUNNABLE.encode())
+    script = "# note\revent m10.detected = true\ntick\n"
+    evs = tmp_path / "cr.evs"
+    evs.write_bytes(script.encode())
+    assert main(["run", str(program), "--script", str(evs), "--format", "jsonl"]) == 0
+    scripted = capsys.readouterr().out
+    code, out, _ = _repl(monkeypatch, capsys, ["repl", str(program), "--format", "jsonl"], script)
+    assert code == 0
+    assert out == scripted
+    assert json.loads(scripted)["changes"] == []
+    outputs = []
+    for text in (GOLDEN_SCRIPT, GOLDEN_SCRIPT.replace("\n", "\r\n")):
+        evs.write_bytes(text.encode())
+        assert main(["run", str(program), "--script", str(evs)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_repl_tick_without_changes(files, capsys, monkeypatch):
     program = files("b.ptg", BUILDING_RUNNABLE)
     code, out, _ = _repl(monkeypatch, capsys, ["repl", program, "--format", "jsonl"], "tick\n")

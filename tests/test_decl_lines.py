@@ -282,8 +282,19 @@ _RULES_LINE = BUILDING_FULL.split("\n").index("rules") + 1
         # inside the first interface: every entity line comes one later
         (_insert_line(BUILDING_FULL, "x : : I { }", 2), [n + 1 for n in _ENTITY_LINES]),
         (_insert_line(BUILDING_FULL, "x : : I { }", _RULES_LINE), _ENTITY_LINES),
+        # recovery skips to the next 'entity' keyword, and offers each line
+        # to the pattern while it skips
+        (
+            _insert_line(BUILDING_FULL, "x : : I { }", _ENTITY_LINES[0]),
+            [n + 1 for n in _ENTITY_LINES],
+        ),
     ],
-    ids=["clean", "malformed second line", "malformed line before rules"],
+    ids=[
+        "clean",
+        "malformed second line",
+        "malformed line before rules",
+        "malformed first entity line",
+    ],
 )
 def test_each_line_is_read_once(text, taken):
     """Each line is read exactly once, taken whole or scanned, on a clean

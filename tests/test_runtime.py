@@ -26,7 +26,7 @@ from pantagruel import (
     step,
     update_member,
 )
-from pantagruel import domains, runtime
+from pantagruel import runtime
 from pantagruel.domains import DualStore, Entity
 from pantagruel.parser import parse_entity_decl
 from pantagruel.rule_eval import plan_block
@@ -529,21 +529,13 @@ METER_PROGRAM = "interface Meter { attribute room : Integer event reading : Inte
 
 
 @pytest.mark.parametrize("mode", [EDGE, LEVEL])
-def test_step_never_lists_the_interface_no_rule_names(monkeypatch, mode):
+def test_step_never_lists_the_interface_no_rule_names(mode):
     """Twenty meters, which no rule names, are deployed and twenty removed
-    on every tick, beside a light deployed and a detector toggled: of the
-    id lists ``step`` moves, the lights' are rebuilt, and none ever holds
-    a meter's id."""
+    on every tick, beside a light deployed and a detector toggled: after
+    every tick, the lights' list the state carries holds the light just
+    deployed, and no list it carries holds a meter's id."""
     checked = check_program(parse_program(METER_PROGRAM))
     assert checked.ok
-    rebuilt = []
-    real = domains._resorted
-
-    def recording(ids, leaving, entering):
-        rebuilt.append(real(ids, leaving, entering))
-        return rebuilt[-1]
-
-    monkeypatch.setattr(domains, "_resorted", recording)
     state = initial_state(checked.initial_store)
     meters: list[str] = []
     for tick in range(1, 12):
@@ -554,9 +546,11 @@ def test_step_never_lists_the_interface_no_rule_names(monkeypatch, mode):
         changes.append(EventUpdate("m10", "detected", tick % 2 == 1))
         state, record = step(state, changes, checked.rules, checked.env, mode)
         meters = fresh
+        lists = state.dual._lists.values()
+        kept = {entity_id for buckets in lists for ids in buckets.values() for entity_id in ids}
+        assert not [name for name in kept if name.startswith("meter")]
+        assert f"lx{tick}" in state.dual.ids("Light")
     assert {"l": f"lx{tick}", "m": "m10"} in [fired.binding for fired in record.fired]
-    assert any(f"lx{tick}" in ids for ids in rebuilt)
-    assert not [name for ids in rebuilt for name in ids if name.startswith("meter")]
 
 
 def test_edge_rules_list_no_detector_once_the_touched_ids_are_known(building):

@@ -2,11 +2,13 @@
 
 A :class:`~pantagruel.domains.DualStore` lists its current store's ids by
 interface and, per attribute a body join reads, by the attribute's value.
-``step`` moves those lists by the ids each tick's changes name; these
-tests require them to equal, after every tick, the lists of a bare pair
-of the state's stores, and the dual store the rules read to list the ids
-and the changed ids an identity scan finds.  A state whose stores are not
-the pair it carries must be run as if it carried none.
+``step`` moves those lists in place by the ids each tick's changes name,
+and the pair it moved them from lists nothing after; these tests require
+them to equal, after every tick, the lists of a bare pair of the state's
+stores, and the dual store the rules read to list the ids and the changed
+ids an identity scan finds.  A state whose stores are not the pair it
+carries, or whose pair handed its lists on, must be run as if it carried
+none.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ rules
 end
 """
 INTERFACES = ("A", "B", "C")
-# what the rules key, and two more the view lists
-KEYED = (("A", "room"), ("C", "room"), ("B", "room"), ("A", "floor"))
 
 
 def _program():
@@ -121,19 +121,17 @@ def _script(rng, ticks):
     return script
 
 
-def _view(dual: DualStore):
-    """What a dual store lists: each interface's ids and each keyed
-    attribute's buckets.  They are read from a copy of the pair, so the
-    lists built for the view are not carried on to the next tick, where
-    the rules must find the lists the block names without them."""
-    dual = dual.moved(dual.previous, dual.current, dual.touched, ())
-    dual.build([(interface, None) for interface in INTERFACES] + list(KEYED))
-    ids = {interface: list(dual.ids(interface)) for interface in INTERFACES}
-    buckets = {
-        name: {key: list(found) for key, found in dual.keyed(*name).by_key.items()}
-        for name in KEYED
+def _view(dual: DualStore, names):
+    """Copies of the lists ``names`` that a dual store holds: an
+    interface's ids (attribute None) or an attribute's buckets.  They are
+    read without building or moving a list, so the view neither adds a
+    list nor takes the pair's lists over."""
+    return {
+        (interface, attribute): list(dual.ids(interface))
+        if attribute is None
+        else {key: list(found) for key, found in dual.keyed(interface, attribute).by_key.items()}
+        for interface, attribute in names
     }
-    return ids, buckets
 
 
 def _scanned(store, previous, interface, event):
@@ -164,46 +162,50 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
     a run's first tick on, every list the block's plan names: no later
     tick lists anything, as the rules and mode stay the same and no pair
     is fresh.  A list the plan failed to name is a ``KeyError`` on the
-    read, so the rules ask for nothing the pair was not built for."""
+    read, so the rules ask for nothing the pair was not built for.  The
+    pair a tick reads is checked while the tick holds it, as ``step``
+    then hands its lists on; a read of a pair that handed them on is a
+    ``KeyError`` too, not stale data."""
     env, rules = _program()
-    duals = []
-    built = []  # the lists each evaluation built on the pair it read
+    read = []  # (the pair each evaluation read, the lists it built, those named)
     real = runtime.eval_plan
 
-    def recording(env, plan, dual):
+    def checked(env, plan, dual):
         before = set(dual._lists)
         result = real(env, plan, dual)
-        duals.append(dual)
-        built.append((set(dual._lists) - before, set(plan.lists)))
+        named = set(plan.lists)
+        assert set(dual._lists) == named
+        # ``go`` is an implicit event: the reset changes it too
+        for interface in INTERFACES:
+            for event in ("e", "go"):
+                ids, changed = _scanned(dual.current, dual.previous, interface, event)
+                if (interface, None) in named:
+                    assert dual.ids(interface) == ids
+                assert dual.changed(interface, event) == changed
+        read.append((dual, set(dual._lists) - before, named))
         return result
 
-    monkeypatch.setattr(runtime, "eval_plan", recording)
+    monkeypatch.setattr(runtime, "eval_plan", checked)
     rng = random.Random(SEED)
     moved = 0
     for _ in range(RUNS):
         state = initial_state({})
-        states = []
         for tick, changes in enumerate(_script(rng, TICKS), start=1):
+            stepped = state
             state, _ = step(state, changes, rules, env, mode, strict_conflicts=False)
-            dual = duals[-1]
-            added, named = built[-1]
+            dual, added, named = read[-1]
             assert added == (named if tick == 1 else set())
-            assert set(dual._lists) == named
-            # ``go`` is an implicit event: the reset changes it too
-            for interface in INTERFACES:
-                for event in ("e", "go"):
-                    ids, changed = _scanned(dual.current, dual.previous, interface, event)
-                    if (interface, None) in named:
-                        assert dual.ids(interface) == ids
-                    assert dual.changed(interface, event) == changed
             assert state.dual.describes(state.previous, state.current)
-            view = _view(state.dual)
-            assert view == _view(DualStore(state.previous, state.current))
+            fresh = DualStore(state.previous, state.current)
+            fresh.build(named)
+            assert _view(state.dual, named) == _view(fresh, named)
             moved += state.dual.touched is not None
-            states.append((state, view))
-        # no later tick changed a list handed out before it
-        for state, view in states:
-            assert _view(state.dual) == view
+            # the pairs the tick moved from handed their lists on
+            for handed_on in (stepped.dual, dual):
+                assert handed_on._lists == {}
+                for name in named:
+                    with pytest.raises(KeyError):
+                        _view(handed_on, [name])
     assert moved > RUNS * (TICKS - 3)
 
 
