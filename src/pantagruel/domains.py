@@ -190,8 +190,11 @@ def store_join(s1: Store, s2: Store) -> Store:
     """The conflict-checked merge of two stores, as a new store: pointwise
     :func:`combine_entities` over the union of both key sets, ``s1`` on
     the left.  When several entities clash, the one with the least id is
-    reported, so the error does not depend on either store's key order."""
-    out = dict(s1)
+    reported, so the error does not depend on either store's key order.
+    Neither store is changed: the result starts as ``s1.copy()``, which
+    clones ``s1``'s table even when keys were deleted from it, where the
+    ``dict`` constructor would insert every key again."""
+    out = s1.copy()
     clashes: list[ConflictError] = []
     for entity_id, entity in s2.items():
         present = out.get(entity_id)
@@ -397,7 +400,10 @@ class DualStore:
         in members no list reads, which are events.  It takes this pair's
         lists over, with each of those ids moved in place from its entity
         here to its entity in ``current`` (None where it is absent), and
-        this pair is left with none."""
+        this pair is left with none.  An id whose entity has, on both
+        sides, an interface no list is kept for, or none, is passed over
+        with no list read; both sides are looked at, since an id can be
+        removed and deployed again under another interface."""
         lists = self._lists
         object.__setattr__(self, "_lists", {})
         kept: dict[str, list[str | None]] = {}
@@ -406,7 +412,10 @@ class DualStore:
         before = self.current
         for entity_id in ids:
             old, new = before.get(entity_id), current.get(entity_id)
-            if old is new:
+            if old is new or (
+                (old is None or old.interface_id not in kept)
+                and (new is None or new.interface_id not in kept)
+            ):
                 continue
             out, into = _places_of(old, kept), _places_of(new, kept)
             for interface, attribute, key in out:

@@ -166,9 +166,15 @@ def apply_external(
     """Validate and apply one tick's external changes: removals first, then
     deployments, then event/attribute writes.  Any invalid change aborts the
     whole tick with an :class:`ExternalChangeError` listing every problem.
+
+    The result is a new store and ``store`` is left as it was.  It starts
+    as ``store.copy()``, which clones the hash table while at least two
+    thirds of its slots are live; the ``dict`` constructor clones it only
+    when no key was ever deleted from it and otherwise inserts every key
+    again, and the removals here leave deleted slots in the copy.
     """
     diagnostics: list[Diagnostic] = []
-    out = dict(store)
+    out = store.copy()
 
     for change in changes:
         if isinstance(change, Remove):
@@ -270,8 +276,13 @@ def apply_internal(
     ``set_ids``, when given, are the only ids whose entities may carry a
     set implicit event (:attr:`RunState.effect_ids` of the tick before):
     the reset visits them alone, skipping any no longer in
-    ``sigma_prime``.  When None, it visits every entity."""
-    out = dict(sigma_prime)
+    ``sigma_prime``.  When None, it visits every entity.
+
+    The result is a new store, and ``sigma_prime`` is left as it was.  It
+    starts as ``sigma_prime.copy()``, a clone of the table even when
+    :func:`apply_external` deleted keys from it, so a tick that removes
+    an entity copies at the speed of one that does not."""
+    out = sigma_prime.copy()
     resets: dict[str, dict[str, Value]] = {}
     for entity_id in sigma_prime if set_ids is None else set_ids:
         entity = sigma_prime.get(entity_id)

@@ -31,7 +31,9 @@ Ids go in and out with ``bisect``; a delta that moves more than half the
 ids lays the lists out afresh in id order instead.  A moved entity is
 rendered from its shape's template -- its interface, attribute keys and
 event keys -- compiled once per memo into a ``%``-format string with the
-keys already sorted and escaped.  ``text`` keeps the lengths of each
+keys already sorted and escaped, and two readers, ``operator.itemgetter``
+over those sorted keys, that take the attribute values and the event
+values as tuples in the string's order.  ``text`` keeps the lengths of each
 column as counts and re-pads every row only when a column's width moves.
 So a tick stepped from the store last rendered costs its touched ids, and
 the only work over the whole store is the final join.
@@ -48,7 +50,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _string
-from operator import is_not
+from operator import is_not, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .domains import UNDEF, Entity, Store, Value
@@ -117,13 +119,27 @@ def _fired_json(label: int, binding: dict[str, str]) -> str:
 # ── The memo ─────────────────────────────────────────────────────
 
 
-# A compiled shape: the %-format string, then the attribute keys and the
-# event keys in the order the string takes their values.
-_Template = tuple[str, tuple[str, ...], tuple[str, ...]]
+# Reads the values of some keys from a member map, as a tuple.
+_Reader = Callable[[dict[str, Value]], tuple[Value, ...]]
+# A compiled shape: the %-format string, then the readers of the attribute
+# values and of the event values in the order the string takes them.
+_Template = tuple[str, _Reader, _Reader]
 
 
 def _percent(text: str) -> str:
     return text.replace("%", "%%")
+
+
+def _reader(keys: Sequence[str]) -> _Reader:
+    """The values of ``keys`` in a member map, in that order, as a tuple
+    for any number of keys: ``itemgetter`` alone takes at least one key,
+    and for one it yields the bare value."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        key = keys[0]
+        return lambda members: (members[key],)
+    return lambda members: ()
 
 
 class _Memo:
@@ -164,11 +180,13 @@ class _Memo:
         if template is None:
             attribute_keys, event_keys = sorted(attributes), sorted(events)
             text = self.compile(entity.interface_id, attribute_keys, event_keys)
-            template = self.templates[shape] = (text, tuple(attribute_keys), tuple(event_keys))
-        text, attribute_keys, event_keys = template
-        values = [*map(attributes.__getitem__, attribute_keys), *map(events.__getitem__, event_keys)]
-        spelled = map(self.spelling.get, map(id, values), values)
-        return text % (*self.head(entity_id, entity), *spelled)
+            template = self.templates[shape] = (text, _reader(attribute_keys), _reader(event_keys))
+        text, read_attributes, read_events = template
+        spelling = self.spelling
+        return text % (
+            *self.head(entity_id, entity),
+            *[spelling.get(id(v)) or v for v in (*read_attributes(attributes), *read_events(events))],
+        )
 
     def resize(self, moved: Iterable[str], store: Store) -> None:
         """Called before any piece is rendered again, with the ids whose

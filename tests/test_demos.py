@@ -58,6 +58,39 @@ def test_deployment_script_switches_the_new_light(capsys):
     assert switched == {"l10", "l11", "l30"}
 
 
+def test_churn_script_switches_the_lights_the_rules_reach_after_each_change(capsys):
+    """``l11`` is removed from room 101, ``l12`` deployed there, and ``l11``
+    deployed again in room 201: each motion edge reaches the lights its
+    room holds at that tick, and the last one switches ``l10`` and ``l12``
+    on and ``l11`` and ``l20`` off."""
+    argv = [
+        "run",
+        str(DEMOS / "building.ptg"),
+        "--script",
+        str(DEMOS / "churn.evs"),
+        "--format",
+        "jsonl",
+    ]
+    assert main(argv) == 0
+    ticks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    switched = [
+        {
+            value: sorted(eid for eid, e in t["entities"].items() if e["events"].get("switch") is value)
+            for value in (True, False)
+        }
+        for t in ticks
+    ]
+    assert switched == [
+        {True: ["l10", "l11"], False: []},
+        {True: [], False: ["l10"]},
+        {True: ["l10", "l12"], False: []},
+        {True: [], False: ["l10", "l12"]},
+        {True: ["l11", "l20"], False: []},
+        {True: ["l10", "l12"], False: ["l11", "l20"]},
+    ]
+    assert ticks[-1]["entities"]["l11"]["attributes"] == {"room": 201}
+
+
 def _conflict_demo(monkeypatch, capsys, command, *flags):
     """``command`` (``run``, or ``repl`` fed the script and ``quit``) on
     the conflict demo: its exit code, stdout and stderr."""

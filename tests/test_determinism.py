@@ -52,7 +52,7 @@ def _assert_seed_independent(argv: list[str]) -> subprocess.CompletedProcess:
     [["--format", "text"], ["--format", "jsonl"], ["--mode", "level"]],
     ids=["text", "jsonl", "level"],
 )
-@pytest.mark.parametrize("script", ["trace.evs", "deployment.evs"])
+@pytest.mark.parametrize("script", ["trace.evs", "deployment.evs", "churn.evs"])
 def test_demo_traces_do_not_depend_on_the_hash_seed(script, options):
     argv = ["run", str(DEMOS / "building.ptg"), "--script", str(DEMOS / script)]
     done = _assert_seed_independent([*argv, *options])

@@ -32,7 +32,7 @@ from pantagruel.parser import parse_entity_decl
 from pantagruel.rule_eval import plan_block
 from pantagruel.runtime import RunState
 
-from support import RULE_1, RULE_3, produced_keys, program_source, with_event
+from support import BUILDING_SPEC, RULE_1, RULE_3, produced_keys, program_source, with_event
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -551,6 +551,82 @@ def test_step_never_lists_the_interface_no_rule_names(mode):
         assert not [name for name in kept if name.startswith("meter")]
         assert f"lx{tick}" in state.dual.ids("Light")
     assert {"l": f"lx{tick}", "m": "m10"} in [fired.binding for fired in record.fired]
+
+
+CHURN_PROGRAM = (
+    "interface Meter { attribute room : Integer event reading : Integer }\n"
+    + BUILDING_SPEC
+    + "".join(f"meter{i} : Meter {{ room : {101 + 100 * (i % 2)} }}\n" for i in range(292))
+    + "rules\n"
+    + RULE_1
+    + RULE_3
+    + "(4) when event reading from m:Meter value changed "
+    "trigger action switch(true) on l:Light with room = m.room end\n"
+    + "end\n"
+)
+
+
+def _rebuilt(store):
+    """``store`` as a dict made by inserting each of its keys."""
+    return {entity_id: entity for entity_id, entity in store.items()}
+
+
+def _churn_ticks(rng, alive, ticks):
+    """Ticks that each remove five of the ``alive`` meters and lights and
+    deploy five, some of them ids removed before, each as a meter or a
+    light, beside motion edges and meter readings."""
+    removed: list[str] = []
+    for tick in range(ticks):
+        gone = rng.sample(sorted(alive), 5)
+        changes = [Remove(entity_id) for entity_id in gone]
+        for entity_id in gone:
+            del alive[entity_id]
+        back = [removed.pop(rng.randrange(len(removed))) for _ in range(min(2, len(removed)))]
+        for entity_id in back + [f"new{tick}x{i}" for i in range(5 - len(back))]:
+            interface = rng.choice(["Meter", "Light"])
+            changes.append(Deploy(parse_entity_decl(f"{entity_id} : {interface} {{ room : 101 }}")))
+            alive[entity_id] = interface
+        removed += gone
+        changes.append(EventUpdate(rng.choice(["m10", "m20"]), "detected", rng.random() < 0.5))
+        meters = sorted(entity_id for entity_id, interface in alive.items() if interface == "Meter")
+        changes += [EventUpdate(meter, "reading", rng.randint(0, 3)) for meter in rng.sample(meters, 3)]
+        yield changes
+
+
+@pytest.mark.parametrize("mode", [EDGE, LEVEL])
+def test_copies_never_write_into_their_input(mode):
+    """A 300-entity store through 200 ticks of five removals and five
+    deploys each, so deleted slots pile up in the stores' tables past
+    resizes: each record equals that of the same tick stepped from the
+    state's stores rebuilt as fresh dicts, each tick's post-external store
+    is the one ``apply_external`` makes from a fresh copy, and every store
+    a tick read or made reads, after the run, as it did when first seen."""
+    checked = check_program(parse_program(CHURN_PROGRAM))
+    assert checked.ok and len(checked.initial_store) == 300
+    env, rules = checked.env, checked.rules
+    rng = random.Random(20_129)
+    alive = {
+        entity_id: e.interface_id
+        for entity_id, e in checked.initial_store.items()
+        if e.interface_id in ("Meter", "Light")
+    }
+    state = initial_state(checked.initial_store)
+    seen = {}  # id of a store -> (the store, its items when first seen)
+    fired = 0
+    for changes in _churn_ticks(rng, alive, 200):
+        fresh = RunState(_rebuilt(state.previous), _rebuilt(state.current), state.tick, state.effect_ids)
+        sigma_prime = apply_external(changes, _rebuilt(state.current), env)
+        for store in (state.previous, state.current):
+            seen.setdefault(id(store), (store, list(store.items())))
+        state, record = step(state, changes, rules, env, mode)
+        assert record == step(fresh, changes, rules, env, mode)[1]
+        assert state.previous == sigma_prime
+        seen.setdefault(id(state.previous), (state.previous, list(state.previous.items())))
+        fired += len(record.fired)
+    assert fired > 200
+    for store, items in seen.values():
+        assert len(store) == len(items)
+        assert all(store.get(entity_id) is entity for entity_id, entity in items)
 
 
 def test_edge_rules_list_no_detector_once_the_touched_ids_are_known(building):

@@ -246,6 +246,48 @@ def test_jsonl_line_equals_the_sorted_compact_dump_of_the_payload():
         assert serialize_tick(record, "jsonl") == expected + "\n"
 
 
+# member keys a template must escape: a %, a quote, a backslash and a
+# non-ASCII letter
+SHAPE_KEYS = ["a", "b%c", 'q"x', "a\\b", "é", "z"]
+SHAPE_VALUES = [0, 1, True, False, UNDEF, 2**70]
+
+
+def _shaped(rng, interface, attributes, events):
+    """An entity with that many attributes and events, keys drawn from
+    ``SHAPE_KEYS`` and put in unsorted."""
+    return Entity(
+        interface,
+        {k: rng.choice(SHAPE_VALUES) for k in rng.sample(SHAPE_KEYS, attributes)},
+        {k: rng.choice(SHAPE_VALUES) for k in rng.sample(SHAPE_KEYS, events)},
+    )
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_every_shape_renders_its_values_under_their_sorted_keys(fmt):
+    """Entities with 0, 1 and 3 attributes and 0, 1 and 3 events, rebuilt
+    with new values from tick to tick, so one shape's template and readers
+    serve many entities: each ``jsonl`` line is the sorted compact dump of
+    its payload, and each ``text`` state block the memo-free rows."""
+    rng = random.Random(20_129)
+    counts = (0, 1, 3)
+    snapshot = {}
+    for tick in range(60):
+        snapshot = dict(snapshot)
+        for attributes in counts:
+            for events in counts:
+                interface = f"I{attributes}{events}%é"
+                for n in range(3):
+                    entity_id = f"e{attributes}{events}{n}"
+                    if entity_id not in snapshot or rng.random() < 0.4:
+                        snapshot[entity_id] = _shaped(rng, interface, attributes, events)
+        record = _record(snapshot, tick)
+        if fmt == "jsonl":
+            expected = json.dumps(_payload(record), sort_keys=True, separators=(",", ":"))
+            assert serialize_tick(record, fmt) == expected + "\n"
+        else:
+            assert serialize_tick(record, fmt).endswith("\nstate:\n" + _state_rows(snapshot))
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
 def test_an_entity_rebuilt_under_the_same_id_renders_fresh(fmt):
     ids = [f"e{i:02}" for i in range(40)]
@@ -530,7 +572,7 @@ def _assert_renders_as_fresh(records, fmt):
 
 @pytest.mark.parametrize("mode", list(TriggerMode))
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
-@pytest.mark.parametrize("script", ["trace.evs", "deployment.evs"])
+@pytest.mark.parametrize("script", ["trace.evs", "deployment.evs", "churn.evs"])
 def test_every_demo_tick_renders_by_lineage_as_a_fresh_memo_does(script, fmt, mode):
     checked = check_program(parse_program((DEMOS / "building.ptg").read_text()))
     ticks = parse_script((DEMOS / script).read_text())

@@ -40,12 +40,14 @@ RUNS = 40
 TICKS = 25
 
 # ``B`` keeps its rooms as truth values, so rule 2 meets ``true`` against
-# ``1``: the rules are run unchecked, as ``step`` takes them.
+# ``1``: the rules are run unchecked, as ``step`` takes them.  No rule
+# names ``D``, so no pair lists it.
 SOURCE = """\
 interface A { attribute room : Integer attribute floor : Integer
               event e : Boolean action go ( Boolean ) }
 interface B { attribute room : Boolean event e : Boolean action go ( Boolean ) }
 interface C { attribute room : Integer event e : Boolean action go ( Integer ) }
+interface D { attribute room : Integer event e : Boolean action go ( Boolean ) }
 rules
 (1) when event e from m:A value = true trigger action go(5) on l:C with room = m.room end
 (2) when event e from m:B value changed trigger action go(true) on l:A with room = m.room end
@@ -56,7 +58,9 @@ rules
 (5) when event go from m:A value changed trigger action go(5) on l:C with room = m.room end
 end
 """
-INTERFACES = ("A", "B", "C")
+# the interfaces some rule names
+RULE_INTERFACES = ("A", "B", "C")
+INTERFACES = (*RULE_INTERFACES, "D")
 
 
 def _program():
@@ -88,7 +92,9 @@ def _script(rng, ticks):
     """Random ticks of changes, valid against the stores they meet:
     deploys, removes, an id removed and deployed again under another
     interface (in one tick or later), and event and attribute writes,
-    ``undef`` among them, several to one entity now and then."""
+    ``undef`` among them, several to one entity now and then.  Some
+    entities are ``D``'s, which no list holds, so some ids move between
+    an interface a pair lists and one it does not."""
     alive: dict[str, str] = {}
     names = [f"x{i}" for i in range(12)]
     script = [[_deploy(rng, name, rng.choice(INTERFACES)) for name in names[:6]]]
@@ -119,6 +125,23 @@ def _script(rng, ticks):
                 changes.append(AttributeUpdate(name, "floor", rng.choice([0, 1, UNDEF])))
         script.append(changes)
     return script
+
+
+def _redeploys(script):
+    """``(old interface, new interface, same tick)`` for each id deployed
+    again under another interface than it last had: in the tick that
+    removed it, or later."""
+    last: dict[str, str] = {}
+    found = []
+    for changes in script:
+        removed = {c.entity for c in changes if isinstance(c, Remove)}
+        for change in changes:
+            if isinstance(change, Deploy):
+                name, interface = change.decl.name, change.decl.interface
+                if last.get(name, interface) != interface:
+                    found.append((last[name], interface, name in removed))
+                last[name] = interface
+    return found
 
 
 def _view(dual: DualStore, names):
@@ -165,7 +188,9 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
     read, so the rules ask for nothing the pair was not built for.  The
     pair a tick reads is checked while the tick holds it, as ``step``
     then hands its lists on; a read of a pair that handed them on is a
-    ``KeyError`` too, not stale data."""
+    ``KeyError`` too, not stale data.  No pair lists ``D``, and ids move
+    both ways between ``D`` and the interfaces that are listed, within
+    one tick and across ticks."""
     env, rules = _program()
     read = []  # (the pair each evaluation read, the lists it built, those named)
     real = runtime.eval_plan
@@ -188,13 +213,21 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
     monkeypatch.setattr(runtime, "eval_plan", checked)
     rng = random.Random(SEED)
     moved = 0
+    crossings = set()
     for _ in range(RUNS):
+        script = _script(rng, TICKS)
+        crossings.update(
+            (old == "D", same_tick)
+            for old, new, same_tick in _redeploys(script)
+            if "D" in (old, new)
+        )
         state = initial_state({})
-        for tick, changes in enumerate(_script(rng, TICKS), start=1):
+        for tick, changes in enumerate(script, start=1):
             stepped = state
             state, _ = step(state, changes, rules, env, mode, strict_conflicts=False)
             dual, added, named = read[-1]
             assert added == (named if tick == 1 else set())
+            assert "D" not in {interface for interface, _ in named}
             assert state.dual.describes(state.previous, state.current)
             fresh = DualStore(state.previous, state.current)
             fresh.build(named)
@@ -207,6 +240,8 @@ def test_the_index_step_carries_equals_one_built_afresh(monkeypatch, mode):
                     with pytest.raises(KeyError):
                         _view(handed_on, [name])
     assert moved > RUNS * (TICKS - 3)
+    # out of D and into it, each in the removing tick and in a later one
+    assert crossings == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_a_list_is_read_only_from_a_pair_built_for_it():
@@ -230,7 +265,7 @@ def test_a_list_is_read_only_from_a_pair_built_for_it():
     with pytest.raises(ValueError):
         dual.changed("A", "e")
     dual.build([("A", None), ("B", None), ("C", None), ("C", "room")])
-    for interface in INTERFACES:
+    for interface in RULE_INTERFACES:
         ids, changed = _scanned(dual.current, dual.previous, interface, "e")
         assert dual.ids(interface) == ids
         assert dual.changed(interface, "e") == changed
