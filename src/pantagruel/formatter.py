@@ -3,7 +3,8 @@
 ``parse_program(format_program(ast))`` returns a tree structurally equal to
 ``ast`` (spans aside) for every tree the grammar can derive.  Initializers
 are emitted with ``:`` and entity declarations without the optional
-``entity`` keyword.
+``entity`` keyword, as ``name : Interface { attr : literal, ... }``, the
+spelling a trace's ``deploy`` line gives them too (:func:`format_entity`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .ast import (
     EventOr,
     Expr,
     Filter,
-    InitDecl,
     InterfaceDecl,
     NumLit,
     Path,
@@ -114,14 +114,11 @@ def _format_interface(decl: InterfaceDecl) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_inits(inits: tuple[InitDecl, ...]) -> str:
-    """The braced initializer list of an entity declaration."""
-    body = ", ".join(f"{i.attribute} : {format_expr(i.value)}" for i in inits)
-    return f"{{ {body} }}" if body else "{}"
-
-
-def _format_entity(decl: EntityDecl) -> str:
-    return f"{decl.name}:{decl.interface} {format_inits(decl.inits)}\n"
+def format_entity(decl: EntityDecl) -> str:
+    """An entity declaration, ``name : Interface { inits }``: the one
+    spelling of a program's entity lines and of a trace's ``deploy``."""
+    body = ", ".join(f"{i.attribute} : {format_expr(i.value)}" for i in decl.inits)
+    return f"{decl.name} : {decl.interface} " + (f"{{ {body} }}" if body else "{}")
 
 
 def _format_rule(rule: RuleAst) -> str:
@@ -137,6 +134,6 @@ def format_program(program: ProgramAst) -> str:
     """Render ``program`` as canonical concrete syntax."""
     blocks = [_format_interface(i) for i in program.spec.interfaces]
     if program.spec.entities:
-        blocks.append("".join(_format_entity(e) for e in program.spec.entities))
+        blocks.append("".join(format_entity(e) + "\n" for e in program.spec.entities))
     blocks.append("rules\n" + "".join(_format_rule(r) for r in program.rules) + "end\n")
     return "\n".join(blocks)

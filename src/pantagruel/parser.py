@@ -58,7 +58,7 @@ from .ast import (
     ValueChanged,
     ValueEq,
 )
-from typing import NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 from .diagnostics import Diagnostic, SourceSpan, error
 from .lexer import KEYWORDS, Token, TokenKind, end_of_input, scan_line
@@ -67,6 +67,7 @@ _TYPE_NAMES = {"Integer": TypeTag.NAT, "Boolean": TypeTag.BOOL}
 _MEMBER_KINDS = (TokenKind.ATTRIBUTE, TokenKind.EVENT, TokenKind.ACTION)
 _RULE_SYNC = (TokenKind.WHEN, TokenKind.LPAREN, TokenKind.END, TokenKind.EOF)
 _EOF = TokenKind.EOF
+_Chained = TypeVar("_Chained", EventExpr, ActionExpr)
 
 # A whole entity-declaration line, ``[entity] name : Interface { attr :
 # literal [,] ... }``, with blanks anywhere the token parser allows them
@@ -335,19 +336,26 @@ class _Parser:
         self._expect(TokenKind.END, "'end'")
         return RuleAst(label, condition, body, start.span)
 
-    def _event_or(self) -> EventExpr:
-        left = self._event_and()
-        while self._at(TokenKind.OR):
+    def _chain(
+        self,
+        operand: Callable[[], _Chained],
+        kind: TokenKind,
+        node: Callable[[_Chained, _Chained, SourceSpan], _Chained],
+    ) -> _Chained:
+        """``operand (kind operand)*``, folded left: each operator makes a
+        ``node`` of what is folded so far and the next operand, spanning
+        the operator's token."""
+        left = operand()
+        while self._at(kind):
             op = self._advance()
-            left = EventOr(left, self._event_and(), op.span)
+            left = node(left, operand(), op.span)
         return left
 
+    def _event_or(self) -> EventExpr:
+        return self._chain(self._event_and, TokenKind.OR, EventOr)
+
     def _event_and(self) -> EventExpr:
-        left = self._event_atom()
-        while self._at(TokenKind.AND):
-            op = self._advance()
-            left = EventAnd(left, self._event_atom(), op.span)
-        return left
+        return self._chain(self._event_atom, TokenKind.AND, EventAnd)
 
     def _event_atom(self) -> EventExpr:
         start = self._current()
@@ -395,18 +403,10 @@ class _Parser:
         return Filter(attr.text, self._expr(), attr.span)
 
     def _action_par(self) -> ActionExpr:
-        left = self._action_seq()
-        while self._at(TokenKind.PARPAR):
-            op = self._advance()
-            left = ActionPar(left, self._action_seq(), op.span)
-        return left
+        return self._chain(self._action_seq, TokenKind.PARPAR, ActionPar)
 
     def _action_seq(self) -> ActionExpr:
-        left = self._action_call()
-        while self._at(TokenKind.COMMA):
-            op = self._advance()
-            left = ActionSeq(left, self._action_call(), op.span)
-        return left
+        return self._chain(self._action_call, TokenKind.COMMA, ActionSeq)
 
     def _action_call(self) -> ActionExpr:
         start = self._expect(TokenKind.ACTION, "'action'")

@@ -92,9 +92,9 @@ class RunState:
     effects set implicit events (external writes to them are refused, and a
     deployed entity starts them at UNDEF), so no other entity of
     ``current`` carries a set one, and the next tick's reset visits only
-    these.  None, as a state built without the field has it, means they
-    are not known: the reset then scans every entity, and the tick hands
-    on no dual store.
+    these.  None, as a state built without the field has it, means every
+    id: the reset then visits every entity, and the record names them all
+    as touched.
 
     ``dual`` is the :class:`~pantagruel.domains.DualStore` of the pair
     ``(previous, current)``, with the lists the rule block names once a
@@ -102,8 +102,9 @@ class RunState:
     tick's changes name; the pair then lists nothing, so a state stepped
     again has its rules list what they read afresh, in one pass, as a
     bare pair does.  It is used only while it is this very pair, so a state
-    built by hand, or with ``dataclasses.replace``, has its next tick's
-    rules read a bare pair of ``previous`` and the post-external store.
+    built by hand, or with ``dataclasses.replace`` of a store, has its next
+    tick's rules read a bare pair of ``previous`` and the post-external
+    store.  Every state :func:`step` returns carries the pair of its stores.
 
     ``plan`` is the rule block's plan (:func:`~pantagruel.rule_eval.plan_block`)
     for the rules and mode the tick ran, which :func:`step` uses while it
@@ -341,8 +342,7 @@ def step(
     pair listing nothing, and the lists are built afresh.
 
     The record's lineage is ``state.current`` and the ids the changes
-    name, the effects wrote and the reset visited, when the state names
-    the ids its reset must visit; otherwise it has none."""
+    name, the effects wrote and the reset visited."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
@@ -369,18 +369,13 @@ def step(
             raise
         conflict = str(exc)
         effects, fired = {}, []
-    snapshot = apply_internal(env, effects, sigma_prime, state.effect_ids)
+    set_ids = tuple(sigma_prime) if state.effect_ids is None else state.effect_ids
+    snapshot = apply_internal(env, effects, sigma_prime, set_ids)
     effect_ids = tuple(effects)
-    touched: tuple[str, ...] | None = None
-    if state.effect_ids is None:
-        dual = None
-    else:
-        rebuilt = tuple(dict.fromkeys(effect_ids + state.effect_ids))
-        dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
-        touched = named + rebuilt
+    rebuilt = tuple(dict.fromkeys(effect_ids + set_ids))
+    dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
     record = TickRecord(
-        tick, tuple(changes), tuple(fired), snapshot, conflict,
-        None if touched is None else state.current, touched,
+        tick, tuple(changes), tuple(fired), snapshot, conflict, state.current, named + rebuilt
     )
     return RunState(sigma_prime, snapshot, tick, effect_ids, dual, plan), record
 

@@ -54,7 +54,7 @@ from operator import is_not, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .domains import UNDEF, Entity, Store, Value
-from .formatter import SPELLING, format_inits, format_value
+from .formatter import SPELLING, format_entity, format_value
 from .runtime import AttributeUpdate, EventUpdate, ExternalChange, Remove, TickRecord
 
 _INDENT = "  "
@@ -70,8 +70,7 @@ def change_text(change: ExternalChange) -> str:
         return f"attr {change.entity}.{change.attribute} = {format_value(change.value)}"
     if isinstance(change, Remove):
         return f"remove {change.entity}"
-    decl = change.decl
-    return f"deploy {decl.name} : {decl.interface} {format_inits(decl.inits)}"
+    return f"deploy {format_entity(change.decl)}"
 
 
 # ── jsonl, by hand ───────────────────────────────────────────────

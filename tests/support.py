@@ -1,12 +1,13 @@
-"""Shared sources and helpers: the building-automation demo program, and
-the readers, predicates and writers a planned rule compiles, each checked
-against the closure oracle.  Tests import them by name from here;
+"""Shared sources and helpers: the building-automation demo program, the
+readers, predicates and writers a planned rule compiles, each checked
+against the closure oracle, and the check that a record renders by its
+lineage as a fresh memo renders it.  Tests import them by name from here;
 ``conftest.py`` holds only the fixtures."""
 
 from __future__ import annotations
 
 import closure_eval
-from pantagruel import TriggerMode, rule_eval, update_member
+from pantagruel import TriggerMode, rule_eval, serialize, serialize_tick, update_member
 from pantagruel.domains import DualStore
 from pantagruel.rule_eval import eval_plan, plan_block
 
@@ -74,6 +75,28 @@ RULE_3 = """\
 
 def program_source(*rules: str) -> str:
     return BUILDING_SPEC + "\nrules\n" + "".join(rules) + "end\n"
+
+
+def rendered_afresh(record, fmt):
+    """``record`` rendered by a memo that has rendered nothing before."""
+    kept = serialize._memos[fmt]
+    serialize._memos[fmt] = type(kept)()
+    try:
+        return serialize_tick(record, fmt)
+    finally:
+        serialize._memos[fmt] = kept
+
+
+def assert_renders_as_fresh(records, fmt):
+    """Each record, from ``step`` and rendered in turn, has ``touched``
+    cover every id at which its snapshot and ``base`` hold different
+    objects, and renders as a fresh memo renders it."""
+    for record in records:
+        base, snapshot = record.base, record.snapshot
+        moved = {k for k in base.keys() | snapshot.keys() if base.get(k) is not snapshot.get(k)}
+        assert moved <= set(record.touched)
+        assert serialize_tick(record, fmt) == rendered_afresh(record, fmt)
+        assert serialize._memos[fmt].ids == sorted(record.snapshot)
 
 
 def with_event(store, entity_id: str, event: str, value):

@@ -144,6 +144,44 @@ def test_comma_binds_tighter_than_parallel():
     assert isinstance(body.right, ActionCall) and body.right.action == "h"
 
 
+def _chain_src(condition: str, body: str) -> str:
+    return f"rules\nwhen {condition}\ntrigger {body}\nend\nend\n"
+
+
+_EVENT = "event {} from x value changed"
+_CALL = "action {}(1) on x"
+
+
+@pytest.mark.parametrize(
+    "op, node, on_condition",
+    [
+        ("or", EventOr, True),
+        ("and", EventAnd, True),
+        (",", ActionSeq, False),
+        ("||", ActionPar, False),
+    ],
+)
+def test_three_operand_chains_fold_left_with_operator_spans(op, node, on_condition):
+    operand = _EVENT if on_condition else _CALL
+    chain = f" {op} ".join(operand.format(name) for name in "abc")
+    other = (_CALL if on_condition else _EVENT).format("z")
+    src = _chain_src(chain, other) if on_condition else _chain_src(other, chain)
+    rule = parse_program(src).rules[0]
+    tree = rule.condition if on_condition else rule.body
+    line = 2 if on_condition else 3
+    start = len("when ") if on_condition else len("trigger ")
+    first = start + 1 + len(operand.format("a")) + 1
+    second = first + len(op) + 1 + len(operand.format("b")) + 1
+    # ((a op b) op c): the root spans the second operator, its left the first
+    assert isinstance(tree, node) and isinstance(tree.left, node)
+    assert tree.span == (line, second, len(op))
+    assert tree.left.span == (line, first, len(op))
+    leaves = [tree.left.left, tree.left.right, tree.right]
+    names = [leaf.event if on_condition else leaf.action for leaf in leaves]
+    assert names == ["a", "b", "c"]
+    assert not any(isinstance(leaf, node) for leaf in leaves)
+
+
 def test_boolean_literals_in_expression_position():
     src = "rules when event a from x value = true trigger action f(false) on x end end"
     ast = parse_program(src)

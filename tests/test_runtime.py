@@ -23,6 +23,7 @@ from pantagruel import (
     initial_state,
     parse_program,
     run_trace,
+    serialize_tick,
     step,
     update_member,
 )
@@ -30,9 +31,17 @@ from pantagruel import runtime
 from pantagruel.domains import DualStore, Entity
 from pantagruel.parser import parse_entity_decl
 from pantagruel.rule_eval import plan_block
-from pantagruel.runtime import RunState
+from pantagruel.runtime import RunState, TickRecord
 
-from support import BUILDING_SPEC, RULE_1, RULE_3, produced_keys, program_source, with_event
+from support import (
+    BUILDING_SPEC,
+    RULE_1,
+    RULE_3,
+    assert_renders_as_fresh,
+    produced_keys,
+    program_source,
+    with_event,
+)
 
 EDGE = TriggerMode.EDGE
 LEVEL = TriggerMode.LEVEL
@@ -453,18 +462,30 @@ RESET_PROGRAM = program_source(
 )
 
 
-def _stepped_as_repl(checked, ticks, mode, forget):
+def _forgotten(state):
+    """The state with its ``effect_ids`` dropped: every id may carry a set
+    implicit event, so the reset visits every entity."""
+    return dataclasses.replace(state, effect_ids=None)
+
+
+def _hand_built(state):
+    """The state as built by hand: its stores and tick, nothing else."""
+    return RunState(state.previous, state.current, state.tick)
+
+
+def _stepped_as_repl(checked, ticks, mode, forget=None):
     """Step ``ticks`` with effect conflicts recorded, as ``repl`` does: a
-    tick whose changes are refused leaves the state as it was.  With
-    ``forget``, each state's ``effect_ids`` is dropped, so every reset scans
-    the whole store."""
+    tick whose changes are refused leaves the state as it was.  Each state
+    stepped is first passed through ``forget``, if given.  Every record
+    has its lineage, the state it was stepped from, and every new state
+    carries the pair of its two stores, listing what a fresh pair lists."""
     state = initial_state(checked.initial_store)
     records = []
     for changes in ticks:
-        before = state
+        before = forget(state) if forget else state
         try:
             state, record = step(
-                state, changes, checked.rules, checked.env, mode, strict_conflicts=False
+                before, changes, checked.rules, checked.env, mode, strict_conflicts=False
             )
         except ExternalChangeError:
             records.append("refused")
@@ -472,15 +493,21 @@ def _stepped_as_repl(checked, ticks, mode, forget):
         # a conflicting tick drops its effects
         written = set() if record.conflict else {e for e, _ in produced_keys(checked, before, state, mode)}
         assert set(state.effect_ids) == written
-        if forget:
-            state = dataclasses.replace(state, effect_ids=None)
+        assert record.base is before.current and record.touched is not None
+        assert state.dual.describes(state.previous, state.current)
+        fresh = DualStore(state.previous, state.current)
+        fresh.build(state.plan.lists)
+        assert state.dual._lists == fresh._lists
         records.append(record)
     return records
 
 
 def test_steps_threading_the_effect_ids_match_steps_scanning_every_entity():
-    """The same ticks stepped twice, once handing each tick's effect ids to
-    the next and once with them dropped, give identical records.  The
+    """The same ticks stepped three times, once handing each tick's effect
+    ids to the next, once with them dropped and once from states built by
+    hand, give identical records, each with its lineage and each state
+    with its pair, and the records render by that lineage as a fresh memo
+    renders them.  The
     ticks open with a relaxed-mode conflict (rule 1 switches ``l10`` on
     while rule 4 switches it off: the effects are dropped), a refused
     write to an implicit event, a remove and redeploy of ``l10`` in one
@@ -512,8 +539,13 @@ def test_steps_threading_the_effect_ids_match_steps_scanning_every_entity():
                 changes.append(EventUpdate("l20", "switch", True))
             ticks.append(changes)
         for mode in (EDGE, LEVEL):
-            threaded = _stepped_as_repl(checked, ticks, mode, forget=False)
-            assert threaded == _stepped_as_repl(checked, ticks, mode, forget=True)
+            threaded = _stepped_as_repl(checked, ticks, mode)
+            for forget in (_forgotten, _hand_built):
+                records = _stepped_as_repl(checked, ticks, mode, forget)
+                assert records == threaded
+                for fmt in ("jsonl", "text"):
+                    serialize_tick(TickRecord(0, (), (), checked.initial_store), fmt)
+                    assert_renders_as_fresh([r for r in records if r != "refused"], fmt)
             if case == 0 and mode is EDGE:
                 conflict, refused, _, set_l10, redeployed, _ = threaded[: len(opening)]
                 assert conflict.conflict is not None and conflict.fired == ()

@@ -34,6 +34,8 @@ from pantagruel.ast import BoolLit, EntityDecl, InitDecl, NumLit
 from pantagruel.formatter import format_value
 from pantagruel.serialize import store_text
 
+from support import assert_renders_as_fresh, rendered_afresh
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
@@ -543,31 +545,12 @@ def test_new_ids_render_wherever_the_store_holds_them(fmt):
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-def _fresh(record, fmt):
-    """``record`` rendered by a memo that has rendered nothing before."""
-    kept = serialize._memos[fmt]
-    serialize._memos[fmt] = type(kept)()
-    try:
-        return serialize_tick(record, fmt)
-    finally:
-        serialize._memos[fmt] = kept
-
-
 def _steps(checked, ticks, mode):
     """Each record of a run, strict about conflicts."""
     state = initial_state(checked.initial_store)
     for changes in ticks:
         state, record = step(state, changes, checked.rules, checked.env, mode)
         yield record
-
-
-def _assert_renders_as_fresh(records, fmt):
-    for record in records:
-        base, snapshot = record.base, record.snapshot
-        moved = {k for k in base.keys() | snapshot.keys() if base.get(k) is not snapshot.get(k)}
-        assert moved <= set(record.touched)
-        assert serialize_tick(record, fmt) == _fresh(record, fmt)
-        assert serialize._memos[fmt].ids == sorted(record.snapshot)
 
 
 @pytest.mark.parametrize("mode", list(TriggerMode))
@@ -579,7 +562,7 @@ def test_every_demo_tick_renders_by_lineage_as_a_fresh_memo_does(script, fmt, mo
     # the tick-0 record first, as --emit-initial writes it, so that the
     # first tick is stepped from the store the memo last rendered
     serialize_tick(TickRecord(0, (), (), checked.initial_store), fmt)
-    _assert_renders_as_fresh(_steps(checked, ticks, mode), fmt)
+    assert_renders_as_fresh(_steps(checked, ticks, mode), fmt)
 
 
 @pytest.mark.parametrize("mode", list(TriggerMode))
@@ -590,7 +573,7 @@ def test_every_benchmark_tick_renders_by_lineage_as_a_fresh_memo_does(name, seed
     checked = check_program(parse_program(wl.program))
     records = list(_steps(checked, parse_script(wl.script), mode))
     for fmt in ("jsonl", "text"):
-        _assert_renders_as_fresh(records, fmt)
+        assert_renders_as_fresh(records, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
@@ -607,7 +590,7 @@ def test_a_record_rendered_out_of_order_renders_its_own_store(building, fmt):
     # the store last rendered, and again right after records[2]
     for index in (0, 1, 3, 2, 3, 4, 0, 4):
         record = records[index]
-        assert serialize_tick(record, fmt) == _fresh(record, fmt)
+        assert serialize_tick(record, fmt) == rendered_afresh(record, fmt)
         assert serialize._memos[fmt].ids == sorted(record.snapshot)
 
 
@@ -621,7 +604,7 @@ def test_a_refused_tick_between_two_records_leaves_the_lineage_whole(building, f
         step(state, [EventUpdate("ghost", "detected", True)], rules, env, mode)
     state, second = step(state, [EventUpdate("thermo", "temperature", 30)], rules, env, mode)
     assert second.base is first.snapshot
-    assert serialize_tick(second, fmt) == _fresh(second, fmt)
+    assert serialize_tick(second, fmt) == rendered_afresh(second, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "text"])
@@ -647,7 +630,7 @@ def test_ids_named_twice_in_a_tick_go_into_the_memo_once(building, fmt, monkeypa
         line = serialize_tick(record, fmt)
         assert rendered.count("l30") <= 1
         assert serialize._memos[fmt].ids == sorted(record.snapshot)
-        assert line == _fresh(record, fmt)
+        assert line == rendered_afresh(record, fmt)
 
 
 def test_a_steady_churn_wide_tick_looks_up_only_its_touched_ids():
@@ -668,6 +651,6 @@ def test_a_steady_churn_wide_tick_looks_up_only_its_touched_ids():
     spied = dataclasses.replace(record, snapshot=Spied(record.snapshot))
     assert spied.base is record.base and spied.touched is record.touched
     line = serialize_tick(spied, wl.fmt)
-    assert line == _fresh(record, wl.fmt)
+    assert line == rendered_afresh(record, wl.fmt)
     assert set(looked_up) == set(record.touched)
     assert len(looked_up) <= 2 * len(record.touched) < len(record.snapshot) // 10

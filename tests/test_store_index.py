@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pantagruel import (
     UNDEF,
@@ -333,3 +336,88 @@ def test_a_replaced_store_is_not_read_through_the_index_of_the_old_one():
         _, got = _outcome(replaced, [], env, rules, TriggerMode.EDGE)
         _, want = _outcome(_fresh(replaced), [], env, rules, TriggerMode.EDGE)
         assert want[0] and got == want
+
+
+# ── drawn runs ───────────────────────────────────────────────────
+
+_NAMES = [f"x{i}" for i in range(8)]
+_INTS = [0, 1, 2, UNDEF]
+# four of each, so one drawn pick chooses either
+_BOOLS = [True, False, UNDEF, True]
+_OPS = st.tuples(
+    st.sampled_from(["deploy", "remove", "room", "e", "e"]),
+    st.sampled_from(_NAMES),
+    st.sampled_from(INTERFACES),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def _run(draw):
+    """Up to 12 ticks of changes valid against the stores they meet, each
+    with two flags: whether the state is forgotten first, and whether it is
+    stepped once more first, a step whose result is dropped.  A deploy of
+    an id alive at the tick's start removes it first, so ids come back,
+    under another interface or the same, in the tick that removed them
+    and later; writes are to the joined attribute and to the event."""
+    alive: dict[str, str] = {}
+    ticks = []
+    for _ in range(draw(st.integers(1, 12))):
+        removed: set[str] = set()
+        deployed: dict[str, str] = {}
+        changes = []
+        for op, name, interface, pick in draw(st.lists(_OPS, max_size=6)):
+            live = {**{n: i for n, i in alive.items() if n not in removed}, **deployed}
+            if op in ("deploy", "remove") and name in live and name not in deployed:
+                # writes run after removes and deploys: drop the tick's to it
+                changes = [c for c in changes if isinstance(c, (Remove, Deploy)) or c.entity != name]
+                changes.append(Remove(name))
+                removed.add(name)
+            if op == "deploy" and name not in deployed:
+                room = (_BOOLS if interface == "B" else _INTS)[pick]
+                inits = () if room is UNDEF else (InitDecl("room", _literal(room)),)
+                changes.append(Deploy(EntityDecl(name, interface, inits)))
+                deployed[name] = interface
+            elif op == "room" and name in live:
+                room = (_BOOLS if live[name] == "B" else _INTS)[pick]
+                changes.append(AttributeUpdate(name, "room", room))
+            elif op == "e" and name in live:
+                changes.append(EventUpdate(name, "e", _BOOLS[pick]))
+        alive = {**{n: i for n, i in alive.items() if n not in removed}, **deployed}
+        ticks.append((changes, draw(st.booleans()), draw(st.booleans())))
+    return ticks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run(), st.sampled_from(list(TriggerMode)))
+def test_a_drawn_run_reads_the_pairs_a_fresh_run_builds(ticks, mode):
+    """The pair each tick reads lists, for every list its plan names, what
+    a pair of the same stores built afresh lists, and changed ids as a scan
+    of the stores finds them, when the state was forgotten
+    (``effect_ids`` dropped), stepped once before, or both; and the run's
+    records equal those of a run whose states are all built by hand."""
+    env, rules = _program()
+    real = runtime.eval_plan
+
+    def checked(env, plan, dual):
+        result = real(env, plan, dual)
+        fresh = DualStore(dual.previous, dual.current)
+        fresh.build(plan.lists)
+        assert _view(dual, plan.lists) == _view(fresh, plan.lists)
+        for interface in INTERFACES:
+            for event in ("e", "go"):
+                assert dual.changed(interface, event) == _scanned(
+                    dual.current, dual.previous, interface, event
+                )[1]
+        return result
+
+    state = reference = initial_state({})
+    with mock.patch.object(runtime, "eval_plan", checked):
+        for changes, forget, twice in ticks:
+            if forget:
+                state = dataclasses.replace(state, effect_ids=None)
+            if twice:
+                _outcome(state, changes, env, rules, mode)
+            state, got = _outcome(state, changes, env, rules, mode)
+            reference, want = _outcome(_fresh(reference), changes, env, rules, mode)
+            assert got == want
