@@ -2,7 +2,8 @@
 
 Everything here is a plain immutable value; updates build new entities
 rather than mutating, and an update or a merge that changes no member
-returns the very entity it was given.  The one cache lives in the
+returns the very entity it was given.  :func:`fold` is the one merge and
+:func:`update_member` the one member update.  The one cache lives in the
 :class:`DualStore`, the one object for a ⟨previous, current⟩ pair: the
 lists of its current store's ids that rules read, by interface and, for
 the attributes body joins read, by value.  One builder lists them in one
@@ -16,9 +17,10 @@ merges are union-shaped with equal-value overlap tolerated.  Stores are
 finite maps: their key order carries no meaning and nothing here sorts
 them.  Order is fixed only where it can be observed: :meth:`DualStore.ids`
 lists an interface's ids sorted, :func:`instantiate` enumerates bindings
-of sorted pools lexicographically, :func:`store_join` reports the least
-conflict, and the serializer sorts what it prints.  Nothing here iterates a set, so no
-result depends on the string hash seed.
+of sorted pools lexicographically, :func:`fold` and :func:`store_join`
+report the least conflict, and the serializer sorts what it prints.
+Nothing here iterates a set, so no result depends on the string hash
+seed.
 
 A rule's binding maps each name bound to an entity to that entity's id, a
 name it lacks being unbound; :func:`instantiate` extends one over the ids
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .ast import TypeTag
 
@@ -52,6 +54,7 @@ UNDEF = _Undef()
 
 # A runtime value: a nonnegative integer, a truth value, or UNDEF.
 Value = Union[int, bool, _Undef]
+K = TypeVar("K")
 
 
 def value_type_matches(value: Value, tag: TypeTag) -> bool:
@@ -71,16 +74,13 @@ def value_eq(a: Value, b: Value) -> bool:
     unreachable in checked programs; ``bool`` is deliberately not treated as
     an ``int`` here).
     """
-    if a is UNDEF or b is UNDEF:
-        return False
-    return type(a) is type(b) and a == b
+    return a is not UNDEF and type(a) is type(b) and a == b
 
 
 def value_neq(a: Value, b: Value) -> bool:
     """Inequality as used by ``value changed``: UNDEF is one ordinary,
-    distinct value, so undef→undef is *no* change while undef→defined is."""
-    if a is UNDEF or b is UNDEF:
-        return not (a is UNDEF and b is UNDEF)
+    distinct value, so undef→undef is *no* change while undef→defined is
+    (UNDEF, of a type of its own, is equal only to itself)."""
     return type(a) is not type(b) or a != b
 
 
@@ -145,55 +145,39 @@ class UnknownEntityError(Exception):
 # ── Store operations ─────────────────────────────────────────────
 
 
-def _merge_maps(
-    entity_id: str, left: dict[str, Value], right: dict[str, Value]
-) -> dict[str, Value]:
-    """``left`` with ``right``'s members, and ``left`` itself when each of
-    them holds there already (no clash means an equal value)."""
-    clashes = [
-        key for key, value in right.items()
-        if key in left and value_neq(left[key], value)
-    ]
-    if clashes:
-        key = min(clashes)
-        raise ConflictError(entity_id, key, left[key], right[key])
-    if right.keys() <= left.keys():
-        return left
-    return {**left, **right}
+def fold(into: dict[K, Value], part: Mapping[K, Value]) -> K | None:
+    """Join ``part`` into ``into`` in place: a key held on both sides must
+    hold equal values (:func:`value_neq`), and ``into`` keeps its own.
+    Returns the least clashing key, None if none clashes; ``into`` is then
+    part-joined.  The rules' effects and :func:`store_join`'s entities are
+    joined with it."""
+    clashes = []
+    for key, value in part.items():
+        held = into.setdefault(key, value)
+        if held is not value and value_neq(held, value):
+            clashes.append(key)
+    return min(clashes) if clashes else None
 
 
-def combine_entities(
-    entity_id: str, a: Entity | None, b: Entity | None
-) -> Entity | None:
-    """Union-merge two partial views of one entity.
-
-    Absent sides pass through; keys present on both sides must carry equal
-    values, otherwise the partial states interfere and a
-    :class:`ConflictError` is raised: for a differing interface first, then
-    for the least clashing attribute, then for the least clashing event.
-    ``a`` itself is returned when ``b`` adds nothing to it.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.interface_id != b.interface_id:
-        raise ConflictError(entity_id, "interface", a.interface_id, b.interface_id)
-    attributes = _merge_maps(entity_id, a.attributes, b.attributes)
-    events = _merge_maps(entity_id, a.events, b.events)
-    if attributes is a.attributes and events is a.events:
-        return a
-    return Entity(a.interface_id, attributes, events)
+def _members(entity: Entity) -> dict[tuple[int, str], object]:
+    """``entity``'s interface, attributes and events in one map, keyed in
+    that order, then by name, for :func:`fold` to report the least clash."""
+    members: dict[tuple[int, str], object] = {(0, "interface"): entity.interface_id}
+    members.update(((1, key), value) for key, value in entity.attributes.items())
+    members.update(((2, key), value) for key, value in entity.events.items())
+    return members
 
 
 def store_join(s1: Store, s2: Store) -> Store:
-    """The conflict-checked merge of two stores, as a new store: pointwise
-    :func:`combine_entities` over the union of both key sets, ``s1`` on
-    the left.  When several entities clash, the one with the least id is
-    reported, so the error does not depend on either store's key order.
-    Neither store is changed: the result starts as ``s1.copy()``, which
-    clones ``s1``'s table even when keys were deleted from it, where the
-    ``dict`` constructor would insert every key again."""
+    """The conflict-checked merge of two stores, as a new store.  An id on
+    both sides has its :func:`_members` folded, ``s1`` on the left, and is
+    then ``s1``'s entity with ``s2``'s members written
+    (:func:`update_member`): that very entity when ``s2`` adds nothing.
+    The clash reported is that of the least id, so the error does not
+    depend on either store's key order.  Neither store is changed: the
+    result starts as ``s1.copy()``, which clones ``s1``'s table even when
+    keys were deleted from it, where the ``dict`` constructor would insert
+    every key again."""
     out = s1.copy()
     clashes: list[ConflictError] = []
     for entity_id, entity in s2.items():
@@ -201,10 +185,12 @@ def store_join(s1: Store, s2: Store) -> Store:
         if present is None:
             out[entity_id] = entity
             continue
-        try:
-            out[entity_id] = combine_entities(entity_id, present, entity)
-        except ConflictError as exc:
-            clashes.append(exc)
+        left, right = _members(present), _members(entity)
+        key = fold(left, right)
+        if key is None:
+            out[entity_id] = update_member(out, entity_id, entity.attributes, entity.events)
+        else:
+            clashes.append(ConflictError(entity_id, key[1], left[key], right[key]))
     if clashes:
         raise min(clashes, key=lambda exc: exc.entity_id)
     return out

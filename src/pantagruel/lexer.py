@@ -1,8 +1,9 @@
 """Tokenizer for program sources.
 
-Identifiers are ``[A-Za-z][A-Za-z0-9_]*``, numerals are decimal nonnegative
-integers, and ``#`` starts a comment running to end of line.  Newlines are
-ordinary whitespace; declarations are keyword-delimited.
+Identifiers are ``[A-Za-z][A-Za-z0-9_]*`` (:data:`NAME`), numerals are
+decimal nonnegative integers, and ``#`` starts a comment running to end
+of line.  Newlines are ordinary whitespace; declarations are
+keyword-delimited.
 
 The text is split at ``\\n``, the only line break: any other blank
 (``str.isspace``, such as ``\\r`` or ``\\u2028``) is one column of its
@@ -101,6 +102,12 @@ _KINDS = {
     "||": TokenKind.PARPAR,
 }
 
+# The identifier form and a word's end, which the parser's and the
+# script's line patterns are built from, so a name is one word everywhere.
+_WORD_CHAR = r"[A-Za-z0-9_]"
+NAME = rf"[A-Za-z]{_WORD_CHAR}*"
+WORD_END = rf"(?!{_WORD_CHAR})"
+
 # blanks, then one of: (1) a word or punctuation, (2) a numeral,
 # (3) a malformed numeral (digits running into letters or '_'), a comment,
 # or (4) any other non-blank character, which is invalid.  Blanks at the
@@ -108,9 +115,9 @@ _KINDS = {
 # each of their positions, so a line is scanned without them.
 _SCAN = re.compile(
     r"\s*(?:"
-    r"([A-Za-z][A-Za-z0-9_]*|\|\||[{}():=.,])"
-    r"|([0-9]+)(?![A-Za-z0-9_])"
-    r"|([0-9][A-Za-z0-9_]*)"
+    rf"({NAME}|\|\||[{{}}():=.,])"
+    rf"|([0-9]+){WORD_END}"
+    rf"|([0-9]{_WORD_CHAR}*)"
     r"|#.*"
     r"|(\S))"
 ).finditer

@@ -61,7 +61,7 @@ from .ast import (
 from typing import Callable, NoReturn, TypeVar
 
 from .diagnostics import Diagnostic, SourceSpan, error
-from .lexer import KEYWORDS, Token, TokenKind, end_of_input, scan_line
+from .lexer import KEYWORDS, NAME, WORD_END, Token, TokenKind, end_of_input, scan_line
 
 _TYPE_NAMES = {"Integer": TypeTag.NAT, "Boolean": TypeTag.BOOL}
 _MEMBER_KINDS = (TokenKind.ATTRIBUTE, TokenKind.EVENT, TokenKind.ACTION)
@@ -76,14 +76,13 @@ _Chained = TypeVar("_Chained", EventExpr, ActionExpr)
 # words the lexer would.  Blanks exclude ``\n``, the one line break, so a
 # match lies on one line; no two blank runs are adjacent, so a line the
 # pattern refuses is refused without trying each split of its blanks.
-_NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _BLANK = r"[^\S\n]*"
 _INIT = (
-    rf"({_NAME}){_BLANK}[:=]{_BLANK}((?:[0-9]+|true|false)(?![A-Za-z0-9_]))"
+    rf"({NAME}){_BLANK}[:=]{_BLANK}((?:[0-9]+|true|false){WORD_END})"
     rf"{_BLANK}(?:,{_BLANK})?"
 )
 _DECL_LINE = re.compile(
-    rf"{_BLANK}(?:entity[^\S\n]+)?({_NAME}){_BLANK}:{_BLANK}({_NAME}){_BLANK}"
+    rf"{_BLANK}(?:entity[^\S\n]+)?({NAME}){_BLANK}:{_BLANK}({NAME}){_BLANK}"
     rf"\{{{_BLANK}((?:{_INIT})*)\}}{_BLANK}(?:#.*)?"
 ).fullmatch
 _INITS = re.compile(_INIT).finditer

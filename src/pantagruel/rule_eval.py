@@ -13,8 +13,8 @@ below leave of it) is tested and, if it holds, its body writes the
 binding's effects into one flat map of :data:`Effects`, ``(entity,
 action)`` to the value written, and no entity is built.  Each binding's
 map is folded into the rule's one map, and each rule's into the block's,
-with the conflict check :func:`~pantagruel.domains.store_join` makes
-(:func:`_fold`); only the block's map becomes a store, once, its entities
+with the conflict check of the one merge, :func:`~pantagruel.domains.fold`;
+only the block's map becomes a store, once, its entities
 taking their interfaces from the current store (:func:`_store_of`).  That
 store is all a block produces besides its :class:`FiredRule` labels and
 bindings.
@@ -149,6 +149,7 @@ from .domains import (
     Value,
     access_attribute,
     access_event,
+    fold,
     instantiate,
     value_eq,
     value_neq,
@@ -398,20 +399,6 @@ def _compile_conjuncts(
     return _all_of([_compile_condition(conjunct, mode, var) for conjunct in conjuncts])
 
 
-def _fold(into: Effects, part: Effects) -> tuple[str, str] | None:
-    """Join ``part`` into ``into`` in place, as
-    :func:`~pantagruel.domains.store_join` joins two partial stores: a key
-    held on both sides must hold equal values (:func:`value_neq`), and
-    ``into`` keeps its own.  Returns the least clashing key, the one that
-    join reports, None if none clashes; ``into`` is then part-joined."""
-    clashes = []
-    for key, value in part.items():
-        held = into.setdefault(key, value)
-        if held is not value and value_neq(held, value):
-            clashes.append(key)
-    return min(clashes) if clashes else None
-
-
 def _compile_call(call: ActionCall, filtered: bool) -> Writer:
     """A call writes nothing when its name is unbound, or its target's
     interface lacks the action, or (if ``filtered``) its filter, read from
@@ -442,7 +429,7 @@ def _compile_body(body: ActionExpr, filtered: bool) -> Writer:
     was given, so a later call overwrites an earlier one's key.  ``||``
     runs its operands last to first, each on a copy of the map it was
     given (the first on that map itself, once the copies are made), and
-    joins them in first to last (:func:`_fold`): a clash is a
+    joins them in first to last (:func:`fold`): a clash is a
     :class:`~pantagruel.domains.ConflictError` with the later operand's
     value on the left, as ``store_join(later, earlier)`` reports it.
     Without ``filtered`` every call runs as if it had no filter
@@ -469,7 +456,7 @@ def _compile_body(body: ActionExpr, filtered: bool) -> Writer:
             first(env, current, scope, effects)
             while parts:
                 part = parts.pop()
-                key = _fold(effects, part)
+                key = fold(effects, part)
                 if key is not None:
                     raise ConflictError(*key, part[key], effects[key])
 
@@ -719,14 +706,14 @@ def _eval_rule_plan(
 
     Each binding writes into a map of its own, so that a ``,`` call
     overwriting the binding's earlier write is no clash, and that map is
-    folded into the rule's (:func:`_fold`).  The result, as a store, is
+    folded into the rule's (:func:`fold`).  The result, as a store, is
     that of a left fold of :func:`~pantagruel.domains.store_join` over
     the bindings' partial stores once all are built (the closure oracle's
-    ``store_join_all``): a conflict between the operands of one binding's
-    ``||`` is raised while that binding is built, so it comes first; one
-    between bindings is the first the fold meets, its least ``(entity,
-    action)`` with the rule's value on the left, raised only once every
-    binding is built."""
+    ``store_join_all``, with a join of its own): a conflict between the
+    operands of one binding's ``||`` is raised while that binding is
+    built, so it comes first; one between bindings is the first the fold
+    meets, its least ``(entity, action)`` with the rule's value on the
+    left, raised only once every binding is built."""
     previous, current = dual.previous, dual.current
     bound = {name: name for name in plan.bare if name in current}
     if plan.closed is not None and not plan.closed(None, previous, current, bound):
@@ -754,7 +741,7 @@ def _eval_rule_plan(
             continue
         fired.append(FiredRule(label, scope))
         if clash is None:
-            key = _fold(effects, partial)
+            key = fold(effects, partial)
             if key is not None:
                 clash = ConflictError(*key, effects[key], partial[key])
     if clash is not None:
@@ -784,7 +771,7 @@ def eval_rule(
 def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Store, list[FiredRule]]:
     """Evaluate every rule of a planned block (:func:`plan_block`) against
     the same dual store, in the plan's mode, and join the rules' flat maps
-    of effects in order (:func:`_fold`); interfering rules surface as a
+    of effects in order (:func:`fold`); interfering rules surface as a
     ConflictError, the least clash of the first rule that has one, with
     the earlier rules' value on the left.  The joined map becomes the
     block's effect store once (:func:`_store_of`).  This is the one place
@@ -797,7 +784,7 @@ def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Stor
     fired: list[FiredRule] = []
     for rule_plan in plan.plans:
         partial, rule_fired = _eval_rule_plan(env, rule_plan, dual)
-        key = _fold(effects, partial)
+        key = fold(effects, partial)
         if key is not None:
             raise ConflictError(*key, effects[key], partial[key])
         fired.extend(rule_fired)

@@ -15,15 +15,14 @@ import re
 from dataclasses import dataclass
 
 from .domains import UNDEF, Value
+from .lexer import NAME, WORD_END
 from .parser import ParseError, parse_entity_decl
 from .runtime import AttributeUpdate, Deploy, EventUpdate, ExternalChange, Remove
 
-_UPDATE_RE = re.compile(
-    r"^(event|attr)\s+([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z][A-Za-z0-9_]*)\s*=\s*(\S+)$"
-)
-_REMOVE_RE = re.compile(r"^remove\s+([A-Za-z][A-Za-z0-9_]*)$")
+_UPDATE_RE = re.compile(rf"^(event|attr)\s+({NAME})\.({NAME})\s*=\s*(\S+)$")
+_REMOVE_RE = re.compile(rf"^remove\s+({NAME})$")
 # 'deploy' and not the start of a longer word, as in 'deployx : ...'
-_DEPLOY_RE = re.compile(r"^deploy(?![A-Za-z0-9_])")
+_DEPLOY_RE = re.compile(rf"^deploy{WORD_END}")
 
 
 class ScriptError(Exception):

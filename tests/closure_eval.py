@@ -16,10 +16,12 @@ package drops: an entity environment maps each variable to an
 :class:`InterfaceRef` (still ranging over an interface) or an
 :class:`InstanceRef` (bound to one entity), and :func:`eval_declaration`
 and :func:`eval_expression` read those, so the differential tests compare
-two independent expression readers.  Only the store algebra (member
-reads, the store join, the member update, the value comparisons) comes
-from the package; :func:`store_join_all`, the fold of a rule's partial
-stores, is the oracle's own.
+two independent expression readers.  Only the member reads, the member
+update and the value comparisons come from the package.  The store join
+(:func:`join_stores`, on plain dicts) and :func:`store_join_all`, the fold
+of a rule's partial stores, are the oracle's own: the package's one
+merge, :func:`pantagruel.domains.fold`, which its ``store_join`` is built
+on too, is under test.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from pantagruel.ast import (
 )
 from pantagruel.domains import (
     UNDEF,
+    ConflictError,
     DualStore,
     Entity,
     EnvInterface,
@@ -56,7 +59,6 @@ from pantagruel.domains import (
     Value,
     access_attribute,
     access_event,
-    store_join,
     update_member,
     value_eq,
     value_neq,
@@ -221,7 +223,7 @@ def eval_action_expr(
         case ActionPar(left, right):
             rho1, f1 = eval_action_expr(left, env, current, rho, effect)
             rho2, f2 = eval_action_expr(right, env, current, rho1, effect)
-            return rho2, lambda scope: store_join(f2(scope), f1(scope))
+            return rho2, lambda scope: join_stores(f2(scope), f1(scope))
         case ActionSeq(left, right):
             rho1, f1 = eval_action_expr(left, env, current, rho, effect)
             return eval_action_expr(right, env, current, rho1, f1)
@@ -268,12 +270,39 @@ def instantiate(store: Store, rho: EnvEntity) -> list[EnvEntity]:
     return envs
 
 
+def join_stores(s1: Store, s2: Store) -> Store:
+    """The conflict-checked join of two partial stores, ``s1`` on the
+    left: an id on one side only passes through, and an id on both sides
+    takes the union of each member map, which must agree, type and all,
+    on every key they share.  The reported clash is the first met walking
+    the ids in order and, within one, the interface, then the attributes,
+    then the events, each in order of name."""
+    out = dict(s1)
+    for entity_id in sorted(s2):
+        left, right = out.get(entity_id), s2[entity_id]
+        if left is None:
+            out[entity_id] = right
+            continue
+        if left.interface_id != right.interface_id:
+            raise ConflictError(entity_id, "interface", left.interface_id, right.interface_id)
+        merged = []
+        for ours, theirs in ((left.attributes, right.attributes), (left.events, right.events)):
+            for key in sorted(theirs):
+                if key in ours and (
+                    type(ours[key]) is not type(theirs[key]) or ours[key] != theirs[key]
+                ):
+                    raise ConflictError(entity_id, key, ours[key], theirs[key])
+            merged.append({**ours, **theirs})
+        out[entity_id] = Entity(left.interface_id, *merged)
+    return out
+
+
 def store_join_all(stores: Iterable[Store]) -> Store:
-    """Left fold of :func:`~pantagruel.domains.store_join`;
-    order-independent when conflict-free."""
+    """Left fold of :func:`join_stores`; order-independent when
+    conflict-free."""
     acc: Store = {}
     for store in stores:
-        acc = store_join(acc, store)
+        acc = join_stores(acc, store)
     return acc
 
 

@@ -14,6 +14,7 @@ A2's edge/level contrast below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -184,10 +185,13 @@ def test_a4_join_laws():
         assert store_join({}, s1) == s1 == store_join(s1, {})
         assert store_join(s1, s2) == store_join(s2, s1)
         assert store_join(store_join(s1, s2), s3) == store_join(s1, store_join(s2, s3))
+        # the package's join against the oracle's own
         expected = store_join_all(stores)
+        assert functools.reduce(store_join, stores, {}) == expected
         shuffled = stores[:]
         rng.shuffle(shuffled)
         assert store_join_all(shuffled) == expected
+        assert functools.reduce(store_join, shuffled, {}) == expected
     _A4_ELAPSED["join"] = time.perf_counter() - started
     print(f"A4 join laws ({A4_CASES} cases, seed {A4_SEED_JOIN}): PASS")
 

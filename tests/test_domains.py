@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -18,7 +19,6 @@ from pantagruel.domains import (
     UnknownEntityError,
     access_attribute,
     access_event,
-    combine_entities,
     instantiate,
     value_eq,
     value_neq,
@@ -56,6 +56,20 @@ def test_value_neq_undef_is_one_distinct_value():
     assert value_neq(29, 30)
 
 
+TABLE_VALUES = (0, 1, 2, True, False, UNDEF, 10**30)
+
+
+@pytest.mark.parametrize("a, b", itertools.product(TABLE_VALUES, repeat=2))
+def test_value_comparisons_are_type_strict_and_undef_is_one_value(a, b):
+    # spelled out case by case: Nat and Tr never meet, UNDEF equals nothing
+    # under value_eq and is one value, unchanged only into itself, under
+    # value_neq
+    undef = a is UNDEF or b is UNDEF
+    same = not undef and type(a) is type(b) and a == b
+    assert value_eq(a, b) is same
+    assert value_neq(a, b) is (not (a is UNDEF and b is UNDEF) if undef else not same)
+
+
 values = st.one_of(st.just(UNDEF), st.booleans(), st.integers(min_value=0, max_value=9))
 
 
@@ -73,43 +87,70 @@ def _entity(iface="Light", attrs=None, events=None):
     return Entity(iface, dict(attrs or {}), dict(events or {}))
 
 
-def test_combine_absent_passthrough():
+def _clash(s1, s2):
+    """The conflict ``store_join(s1, s2)`` raises, as (entity, key, left,
+    right)."""
+    with pytest.raises(ConflictError) as exc:
+        store_join(s1, s2)
+    return exc.value.entity_id, exc.value.key, exc.value.left, exc.value.right
+
+
+def test_store_join_absent_passthrough():
     e = _entity(events={"switch": True})
-    assert combine_entities("l10", None, e) == e
-    assert combine_entities("l10", e, None) == e
-    assert combine_entities("l10", None, None) is None
+    assert store_join({}, {"l10": e})["l10"] is e
+    assert store_join({"l10": e}, {})["l10"] is e
+    assert store_join({}, {}) == {}
 
 
-def test_combine_equal_overlap_idempotent_and_commutative():
+def test_store_join_equal_overlap_idempotent_and_commutative():
     a = _entity(events={"switch": True})
     b = _entity(events={"switch": True})
     # evaluate both orders: merge must be insensitive to the order
-    assert combine_entities("l10", a, b) == combine_entities("l10", b, a) == a
+    assert store_join({"l10": a}, {"l10": b}) == store_join({"l10": b}, {"l10": a}) == {"l10": a}
 
 
-def test_combine_unequal_overlap_conflicts():
+def test_store_join_keeps_the_left_entity_when_the_right_adds_nothing():
+    a = _entity(attrs={"room": 1}, events={"switch": True, "e": UNDEF})
+    for b in (
+        _entity(attrs={"room": 1}, events={"switch": True, "e": UNDEF}),
+        _entity(events={"switch": True}),
+        _entity(),
+    ):
+        assert store_join({"l10": a}, {"l10": b})["l10"] is a
+    # a member the right adds builds a new entity, and leaves the map it
+    # adds nothing to as the left's own
+    joined = store_join({"l10": a}, {"l10": _entity(events={"dim": 3})})["l10"]
+    assert joined == _entity(attrs={"room": 1}, events={"switch": True, "e": UNDEF, "dim": 3})
+    assert joined.attributes is a.attributes
+
+
+def test_store_join_unequal_overlap_conflicts():
     a = _entity(events={"switch": True})
     b = _entity(events={"switch": False})
-    with pytest.raises(ConflictError) as exc:
-        combine_entities("l10", a, b)
-    assert exc.value.entity_id == "l10"
-    assert exc.value.key == "switch"
+    assert _clash({"l10": a}, {"l10": b}) == ("l10", "switch", True, False)
 
 
-def test_combine_interface_mismatch_conflicts():
+def test_store_join_interface_mismatch_conflicts():
     with pytest.raises(ConflictError):
-        combine_entities("x", _entity("Light"), _entity("Fan"))
+        store_join({"x": _entity("Light")}, {"x": _entity("Fan")})
 
 
-def test_combine_undef_vs_defined_conflicts():
+def test_store_join_reports_the_interface_before_member_clashes():
+    a = _entity("Light", attrs={"room": 1}, events={"switch": True})
+    b = _entity("Fan", attrs={"room": 2}, events={"switch": False})
+    assert _clash({"x": a}, {"x": b}) == ("x", "interface", "Light", "Fan")
+    assert _clash({"x": b}, {"x": a}) == ("x", "interface", "Fan", "Light")
+
+
+def test_store_join_undef_vs_defined_conflicts():
     # UNDEF is a distinct raw value: overwriting it silently would lose a write
     with pytest.raises(ConflictError):
-        combine_entities("x", _entity(events={"e": UNDEF}), _entity(events={"e": 1}))
+        store_join({"x": _entity(events={"e": UNDEF})}, {"x": _entity(events={"e": 1})})
 
 
-def test_combine_nat_vs_tr_overlap_conflicts():
+def test_store_join_nat_vs_tr_overlap_conflicts():
     with pytest.raises(ConflictError):
-        combine_entities("x", _entity(events={"e": 1}), _entity(events={"e": True}))
+        store_join({"x": _entity(events={"e": 1})}, {"x": _entity(events={"e": True})})
 
 
 entities = st.builds(
@@ -121,8 +162,8 @@ entities = st.builds(
 
 
 @given(entities)
-def test_combine_idempotent(e):
-    assert combine_entities("id", e, e) == e
+def test_store_join_idempotent(e):
+    assert store_join({"id": e}, {"id": e})["id"] is e
 
 
 # ── Store join ───────────────────────────────────────────────────
@@ -144,11 +185,6 @@ def test_join_disjoint_entities():
 def test_join_reports_the_least_conflict():
     """Whatever the key order of either store: least entity id first, then
     interface, then attributes before events, each by least key."""
-    def clash(s1, s2):
-        with pytest.raises(ConflictError) as exc:
-            store_join(s1, s2)
-        return exc.value.entity_id, exc.value.key, exc.value.left, exc.value.right
-
     s1 = {
         "y": _entity(attrs={"b": 1, "a": 1}, events={"d": 1, "c": 1}),
         "x": _entity(attrs={"b": 1, "a": 1}, events={"d": 1, "c": 1}),
@@ -157,14 +193,14 @@ def test_join_reports_the_least_conflict():
         "y": _entity("Fan", attrs={"b": 2, "a": 2}, events={"d": 2, "c": 2}),
         "x": _entity(attrs={"b": 2, "a": 2}, events={"d": 2, "c": 2}),
     }
-    assert clash(s1, s2) == ("x", "a", 1, 2)
-    assert clash(s2, s1) == ("x", "a", 2, 1)
+    assert _clash(s1, s2) == ("x", "a", 1, 2)
+    assert _clash(s2, s1) == ("x", "a", 2, 1)
     s2["x"] = _entity("Fan", attrs={"b": 2, "a": 2}, events={"d": 2, "c": 2})
-    assert clash(s1, s2) == ("x", "interface", "Light", "Fan")
+    assert _clash(s1, s2) == ("x", "interface", "Light", "Fan")
     s2["x"] = _entity(attrs={"b": 1, "a": 1}, events={"d": 2, "c": 2})
-    assert clash(s1, s2) == ("x", "c", 1, 2)
+    assert _clash(s1, s2) == ("x", "c", 1, 2)
     del s2["x"]
-    assert clash(s1, s2) == ("y", "interface", "Light", "Fan")
+    assert _clash(s1, s2) == ("y", "interface", "Light", "Fan")
 
 
 def test_join_conflict():
@@ -229,6 +265,7 @@ def test_join_all_matches_union_oracle_and_is_order_insensitive():
         assert store_join_all(stores) == expected
         for perm in itertools.permutations(stores):
             assert store_join_all(list(perm)) == expected
+            assert functools.reduce(store_join, perm, {}) == expected
 
 
 # ── Access and update ────────────────────────────────────────────

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import lexer_oracle
 from pantagruel.diagnostics import SourceSpan
 from pantagruel.lexer import KEYWORDS, TokenKind, tokenize
+from pantagruel.parser import ParseError, parse_program
+from pantagruel.script import ScriptError, parse_line
 
 _PIECES = (
     *KEYWORDS,
@@ -135,3 +137,41 @@ def test_non_ascii_letters_and_digits_are_invalid_characters():
         "invalid character 'é'",
         "invalid character '٣'",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, accepted",
+    [("a_1", True), ("Ab9", True), ("_a", False), ("1a", False), ("é", False),
+     ("aé", False), ("a-b", False)],
+)
+def test_a_name_is_one_word_alike_to_the_lexer_the_program_and_the_script(name, accepted):
+    """The identifier form is spelled once, in the lexer: a name the lexer
+    reads as one identifier is taken in each name place of a program's
+    entity line and of a script line, and any other is refused there."""
+    tokens, diagnostics = tokenize(name)
+    one_word = [(t.kind, t.text) for t in tokens[:-1]] == [(TokenKind.IDENT, name)]
+    assert (one_word and not diagnostics) is accepted
+
+    def reads(parse, text: str) -> bool:
+        try:
+            parse(text)
+        except (ParseError, ScriptError):
+            return False
+        return True
+
+    interface = "interface I { attribute a : Integer event e : Integer }"
+    for line in (
+        f"entity {name} : I {{ a : 1 }}",
+        f"entity x : {name} {{ a : 1 }}",
+        f"entity x : I {{ {name} : 1 }}",
+    ):
+        # as a whole line, and broken over two, which the token parser reads
+        for decl in (line, line.replace("{", "\n{", 1)):
+            assert reads(parse_program, f"{interface}\n{decl}\nrules end\n") is accepted, decl
+    for line in (
+        f"event {name}.e = 1",
+        f"attr x.{name} = 1",
+        f"remove {name}",
+        f"deploy {name} : I {{ a : 1 }}",
+    ):
+        assert reads(parse_line, line) is accepted, line

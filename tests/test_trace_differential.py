@@ -4,7 +4,8 @@ Each case generates a random building and a random script of event and
 attribute writes, deploys and removes, and runs it in both trigger modes.
 ``step`` with ``serialize_tick`` must print, in ``text`` and ``jsonl``,
 the same bytes as a tick loop assembled from ``apply_external``, the
-closure evaluator of ``closure_eval``, ``store_join`` and
+closure evaluator of ``closure_eval``, that module's own store join
+(``join_stores``, which shares no merge with the package) and
 ``apply_internal``.  The oracle enumerates bindings with its own
 exhaustive loop over the whole store, so the candidate pools and their
 order are under test too.  Conflicts are recorded rather than raised, so
@@ -38,7 +39,6 @@ from pantagruel import (
     parse_script,
     serialize_tick,
     step,
-    store_join,
 )
 from pantagruel.runtime import RunState, TickRecord
 
@@ -204,7 +204,7 @@ def _oracle(checked, names, ticks, mode, fmt, tally) -> str:
             for position, rule in enumerate(checked.rules, start=1):
                 label = rule.label if rule.label is not None else position
                 partial, rule_fired = closure_eval.eval_rule(env, rule, dual, mode, label=label)
-                effects = store_join(effects, partial)
+                effects = closure_eval.join_stores(effects, partial)
                 fired.extend(rule_fired)
         except ConflictError as exc:
             conflict = str(exc)
