@@ -16,15 +16,14 @@ and lists nothing after.  Reads are total (a miss yields ``UNDEF``), and
 merges are union-shaped with equal-value overlap tolerated.  Stores are
 finite maps: their key order carries no meaning and nothing here sorts
 them.  Order is fixed only where it can be observed: :meth:`DualStore.ids`
-lists an interface's ids sorted, :func:`instantiate` enumerates bindings
-of sorted pools lexicographically, :func:`fold` and :func:`store_join`
+lists an interface's ids sorted, :func:`fold` and :func:`store_join`
 report the least conflict, and the serializer sorts what it prints.
 Nothing here iterates a set, so no result depends on the string hash
 seed.
 
 A rule's binding maps each name bound to an entity to that entity's id, a
-name it lacks being unbound; :func:`instantiate` extends one over the ids
-its open variables range over.
+name it lacks being unbound; ``rule_eval.instantiate`` extends one over
+the ids its open variables range over.
 """
 
 from __future__ import annotations
@@ -483,14 +482,15 @@ def in_sorted(ids: Sequence[str], entity_id: str) -> bool:
 def _partners(
     pools: Mapping[str, Sequence[str]], join: Join, keyed: Mapping[str, Keyed]
 ) -> dict[str, Sequence[str]]:
-    """For a join whose variable ``y`` sorts before ``x``: each id of
-    ``y``'s pool that meets some of ``x``'s pool, with those ids, sorted.
+    """For a join of two variables, given in either order, ``y`` the one
+    whose name sorts first and ``x`` the other: each id of ``y``'s pool
+    that meets some of ``x``'s pool, with those ids, sorted.
 
     A side in ``keyed`` is looked up in its buckets by the key each entity
     of the other side's pool reads, and only the ids of its own pool are
     kept; where both sides are, the one with the larger pool is looked up.
     A join with neither side keyed is a ``ValueError``."""
-    x, read_x, y, read_y = join
+    x, read_x, y, read_y = join if join[0] > join[2] else (join[2], join[3], join[0], join[1])
     looked = [var for var in (x, y) if var in keyed]
     if not looked:
         raise ValueError(f"a join looks up a keyed side, and neither {x!r} nor {y!r} is")
@@ -512,54 +512,3 @@ def _partners(
             for found in ids:
                 partners.setdefault(found, []).append(entity_id)
     return partners
-
-
-def instantiate(
-    bound: Binding,
-    pools: Mapping[str, Sequence[str]],
-    join: Join | None = None,
-    keyed: Mapping[str, Keyed] | None = None,
-) -> list[Binding]:
-    """Extend the binding ``bound`` over the open variables, the keys of
-    ``pools``, each mapped to the sorted ids it ranges over.  Each result
-    is ``bound`` with every open variable bound to one id of its pool; the
-    results enumerate the cross product of the pools (lexicographic in
-    variable name, then entity id), and are none as soon as one pool is
-    empty.
-
-    ``join`` is an optional equality between two distinct open variables
-    (:data:`Join`; anything else is a ``ValueError``), and ``keyed`` gives,
-    for one or both joined variables, its interface's ids by the key of
-    the attribute ``join`` reads (a superset of its pool; a join with no
-    keyed side is a ``ValueError`` too).  Variables are bound in name order: the earlier of the two takes
-    only the ids that meet some id of the later one's pool, and the later
-    one only the ids its partner meets, found by a hash lookup
-    (:func:`_partners`), so the bindings whose two sides differ (or read
-    UNDEF) are never built.  The survivors keep the order above, so the
-    result is a subsequence of the product.
-    """
-    open_vars = sorted(pools)
-    if join is not None and (join[0] == join[2] or join[0] not in pools or join[2] not in pools):
-        raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
-    looked_up = None
-    if join is not None:
-        if join[0] < join[2]:
-            join = (join[2], join[3], join[0], join[1])
-        partners = _partners(pools, join, keyed or {})
-        looked_up, at = join[0], open_vars.index(join[2])
-        pools = {**pools, join[2]: sorted(partners)}
-    rows: list[tuple[str, ...]] = [()]
-    for var in open_vars:
-        if var == looked_up:
-            rows = [row + (entity_id,) for row in rows for entity_id in partners[row[at]]]
-        else:
-            pool = pools[var]
-            rows = [row + (entity_id,) for row in rows for entity_id in pool]
-        if not rows:
-            return []
-    results: list[Binding] = []
-    for row in rows:
-        binding = dict(bound)
-        binding.update(zip(open_vars, row))
-        results.append(binding)
-    return results

@@ -6,9 +6,9 @@ bare names: a bare name binds itself if it is a current entity, so a
 variable of the rule is never taken over by an entity of the same name,
 as the checker resolves it; any other stays unbound (its atom or call
 stays inert).  A binding maps each name bound to an entity to that
-entity's id; a name it lacks is unbound.
-:func:`~pantagruel.domains.instantiate` extends it over the matching
-entities.  For each binding the rule's condition (what the pool tests
+entity's id; a name it lacks is unbound.  The one loop nest
+(:meth:`_Source.nest`, which :func:`instantiate` runs too) extends it
+over the matching entities.  For each binding the rule's condition (what the pool tests
 below leave of it) is tested and, if it holds, its body writes the
 binding's effects into one flat map of :data:`Effects`, ``(entity,
 action)`` to the value written, and no entity is built.  Each binding's
@@ -27,23 +27,20 @@ sorted against them, each open variable's pool, and the body's equality.
 and ``step`` keeps that plan for the run, planning again only for other
 rules or another mode; :func:`eval_rule` plans its one rule on each call.
 
-A plan holds its rule as code.  :func:`_plan_rule` compiles the rule into
-closures once (closure generation, after Feeley and Lapalme, "Using
-Closures for Code Generation", 1987), with every event name, member,
-literal and the mode bound in them, so no binding's evaluation looks at
-the rule's syntax:
+A plan holds its rule as code.  :func:`_plan_rule` specialises this
+evaluator to the rule (the first Futamura projection; Jones, Gomard and
+Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993):
+it emits the source of one Python function (:class:`_Source`), with
+every event name, member and literal written in as its ``repr()`` and
+the mode decided, and compiles it through the one cache of generated
+code (:func:`compiled`), keyed by the text.  So no
+binding's evaluation looks at the rule's syntax, and a candidate costs
+no Python call: each pool's tests, the closed atoms, the binding loops,
+the conjuncts left to whole bindings and the body's writes are inline
+statements, one per operand of a chain, whatever its length.
 
-* one predicate per open variable on an entity id, its pool tests: each
-  one's event filter read against ``previous``, its value test and, in
-  EDGE mode, its edge test;
-* one predicate for the closed atoms, and one for the conjuncts left to
-  whole bindings;
-* one writer for the body, and, where the body has the equality below,
-  one compiled without the call filters that equality enforces.
-
-On a dual store, a plan gives each open variable its finished pool of
-sorted ids, which :func:`~pantagruel.domains.instantiate` only
-enumerates.  A pool starts from a list the dual store keeps
+On a dual store, the function gives each open variable its finished pool
+of sorted ids, which its loop nest only enumerates.  A pool starts from a list the dual store keeps
 (:meth:`~pantagruel.domains.DualStore.ids` and ``changed``), shared with
 every rule of the tick.  Which lists a rule block reads is fixed by its
 plan (:attr:`BlockPlan.lists`), and :func:`eval_plan`, through which
@@ -75,31 +72,31 @@ from a run's first tick on.  A list a plan failed to name is a
   by one call and as a path (event first, then attribute) by another is
   used only if no entity of its pool carries an event of that name, so
   that both reads agree on every binding built.
-  :func:`~pantagruel.domains.instantiate` turns it into a hash lookup
+  :func:`~pantagruel.domains._partners` turns it into a hash lookup
   keyed by ``(type, value)``, UNDEF joining nothing, exactly as
-  :func:`value_eq` compares.  A side read as an
+  :func:`~pantagruel.domains.value_eq` compares.  A side read as an
   attribute is looked up in the dual store's buckets of that attribute
   (:meth:`~pantagruel.domains.DualStore.keyed`), by each entity of the
   other side's pool, so its own entities are not read at all; every join
   found here has such a side.  Each binding the join builds satisfies
   every call's filter, which compares the same two reads by
-  :func:`value_eq`, so it runs the body's writer compiled without them; a
-  body whose join is refused runs the one with its filters.
+  :func:`~pantagruel.domains.value_eq`, so the body skips them where the join is taken; a
+  body whose join is refused tests them on the product.
 
 Only the conjuncts not tested on pools (``or`` terms and atoms reading two
 open variables, whatever their filters) are left to whole bindings, and
-none if there are none; the body's writer runs on every binding built.
+none if there are none; the body's writes run on every binding built.
 This is exact: a binding never built fails a pushed conjunct, or every
 call's filter (so no call writes), and would have written no effect and
 made no :class:`FiredRule`; the survivors keep their enumeration order,
 so the fired list, the fold of the bindings' effects and any reported
 conflict are those of the full product.
 
-Every compiled closure reads as the definition does: conditions read
+Every generated read is as the definition has it: conditions read
 event filters against the *previous* store while action filters read the
 *current* one (an asymmetry kept deliberately, as are all other
 evaluation orders here); a path reads an event before an attribute;
-UNDEF is absent; and :func:`value_eq` is type-strict, so ``1`` is not
+UNDEF is absent; and :func:`~pantagruel.domains.value_eq` is type-strict, so ``1`` is not
 ``True``.
 """
 
@@ -108,7 +105,9 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from itertools import product
+from types import CodeType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ast import (
     ActionCall,
@@ -117,7 +116,6 @@ from .ast import (
     ActionSeq,
     Aggregate,
     BoolLit,
-    BoolTest,
     Decl,
     DeclTyped,
     EventAnd,
@@ -147,12 +145,9 @@ from .domains import (
     Reader,
     Store,
     Value,
+    _partners,
     access_attribute,
-    access_event,
     fold,
-    instantiate,
-    value_eq,
-    value_neq,
 )
 
 
@@ -222,246 +217,205 @@ def _decl_name(decl: Decl) -> str:
     return decl.var if isinstance(decl, DeclTyped) else decl.name
 
 
-# ── Compiled rules ───────────────────────────────────────────────
+# ── Generated rules ──────────────────────────────────────────────
 #
-# Each closure below is made once per plan, and called with what changes
-# from binding to binding: the two stores, the binding, and, in a pool
-# test, the subject, the id its variable is bound to, which it reads in
-# place of the binding's entry for that variable.
+# A planned rule is one Python function, emitted as source once per plan
+# and compiled through the one cache (:func:`compiled`).
+# The source names only locals of its own making: ``previous``,
+# ``current``, ``env`` and ``dual``; ``v<k>`` for the open variables in
+# name order, ``p<k>`` for their pools, ``q``, ``j`` and ``P`` for a
+# join's pools, result and partners; ``b<k>`` for the bare names, ``c<k>`` for the action checks, ``x<k>``
+# for effect maps and ``t<k>`` for temporaries.  Every name and literal
+# of the rule enters as its ``repr()``, so no rule text is ever code.
 
-# A compiled expression: its value read from ``store`` for the subject
-# and the binding of every other name.
-Read = Callable[[Union[str, None], Store, Binding], Value]
-# A compiled filter: whether it holds for the entity ``entity_id``, both
-# sides read from ``store``.
-FilterTest = Callable[[str, Union[str, None], Store, Binding], bool]
-# A compiled condition: whether it holds for the subject (None outside a
-# pool test) and the binding, on ``(previous, current)``.
-Test = Callable[[Union[str, None], Store, Store, Binding], bool]
-# A compiled value test: whether it holds for the event of ``entity_id``,
-# given the subject, ``(previous, current)`` and the binding.
-ValueTest = Callable[[str, Union[str, None], Store, Store, Binding], bool]
 # Effects as one flat map: ``(entity_id, action)`` to the value the
 # action's implicit event is set to.
 Effects = dict[tuple[str, str], Value]
-# A compiled body: writes the binding's calls into ``effects`` in place,
-# each read from ``current`` against the interfaces ``env``.
-Writer = Callable[[EnvInterface, Store, Binding, Effects], None]
+
+# What an absent entity reads as: no member, so every read is UNDEF.
+_NOTHING = Entity("", {}, {})
 
 
-def _compile_read(expr: Expr, var: str | None) -> Read:
-    """Total expression read: a literal is itself; a path reads the member
-    of the entity its variable is bound to (the subject for ``var``, the
-    binding's entity for any other name), as an event when the entity
-    carries that event key, as an attribute otherwise; a name the binding
-    lacks reads UNDEF."""
-    if not isinstance(expr, Path):
-        value = expr.value
-        return lambda subject, store, scope: value
-    name, member = expr.var, expr.member
-    if name == var:
-        return lambda subject, store, scope: _path_value(subject, member, store)
+class _Source:
+    """Python source being emitted: its lines, and each rule name's local
+    with, for an open variable, its interface (its local then names an
+    entity of ``current`` of that interface), None for a bare name.  A
+    name missing here is unbound, and reads UNDEF.  Each read is inlined
+    as its valuation function has it: a path reads an event before an
+    attribute, UNDEF is absent, and
+    :func:`~pantagruel.domains.value_eq` is type-strict, so ``1`` is not
+    ``True``."""
 
-    def read(subject: str | None, store: Store, scope: Binding) -> Value:
-        entity_id = scope.get(name)
-        return UNDEF if entity_id is None else _path_value(entity_id, member, store)
+    def __init__(self, names: dict[str, tuple[str, str | None]], mode: TriggerMode):
+        self.names, self.mode = names, mode
+        self.lines: list[str] = []
+        self.checks: dict[tuple[str, str], tuple[str, str]] = {}
+        self.count = 0
 
-    return read
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
 
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
 
-def _compile_filter(filt: Filter, var: str | None) -> FilterTest:
-    """Whether the filter holds for an entity: its attribute compared with
-    the right-hand side, both read from the store given.  A call or an atom
-    with no filter compiles none."""
-    attribute, rhs = filt.attribute, _compile_read(filt.rhs, var)
+    def entity(self, name: str, store: str) -> str:
+        local, interface = self.names.get(name, ("None", None))
+        if interface is not None and store == "current":
+            return f"current[{local}]"
+        return f"{store}.get({local}, NOTHING)"
 
-    def test(entity_id: str, subject: str | None, store: Store, scope: Binding) -> bool:
-        return value_eq(access_attribute(attribute, entity_id, store), rhs(subject, store, scope))
+    def member(self, name: str, kind: str, member: str, store: str) -> str:
+        return f"{self.entity(name, store)}.{kind}.get({member!r}, UNDEF)"
 
-    return test
+    def read(self, expr: Expr, store: str) -> str:
+        """``expr`` read from ``store``: a literal is itself; a path reads
+        the member of its name's entity, UNDEF if the name is unbound."""
+        if not isinstance(expr, Path):
+            return repr(expr.value)
+        if expr.var not in self.names:
+            return "UNDEF"
+        t, member = self.fresh("t"), repr(expr.member)
+        entity = self.entity(expr.var, store)
+        return f"({t}.events[{member}] if {member} in ({t} := {entity}).events else {t}.attributes.get({member}, UNDEF))"
 
+    def equal(self, value: str, expr: Expr, store: str) -> str:
+        """:func:`~pantagruel.domains.value_eq` of ``value`` and ``expr``
+        read from ``store``."""
+        if not isinstance(expr, Path) and type(expr.value) is bool:
+            return f"({value} is {expr.value!r})"
+        t = self.fresh("t")
+        if not isinstance(expr, Path):
+            return f"(type({t} := {value}) is {type(expr.value).__name__} and {t} == {expr.value!r})"
+        u = self.fresh("t")
+        return f"(({t} := {value}) is not UNDEF and type({t}) is type({u} := {self.read(expr, store)}) and {t} == {u})"
 
-def _compile_value_test(event: str, test: BoolTest, mode: TriggerMode, var: str | None) -> ValueTest:
-    """An atom's test of an entity's ``event``: ``value changed`` compares
-    the two stores (:func:`value_neq`); ``value = e`` holds when the event
-    equals ``e`` in ``current`` and, in EDGE mode, did not in
-    ``previous``, each side read from its own store.  A literal is
-    compared type-strictly, as :func:`value_eq` does."""
-    if isinstance(test, ValueChanged):
+    def atom(self, atom: EventAtom) -> str:
+        """Whether the atom holds: its filter, read from ``previous``, then
+        its value test.  ``value changed`` compares the two stores
+        (:func:`~pantagruel.domains.value_neq`); ``value = e`` holds when the event equals
+        ``e`` in ``current`` and, in EDGE mode, did not in ``previous``,
+        each side read from its own store.  An unbound name reads UNDEF
+        throughout, so its atom is false."""
+        name, event = _decl_name(atom.decl), atom.event
+        tests = []
+        if atom.filter is not None:
+            # event filters read the previous store, by definition
+            attribute = self.member(name, "attributes", atom.filter.attribute, "previous")
+            tests.append(self.equal(attribute, atom.filter.rhs, "previous"))
+        before, now = (self.member(name, "events", event, store) for store in ("previous", "current"))
+        if isinstance(atom.test, ValueChanged):
+            t, u = self.fresh("t"), self.fresh("t")
+            tests.append(f"(({t} := {before}) is not ({u} := {now}) and (type({t}) is not type({u}) or {t} != {u}))")
+        else:
+            tests.append(self.equal(now, atom.test.expr, "current"))
+            if self.mode is TriggerMode.EDGE:
+                tests.append("not " + self.equal(before, atom.test.expr, "previous"))
+        return "(" + " and ".join(tests) + ")"
 
-        def changed(
-            entity_id: str, subject: str | None, previous: Store, current: Store, scope: Binding
-        ) -> bool:
-            return value_neq(
-                access_event(event, entity_id, previous), access_event(event, entity_id, current)
+    def condition(self, expr: EventExpr) -> str:
+        """The condition as one expression: an atom, or its chain's
+        operands joined by ``and`` or ``or``, one flat operator whatever
+        the chain's length."""
+        if isinstance(expr, EventAtom):
+            return self.atom(expr)
+        if not isinstance(expr, (EventAnd, EventOr)):
+            raise TypeError(f"not an event node: {expr!r}")
+        joiner = " and " if isinstance(expr, EventAnd) else " or "
+        return "(" + joiner.join(map(self.condition, operands(expr))) + ")"
+
+    def check(self, name: str, action: str) -> str:
+        """The local holding whether ``name``'s entity has ``action``,
+        tested once per evaluation (:attr:`checks`): an open variable's
+        pool holds only ids of its interface, and a bare name binds one
+        entity or none."""
+        if (name, action) not in self.checks:
+            local, interface = self.names.get(name, ("None", None))
+            c, t = f"c{len(self.checks)}", self.fresh("t")
+            target = repr(interface) if interface is not None else (
+                f"{t}.interface_id if ({t} := current.get({local})) is not None else None"
             )
+            line = f"{c} = ({t} := env.get({target})) is not None and {action!r} in {t}.actions"
+            self.checks[(name, action)] = (c, line)
+        return self.checks[(name, action)][0]
 
-        return changed
-    if isinstance(test.expr, Path):
-        read = _compile_read(test.expr, var)
+    def call(self, call: ActionCall, joined: str | None) -> tuple[str, str, str]:
+        """A call's test, key and value: it writes nothing when its name is
+        unbound, or its target's interface lacks the action, or its
+        filter, read from ``current``, fails (not tested where ``joined``,
+        the local of a join taken, holds); any other writes its implicit
+        event's value under ``(target, action)``."""
+        name = _decl_name(call.decl)
+        test = self.check(name, call.action)
+        if call.filter is not None:
+            # action filters read the current store, by definition
+            attribute = self.member(name, "attributes", call.filter.attribute, "current")
+            filt = self.equal(attribute, call.filter.rhs, "current")
+            test += f" and ({joined} or {filt})" if joined else f" and {filt}"
+        key = f"({self.names.get(name, ('None',))[0]}, {call.action!r})"
+        return test, key, self.read(call.arg, "current")
 
-        def equal_at(store: Store, entity_id: str, subject: str | None, scope: Binding) -> bool:
-            return value_eq(access_event(event, entity_id, store), read(subject, store, scope))
-
-        if mode is TriggerMode.LEVEL:
-            return lambda entity_id, subject, previous, current, scope: equal_at(
-                current, entity_id, subject, scope
-            )
-        return lambda entity_id, subject, previous, current, scope: equal_at(
-            current, entity_id, subject, scope
-        ) and not equal_at(previous, entity_id, subject, scope)
-    literal = test.expr.value
-    kind = type(literal)
-    if mode is TriggerMode.LEVEL:
-
-        def level(
-            entity_id: str, subject: str | None, previous: Store, current: Store, scope: Binding
-        ) -> bool:
-            now = access_event(event, entity_id, current)
-            return type(now) is kind and now == literal
-
-        return level
-
-    def edge(
-        entity_id: str, subject: str | None, previous: Store, current: Store, scope: Binding
-    ) -> bool:
-        now = access_event(event, entity_id, current)
-        if type(now) is not kind or now != literal:
-            return False
-        before = access_event(event, entity_id, previous)
-        return type(before) is not kind or before != literal
-
-    return edge
-
-
-def _compile_atom(atom: EventAtom, mode: TriggerMode, var: str | None) -> Test:
-    """Whether the atom holds: false when its declared name is unbound (no
-    entity was found, so no event is caught); else its filter, read from
-    ``previous``, and then its value test (:func:`_compile_value_test`)."""
-    name = _decl_name(atom.decl)
-    own = name == var
-    filt = None if atom.filter is None else _compile_filter(atom.filter, var)
-    value_test = _compile_value_test(atom.event, atom.test, mode, var)
-
-    def holds(subject: str | None, previous: Store, current: Store, scope: Binding) -> bool:
-        entity_id = subject if own else scope.get(name)
-        if entity_id is None:
-            return False
-        # event filters read the previous store, by definition
-        if filt is not None and not filt(entity_id, subject, previous, scope):
-            return False
-        return value_test(entity_id, subject, previous, current, scope)
-
-    return holds
-
-
-def _all_of(tests: list[Test]) -> Test:
-    """A test that holds when every one of ``tests`` does, tried in order."""
-    if len(tests) == 1:
-        return tests[0]
-
-    def all_hold(subject: str | None, previous: Store, current: Store, scope: Binding) -> bool:
-        for test in tests:
-            if not test(subject, previous, current, scope):
-                return False
-        return True
-
-    return all_hold
-
-
-def _compile_condition(expr: EventExpr, mode: TriggerMode, var: str | None) -> Test:
-    """The condition as one test: an atom (:func:`_compile_atom`), or the
-    conjunction or disjunction of its chain's operands, tried in order."""
-    if isinstance(expr, EventAtom):
-        return _compile_atom(expr, mode, var)
-    tests = [_compile_condition(operand, mode, var) for operand in operands(expr)]
-    if isinstance(expr, EventAnd):
-        return _all_of(tests)
-    if isinstance(expr, EventOr):
-
-        def any_holds(subject: str | None, previous: Store, current: Store, scope: Binding) -> bool:
-            for test in tests:
-                if test(subject, previous, current, scope):
-                    return True
-            return False
-
-        return any_holds
-    raise TypeError(f"not an event node: {expr!r}")
-
-
-def _compile_conjuncts(
-    conjuncts: Sequence[EventExpr], mode: TriggerMode, var: str | None
-) -> Test | None:
-    """The conjuncts as one test that holds when all do, with ``var`` read
-    from the subject; None for no conjunct."""
-    if not conjuncts:
+    def body(self, body: ActionExpr, into: str, depth: int, joined: str | None) -> None:
+        """The body's writes into the map ``into``, one flat statement
+        each.  ``,`` runs its
+        operands in order on that map, so a later call overwrites an
+        earlier one's key.  ``||`` runs its operands last to first, each
+        later one on a copy of the map as given, and joins the copies in
+        first to last (:func:`fold`): a clash is a
+        :class:`~pantagruel.domains.ConflictError` with the later
+        operand's value on the left."""
+        if isinstance(body, ActionCall):
+            test, key, value = self.call(body, joined)
+            return self.emit(depth, f"if {test}: {into}[{key}] = {value}")
+        parts = operands(body)
+        if isinstance(body, ActionSeq):
+            for part in parts:
+                self.body(part, into, depth, joined)
+            return None
+        if not isinstance(body, ActionPar):
+            raise TypeError(f"not an action node: {body!r}")
+        copies = []
+        for part in reversed(parts[1:]):
+            copies.append(self.fresh("x"))
+            self.emit(depth, f"{copies[-1]} = dict({into})")
+            self.body(part, copies[-1], depth, joined)
+        self.body(parts[0], into, depth, joined)
+        for x in reversed(copies):
+            t = self.fresh("t")
+            self.emit(depth, f"if ({t} := fold({into}, {x})) is not None: raise ConflictError(*{t}, {x}[{t}], {into}[{t}])")
         return None
-    return _all_of([_compile_condition(conjunct, mode, var) for conjunct in conjuncts])
 
-
-def _compile_call(call: ActionCall, filtered: bool) -> Writer:
-    """A call writes nothing when its name is unbound, or its target's
-    interface lacks the action, or (if ``filtered``) its filter, read from
-    ``current``, fails; any other writes its implicit event's value under
-    ``(target, action)``, over any value written there before."""
-    name, action = _decl_name(call.decl), call.action
-    arg = _compile_read(call.arg, None)
-    filt = _compile_filter(call.filter, None) if filtered and call.filter is not None else None
-
-    def write(env: EnvInterface, current: Store, scope: Binding, effects: Effects) -> None:
-        entity_id = scope.get(name)
-        if entity_id is None:
-            return
-        target = current.get(entity_id)
-        iface = env.get(target.interface_id) if target is not None else None
-        if iface is None or action not in iface.actions:
-            return
-        # action filters read the current store, by definition
-        if filt is not None and not filt(entity_id, None, current, scope):
-            return
-        effects[entity_id, action] = arg(None, current, scope)
-
-    return write
-
-
-def _compile_body(body: ActionExpr, filtered: bool) -> Writer:
-    """The body's writer.  ``,`` runs its operands in order on the map it
-    was given, so a later call overwrites an earlier one's key.  ``||``
-    runs its operands last to first, each on a copy of the map it was
-    given (the first on that map itself, once the copies are made), and
-    joins them in first to last (:func:`fold`): a clash is a
-    :class:`~pantagruel.domains.ConflictError` with the later operand's
-    value on the left, as ``store_join(later, earlier)`` reports it.
-    Without ``filtered`` every call runs as if it had no filter
-    (:func:`_compile_call`)."""
-    if isinstance(body, ActionCall):
-        return _compile_call(body, filtered)
-    writers = [_compile_body(operand, filtered) for operand in operands(body)]
-    if isinstance(body, ActionSeq):
-
-        def seq(env: EnvInterface, current: Store, scope: Binding, effects: Effects) -> None:
-            for write in writers:
-                write(env, current, scope, effects)
-
-        return seq
-    if isinstance(body, ActionPar):
-        first, later_last_first = writers[0], writers[:0:-1]
-
-        def par(env: EnvInterface, current: Store, scope: Binding, effects: Effects) -> None:
-            parts = []
-            for write in later_last_first:
-                part = dict(effects)
-                write(env, current, scope, part)
-                parts.append(part)
-            first(env, current, scope, effects)
-            while parts:
-                part = parts.pop()
-                key = fold(effects, part)
-                if key is not None:
-                    raise ConflictError(*key, part[key], effects[key])
-
-        return par
-    raise TypeError(f"not an action node: {body!r}")
+    def nest(self, order: Sequence[str], joined: tuple[str, str] | None, join: str) -> int:
+        """The one enumerator of bindings: the ``for`` headers that bind
+        ``v0``, ``v1``, ... to the ids of the pools ``p0``, ``p1``, ... of
+        the sorted variables ``order``, lexicographically.  Where two of
+        them are ``joined``, ``join`` is evaluated first, with their pools
+        by name in ``q``, to the join and its keyed sides, or None where
+        it is refused: the earlier of the two then runs over the ids
+        having partners (:func:`~pantagruel.domains._partners`), and the
+        later over ``P``, the partners of the earlier's id; a join refused
+        pairs each id with the whole later pool.  A run of two or more
+        variables is one ``product``, so the nest is never deeper than
+        three; no variable is one pass, over ``(None,)``.  Returns the
+        depth of the nest's body."""
+        spans: list[range | None] = [range(len(order))]
+        if joined is not None:
+            at, later = sorted(map(order.index, joined))
+            self.emit(1, f"q = {{{order[at]!r}: p{at}, {order[later]!r}: p{later}}}")
+            self.emit(1, f"j = {join}")
+            self.emit(1, f"if j is None: P = dict.fromkeys(p{at}, p{later})")
+            self.emit(1, f"else: P = partners(q, *j); p{at} = sorted(P)")
+            spans = [range(later), None, range(later + 1, len(order))]
+        heads = []
+        for span in spans:
+            if span is None:
+                heads.append((f"v{later}", f"P[v{at}]"))
+            elif span:
+                pools = ", ".join(f"p{k}" for k in span)
+                heads.append((", ".join(f"v{k}" for k in span), pools if len(span) == 1 else f"product({pools})"))
+        for depth, (targets, pools) in enumerate(heads or [("_", "(None,)")], start=1):
+            self.emit(depth, f"for {targets} in {pools}:")
+        return depth + 1
 
 
 def _store_of(effects: Effects, current: Store) -> Store:
@@ -563,9 +517,10 @@ def _body_join(
 ) -> tuple[Join, dict[str, Keyed]] | None:
     """The equality every call of the body tests (:func:`_body_sides`):
     where it fails, no call writes, so the binding produces no effect.
-    Bare names count (``on m with room = l.room``).  With it, each side
-    read as an attribute, keyed by it (:meth:`DualStore.keyed`).  None if
-    a side's reads may disagree (:func:`_side_reader`)."""
+    Bare names count (``on m with room = l.room``).  Returns the join,
+    each side with its read (:func:`_side_reader`), and the buckets of
+    each side read as an attribute (:meth:`DualStore.keyed`); None if a
+    side's reads may disagree."""
     x, y = sides
     read_x = _side_reader(x, pools[x.var], dual.current)
     read_y = _side_reader(y, pools[y.var], dual.current)
@@ -611,28 +566,24 @@ def _needs_change(atom: EventAtom, var: str, mode: TriggerMode) -> bool:
 
 class _RulePlan(NamedTuple):
     """What evaluating one rule reads of the rule and the trigger mode
-    alone, derived and compiled once (:func:`_plan_rule`): the label, the
-    bare names that bind themselves when they are current entities, the
-    closed atoms' test, how each open variable's pool is found, the test
-    of the conjuncts left to whole bindings (None where there is none),
-    the sides of the body's equality (None if it has none), and the body's
-    writer, with its call filters and, for the bindings that equality
-    enumerates, without them.
+    alone, derived once (:func:`_plan_rule`): the label, the bare names
+    that bind themselves when they are current entities, how each open
+    variable's pool is found, the sides of the body's equality (None if
+    it has none), and the rule as generated source and as the function
+    compiled from it, which evaluates the rule on a dual store, called
+    with ``(env, dual, plan)``.
 
-    A pool is found from ``(var, interface, test, edge_event)``: the test
-    of the variable's pool tests, on the entity id as subject (None for
-    none), and the event of the first of them that :func:`_needs_change`,
+    A pool is found from ``(var, interface, edge_event)``: the event of
+    the first of the variable's pool tests that :func:`_needs_change`,
     whose changed ids the pool starts from (None: all the interface's
     ids)."""
 
     label: int
     bare: tuple[str, ...]
-    closed: Test | None
-    pools: tuple[tuple[str, str, Test | None, str | None], ...]
-    rest: Test | None
+    pools: tuple[tuple[str, str, str | None], ...]
     sides: tuple[_Side, _Side] | None
-    body: Writer
-    joined_body: Writer | None
+    source: str
+    run: Callable[[EnvInterface, DualStore, "_RulePlan"], tuple[Effects, list[FiredRule]]]
 
 
 class BlockPlan(NamedTuple):
@@ -646,29 +597,136 @@ class BlockPlan(NamedTuple):
     lists: tuple[tuple[str, str | None], ...]
 
 
+@functools.lru_cache(maxsize=64)
+def compiled(source: str) -> CodeType:
+    """``source``, generated Python, compiled: the one cache of generated
+    code, keyed by the text alone, never by the tree it was made from,
+    whose hash and equality recurse down a chain."""
+    return compile(source, "<generated>", "exec")
+
+
+# The globals of every generated function: the helpers its source calls.
+_NAMESPACE = {
+    "UNDEF": UNDEF, "NOTHING": _NOTHING, "FiredRule": FiredRule, "ConflictError": ConflictError,
+    "fold": fold, "product": product, "body_join": _body_join, "partners": _partners,
+}
+
+
+def _define(source: str) -> Callable:
+    """The function ``rule`` that generated ``source`` defines, compiled
+    through the one cache (:func:`compiled`), with the helpers it calls as
+    its globals."""
+    namespace = dict(_NAMESPACE)
+    exec(compiled(source), namespace)
+    return namespace["rule"]
+
+
+def instantiate(
+    bound: Binding,
+    pools: Mapping[str, Sequence[str]],
+    join: Join | None = None,
+    keyed: Mapping[str, Keyed] | None = None,
+) -> list[Binding]:
+    """Extend the binding ``bound`` over the open variables, the keys of
+    ``pools``, each mapped to the sorted ids it ranges over.  Each result
+    is ``bound`` with every open variable bound to one id of its pool; the
+    results enumerate the cross product of the pools (lexicographic in
+    variable name, then entity id), and are none as soon as one pool is
+    empty.
+
+    ``join`` is an optional equality between two distinct open variables
+    (:data:`~pantagruel.domains.Join`; anything else is a ``ValueError``),
+    and ``keyed`` gives, for one or both joined variables, its interface's
+    ids by the key of the attribute ``join`` reads (a superset of its
+    pool; a join with no keyed side is a ``ValueError`` too).  Variables
+    are bound in name order: the earlier of the two takes only the ids
+    that meet some id of the later one's pool, and the later one only the
+    ids its partner meets, found by a hash lookup
+    (:func:`~pantagruel.domains._partners`), so the bindings whose two
+    sides differ (or read UNDEF) are never built.  The survivors keep the
+    order above, so the result is a subsequence of the product.  The
+    bindings are those of the loop nest every planned rule runs
+    (:meth:`_Source.nest`), run with a body that collects each."""
+    order = sorted(pools)
+    if join is not None and (join[0] == join[2] or join[0] not in pools or join[2] not in pools):
+        raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
+    src = _Source({}, TriggerMode.LEVEL)
+    src.emit(0, "def rule(bound, pools, J):")
+    src.emit(1, f"({''.join(f'p{k}, ' for k in range(len(order)))}) = pools")
+    src.emit(1, "out = []")
+    depth = src.nest(order, None if join is None else (join[0], join[2]), "J")
+    src.emit(depth, f"out.append({{**bound, {''.join(f'{var!r}: v{k}, ' for k, var in enumerate(order))}}})")
+    src.emit(1, "return out")
+    run = _define("\n".join(src.lines) + "\n")
+    return run(bound, [pools[var] for var in order], None if join is None else (join, keyed or {}))
+
+
 def _plan_rule(rule: RuleAst, mode: TriggerMode, label: int) -> _RulePlan:
     """The rule's plan in ``mode``: its environment (:func:`_environment`),
     the split of its condition (:func:`_conjuncts`), each open variable's
-    pool, and its body's equality (:func:`_body_sides`), each part
-    compiled.  An aggregate raises :class:`UnsupportedConstructError`."""
+    pool, its body's equality (:func:`_body_sides`), and the source of the
+    function ``rule(env, dual, plan)`` that evaluates it on ``dual``, as
+    the module docstring describes, into the rule's one flat map of
+    effects.  In order: the bare names bound, the closed atoms, each pool
+    with its tests, in declaration order, the action checks, the body's
+    join and the loop nest (:meth:`_Source.nest`)
+    with, per binding, the conjuncts left to whole bindings and the
+    body's writes.  An aggregate raises :class:`UnsupportedConstructError`.
+
+    Each binding writes into a map of its own, so that a ``,`` call
+    overwriting the binding's earlier write is no clash, and that map is
+    folded into the rule's (:func:`fold`).  The result, as a store, is
+    that of a left fold of :func:`~pantagruel.domains.store_join` over
+    the bindings' partial stores once all are built: a conflict between
+    the operands of one binding's ``||`` is raised while that binding is
+    built, so it comes first; one between bindings is the first the fold
+    meets, its least ``(entity, action)`` with the rule's value on the
+    left, raised only once every binding is built."""
     open_vars, bare = _environment(rule)
     closed, by_var, rest = _conjuncts(rule.condition, open_vars)
+    order = sorted(open_vars)
+    names = {var: (f"v{k}", open_vars[var]) for k, var in enumerate(order)}
+    names.update((name, (f"b{k}", None)) for k, name in enumerate(bare))
+    src = _Source(names, mode)
+    emit = src.emit
+    emit(0, "def rule(env, dual, plan):")
+    emit(1, "previous, current, bound = dual.previous, dual.current, {}")
+    for name in bare:
+        emit(1, f"if ({names[name][0]} := {name!r} if {name!r} in current else None) is not None: bound[{name!r}] = {name!r}")
+    if closed:
+        emit(1, f"if not ({' and '.join(map(src.atom, closed))}): return {{}}, []")
     pools = []
     for var, interface in open_vars.items():
         tests = by_var.get(var, [])
         edge = next((atom.event for atom in tests if _needs_change(atom, var, mode)), None)
-        pools.append((var, interface, _compile_conjuncts(tests, mode, var), edge))
+        pools.append((var, interface, edge))
+        v, p = names[var][0], "p" + names[var][0][1:]
+        ids = f"dual.ids({interface!r})" if edge is None else f"dual.changed({interface!r}, {edge!r})"
+        if tests:
+            emit(1, f"{p} = []")
+            emit(1, f"for {v} in {ids}:")
+            emit(2, f"if {' and '.join(map(src.atom, tests))}: {p}.append({v})")
+        else:
+            emit(1, f"{p} = {ids}")
+        emit(1, f"if not {p}: return {{}}, []")
+    checks_at = len(src.lines)
+    emit(1, "effects, fired, clash, label = {}, [], None, plan.label")
     sides = _body_sides(rule.body, open_vars)
-    return _RulePlan(
-        label,
-        bare,
-        _compile_conjuncts(closed, mode, None),
-        tuple(pools),
-        _compile_conjuncts(rest, mode, None),
-        sides,
-        _compile_body(rule.body, filtered=True),
-        None if sides is None else _compile_body(rule.body, filtered=False),
-    )
+    joined = None if sides is None else "j"
+    depth = src.nest(order, sides and (sides[0].var, sides[1].var), "body_join(plan.sides, q, dual)")
+    if rest:
+        emit(depth, f"if not ({' and '.join(map(src.condition, rest))}): continue")
+    binding = ("**bound, " if bare else "") + "".join(f"{var!r}: v{k}, " for k, var in enumerate(order))
+    emit(depth, "x0 = {}")
+    src.body(rule.body, "x0", depth, joined)
+    emit(depth, "if not x0: continue")
+    emit(depth, f"fired.append(FiredRule(label, {{{binding}}}))")
+    emit(depth, "if clash is None and (t := fold(effects, x0)) is not None: clash = ConflictError(*t, effects[t], x0[t])")
+    emit(1, "if clash is not None: raise clash")
+    emit(1, "return effects, fired")
+    src.lines[checks_at:checks_at] = ["    " + line for _, line in src.checks.values()]
+    source = "\n".join(src.lines) + "\n"
+    return _RulePlan(label, bare, tuple(pools), sides, source, _define(source))
 
 
 def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
@@ -686,7 +744,7 @@ def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
     )
     names: dict[tuple[str, str | None], None] = {}
     for plan in plans:
-        for _, interface, _, edge_event in plan.pools:
+        for _, interface, edge_event in plan.pools:
             if edge_event is None:
                 names[(interface, None)] = None
         for side in plan.sides or ():
@@ -694,59 +752,6 @@ def plan_block(rules: Sequence[RuleAst], mode: TriggerMode) -> BlockPlan:
                 names[(side.interface, None)] = None
                 names[(side.interface, side.member)] = None
     return BlockPlan(rules, mode, plans, tuple(names))
-
-
-def _eval_rule_plan(
-    env: EnvInterface, plan: _RulePlan, dual: DualStore
-) -> tuple[Effects, list[FiredRule]]:
-    """Evaluate one planned rule on ``dual``, as the module docstring
-    describes, into the rule's one flat map of effects.  Where the body's
-    equality gives the join, every binding built satisfies each call's
-    filter, so the body runs without them.
-
-    Each binding writes into a map of its own, so that a ``,`` call
-    overwriting the binding's earlier write is no clash, and that map is
-    folded into the rule's (:func:`fold`).  The result, as a store, is
-    that of a left fold of :func:`~pantagruel.domains.store_join` over
-    the bindings' partial stores once all are built (the closure oracle's
-    ``store_join_all``, with a join of its own): a conflict between the
-    operands of one binding's ``||`` is raised while that binding is
-    built, so it comes first; one between bindings is the first the fold
-    meets, its least ``(entity, action)`` with the rule's value on the
-    left, raised only once every binding is built."""
-    previous, current = dual.previous, dual.current
-    bound = {name: name for name in plan.bare if name in current}
-    if plan.closed is not None and not plan.closed(None, previous, current, bound):
-        return {}, []
-    pools: dict[str, list[str]] = {}
-    for var, interface, test, edge_event in plan.pools:
-        pool = dual.ids(interface) if edge_event is None else dual.changed(interface, edge_event)
-        if test is not None:
-            pool = [entity_id for entity_id in pool if test(entity_id, previous, current, bound)]
-        if not pool:
-            return {}, []
-        pools[var] = pool
-    joined = None if plan.sides is None else _body_join(plan.sides, pools, dual)
-    write = plan.body if joined is None else plan.joined_body
-    rest, label = plan.rest, plan.label
-    effects: Effects = {}
-    fired: list[FiredRule] = []
-    clash: ConflictError | None = None
-    for scope in instantiate(bound, pools, *(joined or ())):
-        if rest is not None and not rest(None, previous, current, scope):
-            continue
-        partial: Effects = {}
-        write(env, current, scope, partial)
-        if not partial:
-            continue
-        fired.append(FiredRule(label, scope))
-        if clash is None:
-            key = fold(effects, partial)
-            if key is not None:
-                clash = ConflictError(*key, effects[key], partial[key])
-    if clash is not None:
-        raise clash
-    return effects, fired
 
 
 def eval_rule(
@@ -760,8 +765,10 @@ def eval_rule(
     :class:`FiredRule` per instantiation that held and produced effects,
     labelled ``label`` when given.  The rule is planned on each call and
     evaluated as a block of one (:func:`eval_plan` of :func:`plan_block`);
-    the conjuncts narrow the bindings first, as the module docstring
-    describes, and the result is that of the full product."""
+    its source is emitted each time, and compiled only the first time the
+    cache meets it.  The conjuncts narrow the bindings first, as the
+    module docstring describes, and the result is that of the full
+    product."""
     plan = plan_block((rule,), mode)
     if label is not None:
         plan = plan._replace(plans=(plan.plans[0]._replace(label=label),))
@@ -774,7 +781,8 @@ def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Stor
     of effects in order (:func:`fold`); interfering rules surface as a
     ConflictError, the least clash of the first rule that has one, with
     the earlier rules' value on the left.  The joined map becomes the
-    block's effect store once (:func:`_store_of`).  This is the one place
+    block's effect store once (:func:`_store_of`).  Each rule runs as its
+    plan's generated function.  This is the one place
     a pair is listed: ``dual`` is first built for the plan's lists
     (:meth:`~pantagruel.domains.DualStore.build`, no pass over the store
     when it holds them all and knows its ``touched`` ids), and all rules
@@ -783,7 +791,7 @@ def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Stor
     effects: Effects = {}
     fired: list[FiredRule] = []
     for rule_plan in plan.plans:
-        partial, rule_fired = _eval_rule_plan(env, rule_plan, dual)
+        partial, rule_fired = rule_plan.run(env, dual, rule_plan)
         key = fold(effects, partial)
         if key is not None:
             raise ConflictError(*key, effects[key], partial[key])

@@ -315,7 +315,7 @@ def eval_rule(
 ) -> tuple[Store, list[FiredRule]]:
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects."""
-    effective_label = label if label is not None else (rule.label or 1)
+    effective_label = label if label is not None else rule.label if rule.label is not None else 1
     rho_e, predicate = eval_event_expr(
         rule.condition, dual, {}, lambda scope: True, mode
     )

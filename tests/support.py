@@ -1,6 +1,6 @@
 """Shared sources and helpers: the building-automation demo program, the
-readers, predicates and writers a planned rule compiles, each checked
-against the closure oracle, and the check that a record renders by its
+reads, tests and writes a planned rule generates, each compiled for one
+node and checked against the closure oracle, and the check that a record renders by its
 lineage as a fresh memo renders it.  Tests import them by name from here;
 ``conftest.py`` holds only the fixtures."""
 
@@ -115,10 +115,27 @@ def _references(binding):
     return {name: closure_eval.InstanceRef(entity_id) for name, entity_id in binding.items()}
 
 
+def generated(params, scope, emit, mode=TriggerMode.EDGE):
+    """The function of ``params`` (``scope`` last) that a planned rule's
+    emitter generates for one node: each name of the binding ``scope`` a
+    local read from it, none known to be in a store, then the lines
+    ``emit(src)`` leaves in the emitter ``src`` (its action checks first),
+    and a return of the expression it gives, if any.  Compiled as a rule
+    is, through the one cache."""
+    names = {name: (f"n{k}", None) for k, name in enumerate(scope)}
+    src = rule_eval._Source(names, mode)
+    result = emit(src)
+    lines = [f"def rule({', '.join(params)}):"]
+    lines += [f"    {local} = scope[{name!r}]" for name, (local, _) in names.items()]
+    lines += ["    " + line for _, line in src.checks.values()] + src.lines
+    lines.append(f"    return {result}")
+    return rule_eval._define("\n".join(lines) + "\n")
+
+
 def eval_expression(expr, store, binding):
     """``expr`` read from ``store`` for ``binding`` by the read a planned
-    rule compiles, which the closure oracle's reader must agree with."""
-    got = rule_eval._compile_read(expr, None)(None, store, binding)
+    rule generates, which the closure oracle's reader must agree with."""
+    got = generated(["current", "scope"], binding, lambda src: src.read(expr, "current"))(store, binding)
     want = closure_eval.eval_expression(expr, store, _references(binding))
     assert (type(got), got) == (type(want), want)
     return got
@@ -126,23 +143,25 @@ def eval_expression(expr, store, binding):
 
 def holds(condition, dual, scope, mode):
     """Whether ``condition`` holds for the binding ``scope`` on ``dual`` in
-    ``mode``, by the test a planned rule compiles, which the closure
+    ``mode``, by the test a planned rule generates, which the closure
     oracle's predicate must agree with."""
-    got = rule_eval._compile_condition(condition, mode, None)(None, dual.previous, dual.current, scope)
+    test = generated(["previous", "current", "scope"], scope, lambda src: src.condition(condition), mode)
+    got = test(dual.previous, dual.current, scope)
     _, predicate = closure_eval.eval_event_expr(condition, dual, {}, lambda rho: True, mode)
     assert got is predicate(_references(scope))
     return got
 
 
 def body_store(body, env, current, scope, seed):
-    """The partial store ``body``'s compiled writer (call filters
-    included) builds on the store ``seed`` for the binding ``scope``:
-    ``seed``'s events as the writer's flat map, the writer run on it, and
+    """The partial store ``body``'s generated writes (call filters
+    included) build on the store ``seed`` for the binding ``scope``:
+    ``seed``'s events as the writes' flat map, the writes run on it, and
     the map turned back into a store."""
     effects = {
         (entity_id, key): value for entity_id, entity in seed.items() for key, value in entity.events.items()
     }
-    rule_eval._compile_body(body, True)(env, current, scope, effects)
+    write = generated(["env", "current", "x0", "scope"], scope, lambda src: src.body(body, "x0", 1, None))
+    write(env, current, effects, scope)
     return rule_eval._store_of(effects, current)
 
 
@@ -172,7 +191,7 @@ def plan_environment(rule, current):
     ``current`` entities, each to itself.  Planning an aggregate raises
     ``UnsupportedConstructError``."""
     plan = plan_block((rule,), TriggerMode.EDGE).plans[0]
-    open_vars = {var: interface for var, interface, _, _ in plan.pools}
+    open_vars = {var: interface for var, interface, _ in plan.pools}
     return open_vars, {name: name for name in plan.bare if name in current}
 
 

@@ -38,7 +38,8 @@ from pantagruel import (
     step,
     store_join,
 )
-from pantagruel.domains import Entity, instantiate, value_eq
+from pantagruel.domains import Entity, value_eq
+from pantagruel.rule_eval import instantiate
 from pantagruel.cli import main
 
 from closure_eval import store_join_all

@@ -19,10 +19,10 @@ from pantagruel.domains import (
     UnknownEntityError,
     access_attribute,
     access_event,
-    instantiate,
     value_eq,
     value_neq,
 )
+from pantagruel.rule_eval import instantiate
 
 from closure_eval import store_join_all
 from support import action_effects, index_pools

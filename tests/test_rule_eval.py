@@ -7,8 +7,11 @@ re-enumerate bindings independently of the evaluator.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
+import re
+import sys
 
 import pytest
 
@@ -41,9 +44,9 @@ from pantagruel.ast import (
     ValueChanged,
     ValueEq,
 )
-from pantagruel import domains, rule_eval, runtime
+from pantagruel import rule_eval, runtime
 from pantagruel.domains import Entity, Interface, value_eq
-from pantagruel.rule_eval import UnsupportedConstructError, plan_block
+from pantagruel.rule_eval import UnsupportedConstructError, eval_plan, plan_block
 from pantagruel.spec_eval import eval_specification
 
 from support import (
@@ -493,6 +496,21 @@ def test_a_par_clash_inside_a_binding_comes_before_one_between_bindings():
         assert str(exc.value) == _strictly(closure_eval.eval_rule, checked, dual, mode)
 
 
+def test_a_par_of_three_joins_its_operands_first_to_last():
+    """The second and the third operand of a ``||`` each clash with the
+    first on ``x.a``; operands are joined first to last, so the second's
+    clash is raised, with its value on the left, as the closure oracle
+    raises it."""
+    checked, dual = _fired_block(
+        "action a(s.w) on x || action a(s.v) on x || action a(3) on x", s1=(2, 1)
+    )
+    for mode in TriggerMode:
+        with pytest.raises(ConflictError) as exc:
+            eval_block(checked.env, checked.rules, dual, mode)
+        assert (exc.value.entity_id, exc.value.key, exc.value.left, exc.value.right) == ("x", "a", 2, 1)
+        assert str(exc.value) == _strictly(closure_eval.eval_rule, checked, dual, mode)
+
+
 def test_unlabeled_rules_numbered_by_position(motion_dual):
     src = program_source(
         "when event detected from m:MotionDetector value = true "
@@ -567,51 +585,61 @@ def _rooms_program(rooms, rule):
     return checked
 
 
-def _count_bindings(monkeypatch, rules):
-    """Counters of what evaluating ``rules`` does, through the closures
-    their plan compiles, so installed before the plan is made: the
-    bindings built, the condition tests on bindings with both ``m`` and
-    ``l`` bound, and the runs of a rule's whole body."""
+def _traced(action):
+    """``action()``, and how often each line of generated code ran in it,
+    by ``(code, line number)``: a trace of the functions compiled from a
+    rule plan's source, and of nothing else."""
+    runs = collections.Counter()
+
+    def line(frame, event, arg):
+        if event == "line":
+            runs[frame.f_code, frame.f_lineno] += 1
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == "<generated>" else None
+
+    kept = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = action()
+    finally:
+        sys.settrace(kept)
+    return result, runs
+
+
+def _line_runs(runs, plans):
+    """How often each line of the plans' sources ran, by its text."""
+    counts = collections.Counter()
+    for plan in plans:
+        lines = plan.source.splitlines()
+        for (code, number), count in runs.items():
+            if code is plan.run.__code__:
+                counts[lines[number - 1].strip()] += count
+    return counts
+
+
+def _count_bindings(state, changes, rules, env, mode):
+    """``step``, and counters of what its rules' generated code did: the
+    bindings built (runs of the loop nest's innermost first line), the
+    tests of conjuncts left to whole bindings (that line, where the rule
+    has such conjuncts), and the runs of a rule's whole body, which
+    follows them."""
+    (state, record), runs = _traced(lambda: step(state, changes, rules, env, mode))
     calls = {"built": 0, "tested": 0, "acted": 0}
-    real_instantiate = rule_eval.instantiate
-    real_conjuncts, real_body = rule_eval._compile_conjuncts, rule_eval._compile_body
-    bodies = [rule.body for rule in rules]
-
-    def counting_instantiate(*args):
-        bindings = real_instantiate(*args)
-        calls["built"] += len(bindings)
-        return bindings
-
-    def compiling_conjuncts(*args):
-        test = real_conjuncts(*args)
-        if test is None:
-            return None
-
-        def counting(subject, previous, current, scope):
-            if "m" in scope and "l" in scope:
-                calls["tested"] += 1
-            return test(subject, previous, current, scope)
-
-        return counting
-
-    def compiling_body(body, filtered):
-        write = real_body(body, filtered)
-        if not any(body is whole for whole in bodies):
-            return write
-
-        def counting(*args):
-            calls["acted"] += 1
-            return write(*args)
-
-        return counting
-
-    monkeypatch.setattr(rule_eval, "instantiate", counting_instantiate)
-    monkeypatch.setattr(rule_eval, "_compile_conjuncts", compiling_conjuncts)
-    monkeypatch.setattr(rule_eval, "_compile_body", compiling_body)
-    return calls
+    for rule, plan in zip(rules, state.plan.plans):
+        open_vars, _ = rule_eval._environment(rule)
+        rest = rule_eval._conjuncts(rule.condition, open_vars)[2]
+        lines = [line.strip() for line in plan.source.splitlines()]
+        counts = _line_runs(runs, [plan])
+        at = max(k for k, line in enumerate(lines) if line.startswith("for ")) + 1
+        calls["built"] += counts[lines[at]]
+        calls["tested"] += counts[lines[at]] if rest else 0
+        calls["acted"] += counts[lines[at + 1]] if rest else counts[lines[at]]
+    return record, calls
 
 
-def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch):
+def test_rule_one_tests_one_binding_per_light_not_the_cross_product():
     """A generated building of 200 rooms, each with one detector and two
     lights, and one tick with exactly one ``detected`` edge.  The
     condition reads ``m`` alone and the body's filter joins ``l`` to
@@ -620,8 +648,7 @@ def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch)
     condition on a whole binding."""
     rooms = 200
     checked = _rooms_program(rooms, RULE_1)
-    calls = _count_bindings(monkeypatch, checked.rules)
-    _, record = step(
+    record, calls = _count_bindings(
         initial_state(checked.initial_store),
         [EventUpdate("m7", "detected", True)],
         checked.rules,
@@ -635,14 +662,13 @@ def test_rule_one_tests_one_binding_per_light_not_the_cross_product(monkeypatch)
     ]
 
 
-def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
+def test_rule_one_in_level_mode_builds_two_bindings_per_detector():
     """Every detector reads ``true``: rule 1 holds for every detector, and
     the join still builds only each detector's two lights (400, not
     rooms × lights = 80 000), in product order."""
     rooms = 200
     checked = _rooms_program(rooms, RULE_1)
-    calls = _count_bindings(monkeypatch, checked.rules)
-    _, record = step(
+    record, calls = _count_bindings(
         initial_state(checked.initial_store),
         [EventUpdate(f"m{room}", "detected", True) for room in range(rooms)],
         checked.rules,
@@ -656,24 +682,58 @@ def test_rule_one_in_level_mode_builds_two_bindings_per_detector(monkeypatch):
     ]
 
 
-def test_rule_one_reads_the_room_of_only_the_lights_it_switches(monkeypatch):
+class _Watched(dict):
+    """A member map that records each key the generated code asks of it,
+    by ``get``, ``in`` or ``[]``, as ``(entity, key, how)``."""
+
+    def __init__(self, entity_id, members, asked):
+        super().__init__(members)
+        self.entity_id, self.asked = entity_id, asked
+
+    def _ask(self, key, how):
+        if sys._getframe(2).f_code.co_filename == "<generated>":
+            self.asked.append((self.entity_id, key, how))
+
+    def get(self, key, default=None):
+        self._ask(key, "get")
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._ask(key, "in")
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self._ask(key, "[]")
+        return super().__getitem__(key)
+
+
+def _watched(store, asked, kinds=("attributes", "events")):
+    """``store`` with the member maps of ``kinds`` of every entity
+    watched (:class:`_Watched`), each ask recorded in ``asked``."""
+    return {
+        entity_id: Entity(
+            entity.interface_id,
+            *(
+                _Watched(entity_id, getattr(entity, kind), asked) if kind in kinds else getattr(entity, kind)
+                for kind in ("attributes", "events")
+            ),
+        )
+        for entity_id, entity in store.items()
+    }
+
+
+def test_rule_one_reads_the_room_of_only_the_lights_it_switches():
     """On 2 500 rooms, rule 1 finds a detector's lights in the room index
     that ``step`` carries, rather than reading ``room`` on all 5 000
     lights.  Each light it finds has the detector's room, so the call's
-    filter, the equality the join enforced, is not tested again: the rule
-    reads ``room`` on no light at all."""
+    filter, the equality the join enforced, is not tested again: the
+    rule's generated code reads ``room`` on no light at all, though each
+    light's attributes are watched for every tick (effects write only
+    events, so an entity keeps its attribute map)."""
     rooms = 2_500
     checked = _rooms_program(rooms, RULE_1)
-    reads = []
-    real = rule_eval.access_attribute
-
-    def counting(attribute, entity_id, store):
-        if attribute == "room" and entity_id.startswith("l"):
-            reads.append(entity_id)
-        return real(attribute, entity_id, store)
-
-    monkeypatch.setattr(rule_eval, "access_attribute", counting)
-    state = initial_state(checked.initial_store)
+    asked = []
+    state = initial_state(_watched(checked.initial_store, asked, ("attributes",)))
     ticks = [["m7"], ["m9", "m1200"], [], ["m7"], ["m2499", "m0"]]
     on: set[str] = set()
     for turned_on in ticks:
@@ -683,7 +743,9 @@ def test_rule_one_reads_the_room_of_only_the_lights_it_switches(monkeypatch):
         state, record = step(state, changes, checked.rules, checked.env, EDGE)
         lights = sorted(f"l{side}{m[1:]}" for m in turned_on for side in "ab")
         assert sorted(f.binding["l"] for f in record.fired) == lights
+        reads = [entity_id for entity_id, key, _ in asked if key == "room" and entity_id.startswith("l")]
         assert reads == []
+    assert all(type(entity.attributes) is _Watched for entity in state.current.values())
 
 
 JOIN_SPEC = """\
@@ -738,11 +800,11 @@ def test_event_named_like_the_joined_member_gives_the_product_firings():
         ]
 
 
-def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join(monkeypatch):
+def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join():
     """Only the entities of a side's pool are bound to it, so an event
     ``room`` on a detector that fails ``value = true`` cannot make the two
-    reads of ``m.room`` differ: the body's join stays a hash lookup, and
-    gives the product's firings."""
+    reads of ``m.room`` differ: the body's join stays a hash lookup, made
+    once by the rule's generated code, and gives the product's firings."""
     checked = _join_rule(
         "when event detected from m:MotionDetector value = true "
         "trigger action switch(true) on l:Light with room = m.room "
@@ -752,17 +814,20 @@ def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join(monk
     current = with_event(previous, "m1", "detected", True)
     m2 = Entity("MotionDetector", {"room": 2}, {"detected": False, "room": 1, "ack": UNDEF})
     current = {**current, "m2": m2}
-    lookups = []
-    real_partners = domains._partners
-
-    def counting_partners(*args):
-        lookups.append(args)
-        return real_partners(*args)
-
-    monkeypatch.setattr(domains, "_partners", counting_partners)
     for mode in TriggerMode:
-        lookups.clear()
-        _, fired = _both_evaluators(checked, DualStore(previous, current), mode)
+        plan = plan_block(checked.rules, mode)
+        lookups = []
+        namespace = plan.plans[0].run.__globals__
+        real_partners = namespace["partners"]
+
+        def counting_partners(*args):
+            lookups.append(args)
+            return real_partners(*args)
+
+        namespace["partners"] = counting_partners
+        dual = DualStore(previous, current)
+        _, fired = got = eval_plan(checked.env, plan, dual)
+        assert got == closure_eval.eval_rule(checked.env, checked.rules[0], dual, mode)
         assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
         assert len(lookups) == 1
 
@@ -776,14 +841,18 @@ def _strictly(evaluate, checked, dual, mode):
         return str(exc)
 
 
-def test_a_refused_join_still_tests_every_call_filter(monkeypatch):
+def test_a_refused_join_still_tests_every_call_filter():
     """``l.room`` and ``m.room`` are each read as an attribute by one call
     and as a path by the other.  With ``room`` an event of ``l1`` (an
     unchecked store) the two reads of ``l1.room`` differ, so the join is
     refused and each call of the product's four bindings tests its filter:
     without them, ``(l1, m2)`` would switch ``l1`` off while ``(l1, m1)``
     switches it on, a conflict.  With no such event the join is taken,
-    and no call filter is tested."""
+    and no call filter is tested.  Each filter compares its target's
+    ``room`` with the path ``m.room`` or ``l.room``, every room is
+    defined, and a path asks once whether its entity's events hold
+    ``room``, so the generated code's asks of that count the filters
+    tested."""
     checked = _join_rule(
         "when event detected from m:MotionDetector value changed "
         "trigger action switch(m.detected) on l:Light with room = m.room "
@@ -792,28 +861,17 @@ def test_a_refused_join_still_tests_every_call_filter(monkeypatch):
     previous = checked.initial_store
     joined = with_event(with_event(previous, "m1", "detected", True), "m2", "detected", False)
     refused = {**joined, "l1": Entity("Light", {"room": 1}, {"room": 2, "switch": UNDEF})}
-    tested = []
-    real = rule_eval._compile_filter
-
-    def compiling(filt, var):
-        test = real(filt, var)
-
-        def counting(entity_id, *args):
-            tested.append(entity_id)
-            return test(entity_id, *args)
-
-        return counting
-
-    monkeypatch.setattr(rule_eval, "_compile_filter", compiling)
+    asked = []
     for current, filters, bindings in (
         (refused, 8, [{"l": "l1", "m": "m1"}, {"l": "l1", "m": "m2"}, {"l": "l2", "m": "m2"}]),
         (joined, 0, [{"l": "l1", "m": "m1"}, {"l": "l2", "m": "m2"}]),
     ):
+        current = _watched(current, asked, ("events",))
         for mode in TriggerMode:
             dual = DualStore(previous, current)
-            tested.clear()
+            asked.clear()
             got = _strictly(eval_rule, checked, dual, mode)
-            assert len(tested) == filters
+            assert len([key for _, key, how in asked if (key, how) == ("room", "in")]) == filters
             assert got == _strictly(closure_eval.eval_rule, checked, dual, mode)
             effects, fired = got
             assert [f.binding for f in fired] == bindings
@@ -845,47 +903,28 @@ end
 """
 
 
-def _count_pool_tests(monkeypatch):
-    """Counter of the pool tests of ``m``: the calls of the test its plan
-    compiles on the detector ids, so installed before the plan is made."""
-    calls = {"tested": 0}
-    real = rule_eval._compile_conjuncts
-
-    def compiling(conjuncts, mode, var):
-        test = real(conjuncts, mode, var)
-        if test is None or var != "m":
-            return test
-
-        def counting(*args):
-            calls["tested"] += 1
-            return test(*args)
-
-        return counting
-
-    monkeypatch.setattr(rule_eval, "_compile_conjuncts", compiling)
-    return calls
-
-
 @pytest.mark.parametrize(
     ("rule", "mode", "tested"),
     [(RULE_1, EDGE, 1), (VALUE_CHANGED_RULE, EDGE, 1), (RULE_1, LEVEL, 2500)],
     ids=["edge", "value-changed", "level"],
 )
-def test_pool_tests_visit_only_the_detectors_that_changed(monkeypatch, rule, mode, tested):
+def test_pool_tests_visit_only_the_detectors_that_changed(rule, mode, tested):
     """A building of 2 500 rooms, a quiet first tick, then one tick with a
     single ``detected`` edge.  An edge atom and ``value changed`` can hold
     only on an entity that changed, so the second tick tests the one
     changed detector; in LEVEL mode ``value = true`` may hold on a detector
-    left as it was, so every detector is tested."""
+    left as it was, so every detector is tested.  A pool test is one run
+    of the generated line that keeps an id of ``m``'s pool."""
     rooms = 2500
     checked = _rooms_program(rooms, rule)
-    calls = _count_pool_tests(monkeypatch)
     state, _ = step(initial_state(checked.initial_store), [], checked.rules, checked.env, mode)
-    calls["tested"] = 0
-    _, record = step(
-        state, [EventUpdate("m7", "detected", True)], checked.rules, checked.env, mode
+    (state, record), runs = _traced(
+        lambda: step(state, [EventUpdate("m7", "detected", True)], checked.rules, checked.env, mode)
     )
-    assert calls == {"tested": tested}
+    counts = _line_runs(runs, state.plan.plans)
+    pool_tests = [line for line in counts if re.fullmatch(r"if .*: p1\.append\(v1\)", line)]
+    assert len(pool_tests) == 1
+    assert {"tested": counts[pool_tests[0]]} == {"tested": tested}
     assert [f.binding for f in record.fired] == [
         {"l": "la7", "m": "m7"},
         {"l": "lb7", "m": "m7"},

@@ -347,21 +347,32 @@ def test_check_rules_is_pure(building):
 
 
 def test_checked_programs_never_compare_across_types(building, monkeypatch):
-    """Soundness, instrumented: running a cleanly checked program never asks
-    value_eq to compare a defined Nat with a defined Tr."""
+    """Soundness, instrumented: running a cleanly checked program never
+    makes an equality compare a defined Nat with a defined Tr.  The rules'
+    generated code inlines :func:`value_eq`; each equality the generator
+    emits (``rule_eval._Source.equal``) is wrapped to hand both its sides
+    to a watch first, so the watch sees every comparison made, and some
+    are made."""
     import pantagruel.rule_eval as rule_eval
     from pantagruel import UNDEF as undef
     from pantagruel import EventUpdate, TriggerMode, run_trace
-    from pantagruel.domains import value_eq
 
     crossings = []
+    compared = []
 
-    def watched(a, b):
+    def watch(a, b):
+        compared.append((a, b))
         if a is not undef and b is not undef and type(a) is not type(b):
             crossings.append((a, b))
-        return value_eq(a, b)
+        return True
 
-    monkeypatch.setattr(rule_eval, "value_eq", watched)
+    equal = rule_eval._Source.equal
+
+    def watched(self, value, expr, store):
+        return f"(watch({value}, {self.read(expr, store)}) and {equal(self, value, expr, store)})"
+
+    monkeypatch.setattr(rule_eval._Source, "equal", watched)
+    monkeypatch.setitem(rule_eval._NAMESPACE, "watch", watch)
     script = [
         [EventUpdate("m10", "detected", True)],
         [EventUpdate("thermo", "temperature", 30)],
@@ -371,3 +382,4 @@ def test_checked_programs_never_compare_across_types(building, monkeypatch):
     for mode in (TriggerMode.EDGE, TriggerMode.LEVEL):
         run_trace(building, script, mode=mode)
     assert crossings == []
+    assert compared
