@@ -13,11 +13,10 @@ below leave of it) is tested and, if it holds, its body writes the
 binding's effects into one flat map of :data:`Effects`, ``(entity,
 action)`` to the value written, and no entity is built.  Each binding's
 map is folded into the rule's one map, and each rule's into the block's,
-with the conflict check of the one merge, :func:`~pantagruel.domains.fold`;
-only the block's map becomes a store, once, its entities
-taking their interfaces from the current store (:func:`_store_of`).  That
-store is all a block produces besides its :class:`FiredRule` labels and
-bindings.
+with the conflict check of the one merge, :func:`~pantagruel.domains.fold`.
+That map is all a block produces besides its :class:`FiredRule` labels
+and bindings; ``step`` layers it by id (:func:`grouped`), and only
+:func:`eval_rule` makes it a store, once (:func:`_store_of`).
 
 Which bindings are built is decided here, and only here.  What that
 reads of the rule and the trigger mode alone is the rule's plan: its
@@ -164,7 +163,7 @@ class TriggerMode(enum.Enum):
 @dataclass(frozen=True)
 class FiredRule:
     """One instantiation of one rule that held and produced effects, by
-    label and binding; the effects are in the rule's effect store."""
+    label and binding; the effects are in the rule's map of effects."""
 
     label: int
     binding: Binding
@@ -418,15 +417,20 @@ class _Source:
         return depth + 1
 
 
-def _store_of(effects: Effects, current: Store) -> Store:
-    """``effects`` as a store: one entity per id written, of its
-    interface in ``current``, with no attribute and the written events."""
+def grouped(effects: Effects) -> dict[str, dict[str, Value]]:
+    """``effects`` by id, in first-write order: each id's written events."""
     events_of: dict[str, dict[str, Value]] = {}
     for (entity_id, action), value in effects.items():
         events_of.setdefault(entity_id, {})[action] = value
+    return events_of
+
+
+def _store_of(effects: Effects, current: Store) -> Store:
+    """``effects`` as a store: one entity per id written, of its
+    interface in ``current``, with no attribute and the written events."""
     return {
         entity_id: Entity(current[entity_id].interface_id, {}, events)
-        for entity_id, events in events_of.items()
+        for entity_id, events in grouped(effects).items()
     }
 
 
@@ -764,25 +768,26 @@ def eval_rule(
     """Evaluate one rule: returns its joined partial effect store and one
     :class:`FiredRule` per instantiation that held and produced effects,
     labelled ``label`` when given.  The rule is planned on each call and
-    evaluated as a block of one (:func:`eval_plan` of :func:`plan_block`);
-    its source is emitted each time, and compiled only the first time the
-    cache meets it.  The conjuncts narrow the bindings first, as the
-    module docstring describes, and the result is that of the full
-    product."""
+    evaluated as a block of one (:func:`eval_plan` of :func:`plan_block`),
+    whose map becomes the store (:func:`_store_of`); its source is
+    emitted each time, and compiled only the first time the cache meets
+    it.  The conjuncts narrow the bindings first, as the module docstring
+    describes, and the result is that of the full product."""
     plan = plan_block((rule,), mode)
     if label is not None:
         plan = plan._replace(plans=(plan.plans[0]._replace(label=label),))
-    return eval_plan(env, plan, dual)
+    effects, fired = eval_plan(env, plan, dual)
+    return _store_of(effects, dual.current), fired
 
 
-def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Store, list[FiredRule]]:
+def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Effects, list[FiredRule]]:
     """Evaluate every rule of a planned block (:func:`plan_block`) against
     the same dual store, in the plan's mode, and join the rules' flat maps
     of effects in order (:func:`fold`); interfering rules surface as a
     ConflictError, the least clash of the first rule that has one, with
-    the earlier rules' value on the left.  The joined map becomes the
-    block's effect store once (:func:`_store_of`).  Each rule runs as its
-    plan's generated function.  This is the one place
+    the earlier rules' value on the left.  Returns that map, in
+    first-write order, with the fired list: no entity is built.  Each
+    rule runs as its plan's generated function.  This is the one place
     a pair is listed: ``dual`` is first built for the plan's lists
     (:meth:`~pantagruel.domains.DualStore.build`, no pass over the store
     when it holds them all and knows its ``touched`` ids), and all rules
@@ -796,5 +801,5 @@ def eval_plan(env: EnvInterface, plan: BlockPlan, dual: DualStore) -> tuple[Stor
         if key is not None:
             raise ConflictError(*key, effects[key], partial[key])
         fired.extend(rule_fired)
-    return _store_of(effects, dual.current), fired
+    return effects, fired
 

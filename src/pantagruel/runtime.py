@@ -2,11 +2,12 @@
 
 One tick applies the pending external changes to the current store, runs
 the whole rule block against the ⟨previous, current'⟩ dual store, then
-layers the joined effects onto the store while resetting every implicit
-event that was set in the previous step.  The effects name only entities
-of the store the rules read, so layering them never adds an entity.  Only
-the previous step's effects set implicit events, so the reset visits only
-the entities they wrote (on tick 1, those :func:`initial_state` names).
+layers the joined effects onto the store, one member update per id, while
+resetting every implicit event that was set in the previous step
+(:func:`_layer`).  The effects name only entities of the store the rules
+read, so layering them never adds an entity.  Only the previous step's
+effects set implicit events, so the reset visits only the entities they
+wrote (on tick 1, those :func:`initial_state` names).
 The store handed to the next tick as "previous" is the post-external,
 pre-internal one, which is what edge detection must compare against.
 The state carries that pair as one :class:`~pantagruel.domains.DualStore`,
@@ -20,7 +21,7 @@ made on the run's first tick, which names those lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .ast import EntityDecl, RuleAst
 from .diagnostics import Diagnostic, Severity, error
@@ -34,7 +35,7 @@ from .domains import (
     update_member,
     value_type_matches,
 )
-from .rule_eval import BlockPlan, FiredRule, TriggerMode, eval_plan, plan_block
+from .rule_eval import BlockPlan, FiredRule, TriggerMode, eval_plan, grouped, plan_block
 from .spec_eval import CheckedProgram, build_entity
 
 
@@ -257,55 +258,56 @@ def apply_external(
     return out
 
 
+def _layer(
+    env: EnvInterface,
+    sigma_prime: Store,
+    set_ids: Iterable[str],
+    events_of: Mapping[str, Mapping[str, Value]],
+    attributes_of: Mapping[str, Mapping[str, Value]],
+) -> Store:
+    """The tick's last valuation: ``sigma_prime`` with each implicit event
+    set on an id of ``set_ids`` (the only ids that may carry one) reset to
+    UNDEF, and the events ``events_of`` maps each written id to (and the
+    attributes ``attributes_of`` does) on top, winning over the reset.
+    One pass visits the written ids in first-write order, then the rest of
+    ``set_ids``, skipping any no longer in ``sigma_prime``; a written id
+    it lacks is an ``UnknownEntityError``.  Each id with a set implicit
+    event or a write gets one member update, which keeps ``sigma_prime``'s
+    object when it writes back what it holds; every other is passed on as
+    that very object.  The result starts as ``sigma_prime.copy()``, a
+    clone of the table even when :func:`apply_external` deleted keys."""
+    out = sigma_prime.copy()
+    for entity_id in dict.fromkeys((*events_of, *set_ids)):
+        entity = sigma_prime.get(entity_id)
+        iface = None if entity is None else env.get(entity.interface_id)
+        reset = {}
+        for key in () if iface is None else iface.actions:
+            if entity.events.get(key, UNDEF) is not UNDEF:
+                reset[key] = UNDEF
+        written = events_of.get(entity_id)
+        if written is None and not reset:
+            continue
+        events = {**reset, **written} if written else reset
+        out[entity_id] = update_member(sigma_prime, entity_id, attributes_of.get(entity_id), events)
+    return out
+
+
 def apply_internal(
     env: EnvInterface,
     effects: Store,
     sigma_prime: Store,
     set_ids: Iterable[str] | None = None,
 ) -> Store:
-    """Finish the tick: reset every implicit event that was set in
-    ``sigma_prime`` back to UNDEF, then layer the rule effects on top
-    (effect values win over the reset; genuine conflicts were already
-    caught while the effects were joined).  Effects name entities of
-    ``sigma_prime``, as rules evaluated on it build them; any other id is
-    an ``UnknownEntityError``.  Each entity with a set implicit event or
-    an effect gets one member update, the reset and the effects together,
-    which keeps ``sigma_prime``'s object when it writes back what it
-    holds (:func:`~pantagruel.domains.update_member`); all others are
-    passed on as the very objects of ``sigma_prime``.
-
-    ``set_ids``, when given, are the only ids whose entities may carry a
-    set implicit event (:attr:`RunState.effect_ids` of the tick before):
-    the reset visits them alone, skipping any no longer in
-    ``sigma_prime``.  When None, it visits every entity.
-
-    The result is a new store, and ``sigma_prime`` is left as it was.  It
-    starts as ``sigma_prime.copy()``, a clone of the table even when
-    :func:`apply_external` deleted keys from it, so a tick that removes
-    an entity copies at the speed of one that does not."""
-    out = sigma_prime.copy()
-    resets: dict[str, dict[str, Value]] = {}
-    for entity_id in sigma_prime if set_ids is None else set_ids:
-        entity = sigma_prime.get(entity_id)
-        if entity is None:
-            continue
-        iface = env.get(entity.interface_id)
-        if iface is None or not iface.actions:
-            continue
-        reset = {
-            key: UNDEF
-            for key in iface.actions
-            if entity.events.get(key, UNDEF) is not UNDEF
-        }
-        if reset:
-            resets[entity_id] = reset
-    for entity_id, produced in effects.items():
-        reset = resets.pop(entity_id, None)
-        events = {**reset, **produced.events} if reset else produced.events
-        out[entity_id] = update_member(sigma_prime, entity_id, produced.attributes, events)
-    for entity_id, reset in resets.items():
-        out[entity_id] = update_member(sigma_prime, entity_id, events=reset)
-    return out
+    """Finish the tick with an effect store: :func:`_layer`, the layering
+    :func:`step` runs, given each effect entity's events and attributes.
+    ``set_ids``, when given, are the only ids that may carry a set
+    implicit event (:attr:`RunState.effect_ids` of the tick before); None
+    means every id of ``sigma_prime``."""
+    return _layer(
+        env, sigma_prime, sigma_prime if set_ids is None else set_ids,
+        {entity_id: entity.events for entity_id, entity in effects.items()},
+        {entity_id: entity.attributes for entity_id, entity in effects.items()},
+    )
 
 
 def _named(change: ExternalChange) -> str:
@@ -341,8 +343,10 @@ def step(
     hands its lists on once, in place: stepping a state again finds its
     pair listing nothing, and the lists are built afresh.
 
-    The record's lineage is ``state.current`` and the ids the changes
-    name, the effects wrote and the reset visited."""
+    The block's flat map of effects is layered onto the post-external
+    store by :func:`_layer`, grouped by id; its ids are the new
+    ``effect_ids``.  The record's lineage is ``state.current`` and the ids
+    the changes name, the effects wrote and the reset visited."""
     tick = state.tick + 1
     try:
         sigma_prime = apply_external(changes, state.current, env)
@@ -370,8 +374,9 @@ def step(
         conflict = str(exc)
         effects, fired = {}, []
     set_ids = tuple(sigma_prime) if state.effect_ids is None else state.effect_ids
-    snapshot = apply_internal(env, effects, sigma_prime, set_ids)
-    effect_ids = tuple(effects)
+    events_of = grouped(effects)
+    snapshot = _layer(env, sigma_prime, set_ids, events_of, {})
+    effect_ids = tuple(events_of)
     rebuilt = tuple(dict.fromkeys(effect_ids + set_ids))
     dual = dual.moved(sigma_prime, snapshot, rebuilt, ())
     record = TickRecord(

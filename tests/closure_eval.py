@@ -21,7 +21,11 @@ update and the value comparisons come from the package.  The store join
 (:func:`join_stores`, on plain dicts) and :func:`store_join_all`, the fold
 of a rule's partial stores, are the oracle's own: the package's one
 merge, :func:`pantagruel.domains.fold`, which its ``store_join`` is built
-on too, is under test.
+on too, is under test.  The end of a tick is the oracle's own as well:
+:func:`layer_tick` resets and layers every entity on dict copies, with no
+member update and no list of set ids, so the package's one layering,
+``pantagruel.runtime._layer``, which ``step`` and ``apply_internal`` run,
+is under test.
 """
 
 from __future__ import annotations
@@ -304,6 +308,27 @@ def store_join_all(stores: Iterable[Store]) -> Store:
     for store in stores:
         acc = join_stores(acc, store)
     return acc
+
+
+def layer_tick(env: EnvInterface, effects: Store, sigma_prime: Store) -> Store:
+    """The tick's last valuation, on plain dict copies: every entity of
+    ``sigma_prime``, each of its implicit events that is set reset to
+    UNDEF, then the members ``effects`` writes to it on top, so that the
+    effects win over the reset.  It visits every entity and rebuilds each,
+    so object identity is not under test here."""
+    out: Store = {}
+    for entity_id, entity in sigma_prime.items():
+        events = dict(entity.events)
+        for action in env[entity.interface_id].actions:
+            if events.get(action, UNDEF) is not UNDEF:
+                events[action] = UNDEF
+        attributes = dict(entity.attributes)
+        produced = effects.get(entity_id)
+        if produced is not None:
+            attributes.update(produced.attributes)
+            events.update(produced.events)
+        out[entity_id] = Entity(entity.interface_id, attributes, events)
+    return out
 
 
 def eval_rule(

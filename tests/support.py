@@ -106,8 +106,10 @@ def with_event(store, entity_id: str, event: str, value):
 
 def eval_block(env, rules, dual, mode):
     """Every rule of ``rules`` on ``dual``, effects joined, as ``step``
-    evaluates its block: the block planned, then its plan evaluated."""
-    return eval_plan(env, plan_block(rules, mode), dual)
+    evaluates its block: the block planned, then its plan evaluated, with
+    the plan's flat map of effects turned into a store."""
+    effects, fired = eval_plan(env, plan_block(rules, mode), dual)
+    return rule_eval._store_of(effects, dual.current), fired
 
 
 def _references(binding):

@@ -826,7 +826,8 @@ def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join():
 
         namespace["partners"] = counting_partners
         dual = DualStore(previous, current)
-        _, fired = got = eval_plan(checked.env, plan, dual)
+        effects, fired = eval_plan(checked.env, plan, dual)
+        got = rule_eval._store_of(effects, dual.current), fired
         assert got == closure_eval.eval_rule(checked.env, checked.rules[0], dual, mode)
         assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
         assert len(lookups) == 1
@@ -1040,7 +1041,7 @@ def test_a_dual_store_is_grouped_once_for_every_rule_that_reads_it(
 
     made = []
     monkeypatch.setattr(runtime, "apply_external", _counted(made, runtime.apply_external))
-    monkeypatch.setattr(runtime, "apply_internal", _counted(made, runtime.apply_internal))
+    monkeypatch.setattr(runtime, "_layer", _counted(made, runtime._layer))
     initial = _CountingStore(building.initial_store)
     state = initial_state(initial)
     assert initial.passes == 1  # its set ids

@@ -27,7 +27,7 @@ from pantagruel import (
     step,
     update_member,
 )
-from pantagruel import runtime
+from pantagruel import rule_eval, runtime
 from pantagruel.domains import DualStore, Entity
 from pantagruel.parser import parse_entity_decl
 from pantagruel.rule_eval import plan_block
@@ -37,6 +37,7 @@ from support import (
     BUILDING_SPEC,
     RULE_1,
     RULE_3,
+    TWO_KEY_CONFLICT_PROGRAM,
     assert_renders_as_fresh,
     produced_keys,
     program_source,
@@ -426,8 +427,11 @@ def test_env_not_copied_by_the_loop(building):
 def test_reset_of_the_effect_ids_equals_the_full_scan(building):
     """Random post-external stores whose set implicit events all lie on
     the given ids (with ids that carry none, and ids removed from the
-    store, among them) and random effect stores: resetting those ids alone
-    gives the store of the full scan, rebuilding the same entities."""
+    store, among them) and random flat maps of effects: resetting those
+    ids alone gives the store of the full scan, rebuilding the same
+    entities.  So does ``step``'s layering of the map, grouped by id, with
+    those ids and with every id, against ``apply_internal`` on the map's
+    effect store."""
     rng = random.Random(20_113)
     env = building.env
     ids = sorted(building.initial_store)
@@ -443,15 +447,20 @@ def test_reset_of_the_effect_ids_equals_the_full_scan(building):
                 sigma[entity_id] = update_member(sigma, entity_id, events=events)
         for entity_id in rng.sample(ids, rng.randint(0, 2)):
             del sigma[entity_id]
-        effects = {}
+        flat = {}
         for entity_id in rng.sample([e for e in acting if e in sigma], rng.randint(0, 3)):
-            interface = sigma[entity_id].interface_id
-            action = rng.choice(sorted(env[interface].actions))
-            effects[entity_id] = Entity(interface, {}, {action: rng.choice(values[:4])})
+            action = rng.choice(sorted(env[sigma[entity_id].interface_id].actions))
+            flat[(entity_id, action)] = rng.choice(values[:4])
+        effects = rule_eval._store_of(flat, sigma)
         full = apply_internal(env, effects, sigma)
-        fast = apply_internal(env, effects, sigma, set_ids)
-        assert fast == full
-        assert [e for e in fast if fast[e] is sigma[e]] == [e for e in full if full[e] is sigma[e]]
+        kept = [e for e in full if full[e] is sigma[e]]
+        for reset_ids in (set_ids, None):
+            fast = apply_internal(env, effects, sigma, reset_ids)
+            every = tuple(sigma) if reset_ids is None else reset_ids
+            layered = runtime._layer(env, sigma, every, rule_eval.grouped(flat), {})
+            for got in (fast, layered):
+                assert got == full
+                assert [e for e in got if got[e] is sigma[e]] == kept
 
 
 RESET_PROGRAM = program_source(
@@ -804,3 +813,34 @@ def test_apply_internal_refuses_an_effect_on_an_id_the_store_lacks(building):
     effects = {"ghost": Entity("Light", {}, {"switch": True})}
     with pytest.raises(UnknownEntityError):
         apply_internal(building.env, effects, building.initial_store)
+    with pytest.raises(UnknownEntityError):
+        apply_internal(building.env, {"ghost": Entity("Light", {}, {})}, building.initial_store)
+
+
+def test_apply_internal_layers_the_attributes_of_an_effect_entity(building):
+    """An effect entity's attributes overwrite the store's, beside its
+    events and the reset, in the one member update of its id; one that
+    writes back what the store holds keeps the store's object."""
+    sigma = {**building.initial_store, "l10": Entity("Light", {"room": 101}, {"switch": True})}
+    effects = {
+        "l10": Entity("Light", {"room": 102}, {}),
+        "l11": Entity("Light", {"room": 103}, {"switch": False}),
+        "fan10": Entity("Fan", {"room": 101}, {}),
+    }
+    out = apply_internal(building.env, effects, sigma, ("l10",))
+    assert out["l10"] == Entity("Light", {"room": 102}, {"switch": UNDEF})
+    assert out["l11"] == Entity("Light", {"room": 103}, {"switch": False})
+    assert out["fan10"] is sigma["fan10"]
+    assert [e for e in out if out[e] is not sigma[e]] == ["l10", "l11"]
+
+
+def test_a_write_to_one_action_still_resets_another():
+    """``x`` has two actions: ``a``, set on the tick before, and ``b``,
+    written now.  Its one member update resets ``a`` and sets ``b``, by
+    ``step``'s layering of the written events and by ``apply_internal``."""
+    checked = check_program(parse_program(TWO_KEY_CONFLICT_PROGRAM))
+    sigma = with_event(checked.initial_store, "x", "a", True)
+    want = update_member(sigma, "x", events={"a": UNDEF, "b": False})
+    assert runtime._layer(checked.env, sigma, ("x",), {"x": {"b": False}}, {})["x"] == want
+    effects = {"x": Entity("L", {}, {"b": False})}
+    assert apply_internal(checked.env, effects, sigma, ("x",))["x"] == want

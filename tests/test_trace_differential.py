@@ -5,8 +5,10 @@ attribute writes, deploys and removes, and runs it in both trigger modes.
 ``step`` with ``serialize_tick`` must print, in ``text`` and ``jsonl``,
 the same bytes as a tick loop assembled from ``apply_external``, the
 closure evaluator of ``closure_eval``, that module's own store join
-(``join_stores``, which shares no merge with the package) and
-``apply_internal``.  The oracle enumerates bindings with its own
+(``join_stores``, which shares no merge with the package) and its own
+end of a tick (``layer_tick``, which shares no reset or member update
+with the package, so an effect that loses to the reset fails here).
+The oracle enumerates bindings with its own
 exhaustive loop over the whole store, so the candidate pools and their
 order are under test too.  Conflicts are recorded rather than raised, so
 a tick whose rules interfere is compared by its printed ``conflict``
@@ -32,7 +34,6 @@ from pantagruel import (
     DualStore,
     TriggerMode,
     apply_external,
-    apply_internal,
     check_program,
     initial_state,
     parse_program,
@@ -214,17 +215,18 @@ def _oracle(checked, names, ticks, mode, fmt, tally) -> str:
             name = names[fired_rule.label - 1]
             tally[name] += 1
             # counted only where the suite asks for it: firings whose
-            # ``m`` is the very object of the previous store
+            # ``m`` equals its entity of the previous store (``layer_tick``
+            # rebuilds every entity, so this oracle keeps no object)
             untouched = f"{name}, m untouched"
             if untouched in tally:
                 m = fired_rule.binding["m"]
-                tally[untouched] += dual.previous.get(m) is dual.current[m]
+                tally[untouched] += dual.previous.get(m) == dual.current[m]
         tally["resets"] += sum(
             entity.events.get(key, UNDEF) is not UNDEF
             for entity in sigma_prime.values()
             for key in env[entity.interface_id].actions
         )
-        snapshot = apply_internal(env, effects, sigma_prime)
+        snapshot = closure_eval.layer_tick(env, effects, sigma_prime)
         record = TickRecord(tick, tuple(changes), tuple(fired), snapshot, conflict)
         out.append(serialize_tick(record, fmt))
         state = RunState(sigma_prime, snapshot, tick)
