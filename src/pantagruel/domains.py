@@ -23,14 +23,15 @@ seed.
 
 A rule's binding maps each name bound to an entity to that entity's id, a
 name it lacks being unbound; ``rule_eval.instantiate`` extends one over
-the ids its open variables range over.
+the ids its open variables range over.  A body join is probed by its
+rule's generated code, in the buckets :meth:`DualStore.keyed` lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .ast import TypeTag
 
@@ -463,52 +464,3 @@ class DualStore:
 # A binding: rule-scoped name → the id of the entity it is bound to; a name
 # it lacks is unbound.
 Binding = dict[str, str]
-
-
-# One side of an equality between two variables: the value it reads from
-# the entity a variable is bound to.
-Reader = Callable[[str], Value]
-# ``(x, read_x, y, read_y)``: a binding survives only if ``read_x`` of its
-# ``x`` and ``read_y`` of its ``y`` are equal by :func:`value_eq`.
-Join = tuple[str, Reader, str, Reader]
-
-
-def in_sorted(ids: Sequence[str], entity_id: str) -> bool:
-    """Whether the sorted ``ids`` hold ``entity_id``."""
-    at = bisect_left(ids, entity_id)
-    return at < len(ids) and ids[at] == entity_id
-
-
-def _partners(
-    pools: Mapping[str, Sequence[str]], join: Join, keyed: Mapping[str, Keyed]
-) -> dict[str, Sequence[str]]:
-    """For a join of two variables, given in either order, ``y`` the one
-    whose name sorts first and ``x`` the other: each id of ``y``'s pool
-    that meets some of ``x``'s pool, with those ids, sorted.
-
-    A side in ``keyed`` is looked up in its buckets by the key each entity
-    of the other side's pool reads, and only the ids of its own pool are
-    kept; where both sides are, the one with the larger pool is looked up.
-    A join with neither side keyed is a ``ValueError``."""
-    x, read_x, y, read_y = join if join[0] > join[2] else (join[2], join[3], join[0], join[1])
-    looked = [var for var in (x, y) if var in keyed]
-    if not looked:
-        raise ValueError(f"a join looks up a keyed side, and neither {x!r} nor {y!r} is")
-    partners: dict[str, Sequence[str]] = {}
-    side = max(looked, key=lambda var: len(pools[var]))
-    every, by_key = keyed[side]
-    pool = pools[side]
-    filtered = len(pool) < len(every)
-    read = read_y if side == x else read_x
-    for entity_id in pools[y if side == x else x]:
-        ids = by_key.get(_join_key(read(entity_id)), ())
-        if filtered:
-            ids = [found for found in ids if in_sorted(pool, found)]
-        if not ids:
-            continue
-        if side == x:
-            partners[entity_id] = ids
-        else:
-            for found in ids:
-                partners.setdefault(found, []).append(entity_id)
-    return partners

@@ -34,9 +34,10 @@ every event name, member and literal written in as its ``repr()`` and
 the mode decided, and compiles it through the one cache of generated
 code (:func:`compiled`), keyed by the text.  So no
 binding's evaluation looks at the rule's syntax, and a candidate costs
-no Python call: each pool's tests, the closed atoms, the binding loops,
-the conjuncts left to whole bindings and the body's writes are inline
-statements, one per operand of a chain, whatever its length.
+no Python call: each pool's tests, the closed atoms, the body's join, the
+binding loops, the conjuncts left to whole bindings and the body's
+writes are inline statements, one per operand of a chain, whatever its
+length, and each firing is built as a tuple is.
 
 On a dual store, the function gives each open variable its finished pool
 of sorted ids, which its loop nest only enumerates.  A pool starts from a list the dual store keeps
@@ -70,17 +71,18 @@ from a run's first tick on.  A list a plan failed to name is a
   between them, read from the current store.  A side read as an attribute
   by one call and as a path (event first, then attribute) by another is
   used only if no entity of its pool carries an event of that name, so
-  that both reads agree on every binding built.
-  :func:`~pantagruel.domains._partners` turns it into a hash lookup
-  keyed by ``(type, value)``, UNDEF joining nothing, exactly as
+  that both reads agree on every binding built.  The join is a hash
+  probe emitted inline (:meth:`_Source.probe`), keyed by ``(type,
+  value)``, UNDEF joining nothing, exactly as
   :func:`~pantagruel.domains.value_eq` compares.  A side read as an
   attribute is looked up in the dual store's buckets of that attribute
-  (:meth:`~pantagruel.domains.DualStore.keyed`), by each entity of the
-  other side's pool, so its own entities are not read at all; every join
-  found here has such a side.  Each binding the join builds satisfies
-  every call's filter, which compares the same two reads by
-  :func:`~pantagruel.domains.value_eq`, so the body skips them where the join is taken; a
-  body whose join is refused tests them on the product.
+  (:meth:`~pantagruel.domains.DualStore.keyed`, fetched once), by each
+  entity of the other side's pool, keeping its own pool's ids, so its
+  own entities are not read at all; every join found here has such a
+  side.  Each binding the join builds satisfies every call's filter,
+  which compares the same two reads by
+  :func:`~pantagruel.domains.value_eq`, so the body skips them where the
+  join is taken; a body whose join is refused tests them on the product.
 
 Only the conjuncts not tested on pools (``or`` terms and atoms reading two
 open variables, whatever their filters) are left to whole bindings, and
@@ -103,7 +105,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from itertools import product
 from types import CodeType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -139,13 +140,9 @@ from .domains import (
     DualStore,
     Entity,
     EnvInterface,
-    Join,
     Keyed,
-    Reader,
     Store,
     Value,
-    _partners,
-    access_attribute,
     fold,
 )
 
@@ -160,10 +157,12 @@ class TriggerMode(enum.Enum):
     LEVEL = "level"
 
 
-@dataclass(frozen=True)
-class FiredRule:
+class FiredRule(NamedTuple):
     """One instantiation of one rule that held and produced effects, by
-    label and binding; the effects are in the rule's map of effects."""
+    label and binding; the effects are in the rule's map of effects.  A
+    named tuple, so generated code builds one as it builds a tuple
+    (``tuple.__new__``), with no ``__init__`` or ``__new__`` of its own
+    to run."""
 
     label: int
     binding: Binding
@@ -201,17 +200,6 @@ def _environment(rule: RuleAst) -> tuple[dict[str, str], tuple[str, ...]]:
     return open_vars, tuple(bare)
 
 
-def _path_value(entity_id: str, member: str, store: Store) -> Value:
-    """``entity_id.member`` as a path reads it: the event when the entity
-    carries that event key, the attribute otherwise, UNDEF if absent."""
-    entity = store.get(entity_id)
-    if entity is None:
-        return UNDEF
-    if member in entity.events:
-        return entity.events[member]
-    return entity.attributes.get(member, UNDEF)
-
-
 def _decl_name(decl: Decl) -> str:
     return decl.var if isinstance(decl, DeclTyped) else decl.name
 
@@ -222,10 +210,13 @@ def _decl_name(decl: Decl) -> str:
 # and compiled through the one cache (:func:`compiled`).
 # The source names only locals of its own making: ``previous``,
 # ``current``, ``env`` and ``dual``; ``v<k>`` for the open variables in
-# name order, ``p<k>`` for their pools, ``q``, ``j`` and ``P`` for a
-# join's pools, result and partners; ``b<k>`` for the bare names, ``c<k>`` for the action checks, ``x<k>``
-# for effect maps and ``t<k>`` for temporaries.  Every name and literal
-# of the rule enters as its ``repr()``, so no rule text is ever code.
+# name order, ``p<k>`` for their pools; for a join, ``j`` whether it was
+# taken, ``P`` the partners, and ``every``, ``by``, ``keep``, ``r``,
+# ``ids``, ``f`` and ``o`` for its probe; ``b<k>`` for the bare names,
+# ``c<k>`` for the action checks, ``x<k>`` for effect maps, ``k``, ``w``
+# and ``new`` for a one-call body's write, and ``t<k>`` for temporaries.
+# Every name and literal of the rule enters as its ``repr()``, so no rule
+# text is ever code.
 
 # Effects as one flat map: ``(entity_id, action)`` to the value the
 # action's implicit event is set to.
@@ -233,6 +224,17 @@ Effects = dict[tuple[str, str], Value]
 
 # What an absent entity reads as: no member, so every read is UNDEF.
 _NOTHING = Entity("", {}, {})
+
+
+class _Probe(NamedTuple):
+    """A join as :meth:`_Source.nest` emits it, by variable: the read of
+    the entity its local names and, for a keyed side, its buckets
+    (:class:`~pantagruel.domains.Keyed`); and what holds where it is taken,
+    None where it always is."""
+
+    reads: dict[str, str]
+    keyed: dict[str, str]
+    taken: str | None
 
 
 class _Source:
@@ -342,11 +344,12 @@ class _Source:
         """A call's test, key and value: it writes nothing when its name is
         unbound, or its target's interface lacks the action, or its
         filter, read from ``current``, fails (not tested where ``joined``,
-        the local of a join taken, holds); any other writes its implicit
-        event's value under ``(target, action)``."""
+        whether the body's join was taken, holds, and never where it is
+        ``"True"``); any other writes its implicit event's value under
+        ``(target, action)``."""
         name = _decl_name(call.decl)
         test = self.check(name, call.action)
-        if call.filter is not None:
+        if call.filter is not None and joined != "True":
             # action filters read the current store, by definition
             attribute = self.member(name, "attributes", call.filter.attribute, "current")
             filt = self.equal(attribute, call.filter.rhs, "current")
@@ -384,26 +387,54 @@ class _Source:
             self.emit(depth, f"if ({t} := fold({into}, {x})) is not None: raise ConflictError(*{t}, {x}[{t}], {into}[{t}])")
         return None
 
-    def nest(self, order: Sequence[str], joined: tuple[str, str] | None, join: str) -> int:
+    def probe(self, order: Sequence[str], join: _Probe, depth: int, looked: int, other: int) -> None:
+        """The join's hash probe, looking up the variable at ``looked`` in
+        ``order`` from the one at ``other``: its buckets are fetched once,
+        then each id of the other's pool reads its side, skips UNDEF, and
+        finds the ids under ``(type, value)`` (``1`` is not ``True``),
+        keeping those of the looked-up variable's own pool.  ``P`` maps
+        each id of the earlier variable to its partners of the later one's
+        pool, sorted."""
+        self.emit(depth, f"every, by = {join.keyed[order[looked]]}")
+        self.emit(depth, f"keep = set(p{looked}) if len(p{looked}) < len(every) else None")
+        self.emit(depth, f"for v{other} in p{other}:")
+        self.emit(depth + 1, f"if (r := {join.reads[order[other]]}) is UNDEF or not (ids := by.get((type(r), r))): continue")
+        self.emit(depth + 1, "if keep is not None and not (ids := [f for f in ids if f in keep]): continue")
+        if looked > other:
+            self.emit(depth + 1, f"P[v{other}] = ids")
+        else:
+            self.emit(depth + 1, f"for f in ids: P.setdefault(f, []).append(v{other})")
+
+    def nest(self, order: Sequence[str], join: _Probe | None) -> int:
         """The one enumerator of bindings: the ``for`` headers that bind
         ``v0``, ``v1``, ... to the ids of the pools ``p0``, ``p1``, ... of
         the sorted variables ``order``, lexicographically.  Where two of
-        them are ``joined``, ``join`` is evaluated first, with their pools
-        by name in ``q``, to the join and its keyed sides, or None where
-        it is refused: the earlier of the two then runs over the ids
-        having partners (:func:`~pantagruel.domains._partners`), and the
-        later over ``P``, the partners of the earlier's id; a join refused
-        pairs each id with the whole later pool.  A run of two or more
-        variables is one ``product``, so the nest is never deeper than
-        three; no variable is one pass, over ``(None,)``.  Returns the
-        depth of the nest's body."""
+        them are joined, ``join`` is probed first (:meth:`probe`), unless
+        it is refused (``j`` false): the earlier of the two then runs over
+        the ids having partners, and the later over ``P``, the partners of
+        the earlier's id; a join refused pairs each id with the whole
+        later pool.  Where both sides are keyed the larger pool is looked
+        up, the later variable's on a tie.  A run of two or more variables
+        is one ``product``, so the nest is never deeper than three; no
+        variable is one pass, over ``(None,)``.  Returns the depth of the
+        nest's body."""
         spans: list[range | None] = [range(len(order))]
-        if joined is not None:
-            at, later = sorted(map(order.index, joined))
-            self.emit(1, f"q = {{{order[at]!r}: p{at}, {order[later]!r}: p{later}}}")
-            self.emit(1, f"j = {join}")
-            self.emit(1, f"if j is None: P = dict.fromkeys(p{at}, p{later})")
-            self.emit(1, f"else: P = partners(q, *j); p{at} = sorted(P)")
+        if join is not None:
+            at, later = sorted(map(order.index, join.reads))
+            depth = 1
+            if join.taken is not None:
+                self.emit(1, f"if not (j := {join.taken}): P = dict.fromkeys(p{at}, p{later})")
+                self.emit(1, "else:")
+                depth = 2
+            self.emit(depth, "P = {}")
+            looked = [k for k in (later, at) if order[k] in join.keyed]
+            if len(looked) == 2:
+                self.emit(depth, f"if len(p{later}) >= len(p{at}):")
+                self.probe(order, join, depth + 1, later, at)
+                self.emit(depth, "else:")
+            # the earlier side where both are keyed, else the one keyed
+            self.probe(order, join, depth + len(looked) - 1, looked[-1], at + later - looked[-1])
+            self.emit(depth, f"p{at} = sorted(P)")
             spans = [range(later), None, range(later + 1, len(order))]
         heads = []
         for span in spans:
@@ -504,34 +535,26 @@ def _body_sides(body: ActionExpr, open_vars: dict[str, str]) -> tuple[_Side, _Si
     return sides[0], sides[1]
 
 
-def _side_reader(side: _Side, pool: list[str], current: Store) -> Reader | None:
-    """The one read the body's calls make of ``side``: as an attribute, or
-    as a path; where calls read it both ways, as an attribute, provided no
-    entity of the side's ``pool`` (the only ones bound to it) carries an
-    event of that name, so that both reads agree.  None if they may not."""
-    if not side.as_attribute:
-        return functools.partial(_path_value, member=side.member, store=current)
-    if side.as_path and any(side.member in current[entity_id].events for entity_id in pool):
-        return None
-    return functools.partial(access_attribute, side.member, store=current)
-
-
-def _body_join(
-    sides: tuple[_Side, _Side], pools: dict[str, list[str]], dual: DualStore
-) -> tuple[Join, dict[str, Keyed]] | None:
-    """The equality every call of the body tests (:func:`_body_sides`):
-    where it fails, no call writes, so the binding produces no effect.
-    Bare names count (``on m with room = l.room``).  Returns the join,
-    each side with its read (:func:`_side_reader`), and the buckets of
-    each side read as an attribute (:meth:`DualStore.keyed`); None if a
-    side's reads may disagree."""
-    x, y = sides
-    read_x = _side_reader(x, pools[x.var], dual.current)
-    read_y = _side_reader(y, pools[y.var], dual.current)
-    if read_x is None or read_y is None:
-        return None
-    keyed = {side.var: dual.keyed(side.interface, side.member) for side in sides if side.as_attribute}
-    return (x.var, read_x, y.var, read_y), keyed
+def _body_probe(sides: tuple[_Side, _Side], src: _Source) -> _Probe:
+    """The equality every call of the body tests (:func:`_body_sides`) as
+    a probe: where it fails, no call writes, so the binding produces no
+    effect.  Bare names count (``on m with room = l.room``).  Each side is
+    read as its calls read it: as an attribute, or as a path; where calls
+    read it both ways, as an attribute, and the join is refused if an
+    entity of the side's pool (the only ones bound to it) carries an event
+    of that name, so that both reads agree on every binding built.  A side
+    read as an attribute is keyed by it (:meth:`DualStore.keyed`)."""
+    reads, keyed, agree = {}, {}, []
+    for side in sides:
+        v = src.names[side.var][0]
+        if side.as_attribute:
+            reads[side.var] = src.member(side.var, "attributes", side.member, "current")
+            keyed[side.var] = f"dual.keyed({side.interface!r}, {side.member!r})"
+            if side.as_path:
+                agree.append(f"all({side.member!r} not in current[o].events for o in p{v[1:]})")
+        else:
+            reads[side.var] = src.read(Path(side.var, side.member), "current")
+    return _Probe(reads, keyed, " and ".join(agree) or None)
 
 
 def _conjuncts(
@@ -612,7 +635,7 @@ def compiled(source: str) -> CodeType:
 # The globals of every generated function: the helpers its source calls.
 _NAMESPACE = {
     "UNDEF": UNDEF, "NOTHING": _NOTHING, "FiredRule": FiredRule, "ConflictError": ConflictError,
-    "fold": fold, "product": product, "body_join": _body_join, "partners": _partners,
+    "fold": fold, "product": product, "new_tuple": tuple.__new__,
 }
 
 
@@ -623,6 +646,11 @@ def _define(source: str) -> Callable:
     namespace = dict(_NAMESPACE)
     exec(compiled(source), namespace)
     return namespace["rule"]
+
+
+# ``(x, read_x, y, read_y)``: a binding survives only if ``read_x`` of the
+# id of its ``x`` equals ``read_y`` of its ``y``'s (``value_eq``).
+Join = tuple[str, Callable[[str], Value], str, Callable[[str], Value]]
 
 
 def instantiate(
@@ -639,30 +667,39 @@ def instantiate(
     empty.
 
     ``join`` is an optional equality between two distinct open variables
-    (:data:`~pantagruel.domains.Join`; anything else is a ``ValueError``),
-    and ``keyed`` gives, for one or both joined variables, its interface's
-    ids by the key of the attribute ``join`` reads (a superset of its
-    pool; a join with no keyed side is a ``ValueError`` too).  Variables
-    are bound in name order: the earlier of the two takes only the ids
-    that meet some id of the later one's pool, and the later one only the
-    ids its partner meets, found by a hash lookup
-    (:func:`~pantagruel.domains._partners`), so the bindings whose two
-    sides differ (or read UNDEF) are never built.  The survivors keep the
-    order above, so the result is a subsequence of the product.  The
-    bindings are those of the loop nest every planned rule runs
-    (:meth:`_Source.nest`), run with a body that collects each."""
+    (:data:`Join`; anything else is a ``ValueError``), and ``keyed``
+    gives, for one or both joined variables, its interface's ids by the
+    key of the attribute ``join`` reads (a superset of its pool; a join
+    with no keyed side is a ``ValueError`` too).  Variables are bound in
+    name order: the earlier of the two takes only the ids that meet some
+    id of the later one's pool, and the later one only the ids its
+    partner meets, found by a hash lookup, so the bindings whose two sides
+    differ (or read UNDEF) are never built.  The survivors keep the order
+    above, so the result is a subsequence of the product.  The bindings
+    are those of the loop nest every planned rule runs
+    (:meth:`_Source.nest`), with the same probe, whose reads call
+    ``join``'s readers, run with a body that collects each."""
     order = sorted(pools)
-    if join is not None and (join[0] == join[2] or join[0] not in pools or join[2] not in pools):
-        raise ValueError(f"a join links two distinct open variables, not {join[0]!r} and {join[2]!r}")
+    probe, reads = None, {}
+    if join is not None:
+        x, read_x, y, read_y = join
+        if x == y or x not in pools or y not in pools:
+            raise ValueError(f"a join links two distinct open variables, not {x!r} and {y!r}")
+        keyed = keyed or {}
+        if x not in keyed and y not in keyed:
+            raise ValueError(f"a join looks up a keyed side, and neither {x!r} nor {y!r} is")
+        reads = {x: read_x, y: read_y}
+        probe = _Probe({var: f"reads[{var!r}](v{order.index(var)})" for var in reads},
+                       {var: f"keyed[{var!r}]" for var in reads if var in keyed}, None)
     src = _Source({}, TriggerMode.LEVEL)
-    src.emit(0, "def rule(bound, pools, J):")
+    src.emit(0, "def rule(bound, pools, reads, keyed):")
     src.emit(1, f"({''.join(f'p{k}, ' for k in range(len(order)))}) = pools")
     src.emit(1, "out = []")
-    depth = src.nest(order, None if join is None else (join[0], join[2]), "J")
+    depth = src.nest(order, probe)
     src.emit(depth, f"out.append({{**bound, {''.join(f'{var!r}: v{k}, ' for k, var in enumerate(order))}}})")
     src.emit(1, "return out")
     run = _define("\n".join(src.lines) + "\n")
-    return run(bound, [pools[var] for var in order], None if join is None else (join, keyed or {}))
+    return run(bound, [pools[var] for var in order], reads, keyed)
 
 
 def _plan_rule(rule: RuleAst, mode: TriggerMode, label: int) -> _RulePlan:
@@ -673,13 +710,16 @@ def _plan_rule(rule: RuleAst, mode: TriggerMode, label: int) -> _RulePlan:
     the module docstring describes, into the rule's one flat map of
     effects.  In order: the bare names bound, the closed atoms, each pool
     with its tests, in declaration order, the action checks, the body's
-    join and the loop nest (:meth:`_Source.nest`)
+    join (:func:`_body_probe`) and the loop nest (:meth:`_Source.nest`)
     with, per binding, the conjuncts left to whole bindings and the
     body's writes.  An aggregate raises :class:`UnsupportedConstructError`.
 
-    Each binding writes into a map of its own, so that a ``,`` call
-    overwriting the binding's earlier write is no clash, and that map is
-    folded into the rule's (:func:`fold`).  The result, as a store, is
+    Each binding of a body of two or more calls writes into a map of its
+    own, so that a ``,`` call overwriting the binding's earlier write is
+    no clash, and that map is folded into the rule's (:func:`fold`).  A
+    body of one call writes its one key into the rule's map in place, with
+    the fold's test inline (``setdefault``, then ``is not``, then type or
+    ``!=``), the same insertion and the same clash.  The result, as a store, is
     that of a left fold of :func:`~pantagruel.domains.store_join` over
     the bindings' partial stores once all are built: a conflict between
     the operands of one binding's ``||`` is raised while that binding is
@@ -716,16 +756,24 @@ def _plan_rule(rule: RuleAst, mode: TriggerMode, label: int) -> _RulePlan:
     checks_at = len(src.lines)
     emit(1, "effects, fired, clash, label = {}, [], None, plan.label")
     sides = _body_sides(rule.body, open_vars)
-    joined = None if sides is None else "j"
-    depth = src.nest(order, sides and (sides[0].var, sides[1].var), "body_join(plan.sides, q, dual)")
+    probe = None if sides is None else _body_probe(sides, src)
+    joined = None if probe is None else "True" if probe.taken is None else "j"
+    depth = src.nest(order, probe)
     if rest:
         emit(depth, f"if not ({' and '.join(map(src.condition, rest))}): continue")
+    if isinstance(rule.body, ActionCall):
+        test, key, value = src.call(rule.body, joined)
+        emit(depth, f"if not ({test}): continue")
+        write = (f"if (w := effects.setdefault(k := {key}, new := {value})) is not new and clash is None"
+                 " and (type(w) is not type(new) or w != new): clash = ConflictError(*k, w, new)")
+    else:
+        emit(depth, "x0 = {}")
+        src.body(rule.body, "x0", depth, joined)
+        emit(depth, "if not x0: continue")
+        write = "if clash is None and (t := fold(effects, x0)) is not None: clash = ConflictError(*t, effects[t], x0[t])"
     binding = ("**bound, " if bare else "") + "".join(f"{var!r}: v{k}, " for k, var in enumerate(order))
-    emit(depth, "x0 = {}")
-    src.body(rule.body, "x0", depth, joined)
-    emit(depth, "if not x0: continue")
-    emit(depth, f"fired.append(FiredRule(label, {{{binding}}}))")
-    emit(depth, "if clash is None and (t := fold(effects, x0)) is not None: clash = ConflictError(*t, effects[t], x0[t])")
+    emit(depth, f"fired.append(new_tuple(FiredRule, (label, {{{binding}}})))")
+    emit(depth, write)
     emit(1, "if clash is not None: raise clash")
     emit(1, "return effects, fired")
     src.lines[checks_at:checks_at] = ["    " + line for _, line in src.checks.values()]

@@ -11,6 +11,7 @@ printed before it.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import string
 import sys
@@ -108,24 +109,92 @@ def test_names_like_the_generated_locals_run_as_before(tmp_path, capsys, mode, f
     assert hashlib.sha256(out.encode()).hexdigest() == KEYWORD_DIGESTS[(mode, fmt)]
 
 
-@pytest.mark.parametrize("mode", list(TriggerMode), ids=lambda mode: mode.value)
-def test_names_like_the_generated_locals_evaluate_as_the_closure_oracle(mode):
-    """Each rule on the pair each tick's rules read: the state's previous
-    store and the post-external store, which the next state keeps as its
-    previous."""
-    checked = check_program(parse_program(KEYWORD_PROGRAM))
+def _fired_as_the_closure_oracle(program, script, mode):
+    """Each rule of ``program`` on the pair each tick's rules read, for
+    each tick of ``script``: the state's previous store and the
+    post-external store, which the next state keeps as its previous.
+    Every result must be the closure oracle's; returns the firings by
+    label."""
+    checked = check_program(parse_program(program))
     assert checked.ok
     state = initial_state(checked.initial_store)
-    fired = 0
-    for changes in parse_script(KEYWORD_SCRIPT):
+    fired = collections.Counter()
+    for changes in parse_script(script):
         after, _ = step(state, changes, checked.rules, checked.env, mode)
         dual = DualStore(state.previous, after.previous)
         for rule in checked.rules:
             got = eval_rule(checked.env, rule, dual, mode)
             assert got == closure_eval.eval_rule(checked.env, rule, dual, mode)
-            fired += len(got[1])
+            fired.update(f.label for f in got[1])
         state = after
-    assert fired > 0
+    return fired
+
+
+@pytest.mark.parametrize("mode", list(TriggerMode), ids=lambda mode: mode.value)
+def test_names_like_the_generated_locals_evaluate_as_the_closure_oracle(mode):
+    assert _fired_as_the_closure_oracle(KEYWORD_PROGRAM, KEYWORD_SCRIPT, mode)
+
+
+# Entity ids, interfaces, variables and members spelled like the locals
+# of a join's probe (``every``, ``by``, ``keep``, ``r``, ``ids``, ``f``,
+# ``o``, ``j``, ``P``) and of a one-call body's write (``k``, ``w``,
+# ``new``), and like the helper ``new_tuple``: rule 1 joins two keyed
+# sides through ``||``, each read both ways; rules 2 and 3 are one call
+# each, joined, writing a literal and a path
+PROBE_PROGRAM = """\
+interface by { attribute ids : Integer event r : Boolean action w ( Boolean ) action new ( Integer ) }
+interface keep { attribute every : Integer event f : Boolean action k ( Boolean ) }
+o:by { ids : 1 }
+r:by { ids : 2 }
+k:by { ids : 1 }
+new_tuple:by { ids : 3 }
+ids:keep { every : 1 }
+f:keep { every : 2 }
+every:keep { every : 1 }
+new:keep { every : 3 }
+P:keep { every : 2 }
+rules
+(1) when event r from o:by value = true and event f from f:keep value = true
+    trigger action w(true) on o with ids = f.every || action k(true) on f with every = o.ids
+    end
+(2) when event r from k:by value = false
+    trigger action k(true) on j:keep with every = k.ids
+    end
+(3) when event f from r:keep value changed
+    trigger action new(r.every) on new:by with ids = r.every
+    end
+end
+"""
+
+PROBE_SCRIPT = """\
+event o.r = true
+event ids.f = true
+event f.f = true
+event every.f = true
+tick
+event r.r = true
+event new_tuple.r = true
+event P.f = true
+tick
+event o.r = false
+event k.r = false
+event new.f = true
+tick
+event r.r = false
+event ids.f = false
+event o.r = true
+tick
+event k.r = true
+event new_tuple.r = false
+event f.f = false
+event P.f = false
+tick
+"""
+
+
+@pytest.mark.parametrize("mode", list(TriggerMode), ids=lambda mode: mode.value)
+def test_names_like_the_probe_locals_evaluate_as_the_closure_oracle(mode):
+    assert sorted(_fired_as_the_closure_oracle(PROBE_PROGRAM, PROBE_SCRIPT, mode)) == [1, 2, 3]
 
 
 # ── The generator's edges, drawn ─────────────────────────────────

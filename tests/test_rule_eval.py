@@ -684,15 +684,17 @@ def test_rule_one_in_level_mode_builds_two_bindings_per_detector():
 
 class _Watched(dict):
     """A member map that records each key the generated code asks of it,
-    by ``get``, ``in`` or ``[]``, as ``(entity, key, how)``."""
+    by ``get``, ``in`` or ``[]``, as ``(entity, key, how, line)``, with
+    the number of the generated line that asked."""
 
     def __init__(self, entity_id, members, asked):
         super().__init__(members)
         self.entity_id, self.asked = entity_id, asked
 
     def _ask(self, key, how):
-        if sys._getframe(2).f_code.co_filename == "<generated>":
-            self.asked.append((self.entity_id, key, how))
+        frame = sys._getframe(2)
+        if frame.f_code.co_filename == "<generated>":
+            self.asked.append((self.entity_id, key, how, frame.f_lineno))
 
     def get(self, key, default=None):
         self._ask(key, "get")
@@ -743,7 +745,7 @@ def test_rule_one_reads_the_room_of_only_the_lights_it_switches():
         state, record = step(state, changes, checked.rules, checked.env, EDGE)
         lights = sorted(f"l{side}{m[1:]}" for m in turned_on for side in "ab")
         assert sorted(f.binding["l"] for f in record.fired) == lights
-        reads = [entity_id for entity_id, key, _ in asked if key == "room" and entity_id.startswith("l")]
+        reads = [entity_id for entity_id, key, *_ in asked if key == "room" and entity_id.startswith("l")]
         assert reads == []
     assert all(type(entity.attributes) is _Watched for entity in state.current.values())
 
@@ -800,11 +802,12 @@ def test_event_named_like_the_joined_member_gives_the_product_firings():
         ]
 
 
-def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join():
+def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join(monkeypatch):
     """Only the entities of a side's pool are bound to it, so an event
     ``room`` on a detector that fails ``value = true`` cannot make the two
-    reads of ``m.room`` differ: the body's join stays a hash lookup, made
-    once by the rule's generated code, and gives the product's firings."""
+    reads of ``m.room`` differ: the body's join stays a hash lookup, whose
+    buckets the rule's generated code fetches once, and gives the
+    product's firings."""
     checked = _join_rule(
         "when event detected from m:MotionDetector value = true "
         "trigger action switch(true) on l:Light with room = m.room "
@@ -814,23 +817,23 @@ def test_event_named_like_the_joined_member_outside_the_pool_keeps_the_join():
     current = with_event(previous, "m1", "detected", True)
     m2 = Entity("MotionDetector", {"room": 2}, {"detected": False, "room": 1, "ack": UNDEF})
     current = {**current, "m2": m2}
+    fetches = []
+    real_keyed = DualStore.keyed
+
+    def counting_keyed(self, interface, attribute):
+        fetches.append((interface, attribute))
+        return real_keyed(self, interface, attribute)
+
+    monkeypatch.setattr(DualStore, "keyed", counting_keyed)
     for mode in TriggerMode:
         plan = plan_block(checked.rules, mode)
-        lookups = []
-        namespace = plan.plans[0].run.__globals__
-        real_partners = namespace["partners"]
-
-        def counting_partners(*args):
-            lookups.append(args)
-            return real_partners(*args)
-
-        namespace["partners"] = counting_partners
+        fetches.clear()
         dual = DualStore(previous, current)
         effects, fired = eval_plan(checked.env, plan, dual)
         got = rule_eval._store_of(effects, dual.current), fired
         assert got == closure_eval.eval_rule(checked.env, checked.rules[0], dual, mode)
         assert [f.binding for f in fired] == [{"l": "l1", "m": "m1"}]
-        assert len(lookups) == 1
+        assert len(fetches) == 1
 
 
 def _strictly(evaluate, checked, dual, mode):
@@ -852,8 +855,9 @@ def test_a_refused_join_still_tests_every_call_filter():
     and no call filter is tested.  Each filter compares its target's
     ``room`` with the path ``m.room`` or ``l.room``, every room is
     defined, and a path asks once whether its entity's events hold
-    ``room``, so the generated code's asks of that count the filters
-    tested."""
+    ``room``, so the asks of that made below the loop nest's headers of
+    the generated code count the filters tested; the join's refusal test
+    asks it too, of the pools, before the nest."""
     checked = _join_rule(
         "when event detected from m:MotionDetector value changed "
         "trigger action switch(m.detected) on l:Light with room = m.room "
@@ -869,14 +873,66 @@ def test_a_refused_join_still_tests_every_call_filter():
     ):
         current = _watched(current, asked, ("events",))
         for mode in TriggerMode:
+            lines = [line.strip() for line in plan_block(checked.rules, mode).plans[0].source.splitlines()]
+            nest = max(number for number, line in enumerate(lines, start=1) if line.startswith("for "))
             dual = DualStore(previous, current)
             asked.clear()
             got = _strictly(eval_rule, checked, dual, mode)
-            assert len([key for _, key, how in asked if (key, how) == ("room", "in")]) == filters
+            body_asks = [key for _, key, how, line in asked if (key, how) == ("room", "in") and line > nest]
+            assert len(body_asks) == filters
             assert got == _strictly(closure_eval.eval_rule, checked, dual, mode)
             effects, fired = got
             assert [f.binding for f in fired] == bindings
             assert effects["l1"].events == {"switch": True}
+
+
+CROSS_JOIN_PROGRAM = """\
+interface A { attribute room : Integer event live : Boolean action go ( Boolean ) }
+interface B { attribute zone : Integer event live : Boolean action go ( Boolean ) }
+a1:A { room : 1 }
+a2:A { room : 2 }
+a3:A { room : 1 }
+a4:A { room : 3 }
+b1:B { zone : 1 }
+b2:B { zone : 2 }
+b3:B { zone : 1 }
+b4:B { zone : 3 }
+rules
+when event live from a:A value = true and event live from b:B value = true
+trigger action go(true) on a with room = b.zone || action go(true) on b with zone = a.room
+end
+end
+"""
+
+
+@pytest.mark.parametrize(
+    ("live", "looked_up"),
+    [
+        # ``b``, the later variable, has the larger pool and is looked up;
+        # ``b3``, outside its pool, shares ``a1``'s key
+        (("a1", "b1", "b2", "b4"), "b"),
+        # ``a``, the earlier one, has the larger pool and is looked up;
+        # ``a3``, outside its pool, shares ``b1``'s key
+        (("a1", "a2", "a4", "b1"), "a"),
+    ],
+)
+def test_a_join_of_two_keyed_members_keeps_each_pool_and_side(live, looked_up):
+    """Both sides of the body's join are keyed, each by a member of its
+    own (``a.room``, ``b.zone``), and each pool is a strict subset of its
+    interface.  The side looked up follows the pool sizes; either way the
+    probe reads the other side's member, keeps only the looked-up side's
+    own pool, and builds exactly the product's bindings that hold."""
+    checked = check_program(parse_program(CROSS_JOIN_PROGRAM))
+    assert checked.ok
+    previous = checked.initial_store
+    current = previous
+    for entity_id in live:
+        current = with_event(current, entity_id, "live", True)
+    pools = {var: [entity_id for entity_id in live if entity_id.startswith(var)] for var in "ab"}
+    assert (len(pools["b"]) >= len(pools["a"])) == (looked_up == "b")
+    for mode in TriggerMode:
+        _, fired = _both_evaluators(checked, DualStore(previous, current), mode)
+        assert [f.binding for f in fired] == [{"a": "a1", "b": "b1"}]
 
 
 def test_parallel_calls_linking_different_pairs_fall_back_to_the_product():

@@ -17,7 +17,9 @@ line.
 The rules cover bare-name atoms, ``or`` conditions, conditions and
 filters that read a second variable, bodies whose every call links the
 same two variables (``||`` and ``,``), ``value changed``, and conditions
-on implicit events, which the reset clears one tick after they are set.
+on implicit events, which the reset clears one tick after they are set:
+a light's ``dim`` is written on the tick after its ``switch`` was set,
+so the one is reset on the tick the other is written.
 A second suite adds edge atoms compared with a bare entity's member
 (``value = thermo.temperature``), which can become true on a tick that
 leaves the atom's own entity untouched.
@@ -51,7 +53,7 @@ FORMATS = ("text", "jsonl")
 SPEC = """\
 interface Motion { attribute room : Integer event detected : Boolean
                    event level : Integer action ack ( Boolean ) }
-interface Light { attribute room : Integer action switch ( Boolean ) }
+interface Light { attribute room : Integer action switch ( Boolean ) action dim ( Integer ) }
 interface Fan { attribute room : Integer action setSpeed ( Integer ) }
 interface Thermo { event temperature : Integer }
 """
@@ -87,6 +89,9 @@ RULES = {
     "linked-seq": "when event level from m:Motion value changed "
     "trigger action switch(true) on l:Light with room = m.room , "
     "action ack(true) on m with room = l.room end",
+    # a light's second action, written on the tick after its first was
+    # set, so the reset of the one must land beside the write of the other
+    "dim": "when event switch from l:Light value = true trigger action dim({n}) on l end",
 }
 
 # The second suite's templates and seed, and the temperatures its scripts
